@@ -15,7 +15,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from .errors import ConfigError, DomainError, ModeError
@@ -30,58 +29,23 @@ ADAPTIVE = "adaptive"
 VANILLA = "vanilla"
 
 
-class EventKind(Enum):
-    """Event kinds; definition order is the tie-break at equal timestamps.
-
-    Blocks seal before windows close, windows close before the controller
-    reads them, and the controller runs before the timer fires, so every
-    consumer sees the freshest state a coinciding producer left behind.
-    """
-
-    BLOCK_BOUNDARY = "block_boundary"
-    JOB_COMPLETE = "job_complete"
-    RATE_WINDOW_CLOSE = "rate_window_close"
-    CONTROL_TICK = "control_tick"
-    BATCH_TIMER_FIRE = "batch_timer_fire"
-    JOB_START = "job_start"
-    TRACE_END = "trace_end"
-
-
-_RANK = {kind: rank for rank, kind in enumerate(EventKind)}
-
-
-@dataclass(frozen=True)
-class EngineEvent:
-    fire_at: float
-    sequence: int
-    kind: EventKind
-
-
-@dataclass(frozen=True)
-class Block:
-    block_id: int
-    record_count: int
-    created_at: int
-
-    def __post_init__(self):
-        if self.record_count < 0:
-            raise DomainError("record_count must be >= 0")
+# Event kinds, as heap ranks: at equal timestamps the lower rank fires first.
+# Blocks seal before windows close, windows close before the controller reads
+# them, and the controller runs before the timer fires, so every consumer sees
+# the freshest state a coinciding producer left behind.
+(BLOCK_BOUNDARY, JOB_COMPLETE, RATE_WINDOW_CLOSE, CONTROL_TICK,
+ BATCH_TIMER_FIRE, JOB_START, TRACE_END) = range(7)
 
 
 @dataclass(frozen=True)
 class Batch:
+    """Blocks sealed by one timer fire; only their counts matter downstream."""
+
     batch_id: int
-    blocks: tuple[Block, ...]
+    record_count: int
+    block_count: int
     generated_at: int
     interval_used: int
-
-    @property
-    def record_count(self) -> int:
-        return sum(b.record_count for b in self.blocks)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -215,19 +179,17 @@ class MicrobatchEngine:
             self.controller = FuzzyController(
                 config.controller, self.tracker, self.monitor,
                 rule_table=rule_table, set_interval=self.set_interval)
-        self._heap: list = []
+        self._heap: list = []  # (fire_at, rank, sequence, payload)
         self._sequence = 0
-        self._now: float = 0.0
         self._ran = False
         self._ended = False
         self._current_interval = config.initial_interval
         self._pending_interval: Optional[int] = None
         self._last_fire_at = 0
-        self._block_queue: list[Block] = []
+        self._block_queue: list[int] = []  # record count of each unsealed block
         self._batch_queue: deque[Batch] = deque()
         self._worker_busy = False
         self._job_start_pending = False
-        self._next_block_id = 0
         self._next_batch_id = 0
         self._rng = random.Random(config.seed)
         self.log = MetricsLog(
@@ -262,84 +224,81 @@ class MicrobatchEngine:
         self._ran = True
         cfg = self.config
         self.tracker.start()
-        self._schedule(cfg.block_interval, EventKind.BLOCK_BOUNDARY)
-        self._schedule(cfg.tracker.resample_interval, EventKind.RATE_WINDOW_CLOSE)
-        self._schedule(cfg.controller.control_period, EventKind.CONTROL_TICK)
-        self._schedule(cfg.initial_interval, EventKind.BATCH_TIMER_FIRE)
-        self._schedule(cfg.duration, EventKind.TRACE_END)
-        handlers = {
-            EventKind.BLOCK_BOUNDARY: self._on_block_boundary,
-            EventKind.JOB_COMPLETE: self._on_job_complete,
-            EventKind.RATE_WINDOW_CLOSE: self._on_rate_window_close,
-            EventKind.CONTROL_TICK: self._on_control_tick,
-            EventKind.BATCH_TIMER_FIRE: self._on_batch_timer_fire,
-            EventKind.JOB_START: self._on_job_start,
-            EventKind.TRACE_END: self._on_trace_end,
-        }
-        while self._heap and not self._ended:
-            _, _, _, event, payload = heapq.heappop(self._heap)
-            self._now = event.fire_at
-            handlers[event.kind](event.fire_at, payload)
+        self._schedule(cfg.block_interval, BLOCK_BOUNDARY)
+        self._schedule(cfg.tracker.resample_interval, RATE_WINDOW_CLOSE)
+        self._schedule(cfg.controller.control_period, CONTROL_TICK)
+        self._schedule(cfg.initial_interval, BATCH_TIMER_FIRE)
+        self._schedule(cfg.duration, TRACE_END)
+        handlers = (  # indexed by rank
+            self._on_block_boundary,
+            self._on_job_complete,
+            self._on_rate_window_close,
+            self._on_control_tick,
+            self._on_batch_timer_fire,
+            self._on_job_start,
+            self._on_trace_end,
+        )
+        heap, pop = self._heap, heapq.heappop
+        while heap and not self._ended:
+            fire_at, rank, _, payload = pop(heap)
+            handlers[rank](fire_at, payload)
         self.tracker.stop()
         return self.log
 
-    def _schedule(self, fire_at: float, kind: EventKind, payload=None) -> None:
-        event = EngineEvent(fire_at=fire_at, sequence=self._sequence, kind=kind)
-        heapq.heappush(self._heap, (fire_at, _RANK[kind], self._sequence, event, payload))
+    def _schedule(self, fire_at: float, rank: int, payload=None) -> None:
+        heapq.heappush(self._heap, (fire_at, rank, self._sequence, payload))
         self._sequence += 1
+
+    def _seal(self, now: float, interval_used: int) -> Batch:
+        """Group every unsealed block into the next batch."""
+        blocks = self._block_queue
+        batch = Batch(self._next_batch_id, sum(blocks), len(blocks), int(now), interval_used)
+        self._next_batch_id += 1
+        blocks.clear()
+        self.log.total_batch_records += batch.record_count
+        return batch
 
     # -- event handlers -----------------------------------------------------
 
     def _on_block_boundary(self, now: float, _payload) -> None:
-        start = int(now) - self.config.block_interval
+        cfg, metrics = self.config, self.log
+        start = int(now) - cfg.block_interval
         expected = self.trace.integral(start, now)
-        if self.config.jitter > 0.0:
-            expected *= 1.0 + self.config.jitter * self._rng.uniform(-1.0, 1.0)
+        if cfg.jitter > 0.0:
+            expected *= 1.0 + cfg.jitter * self._rng.uniform(-1.0, 1.0)
         count = int(math.floor(expected + 0.5))
-        self.log.total_generated += count
+        metrics.total_generated += count
         if count > 0:
-            block = Block(block_id=self._next_block_id, record_count=count,
-                          created_at=int(now))
-            self._next_block_id += 1
-            self._block_queue.append(block)
-            self.log.total_block_records += count
+            self._block_queue.append(count)
+            metrics.total_block_records += count
             self.tracker.report_info(TrafficReport(timestamp=start, record_count=count))
-        nxt = now + self.config.block_interval
-        if nxt <= self.config.duration:
-            self._schedule(nxt, EventKind.BLOCK_BOUNDARY)
+        nxt = now + cfg.block_interval
+        if nxt <= cfg.duration:
+            self._schedule(nxt, BLOCK_BOUNDARY)
 
     def _on_batch_timer_fire(self, now: float, _payload) -> None:
-        batch = Batch(
-            batch_id=self._next_batch_id,
-            blocks=tuple(self._block_queue),
-            generated_at=int(now),
-            interval_used=int(now) - self._last_fire_at,
-        )
-        self._next_batch_id += 1
-        self._block_queue.clear()
+        self._batch_queue.append(self._seal(now, int(now) - self._last_fire_at))
         self._last_fire_at = int(now)
-        self.log.total_batch_records += batch.record_count
-        self._batch_queue.append(batch)
         if self._pending_interval is not None:
             self._current_interval = self._pending_interval
             self._pending_interval = None
         nxt = now + self._current_interval
         if nxt <= self.config.duration:
-            self._schedule(nxt, EventKind.BATCH_TIMER_FIRE)
+            self._schedule(nxt, BATCH_TIMER_FIRE)
         self._maybe_start_job(now)
 
     def _maybe_start_job(self, now: float) -> None:
         if self._worker_busy or self._job_start_pending or not self._batch_queue:
             return
         self._job_start_pending = True
-        self._schedule(now, EventKind.JOB_START)
+        self._schedule(now, JOB_START)
 
     def _on_job_start(self, now: float, _payload) -> None:
         self._job_start_pending = False
         batch = self._batch_queue.popleft()
         self._worker_busy = True
         cost = self.config.cost_model.cost(batch.record_count, batch.block_count)
-        self._schedule(now + cost, EventKind.JOB_COMPLETE, payload=(batch, now))
+        self._schedule(now + cost, JOB_COMPLETE, payload=(batch, now))
 
     def _on_job_complete(self, now: float, payload) -> None:
         batch, started_at = payload
@@ -388,7 +347,7 @@ class MicrobatchEngine:
             ))
         nxt = now + self.config.tracker.resample_interval
         if nxt <= self.config.duration:
-            self._schedule(nxt, EventKind.RATE_WINDOW_CLOSE)
+            self._schedule(nxt, RATE_WINDOW_CLOSE)
 
     def _on_control_tick(self, now: float, _payload) -> None:
         if self.controller is not None and now >= self.config.control_start:
@@ -424,21 +383,13 @@ class MicrobatchEngine:
             ))
         nxt = now + self.config.controller.control_period
         if nxt <= self.config.duration:
-            self._schedule(nxt, EventKind.CONTROL_TICK)
+            self._schedule(nxt, CONTROL_TICK)
 
     def _on_trace_end(self, now: float, _payload) -> None:
         # Seal whatever the receiver still holds so the record ledger balances;
         # the sealed batch is never executed because simulated time stops here.
         if self._block_queue:
-            batch = Batch(
-                batch_id=self._next_batch_id,
-                blocks=tuple(self._block_queue),
-                generated_at=int(now),
-                interval_used=max(int(now) - self._last_fire_at, self.config.block_interval),
-            )
-            self._next_batch_id += 1
-            self._block_queue.clear()
-            self.log.total_batch_records += batch.record_count
+            self._seal(now, max(int(now) - self._last_fire_at, self.config.block_interval))
         self._ended = True
 
 

@@ -349,8 +349,12 @@ def _metrics_row(row) -> list[str]:
     return [_fmt(v) for v in values]
 
 
-def write_metrics(log: MetricsLog, out_dir: str | Path) -> Path:
-    """Write metrics.csv, summary.json, and the series files; returns out_dir."""
+def write_metrics(log: MetricsLog, out_dir: str | Path,
+                  report: SummaryReport | None = None) -> Path:
+    """Write metrics.csv, summary.json, and the series files; returns out_dir.
+
+    ``report`` is summarize(log), computed here when not given.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -358,7 +362,8 @@ def write_metrics(log: MetricsLog, out_dir: str | Path) -> Path:
     lines += [",".join(_metrics_row(r)) for r in log.rows]
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
 
-    report = summarize(log)
+    if report is None:
+        report = summarize(log)
     (out / "summary.json").write_text(
         json.dumps(dataclasses.asdict(report), indent=2) + "\n")
 
@@ -392,8 +397,8 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
     engine = MicrobatchEngine(spec.engine, spec.trace, spec.rule_table)
     log = engine.run()
     out = Path(out_dir) if out_dir is not None else default_out_dir()
-    write_metrics(log, out)
     report = summarize(log)
+    write_metrics(log, out, report)
     print(f"{spec.label}: {len(log.batches)} batches, "
           f"{report.records_processed} records -> {out}")
     if report.convergence_time_ms is not None:

@@ -3,18 +3,33 @@
 Every rate function reports records/second at a millisecond timestamp and
 can integrate itself exactly over an arbitrary window, so the engine can
 quantize arrivals per block without numerical drift.
+
+Cost per call: the closed-form rates are O(1). The CSV traces bisect to the
+first segment a window touches, so ``rate`` is O(log n) and ``integral`` is
+O(log n + k) for n breakpoints and k segments overlapping the window; the
+terms are summed in segment order, as a full scan would sum them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import DomainError, TraceParseError
 
 HEADER = "timestamp_s,value"
+
+_time = itemgetter(0)  # of a (t_ms, rate) sample
+
+
+def _check_finite(*values: float) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise DomainError(f"trace parameters must be finite, got {v}")
 
 
 class RateFunction:
@@ -40,6 +55,7 @@ class ConstantRate(RateFunction):
     kind = "constant"
 
     def __post_init__(self):
+        _check_finite(self.value)
         if self.value < 0:
             raise DomainError(f"rate must be >= 0, got {self.value}")
 
@@ -59,6 +75,7 @@ class StepRate(RateFunction):
     kind = "step"
 
     def __post_init__(self):
+        _check_finite(self.before, self.after, self.switch_ms)
         if self.before < 0 or self.after < 0:
             raise DomainError("rates must be >= 0")
         if self.switch_ms < 0:
@@ -81,6 +98,7 @@ class SinusoidRate(RateFunction):
     kind = "sinusoid"
 
     def __post_init__(self):
+        _check_finite(self.base, self.amplitude, self.period_ms)
         if self.amplitude < 0:
             raise DomainError("amplitude must be >= 0")
         if self.base < self.amplitude:
@@ -102,7 +120,7 @@ class SinusoidRate(RateFunction):
 class PiecewiseConstantTrace(RateFunction):
     """Counts-per-row trace: each row's count spreads evenly over its interval."""
 
-    breakpoints: tuple[float, ...]  # segment edges in ms, one more than rates
+    breakpoints: tuple[float, ...]  # non-decreasing segment edges in ms, one more than rates
     rates: tuple[float, ...]
     kind = "trace_counts"
 
@@ -114,20 +132,19 @@ class PiecewiseConstantTrace(RateFunction):
         bp = self.breakpoints
         if t_ms < bp[0] or t_ms >= bp[-1]:
             return 0.0
-        for i in range(len(self.rates)):
-            if t_ms < bp[i + 1]:
-                return self.rates[i]
-        return 0.0
+        return self.rates[bisect_right(bp, t_ms) - 1]
 
     def integral(self, t0_ms: float, t1_ms: float) -> float:
         self._check_window(t0_ms, t1_ms)
-        bp = self.breakpoints
+        bp, rates = self.breakpoints, self.rates
         total = 0.0
-        for i, r in enumerate(self.rates):
+        i = max(bisect_right(bp, t0_ms) - 1, 0)  # segments before i end by t0_ms
+        while i < len(rates) and bp[i] < t1_ms:
             lo = max(t0_ms, bp[i])
             hi = min(t1_ms, bp[i + 1])
             if hi > lo:
-                total += r * (hi - lo)
+                total += rates[i] * (hi - lo)
+            i += 1
         return total / 1000.0
 
 
@@ -135,7 +152,7 @@ class PiecewiseConstantTrace(RateFunction):
 class PiecewiseLinearTrace(RateFunction):
     """Rate-sample trace: linear between samples, flat beyond the ends."""
 
-    points: tuple[tuple[float, float], ...]  # (t_ms, rate)
+    points: tuple[tuple[float, float], ...]  # (t_ms, rate), t_ms non-decreasing
     kind = "trace_rates"
 
     def rate(self, t_ms: float) -> float:
@@ -144,20 +161,18 @@ class PiecewiseLinearTrace(RateFunction):
             return pts[0][1]
         if t_ms >= pts[-1][0]:
             return pts[-1][1]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if t_ms < x1:
-                frac = (t_ms - x0) / (x1 - x0)
-                return y0 + frac * (y1 - y0)
-        return pts[-1][1]
+        i = bisect_right(pts, t_ms, key=_time)  # first sample after t_ms
+        (x0, y0), (x1, y1) = pts[i - 1], pts[i]
+        frac = (t_ms - x0) / (x1 - x0)
+        return y0 + frac * (y1 - y0)
 
     def integral(self, t0_ms: float, t1_ms: float) -> float:
         self._check_window(t0_ms, t1_ms)
         if t1_ms == t0_ms:
             return 0.0
         pts = self.points
-        edges = [t0_ms, t1_ms]
-        edges += [x for (x, _) in pts if t0_ms < x < t1_ms]
-        edges.sort()
+        inner = pts[bisect_right(pts, t0_ms, key=_time):bisect_left(pts, t1_ms, key=_time)]
+        edges = [t0_ms, *(x for x, _ in inner), t1_ms]
         total = 0.0
         for a, b in zip(edges, edges[1:]):
             total += 0.5 * (self.rate(a) + self.rate(b)) * (b - a)
@@ -225,6 +240,7 @@ def from_csv(path: str | Path, count_mode: bool = False,
     multiplies timestamps, ``rate_scale`` multiplies rates; the trace
     integral is preserved when rate_scale == 1 / time_scale.
     """
+    _check_finite(time_scale, rate_scale)
     if time_scale <= 0 or rate_scale <= 0:
         raise DomainError("scales must be positive")
     rows = load_trace_rows(path)
@@ -232,13 +248,15 @@ def from_csv(path: str | Path, count_mode: bool = False,
     if count_mode:
         edges = [ts * to_ms for ts, _ in rows]
         edges.append(rows[-1][0] * to_ms + (edges[-1] - edges[-2]))
-        rates = []
-        for i, (_, count) in enumerate(rows):
-            span_s = (rows[i + 1][0] - rows[i][0]) if i + 1 < len(rows) \
-                else (rows[-1][0] - rows[-2][0])
-            rates.append(rate_scale * count / span_s)
+        spans_s = [b - a for (a, _), (b, _) in zip(rows, rows[1:])]
+        spans_s.append(spans_s[-1])
+        rates = [rate_scale * count / span_s for (_, count), span_s in zip(rows, spans_s)]
+        # Rows are finite, increasing and >= 0, so only scaling can overflow,
+        # and it does so first at the extremes.
+        _check_finite(edges[0], edges[-1], max(rates))
         return PiecewiseConstantTrace(tuple(edges), tuple(rates))
     points = tuple((ts * to_ms, value * rate_scale) for ts, value in rows)
+    _check_finite(points[0][0], points[-1][0], max(v for _, v in points))
     return PiecewiseLinearTrace(points)
 
 

@@ -270,3 +270,28 @@ def test_cli_out_dir_env_default(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(conf)]) == 0
     assert (target / "metrics.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("trace", [
+    "trace.kind = constant\ntrace.rate = nan\n",
+    "trace.kind = constant\ntrace.rate = inf\n",
+    "trace.kind = step\ntrace.before = 1000\ntrace.after = nan\ntrace.switch = 60000\n",
+    "trace.kind = sinusoid\ntrace.base = 1000\ntrace.amplitude = 300\ntrace.period = inf\n",
+    "trace.kind = csv\ntrace.file = trace.csv\ntrace.time_scale = nan\n",
+    "trace.kind = csv\ntrace.file = trace.csv\ntrace.mode = count\ntrace.rate_scale = inf\n",
+], ids=["constant-nan", "constant-inf", "step-nan", "sinusoid-inf", "csv-time-nan",
+        "csv-rate-inf"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_non_finite_trace_exits_cleanly(tmp_path, capsys, trace, command):
+    (tmp_path / "trace.csv").write_text("timestamp_s,value\n0,1000\n60,1000\n")
+    text = MINI.replace("trace.kind = constant\ntrace.rate = 1000\n", trace)
+    conf = write_conf(tmp_path, text)
+    argv = [command, "--config", str(conf)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()

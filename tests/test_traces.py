@@ -130,3 +130,32 @@ def test_scale_validation(tmp_path):
         traces.from_csv(path, time_scale=0.0)
     with pytest.raises(DomainError):
         traces.from_csv(path, rate_scale=-1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: traces.constant(bad),
+    lambda bad: traces.step(bad, 1000.0, 60_000),
+    lambda bad: traces.step(1000.0, bad, 60_000),
+    lambda bad: traces.step(1000.0, 2000.0, bad),
+    lambda bad: traces.sinusoid(bad, 300.0, 60_000),
+    lambda bad: traces.sinusoid(1000.0, bad, 60_000),
+    lambda bad: traces.sinusoid(1000.0, 300.0, bad),
+], ids=["constant", "step-before", "step-after", "step-switch", "sinusoid-base",
+        "sinusoid-amplitude", "sinusoid-period"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(make, bad):
+    with pytest.raises(DomainError, match="finite"):
+        make(bad)
+
+
+@pytest.mark.parametrize("scales", [
+    {"time_scale": math.nan}, {"time_scale": math.inf},
+    {"rate_scale": math.nan}, {"rate_scale": math.inf},
+    {"time_scale": 1e306},  # finite, but the scaled timestamps overflow
+    {"rate_scale": 1e307},  # finite, but the scaled rates overflow
+])
+def test_non_finite_scales_rejected(tmp_path, scales):
+    path = write_trace(tmp_path, "timestamp_s,value\n0,10\n60,20\n")
+    for count_mode in (False, True):
+        with pytest.raises(DomainError, match="finite"):
+            traces.from_csv(path, count_mode=count_mode, **scales)
