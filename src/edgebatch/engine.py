@@ -5,6 +5,12 @@ dynamic timer groups blocks into batches, and a single FIFO worker runs each
 batch under an affine cost model. In adaptive mode a fuzzy control loop
 retimes the batch interval; in vanilla mode the interval stays fixed and the
 monitor just watches.
+
+Timer fires, control ticks, window closes, job completions and the trace end
+are events on a heap. Blocks are not: before each event, a block clock in
+``run`` seals every block that ends at or before the event's time, so at
+equal timestamps a block always comes first. A job starts as soon as the
+worker is free and a batch waits; only its completion is an event.
 """
 
 from __future__ import annotations
@@ -30,11 +36,13 @@ VANILLA = "vanilla"
 
 
 # Event kinds, as heap ranks: at equal timestamps the lower rank fires first.
-# Blocks seal before windows close, windows close before the controller reads
-# them, and the controller runs before the timer fires, so every consumer sees
-# the freshest state a coinciding producer left behind.
-(BLOCK_BOUNDARY, JOB_COMPLETE, RATE_WINDOW_CLOSE, CONTROL_TICK,
- BATCH_TIMER_FIRE, JOB_START, TRACE_END) = range(7)
+# Jobs complete before windows close, windows close before the controller
+# reads them, and the controller runs before the timer fires, so every
+# consumer sees the freshest state a coinciding producer left behind. A job
+# that takes no time completes after the other events of the instant it
+# started in (INSTANT_JOB_COMPLETE).
+(JOB_COMPLETE, RATE_WINDOW_CLOSE, CONTROL_TICK, BATCH_TIMER_FIRE,
+ INSTANT_JOB_COMPLETE, TRACE_END) = range(6)
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,8 @@ class EngineConfig:
             if not (self.controller.min_interval <= self.initial_interval
                     <= self.controller.max_interval):
                 raise ConfigError("initial_interval must lie within the controller's range")
+        if self.tracker.resample_interval % self.block_interval != 0:
+            raise ConfigError("tracker resample_interval must be a multiple of block_interval")
         if self.control_start < 0:
             raise ConfigError("control_start must be >= 0")
         if not (0.0 <= self.jitter < 1.0):
@@ -189,7 +199,6 @@ class MicrobatchEngine:
         self._block_queue: list[int] = []  # record count of each unsealed block
         self._batch_queue: deque[Batch] = deque()
         self._worker_busy = False
-        self._job_start_pending = False
         self._next_batch_id = 0
         self._rng = random.Random(config.seed)
         self.log = MetricsLog(
@@ -224,24 +233,45 @@ class MicrobatchEngine:
         self._ran = True
         cfg = self.config
         self.tracker.start()
-        self._schedule(cfg.block_interval, BLOCK_BOUNDARY)
         self._schedule(cfg.tracker.resample_interval, RATE_WINDOW_CLOSE)
         self._schedule(cfg.controller.control_period, CONTROL_TICK)
         self._schedule(cfg.initial_interval, BATCH_TIMER_FIRE)
         self._schedule(cfg.duration, TRACE_END)
         handlers = (  # indexed by rank
-            self._on_block_boundary,
             self._on_job_complete,
             self._on_rate_window_close,
             self._on_control_tick,
             self._on_batch_timer_fire,
-            self._on_job_start,
+            self._on_job_complete,
             self._on_trace_end,
         )
+        # The block clock, with every name the per-block loop uses bound once.
+        block, jitter = cfg.block_interval, cfg.jitter
+        integral, uniform, floor = self.trace.integral, self._rng.uniform, math.floor
+        report, receive = self.tracker.report_info, self._block_queue.append
+        block_end = block  # end of the next block to seal
+        generated = in_blocks = 0
         heap, pop = self._heap, heapq.heappop
         while heap and not self._ended:
             fire_at, rank, _, payload = pop(heap)
+            # Seal every block that ends by this event, so that at equal
+            # timestamps blocks come before any other event. No event fires
+            # after the trace end, so no block ends after it either.
+            while block_end <= fire_at:
+                start = block_end - block
+                expected = integral(start, block_end)
+                if jitter > 0.0:
+                    expected *= 1.0 + jitter * uniform(-1.0, 1.0)
+                count = floor(expected + 0.5)
+                generated += count
+                if count > 0:
+                    receive(count)
+                    in_blocks += count
+                    report(TrafficReport(timestamp=start, record_count=count))
+                block_end += block
             handlers[rank](fire_at, payload)
+        self.log.total_generated = generated
+        self.log.total_block_records = in_blocks
         self.tracker.stop()
         return self.log
 
@@ -260,22 +290,6 @@ class MicrobatchEngine:
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_block_boundary(self, now: float, _payload) -> None:
-        cfg, metrics = self.config, self.log
-        start = int(now) - cfg.block_interval
-        expected = self.trace.integral(start, now)
-        if cfg.jitter > 0.0:
-            expected *= 1.0 + cfg.jitter * self._rng.uniform(-1.0, 1.0)
-        count = int(math.floor(expected + 0.5))
-        metrics.total_generated += count
-        if count > 0:
-            self._block_queue.append(count)
-            metrics.total_block_records += count
-            self.tracker.report_info(TrafficReport(timestamp=start, record_count=count))
-        nxt = now + cfg.block_interval
-        if nxt <= cfg.duration:
-            self._schedule(nxt, BLOCK_BOUNDARY)
-
     def _on_batch_timer_fire(self, now: float, _payload) -> None:
         self._batch_queue.append(self._seal(now, int(now) - self._last_fire_at))
         self._last_fire_at = int(now)
@@ -288,17 +302,13 @@ class MicrobatchEngine:
         self._maybe_start_job(now)
 
     def _maybe_start_job(self, now: float) -> None:
-        if self._worker_busy or self._job_start_pending or not self._batch_queue:
+        if self._worker_busy or not self._batch_queue:
             return
-        self._job_start_pending = True
-        self._schedule(now, JOB_START)
-
-    def _on_job_start(self, now: float, _payload) -> None:
-        self._job_start_pending = False
         batch = self._batch_queue.popleft()
         self._worker_busy = True
-        cost = self.config.cost_model.cost(batch.record_count, batch.block_count)
-        self._schedule(now + cost, JOB_COMPLETE, payload=(batch, now))
+        done_at = now + self.config.cost_model.cost(batch.record_count, batch.block_count)
+        rank = JOB_COMPLETE if done_at > now else INSTANT_JOB_COMPLETE
+        self._schedule(done_at, rank, payload=(batch, now))
 
     def _on_job_complete(self, now: float, payload) -> None:
         batch, started_at = payload

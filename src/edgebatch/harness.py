@@ -23,7 +23,6 @@ from .engine import (
     ADAPTIVE,
     VANILLA,
     BatchRow,
-    ControlRow,
     EngineConfig,
     JobCostModel,
     MetricsLog,
@@ -335,54 +334,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _metrics_row(row) -> list[str]:
-    if isinstance(row, BatchRow):
-        values = (row.time_ms, row.batch_id, row.interval_ms, row.records,
-                  row.blocks, row.sched_delay_ms, row.proc_delay_ms,
-                  row.total_delay_ms, row.eta,
-                  None, None, None, None, None, None)
-    else:
-        values = (row.time_ms, None, row.interval_ms, None, None,
-                  None, None, None, None,
-                  row.workload_s, row.rate_measured, row.rate_predicted,
-                  row.traffic_change, row.workload_deviation, row.fuzzy_level)
-    return [_fmt(v) for v in values]
-
-
 def write_metrics(log: MetricsLog, out_dir: str | Path,
                   report: SummaryReport | None = None) -> Path:
     """Write metrics.csv, summary.json, and the series files; returns out_dir.
 
-    ``report`` is summarize(log), computed here when not given.
+    ``report`` is summarize(log), computed here when not given. The files are
+    written in one pass over ``log.rows`` and one over ``log.windows``: each
+    value is formatted once, for metrics.csv and its series file alike, and
+    each line goes straight to its file, so no output is held in memory.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    lines = [",".join(METRICS_COLUMNS)]
-    lines += [",".join(_metrics_row(r)) for r in log.rows]
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
-
     if report is None:
         report = summarize(log)
-    (out / "summary.json").write_text(
-        json.dumps(dataclasses.asdict(report), indent=2) + "\n")
-
-    ticks = log.ticks
-    batches = log.batches
-    series = {
-        "series_interval.csv": ["time_ms,interval_ms"] + [
-            f"{_fmt(t.time_ms)},{t.interval_ms}" for t in ticks],
-        "series_workload.csv": ["time_ms,workload_S"] + [
-            f"{_fmt(t.time_ms)},{_fmt(t.workload_s)}" for t in ticks],
-        "series_rate.csv": ["window_start_ms,rate_measured,rate_predicted_next"] + [
-            f"{w.window_start_ms},{_fmt(w.rate_measured)},{_fmt(w.rate_predicted_next)}"
-            for w in log.windows],
-        "series_delay.csv": ["time_ms,total_delay_ms,proc_delay_ms,sched_delay_ms"] + [
-            f"{_fmt(b.time_ms)},{_fmt(b.total_delay_ms)},{_fmt(b.proc_delay_ms)},"
-            f"{_fmt(b.sched_delay_ms)}" for b in batches],
-    }
-    for name, content in series.items():
-        (out / name).write_text("\n".join(content) + "\n")
+    fmt = _fmt
+    with (open(out / "metrics.csv", "w") as metrics,
+          open(out / "series_interval.csv", "w") as interval,
+          open(out / "series_workload.csv", "w") as workload,
+          open(out / "series_rate.csv", "w") as rate,
+          open(out / "series_delay.csv", "w") as delay,
+          open(out / "summary.json", "w") as summary):
+        metrics.write(",".join(METRICS_COLUMNS) + "\n")
+        interval.write("time_ms,interval_ms\n")
+        workload.write("time_ms,workload_S\n")
+        rate.write("window_start_ms,rate_measured,rate_predicted_next\n")
+        delay.write("time_ms,total_delay_ms,proc_delay_ms,sched_delay_ms\n")
+        for row in log.rows:
+            t = fmt(row.time_ms)
+            if type(row) is BatchRow:
+                sched, proc = fmt(row.sched_delay_ms), fmt(row.proc_delay_ms)
+                total = fmt(row.total_delay_ms)
+                metrics.write(f"{t},{row.batch_id},{row.interval_ms},{row.records},"
+                              f"{row.blocks},{sched},{proc},{total},{fmt(row.eta)},,,,,,\n")
+                delay.write(f"{t},{total},{proc},{sched}\n")
+            else:
+                s = fmt(row.workload_s)
+                metrics.write(f"{t},,{row.interval_ms},,,,,,,{s},{fmt(row.rate_measured)},"
+                              f"{fmt(row.rate_predicted)},{fmt(row.traffic_change)},"
+                              f"{fmt(row.workload_deviation)},{fmt(row.fuzzy_level)}\n")
+                interval.write(f"{t},{row.interval_ms}\n")
+                workload.write(f"{t},{s}\n")
+        for w in log.windows:
+            rate.write(f"{w.window_start_ms},{fmt(w.rate_measured)},"
+                       f"{fmt(w.rate_predicted_next)}\n")
+        summary.write(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     return out
 
 

@@ -23,6 +23,11 @@ from .errors import DomainError, TraceParseError
 
 HEADER = "timestamp_s,value"
 
+# The highest rate a trace may reach, in records/s. It is far above any edge
+# node's input (the presets peak near 2,400 records/s) and keeps a block's
+# expected count, and every sum or product of counts, well inside float range.
+MAX_RATE = 1e9
+
 _time = itemgetter(0)  # of a (t_ms, rate) sample
 
 
@@ -30,6 +35,11 @@ def _check_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise DomainError(f"trace parameters must be finite, got {v}")
+
+
+def _check_peak(peak: float) -> None:
+    if peak > MAX_RATE:
+        raise DomainError(f"rate {peak:g} records/s is above MAX_RATE ({MAX_RATE:g})")
 
 
 class RateFunction:
@@ -56,6 +66,7 @@ class ConstantRate(RateFunction):
 
     def __post_init__(self):
         _check_finite(self.value)
+        _check_peak(self.value)
         if self.value < 0:
             raise DomainError(f"rate must be >= 0, got {self.value}")
 
@@ -76,6 +87,7 @@ class StepRate(RateFunction):
 
     def __post_init__(self):
         _check_finite(self.before, self.after, self.switch_ms)
+        _check_peak(max(self.before, self.after))
         if self.before < 0 or self.after < 0:
             raise DomainError("rates must be >= 0")
         if self.switch_ms < 0:
@@ -99,12 +111,15 @@ class SinusoidRate(RateFunction):
 
     def __post_init__(self):
         _check_finite(self.base, self.amplitude, self.period_ms)
+        _check_peak(self.base + self.amplitude)
         if self.amplitude < 0:
             raise DomainError("amplitude must be >= 0")
         if self.base < self.amplitude:
             raise DomainError("base must be >= amplitude or the rate would go negative")
         if self.period_ms <= 0:
             raise DomainError("period must be positive")
+        if not math.isfinite(self.amplitude / (2.0 * math.pi / self.period_ms)):
+            raise DomainError("amplitude times period is too large to integrate")
 
     def rate(self, t_ms: float) -> float:
         return self.base + self.amplitude * math.sin(2.0 * math.pi * t_ms / self.period_ms)
@@ -253,10 +268,14 @@ def from_csv(path: str | Path, count_mode: bool = False,
         rates = [rate_scale * count / span_s for (_, count), span_s in zip(rows, spans_s)]
         # Rows are finite, increasing and >= 0, so only scaling can overflow,
         # and it does so first at the extremes.
-        _check_finite(edges[0], edges[-1], max(rates))
+        peak = max(rates)
+        _check_finite(edges[0], edges[-1], peak)
+        _check_peak(peak)
         return PiecewiseConstantTrace(tuple(edges), tuple(rates))
     points = tuple((ts * to_ms, value * rate_scale) for ts, value in rows)
-    _check_finite(points[0][0], points[-1][0], max(v for _, v in points))
+    peak = max(v for _, v in points)
+    _check_finite(points[0][0], points[-1][0], peak)
+    _check_peak(peak)
     return PiecewiseLinearTrace(points)
 
 

@@ -104,11 +104,12 @@ def test_criterion_01_grey_fit_matches_oracle():
 
 def test_criterion_02_offline_day_trace_error():
     vals = []
-    for line in open(traces.day_trace_path()):
-        body = line.split("#", 1)[0].strip()
-        if not body or body.startswith("timestamp_s"):
-            continue
-        vals.append(float(body.split(",")[1]))
+    with open(traces.day_trace_path()) as f:
+        for line in f:
+            body = line.split("#", 1)[0].strip()
+            if not body or body.startswith("timestamp_s"):
+                continue
+            vals.append(float(body.split(",")[1]))
     errs = []
     for k in range(5, len(vals)):
         pred = grey.fit_predict(vals[k - 5:k], 1)[0]

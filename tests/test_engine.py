@@ -203,3 +203,11 @@ def test_config_validation():
         make_config(block_interval=300)  # mismatched with controller's 200
     with pytest.raises(ConfigError):
         make_config(jitter=1.5)
+
+
+def test_resample_interval_must_be_block_multiple():
+    # A window end inside a block would cut that block's records out of the
+    # measured rate: 30,100 ms windows over 1000 rec/s read 996.68 rec/s.
+    make_config(tracker=TrackerConfig(resample_interval=30_200))
+    with pytest.raises(ConfigError, match="resample_interval"):
+        make_config(tracker=TrackerConfig(resample_interval=30_100))

@@ -1,8 +1,10 @@
-"""Golden digests: every output file of the six acceptance runs, byte for byte.
+"""Golden digests: every output file of the six acceptance runs, and of three
+runs in which events coincide, byte for byte.
 
-The digests were taken from the code before the trace layer and the event
-loop were optimised. A change that is meant to keep behaviour must keep
-them; one that changes behaviour on purpose re-pins them and says why.
+The preset digests were taken from the code before the trace layer and the
+event loop were optimised, the coinciding-event ones from the code before
+blocks left the event heap. A change that is meant to keep behaviour must
+keep them; one that changes behaviour on purpose re-pins them and says why.
 """
 
 import hashlib
@@ -63,9 +65,117 @@ GOLDEN = {
 }
 
 
+def digests(out_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+
+
 @pytest.mark.parametrize("args", list(GOLDEN), ids=" ".join)
 def test_preset_outputs_match_golden_digests(args, tmp_path, capsys):
     assert main(["preset", *args, "--out", str(tmp_path)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir()}
-    assert digests == GOLDEN[args]
+    assert digests(tmp_path) == GOLDEN[args]
+
+
+# Runs in which events of different kinds fall on the same millisecond. They
+# pin the order the engine gives coinciding events: a block that ends at t is
+# sealed before anything else at t, and a job that costs nothing completes
+# after the window closes, the control tick and the timer fire at its start.
+TIE_CONFIGS = {
+    # Each batch costs exactly two intervals, so every job completes on a
+    # block boundary together with a timer fire, a control tick and a window
+    # close. After the step to zero, empty batches cost nothing and drain at
+    # the instant the backlog's last job completes.
+    "ties-vanilla-drain": """\
+engine.mode = vanilla
+engine.duration = 90000
+engine.initial_interval = 1000
+engine.control_start = 0
+controller.min_interval = 1000
+controller.max_interval = 3000
+controller.control_period = 1000
+tracker.resample_interval = 1000
+cost.fixed_overhead = 0
+cost.per_record = 1
+cost.per_block = 200
+trace.kind = step
+trace.before = 1000
+trace.after = 0
+trace.switch = 30000
+""",
+    # Control from t = 0, an initial interval of one block, and a rate step
+    # in the middle of a block. Every cost term is a multiple of the block,
+    # so jobs complete on block boundaries.
+    "ties-adaptive-step": """\
+engine.mode = adaptive
+engine.duration = 120000
+engine.initial_interval = 200
+engine.control_start = 0
+controller.min_interval = 200
+controller.max_interval = 4000
+controller.control_period = 2000
+tracker.resample_interval = 2000
+cost.fixed_overhead = 400
+cost.per_record = 2
+cost.per_block = 200
+trace.kind = step
+trace.before = 500
+trace.after = 1500
+trace.switch = 30100
+""",
+    # Jittered counts with integer cost terms: jobs complete on whole
+    # milliseconds, some of them on block boundaries.
+    "ties-adaptive-jitter": """\
+engine.mode = adaptive
+engine.duration = 120000
+engine.initial_interval = 1000
+engine.control_start = 0
+engine.seed = 7
+engine.jitter = 0.2
+controller.min_interval = 400
+controller.max_interval = 4000
+controller.control_period = 2000
+tracker.resample_interval = 2000
+cost.fixed_overhead = 200
+cost.per_record = 1
+cost.per_block = 10
+trace.kind = sinusoid
+trace.base = 1000
+trace.amplitude = 400
+trace.period = 60000
+""",
+}
+
+TIE_GOLDEN = {
+    "ties-vanilla-drain": {
+        "metrics.csv": "9c7905d0f3f1b4f79f848ba0c34c35641a66d74f0e43db74fb7df65b7761511a",
+        "series_delay.csv": "375d45ce490de49904aea29bc93c58d6bc46a97cf550eb32e966b8ab7f13a718",
+        "series_interval.csv": "4c91c52a7b40855205014665f8f3d11c650a0f47d3ba504938350823f87aad50",
+        "series_rate.csv": "5d0eb5d1631af4e5b77c791529ad71c514972b77d0e54ecaa56839fd10f4f673",
+        "series_workload.csv": "6293f7925a9bf04e730d61edbb8db82ca2e8ff577e3a4b507505fc784512e241",
+        "summary.json": "0900cc1158f58b8d307b03892d62b227369324363a6188d71e578ce8612f8612",
+    },
+    "ties-adaptive-step": {
+        "metrics.csv": "b1f6ace21db74e473d4bda786d6d364d90739e94648fc62e1b513cb5fcf8ac9d",
+        "series_delay.csv": "f2a50db286a8867799430a32d2b238b8f18f4bfd3a1899491187783f344bf32c",
+        "series_interval.csv": "c247b2fbb5626e41291b72127b53fc3ad4dfd5221969e23cc64368fb964da43c",
+        "series_rate.csv": "110004b38f328a6fac59a6d986996ddc3fca3ba4bf797854ea691bc7d1c5c531",
+        "series_workload.csv": "471fa776bee436eefd71fa391905b43f0b50ab4dc6c024b44115319f4372a681",
+        "summary.json": "83fbb7aab6b04d23bb3047157f8149dd669ae06f8b599e849acad11f73580579",
+    },
+    "ties-adaptive-jitter": {
+        "metrics.csv": "7f7e69f92536a1c5590ceaeafbbd83b64f05189d6fc553b5b70d8d553c1177cd",
+        "series_delay.csv": "dcd6a19f42330dc36d44cf45676b1a9a7c42635028cd3a5f7ed47ce28a84e9bd",
+        "series_interval.csv": "6d8948a6a9802410e060ccc88b18ee589ab8f9828a3b0026a03701bd4f853008",
+        "series_rate.csv": "78da371d86dfaf046513100c3f9aa56f7cbce2d56c4fdf2a23c8d1f2342a53d3",
+        "series_workload.csv": "287e50cd68caf980e4480a24f27f44afe27283e748ae149abb1168e2cf3f0eb4",
+        "summary.json": "3a4de92cee09ac02068d92a795c6741aa5206c59e25e3254d5010e45d978f0e3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(TIE_CONFIGS))
+def test_coinciding_events_match_golden_digests(name, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(TIE_CONFIGS[name])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert digests(out) == TIE_GOLDEN[name]

@@ -295,3 +295,28 @@ def test_cli_non_finite_trace_exits_cleanly(tmp_path, capsys, trace, command):
     assert "finite" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+MINI_TRACE = "trace.kind = constant\ntrace.rate = 1000\n"
+
+
+@pytest.mark.parametrize("replacement, message", [
+    ("trace.kind = constant\ntrace.rate = 1e308\n", "MAX_RATE"),
+    ("trace.kind = constant\ntrace.rate = 2e9\n", "MAX_RATE"),
+    ("trace.kind = sinusoid\ntrace.base = 1000\ntrace.amplitude = 400\n"
+     "trace.period = 1e308\n", "too large"),
+    (MINI_TRACE + "tracker.resample_interval = 30100\n", "resample_interval"),
+], ids=["rate-1e308", "rate-2e9", "sinusoid-period-1e308", "resample-off-block"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejected_config_exits_1_with_one_line(tmp_path, capsys, replacement, message,
+                                                   command):
+    conf = write_conf(tmp_path, MINI.replace(MINI_TRACE, replacement))
+    argv = [command, "--config", str(conf)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()

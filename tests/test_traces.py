@@ -159,3 +159,31 @@ def test_non_finite_scales_rejected(tmp_path, scales):
     for count_mode in (False, True):
         with pytest.raises(DomainError, match="finite"):
             traces.from_csv(path, count_mode=count_mode, **scales)
+
+
+@pytest.mark.parametrize("make", [
+    lambda peak: traces.constant(peak),
+    lambda peak: traces.step(peak, 1000.0, 60_000),
+    lambda peak: traces.step(1000.0, peak, 60_000),
+    lambda peak: traces.sinusoid(peak - 300.0, 300.0, 60_000),
+], ids=["constant", "step-before", "step-after", "sinusoid"])
+def test_rates_capped_at_max_rate(make):
+    make(traces.MAX_RATE)
+    for peak in (traces.MAX_RATE * 1.001, 1e308):
+        with pytest.raises(DomainError, match="MAX_RATE"):
+            make(peak)
+
+
+def test_csv_rates_capped_at_max_rate(tmp_path):
+    path = write_trace(tmp_path, "timestamp_s,value\n0,10\n60,20\n")
+    for count_mode, peak in ((False, 20.0), (True, 20.0 / 60.0)):
+        traces.from_csv(path, count_mode=count_mode, rate_scale=traces.MAX_RATE / peak)
+        with pytest.raises(DomainError, match="MAX_RATE"):
+            traces.from_csv(path, count_mode=count_mode,
+                            rate_scale=traces.MAX_RATE / peak * 1.001)
+
+
+def test_sinusoid_whose_integral_overflows_rejected():
+    traces.sinusoid(1000.0, 0.0, 1e308)  # flat: nothing to overflow
+    with pytest.raises(DomainError, match="too large"):
+        traces.sinusoid(1000.0, 400.0, 1e308)
