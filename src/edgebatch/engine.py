@@ -11,6 +11,18 @@ are events on a heap. Blocks are not: before each event, a block clock in
 ``run`` seals every block that ends at or before the event's time, so at
 equal timestamps a block always comes first. A job starts as soon as the
 worker is free and a batch waits; only its completion is an event.
+
+Per block the engine builds no object: the receiver's count goes to the
+tracker as two ints. Per batch it builds a ``Batch`` when the timer seals it
+and one ``BatchRow`` when it completes, which holds the batch's delays and
+its workload sample. Rows and batches are slotted dataclasses, not frozen
+ones: a frozen dataclass's ``__init__`` sets each field through
+``object.__setattr__``, which makes a 9-field row about five times as slow
+to build. Nothing changes a row or a batch after it is built.
+
+Every configured time (ms) must be at most ``MAX_TIME_MS`` = 2**53: up to
+there a float holds every integer exactly, so each time converts to a float
+without rounding or overflow.
 """
 
 from __future__ import annotations
@@ -23,16 +35,23 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ConfigError, DomainError, ModeError
+from .errors import ConfigError, DomainError, ModeError, NotReadyError
 from .fuzzy import ControllerConfig, FuzzyController, RuleTable
-from .tracker import TrafficTracker, TrackerConfig, TrafficReport
+from .tracker import TrafficTracker, TrackerConfig
 from .traces import RateFunction
-from .workload import BatchStats, MonitorConfig, WorkloadMonitor
+from .workload import MonitorConfig, WorkloadMonitor
 
 log = logging.getLogger(__name__)
 
 ADAPTIVE = "adaptive"
 VANILLA = "vanilla"
+
+MAX_TIME_MS = 2**53  # every integer up to here is exact as a float
+# The times MAX_TIME_MS bounds, as paths from EngineConfig, in the order
+# EngineConfig.__post_init__ reads them.
+_TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start",
+                "controller.min_interval", "controller.max_interval",
+                "controller.control_period", "tracker.resample_interval")
 
 
 # Event kinds, as heap ranks: at equal timestamps the lower rank fires first.
@@ -45,7 +64,7 @@ VANILLA = "vanilla"
  INSTANT_JOB_COMPLETE, TRACE_END) = range(6)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Batch:
     """Blocks sealed by one timer fire; only their counts matter downstream."""
 
@@ -91,6 +110,13 @@ class EngineConfig:
     def __post_init__(self):
         if self.mode not in (ADAPTIVE, VANILLA):
             raise ConfigError(f"mode must be '{ADAPTIVE}' or '{VANILLA}', got {self.mode!r}")
+        ctl = self.controller
+        times = (self.duration, self.block_interval, self.initial_interval,
+                 self.control_start, ctl.min_interval, ctl.max_interval,
+                 ctl.control_period, self.tracker.resample_interval)
+        if max(times) > MAX_TIME_MS:
+            name = _TIME_FIELDS[times.index(max(times))]
+            raise ConfigError(f"{name} must be at most MAX_TIME_MS = 2**53 ms")
         if self.block_interval <= 0:
             raise ConfigError("block_interval must be positive")
         if self.controller.block_interval != self.block_interval:
@@ -111,7 +137,7 @@ class EngineConfig:
             raise ConfigError("jitter must be in [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BatchRow:
     """Metrics row emitted when a batch completes."""
 
@@ -126,7 +152,7 @@ class BatchRow:
     eta: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControlRow:
     """Metrics row emitted at every control tick (adaptive or monitoring)."""
 
@@ -140,7 +166,7 @@ class ControlRow:
     fuzzy_level: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WindowRow:
     """Per-window tracker row: measured rate plus the forecast made for the
     window after it (None until the model has trained)."""
@@ -232,7 +258,6 @@ class MicrobatchEngine:
             raise ModeError("engine instances are single-run")
         self._ran = True
         cfg = self.config
-        self.tracker.start()
         self._schedule(cfg.tracker.resample_interval, RATE_WINDOW_CLOSE)
         self._schedule(cfg.controller.control_period, CONTROL_TICK)
         self._schedule(cfg.initial_interval, BATCH_TIMER_FIRE)
@@ -267,12 +292,11 @@ class MicrobatchEngine:
                 if count > 0:
                     receive(count)
                     in_blocks += count
-                    report(TrafficReport(timestamp=start, record_count=count))
+                    report(start, count)
                 block_end += block
             handlers[rank](fire_at, payload)
         self.log.total_generated = generated
         self.log.total_block_records = in_blocks
-        self.tracker.stop()
         return self.log
 
     def _schedule(self, fire_at: float, rank: int, payload=None) -> None:
@@ -313,30 +337,20 @@ class MicrobatchEngine:
     def _on_job_complete(self, now: float, payload) -> None:
         batch, started_at = payload
         self._worker_busy = False
-        stats = BatchStats.from_times(
-            batch_id=batch.batch_id,
-            submitted_at=float(batch.generated_at),
-            started_at=started_at,
-            completed_at=now,
-            interval_used=float(batch.interval_used),
-            record_count=batch.record_count,
-        )
-        self.log.rows.append(BatchRow(
-            time_ms=now,
-            batch_id=batch.batch_id,
-            interval_ms=batch.interval_used,
-            records=batch.record_count,
-            blocks=batch.block_count,
-            sched_delay_ms=stats.scheduling_delay,
-            proc_delay_ms=stats.processing_delay,
-            total_delay_ms=stats.total_delay,
-            eta=stats.eta,
-        ))
-        if stats.total_delay > 0:
-            self.monitor.on_batch_completed(stats)
+        # float() keeps the delays floats when every time is an int, as
+        # summary.json writes them.
+        sched = started_at - float(batch.generated_at)
+        proc = now - started_at
+        total = sched + proc
+        eta = total / float(batch.interval_used)
+        self.log.rows.append(BatchRow(now, batch.batch_id, batch.interval_used,
+                                      batch.record_count, batch.block_count,
+                                      sched, proc, total, eta))
+        if total > 0:
+            self.monitor.on_batch_completed(eta)
         else:
-            log.warning("batch %d completed with zero delay, no workload sample",
-                        batch.batch_id)
+            log.debug("batch %d completed with zero delay, no workload sample",
+                      batch.batch_id)
         self._maybe_start_job(now)
 
     def _on_rate_window_close(self, now: float, _payload) -> None:
@@ -375,8 +389,11 @@ class MicrobatchEngine:
         else:
             estimate = self.monitor.update_estimate(now)
             q_now = q_next = None
-            if self.tracker.get_records():
+            try:
                 q_now = self.tracker.get_latest_record().rate
+            except NotReadyError:
+                pass  # no window has closed yet
+            else:
                 if not self.config.controller.prediction_enabled:
                     q_next = q_now
                 elif self.tracker.model is not None:

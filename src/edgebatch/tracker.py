@@ -1,5 +1,10 @@
 """Traffic tracker: resamples receiver reports into fixed windows and keeps a
-grey model trained on the trailing windows for short-term rate prediction."""
+grey model trained on the trailing windows for short-term rate prediction.
+
+A receiver report is two ints, the start of a block in ms and the records it
+holds, passed straight to ``report_info``: the engine reports every block
+of a run, so no object is built per report.
+"""
 
 from __future__ import annotations
 
@@ -11,20 +16,6 @@ from . import grey
 from .errors import ConfigError, DomainError, NotReadyError
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrafficReport:
-    """One receiver report: record_count arrived at (from) timestamp ms."""
-
-    timestamp: int
-    record_count: int
-
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise DomainError(f"timestamp must be >= 0, got {self.timestamp}")
-        if self.record_count < 0:
-            raise DomainError(f"record_count must be >= 0, got {self.record_count}")
 
 
 @dataclass(frozen=True)
@@ -60,34 +51,24 @@ class TrafficTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.model: Optional[grey.GreyModel] = None
-        self.last_train_time: Optional[int] = None
-        self._started = False
         self._open_counts: dict[int, int] = {}
         self._closed: list[ResampledRecord] = []
         self._next_close_index = 0
-        self._closed_total = 0
         self._closes_since_train = 0
 
-    def start(self) -> None:
-        self._started = True
-
-    def stop(self) -> None:
-        self._started = False
-
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    def report_info(self, report: TrafficReport) -> None:
-        """Attribute a report to the window containing its timestamp."""
-        if not self._started:
-            raise NotReadyError("tracker is not started")
-        index = report.timestamp // self.config.resample_interval
+    def report_info(self, timestamp: int, record_count: int) -> None:
+        """Attribute record_count records, received from timestamp ms on, to
+        the window containing timestamp; both must be >= 0."""
+        if timestamp < 0:
+            raise DomainError(f"timestamp must be >= 0, got {timestamp}")
+        if record_count < 0:
+            raise DomainError(f"record_count must be >= 0, got {record_count}")
+        index = timestamp // self.config.resample_interval
         if index < self._next_close_index:
             log.warning("dropping report at t=%d for already closed window %d",
-                        report.timestamp, index)
+                        timestamp, index)
             return
-        self._open_counts[index] = self._open_counts.get(index, 0) + report.record_count
+        self._open_counts[index] = self._open_counts.get(index, 0) + record_count
 
     def close_windows_upto(self, now: int) -> list[ResampledRecord]:
         """Close every window whose end is <= now; returns them oldest first.
@@ -105,17 +86,10 @@ class TrafficTracker:
             self._closed.append(rec)
             closed.append(rec)
             self._next_close_index += 1
-            self._closed_total += 1
             self._closes_since_train += 1
         if closed:
             self.cleanup()
         return closed
-
-    def resample(self) -> list[ResampledRecord]:
-        """All retained closed windows, oldest first; never the open one."""
-        if not self._closed:
-            raise NotReadyError("no closed windows yet")
-        return list(self._closed)
 
     def get_latest_record(self) -> ResampledRecord:
         if not self._closed:
@@ -123,6 +97,7 @@ class TrafficTracker:
         return self._closed[-1]
 
     def get_records(self) -> list[ResampledRecord]:
+        """A copy of the retained closed windows, oldest first; never the open one."""
         return list(self._closed)
 
     def cleanup(self) -> None:
@@ -139,7 +114,6 @@ class TrafficTracker:
             )
         tail = self._closed[-self.config.train_num:]
         self.model = grey.fit([rec.rate for rec in tail])
-        self.last_train_time = tail[-1].window_start + tail[-1].window_len
         self._closes_since_train = 0
         return self.model
 

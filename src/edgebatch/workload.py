@@ -1,9 +1,10 @@
-"""Batch delay accounting and the exponentially smoothed workload estimate.
+"""The exponentially smoothed workload estimate.
 
 Each completed batch yields a workload sample eta = total delay / interval
-used. The monitor buffers samples between control ticks and folds their mean
-into a single smoothed estimate S; S < 1 means the system keeps up, S > 1
-means batches take longer than the interval that produced them.
+used, computed by the engine when the batch completes. The monitor buffers
+samples between control ticks and folds their mean into a single smoothed
+estimate S; S < 1 means the system keeps up, S > 1 means batches take longer
+than the interval that produced them.
 """
 
 from __future__ import annotations
@@ -28,55 +29,6 @@ class MonitorConfig:
 
 
 @dataclass(frozen=True)
-class BatchStats:
-    """Delay breakdown of one completed batch."""
-
-    batch_id: int
-    submitted_at: float
-    started_at: float
-    completed_at: float
-    processing_delay: float
-    scheduling_delay: float
-    total_delay: float
-    interval_used: float
-    record_count: int
-
-    def __post_init__(self):
-        if self.interval_used <= 0:
-            raise DomainError(f"interval_used must be positive, got {self.interval_used!r}")
-        if self.processing_delay < 0 or self.scheduling_delay < 0:
-            raise DomainError("delays must be non-negative")
-        if self.record_count < 0:
-            raise DomainError("record_count must be non-negative")
-        expected = self.processing_delay + self.scheduling_delay
-        if not math.isclose(self.total_delay, expected, rel_tol=1e-9, abs_tol=1e-6):
-            raise DomainError(
-                f"total_delay {self.total_delay!r} != scheduling + processing {expected!r}"
-            )
-
-    @classmethod
-    def from_times(cls, batch_id, submitted_at, started_at, completed_at,
-                   interval_used, record_count):
-        sched = started_at - submitted_at
-        proc = completed_at - started_at
-        return cls(
-            batch_id=batch_id,
-            submitted_at=submitted_at,
-            started_at=started_at,
-            completed_at=completed_at,
-            processing_delay=proc,
-            scheduling_delay=sched,
-            total_delay=sched + proc,
-            interval_used=interval_used,
-            record_count=record_count,
-        )
-
-    @property
-    def eta(self) -> float:
-        return self.total_delay / self.interval_used
-
-
-@dataclass(frozen=True)
 class WorkloadEstimate:
     value: float
     as_of: float
@@ -91,12 +43,11 @@ class WorkloadMonitor:
         self._pending: list[float] = []
         self._estimate = WorkloadEstimate(self.config.initial_estimate, 0.0, 0)
 
-    def on_batch_completed(self, stats: BatchStats) -> None:
-        if stats.interval_used <= 0:
-            raise DomainError("interval_used must be positive")
-        if stats.total_delay <= 0:
-            raise DomainError("total_delay must be positive to form a workload sample")
-        self._pending.append(stats.eta)
+    def on_batch_completed(self, eta: float) -> None:
+        """Buffer one batch's workload sample; it must be > 0."""
+        if not eta > 0:
+            raise DomainError(f"workload sample must be > 0, got {eta!r}")
+        self._pending.append(eta)
 
     def update_estimate(self, now: float) -> WorkloadEstimate:
         """Fold pending samples into S; a no-op on the value if none arrived."""

@@ -3,6 +3,7 @@ import pytest
 from edgebatch import traces
 from edgebatch.engine import (
     ADAPTIVE,
+    MAX_TIME_MS,
     VANILLA,
     BatchRow,
     ControlRow,
@@ -58,6 +59,23 @@ def test_steady_state_delays():
         assert row.sched_delay_ms == pytest.approx(0.0)
         assert row.proc_delay_ms == pytest.approx(1000.0)
         assert row.eta == pytest.approx(0.5)
+
+
+def test_batch_row_splits_delays():
+    # 1500 ms jobs against a 1000 ms interval: batch 1 waits 500 ms for batch 0.
+    engine = MicrobatchEngine(
+        make_config(cost_model=JobCostModel(1500.0, 0.0, 0.0), initial_interval=1000,
+                    duration=5000),
+        traces.constant(1000.0))
+    log = engine.run()
+    assert log.batches == [
+        BatchRow(2500.0, 0, 1000, 1000, 5, 0.0, 1500.0, 1500.0, 1.5),
+        BatchRow(4000.0, 1, 1000, 1000, 5, 500.0, 1500.0, 2000.0, 2.0),
+    ]
+    for row in log.batches:
+        assert type(row.sched_delay_ms) is type(row.total_delay_ms) is float
+    assert engine.monitor.pending_count == 2
+    assert engine.monitor.update_estimate(5000).value == pytest.approx(0.3 * 1.75 + 0.7)
 
 
 def test_zero_rate_batches_cost_fixed_overhead():
@@ -211,3 +229,33 @@ def test_resample_interval_must_be_block_multiple():
     make_config(tracker=TrackerConfig(resample_interval=30_200))
     with pytest.raises(ConfigError, match="resample_interval"):
         make_config(tracker=TrackerConfig(resample_interval=30_100))
+
+
+BEYOND = 200 * (MAX_TIME_MS // 200 + 1)  # the first block multiple above it
+BEYOND_CASES = [
+    ("duration", dict(duration=BEYOND)),
+    ("block_interval", dict(
+        block_interval=BEYOND, initial_interval=BEYOND,
+        controller=ControllerConfig(BEYOND, BEYOND, BEYOND),
+        tracker=TrackerConfig(resample_interval=BEYOND))),
+    ("initial_interval", dict(initial_interval=BEYOND)),
+    ("control_start", dict(control_start=BEYOND)),
+    ("min_interval", dict(controller=ControllerConfig(200, BEYOND, BEYOND))),
+    ("max_interval", dict(controller=ControllerConfig(200, 400, BEYOND))),
+    ("control_period", dict(
+        controller=ControllerConfig(200, 400, 6000, control_period=BEYOND))),
+    ("resample_interval", dict(tracker=TrackerConfig(resample_interval=BEYOND))),
+]
+
+
+@pytest.mark.parametrize("name, overrides", BEYOND_CASES,
+                         ids=[name for name, _ in BEYOND_CASES])
+def test_times_beyond_max_time_rejected(name, overrides):
+    # A float holds every integer up to 2**53 exactly; a time beyond that
+    # would round, and one beyond float range ended the run in OverflowError.
+    with pytest.raises(ConfigError, match=f"{name} must be at most MAX_TIME_MS"):
+        make_config(**overrides)
+
+
+def test_max_time_itself_accepted():
+    make_config(duration=MAX_TIME_MS, control_start=MAX_TIME_MS)

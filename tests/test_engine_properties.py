@@ -1,8 +1,10 @@
 """Engine invariants over random valid configs, with jitter off and on.
 
 Every run must conserve records (generated = in blocks = in batches), run
-batches in FIFO order, write metrics.csv in time order, and in adaptive mode
-keep every interval a block multiple inside [min_interval, max_interval].
+batches in FIFO order, split each batch's delay into non-negative scheduling
+and processing parts whose sum over the interval used is its workload sample,
+write metrics.csv in time order, and in adaptive mode keep every interval a
+block multiple inside [min_interval, max_interval].
 """
 
 import tempfile
@@ -76,6 +78,11 @@ def check_invariants(config, trace):
     batches = log.batches
     assert [b.batch_id for b in batches] == list(range(len(batches)))  # FIFO
     assert sum(b.records for b in batches) <= log.total_generated
+    for b in batches:
+        assert b.sched_delay_ms >= 0 and b.proc_delay_ms >= 0
+        assert b.total_delay_ms == b.sched_delay_ms + b.proc_delay_ms
+        assert b.interval_ms > 0
+        assert b.eta == b.total_delay_ms / b.interval_ms
 
     with tempfile.TemporaryDirectory() as out:
         write_metrics(log, out)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -320,3 +324,48 @@ def test_cli_rejected_config_exits_1_with_one_line(tmp_path, capsys, replacement
     assert message in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+HUGE = 10**320  # beyond float range
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_times_beyond_float_range_exit_1_with_one_line(tmp_path, capsys, command):
+    text = (MINI.replace("engine.duration = 120000", f"engine.duration = {3 * HUGE}")
+            .replace("engine.initial_interval = 2000", f"engine.initial_interval = {HUGE}")
+            .replace("controller.min_interval = 400", f"controller.min_interval = {HUGE}")
+            .replace("controller.max_interval = 6000", f"controller.max_interval = {HUGE}")
+            + f"engine.block_interval = {HUGE}\ncontroller.control_period = {HUGE}\n"
+            f"tracker.resample_interval = {HUGE}\n")
+    conf = write_conf(tmp_path, text)
+    argv = [command, "--config", str(conf)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_TIME_MS" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+ZERO_COST = (MINI.replace("engine.duration = 120000", "engine.duration = 20000")
+             .replace("engine.initial_interval = 2000", "engine.initial_interval = 1000")
+             .replace("cost.fixed_overhead = 1000", "cost.fixed_overhead = 0")
+             .replace("cost.per_record = 0.25", "cost.per_record = 0")
+             .replace("cost.per_block = 8", "cost.per_block = 0"))
+
+
+def test_cli_run_zero_cost_writes_nothing_to_stderr(tmp_path):
+    # Every one of the 20 batches completes with zero delay. In a fresh
+    # interpreter with no logging configured, Python prints any message at
+    # WARNING or above to stderr, so this runs the CLI as a subprocess.
+    conf = write_conf(tmp_path, ZERO_COST)
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "edgebatch.harness", "run", "--config", str(conf),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0
+    assert "20 batches" in result.stdout
+    assert result.stderr == ""

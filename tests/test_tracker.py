@@ -3,25 +3,18 @@ import math
 import pytest
 
 from edgebatch.errors import ConfigError, DomainError, NotReadyError
-from edgebatch.tracker import (
-    ResampledRecord,
-    TrackerConfig,
-    TrafficReport,
-    TrafficTracker,
-)
+from edgebatch.tracker import TrackerConfig, TrafficTracker
 
 
 def make_tracker(**kw):
-    tracker = TrafficTracker(TrackerConfig(**kw))
-    tracker.start()
-    return tracker
+    return TrafficTracker(TrackerConfig(**kw))
 
 
 def test_reports_average_into_window_rate():
     tracker = make_tracker()
     # 30 reports of 100 records spread over one 30 s window.
     for k in range(30):
-        tracker.report_info(TrafficReport(timestamp=k * 1000, record_count=100))
+        tracker.report_info(k * 1000, 100)
     closed = tracker.close_windows_upto(30_000)
     assert len(closed) == 1
     assert closed[0].window_start == 0
@@ -30,7 +23,7 @@ def test_reports_average_into_window_rate():
 
 def test_empty_windows_close_with_zero_rate():
     tracker = make_tracker()
-    tracker.report_info(TrafficReport(timestamp=65_000, record_count=300))
+    tracker.report_info(65_000, 300)
     closed = tracker.close_windows_upto(90_000)
     assert [rec.rate for rec in closed] == pytest.approx([0.0, 0.0, 10.0])
     assert [rec.window_start for rec in closed] == [0, 30_000, 60_000]
@@ -38,28 +31,22 @@ def test_empty_windows_close_with_zero_rate():
 
 def test_open_window_never_included():
     tracker = make_tracker()
-    tracker.report_info(TrafficReport(timestamp=10_000, record_count=50))
-    with pytest.raises(NotReadyError):
-        tracker.resample()
+    tracker.report_info(10_000, 50)
+    assert tracker.get_records() == []
     tracker.close_windows_upto(29_999)
+    assert tracker.get_records() == []
     with pytest.raises(NotReadyError):
         tracker.get_latest_record()
     tracker.close_windows_upto(30_000)
-    assert len(tracker.resample()) == 1
+    assert len(tracker.get_records()) == 1
 
 
 def test_report_to_closed_window_is_dropped():
     tracker = make_tracker()
     tracker.close_windows_upto(30_000)
-    tracker.report_info(TrafficReport(timestamp=1000, record_count=999))
+    tracker.report_info(1000, 999)
     tracker.close_windows_upto(60_000)
     assert tracker.get_latest_record().rate == 0.0
-
-
-def test_not_started_rejects_reports():
-    tracker = TrafficTracker()
-    with pytest.raises(NotReadyError):
-        tracker.report_info(TrafficReport(0, 1))
 
 
 def test_train_needs_enough_windows():
@@ -73,19 +60,18 @@ def test_train_needs_enough_windows():
 def test_train_and_predict_constant_rate():
     tracker = make_tracker()
     for k in range(150):
-        tracker.report_info(TrafficReport(timestamp=k * 1000, record_count=100))
+        tracker.report_info(k * 1000, 100)
     tracker.close_windows_upto(150_000)
     model = tracker.train()
     assert model.degenerate
     assert tracker.predict_rate(1) == pytest.approx(100.0)
-    assert tracker.last_train_time == 150_000
 
 
 def test_prediction_clamped_non_negative():
     tracker = make_tracker()
     counts = [3000, 900, 240, 60, 12]  # sharply collapsing traffic
     for k, count in enumerate(counts):
-        tracker.report_info(TrafficReport(timestamp=k * 30_000, record_count=count))
+        tracker.report_info(k * 30_000, count)
     tracker.close_windows_upto(150_000)
     tracker.train()
     assert tracker.predict_rate(5) >= 0.0
@@ -102,7 +88,7 @@ def test_predict_requires_model():
 def test_maybe_train_respects_cadence():
     tracker = make_tracker(retrain_every=2)
     for k in range(300):
-        tracker.report_info(TrafficReport(timestamp=k * 1000, record_count=100 + k))
+        tracker.report_info(k * 1000, 100 + k)
     tracker.close_windows_upto(150_000)
     first = tracker.maybe_train()
     assert first is not None
@@ -118,7 +104,7 @@ def test_record_conservation():
     for k in range(200):
         count = (k * 37) % 250
         total += count
-        tracker.report_info(TrafficReport(timestamp=k * 700, record_count=count))
+        tracker.report_info(k * 700, count)
     tracker.close_windows_upto(140_000)
     closed_sum = sum(rec.rate * rec.window_len / 1000.0 for rec in tracker.get_records())
     open_sum = sum(tracker._open_counts.values())
@@ -144,7 +130,11 @@ def test_config_validation():
 
 
 def test_report_validation():
-    with pytest.raises(DomainError):
-        TrafficReport(-1, 10)
-    with pytest.raises(DomainError):
-        TrafficReport(0, -5)
+    tracker = make_tracker()
+    with pytest.raises(DomainError, match="timestamp"):
+        tracker.report_info(-1, 10)
+    with pytest.raises(DomainError, match="record_count"):
+        tracker.report_info(0, -5)
+    tracker.report_info(0, 0)
+    tracker.close_windows_upto(30_000)
+    assert tracker.get_latest_record().rate == 0.0
