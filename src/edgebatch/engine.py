@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ConfigError, DomainError, ModeError, NotReadyError
+from .errors import ConfigError, DomainError, ModeError
 from .fuzzy import ControllerConfig, FuzzyController, RuleTable
 from .tracker import TrafficTracker, TrackerConfig
 from .traces import RateFunction
@@ -169,7 +169,7 @@ class ControlRow:
 @dataclass(slots=True)
 class WindowRow:
     """Per-window tracker row: measured rate plus the forecast made for the
-    window after it (None until the model has trained)."""
+    window after it (None while the tracker has no model)."""
 
     window_start_ms: int
     window_len_ms: int
@@ -191,6 +191,7 @@ class MetricsLog:
     total_generated: int = 0
     total_block_records: int = 0
     total_batch_records: int = 0
+    batch_count: int = 0  # batches completed, one BatchRow each
 
     @property
     def batches(self) -> list[BatchRow]:
@@ -346,6 +347,7 @@ class MicrobatchEngine:
         self.log.rows.append(BatchRow(now, batch.batch_id, batch.interval_used,
                                       batch.record_count, batch.block_count,
                                       sched, proc, total, eta))
+        self.log.batch_count += 1
         if total > 0:
             self.monitor.on_batch_completed(eta)
         else:
@@ -354,6 +356,9 @@ class MicrobatchEngine:
         self._maybe_start_job(now)
 
     def _on_rate_window_close(self, now: float, _payload) -> None:
+        # Each closed window logs the forecast for the window after it: None
+        # while there is no model, even with prediction off (unlike the
+        # control tick's q_next, see TrafficTracker.control_rates).
         closed = self.tracker.close_windows_upto(int(now))
         for rec in closed:
             self.tracker.maybe_train()
@@ -388,16 +393,8 @@ class MicrobatchEngine:
             ))
         else:
             estimate = self.monitor.update_estimate(now)
-            q_now = q_next = None
-            try:
-                q_now = self.tracker.get_latest_record().rate
-            except NotReadyError:
-                pass  # no window has closed yet
-            else:
-                if not self.config.controller.prediction_enabled:
-                    q_next = q_now
-                elif self.tracker.model is not None:
-                    q_next = self.tracker.predict_rate(1)
+            q_now, q_next = self.tracker.control_rates(
+                self.config.controller.prediction_enabled)
             self.log.rows.append(ControlRow(
                 time_ms=now,
                 interval_ms=self._current_interval,

@@ -5,6 +5,13 @@ workload deviation D = S - 1. Both are clamped to [-0.2, +0.2], fuzzified
 over five triangular labels, run through a 5x5 rule table, and defuzzified
 to an integer adjustment level in {-2..+2}. Level k moves the batch
 interval by k block intervals.
+
+``fuzzify`` and ``infer`` walk a tuple of the labels and index with the
+``IntEnum`` members themselves: iterating the enum class and reading
+``.value`` run Python-level enum code on every control tick. Degrees are
+rounded and summed in label order, which the float sums depend on.
+``ControlDecision`` is slotted, not frozen, since a frozen ``__init__`` sets
+each field through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import ConfigError, DomainError, NotReadyError, TraceParseError
+from .errors import ConfigError, DomainError, TraceParseError
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +36,10 @@ class FuzzyLabel(IntEnum):
     PB = 4
 
     def mirror(self) -> "FuzzyLabel":
-        return FuzzyLabel(4 - self.value)
+        return FuzzyLabel(4 - self)
+
+
+_LABELS = tuple(FuzzyLabel)  # NB..PB, the order degrees are summed in
 
 
 @dataclass(frozen=True)
@@ -52,27 +62,21 @@ class MembershipPartition:
             if not math.isclose(b - a, self.half_width, rel_tol=1e-9):
                 raise ConfigError("centers must be spaced exactly one half_width apart")
 
-    @property
-    def lo(self) -> float:
-        return self.centers[0]
-
-    @property
-    def hi(self) -> float:
-        return self.centers[-1]
-
     def clamp(self, x: float) -> float:
-        return min(self.hi, max(self.lo, x))
+        centers = self.centers
+        return min(centers[-1], max(centers[0], x))
 
     def fuzzify(self, x: float) -> dict[FuzzyLabel, float]:
         """Nonzero membership degrees of x after clamping to the domain."""
         x = self.clamp(x)
+        half_width = self.half_width
         out: dict[FuzzyLabel, float] = {}
-        for label in FuzzyLabel:
-            degree = 1.0 - abs(x - self.centers[label.value]) / self.half_width
+        for label, center in zip(_LABELS, self.centers):
+            degree = 1.0 - abs(x - center) / half_width
             # Snap representation noise so boundary inputs (e.g. exactly half
             # way between centres) fire with their exact intended degrees.
-            degree = round(degree, 12)
-            if degree > 0.0:
+            # Rounding never makes a degree <= 0 positive, so skip those.
+            if degree > 0.0 and (degree := round(degree, 12)) > 0.0:
                 out[label] = degree
         return out
 
@@ -116,9 +120,6 @@ class RuleTable:
                 if self.levels[d][c] != -self.levels[d.mirror()][c.mirror()]:
                     raise ConfigError("rule table must be antisymmetric under label mirroring")
 
-    def level(self, c_label: FuzzyLabel, d_label: FuzzyLabel) -> int:
-        return self.levels[d_label.value][c_label.value]
-
     @classmethod
     def load(cls, path: str | Path) -> "RuleTable":
         """Read a 5x5 table, one comma-separated row per line, D rows NB..PB."""
@@ -138,6 +139,9 @@ class RuleTable:
             return cls(tuple(rows))
         except ConfigError as exc:
             raise TraceParseError(str(exc)) from exc
+
+
+DEFAULT_TABLE = RuleTable()
 
 
 @dataclass(frozen=True)
@@ -193,15 +197,14 @@ def _round_half_away(x: float) -> int:
 def infer(c: float, d: float, table: RuleTable | None = None,
           partition: MembershipPartition = DEFAULT_PARTITION) -> int:
     """Min-conjunction inference over the rule table, defuzzified by weighted mean."""
-    table = table or RuleTable()
-    c_degrees = partition.fuzzify(c)
-    d_degrees = partition.fuzzify(d)
+    levels = (DEFAULT_TABLE if table is None else table).levels
+    d_degrees = partition.fuzzify(d).items()
     num = 0.0
     den = 0.0
-    for c_label, wc in c_degrees.items():
-        for d_label, wd in d_degrees.items():
+    for c_label, wc in partition.fuzzify(c).items():
+        for d_label, wd in d_degrees:
             strength = min(wc, wd)
-            num += strength * table.level(c_label, d_label)
+            num += strength * levels[d_label][c_label]
             den += strength
     return _round_half_away(num / den)
 
@@ -216,7 +219,7 @@ def adjust_interval(current: int, level: int, config: ControllerConfig) -> int:
     return min(config.max_interval, max(config.min_interval, proposed))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControlDecision:
     """What one control step saw and decided."""
 
@@ -240,24 +243,14 @@ class FuzzyController:
         self.config = config
         self.tracker = tracker
         self.monitor = monitor
-        self.table = rule_table or RuleTable()
+        self.table = DEFAULT_TABLE if rule_table is None else rule_table
         self.partition = partition
         self._set_interval = set_interval
 
     def control_step(self, now: float, current_interval: int) -> ControlDecision:
         s = self.monitor.update_estimate(now).value
-        q_now: Optional[float] = None
-        q_next: Optional[float] = None
-        try:
-            q_now = self.tracker.get_latest_record().rate
-            if self.config.prediction_enabled:
-                q_next = self.tracker.predict_rate(1)
-            else:
-                q_next = q_now
-        except NotReadyError:
-            pass
-
-        if q_now is None or q_next is None:
+        q_now, q_next = self.tracker.control_rates(self.config.prediction_enabled)
+        if q_next is None:
             log.debug("tracker not ready at t=%s, workload-only control", now)
             c = 0.0
         else:

@@ -3,12 +3,20 @@
 Fits the grey difference equation x0(t) + alpha * z(t) = mu on the
 accumulated series and extrapolates it a few steps ahead. Designed for
 very short training windows (five points is the usual case here).
+
+The tracker fits once per closed rate window and takes one forecast per
+fit. ``fit`` checks each observation in the pass that accumulates it, and
+``predict`` evaluates the time response inline with the float expressions
+of ``response``, in the same order, so its values are exactly those of
+differencing ``response``. ``GreyModel`` is slotted, not frozen, since a
+frozen ``__init__`` sets each field through ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, FitError, LengthError
@@ -19,8 +27,10 @@ MIN_TRAIN_LEN = 4
 # model degrades to the linear limit of the time-response function.
 EPS_ALPHA = 1e-9
 
+_FINITE_FIELDS = ("alpha", "mu", "first_accumulated", "shift")
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class GreyModel:
     """Fitted GM(1,1) parameters.
 
@@ -38,71 +48,75 @@ class GreyModel:
     def __post_init__(self):
         if self.train_len < MIN_TRAIN_LEN:
             raise LengthError(f"train_len must be >= {MIN_TRAIN_LEN}, got {self.train_len}")
-        for name in ("alpha", "mu", "first_accumulated", "shift"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        isfinite = math.isfinite
+        if not (isfinite(self.alpha) and isfinite(self.mu)
+                and isfinite(self.first_accumulated) and isfinite(self.shift)):
+            name = next(n for n in _FINITE_FIELDS if not isfinite(getattr(self, n)))
+            raise DomainError(f"{name} must be finite")
 
     @property
     def degenerate(self) -> bool:
         return abs(self.alpha) < EPS_ALPHA
 
 
-def _as_floats(series: Sequence[float]) -> list[float]:
-    vals = [float(v) for v in series]
-    if len(vals) < MIN_TRAIN_LEN:
-        raise LengthError(f"need at least {MIN_TRAIN_LEN} observations, got {len(vals)}")
+def _check_finite(vals: list[float]) -> None:
     for i, v in enumerate(vals):
         if not math.isfinite(v):
             raise DomainError(f"observation {i} is not finite: {v!r}")
-    return vals
 
 
-def accumulate(series: Sequence[float]) -> list[float]:
-    """First-order accumulation (running sums) of a positive series."""
-    vals = _as_floats(series)
-    for i, v in enumerate(vals):
-        if v <= 0:
-            raise DomainError(f"observation {i} must be positive, got {v!r}")
+def _running_sums(vals: list[float]) -> list[float]:
+    """Running sums of vals, each of which must be finite and positive."""
     out = []
     total = 0.0
     for v in vals:
+        if not 0.0 < v < math.inf:
+            _check_finite(vals)
+            raise DomainError(f"observation {vals.index(v)} must be positive, got {v!r}")
         total += v
         out.append(total)
     return out
 
 
-def difference(series: Sequence[float]) -> list[float]:
-    """Inverse of :func:`accumulate`: first element kept, then adjacent diffs."""
+def _floats(series: Sequence[float]) -> list[float]:
     vals = [float(v) for v in series]
-    if not vals:
-        return []
-    return [vals[0]] + [vals[i] - vals[i - 1] for i in range(1, len(vals))]
+    if len(vals) < MIN_TRAIN_LEN:
+        raise LengthError(f"need at least {MIN_TRAIN_LEN} observations, got {len(vals)}")
+    return vals
+
+
+def accumulate(series: Sequence[float]) -> list[float]:
+    """First-order accumulation (running sums) of a positive series."""
+    return _running_sums(_floats(series))
 
 
 def fit(series: Sequence[float]) -> GreyModel:
-    """Fit GM(1,1) to a series of at least four observations.
+    """Fit GM(1,1) to a series of at least four finite observations.
 
     Windows containing zeros or negative values are shifted up by
     (1 - min) first, so the accumulated series is strictly increasing;
     the shift is stored on the model and undone by :func:`predict`.
     """
-    vals = _as_floats(series)
+    vals = _floats(series)
     shift = 0.0
     lowest = min(vals)
     if lowest <= 0:
+        _check_finite(vals)
         shift = 1.0 - lowest
         vals = [v + shift for v in vals]
-
-    acc = accumulate(vals)
+    # Without a shift every observation is checked here, in the one pass that
+    # accumulates it; with one, this catches a shifted value that overflows
+    # or cancels to zero.
+    acc = _running_sums(vals)
     n = len(vals)
-    z = [(acc[i] + acc[i - 1]) / 2.0 for i in range(1, n)]
+    z = [(a + b) / 2.0 for a, b in zip(acc[1:], acc)]  # (acc[i] + acc[i - 1]) / 2
     y = vals[1:]
     m = n - 1
 
     sz = sum(z)
     sy = sum(y)
-    szz = sum(v * v for v in z)
-    szy = sum(a * b for a, b in zip(z, y))
+    szz = sum([v * v for v in z])
+    szy = sum(map(mul, z, y))
 
     den = m * szz - sz * sz
     scale = m * szz + sz * sz
@@ -129,13 +143,21 @@ def response(model: GreyModel, t: int) -> float:
 
 
 def predict(model: GreyModel, t: int) -> float:
-    """Original-series value at step t, restored by differencing the response."""
+    """Original-series value at step t: response(t) - response(t - 1), or
+    response(1) at t = 1, less the shift. Evaluated inline, with the
+    expressions of :func:`response`."""
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
-    if t == 1:
-        raw = response(model, 1)
+    alpha, mu, first = model.alpha, model.mu, model.first_accumulated
+    if abs(alpha) < EPS_ALPHA:
+        raw = first + mu * (t - 1)
+        if t > 1:
+            raw -= first + mu * (t - 2)
     else:
-        raw = response(model, t) - response(model, t - 1)
+        ratio = mu / alpha
+        raw = (first - ratio) * math.exp(-alpha * (t - 1)) + ratio
+        if t > 1:
+            raw -= (first - ratio) * math.exp(-alpha * (t - 2)) + ratio
     return raw - model.shift
 
 

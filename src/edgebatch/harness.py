@@ -228,6 +228,12 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return parse_config_text(text, source=str(path))
 
 
+def load_run_spec(path: str | Path) -> RunSpec:
+    """Read a config file and build its run; relative paths in it, such as
+    the trace file, resolve against the file's directory."""
+    return build_run_spec(load_config_file(path), base_dir=Path(path).resolve().parent)
+
+
 def load_preset(name: str, *, disable_prediction: bool = False,
                 seed: int | None = None) -> RunSpec:
     """Load a packaged preset config, with optional CLI overrides."""
@@ -394,7 +400,7 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
     out = Path(out_dir) if out_dir is not None else default_out_dir()
     report = summarize(log)
     write_metrics(log, out, report)
-    print(f"{spec.label}: {len(log.batches)} batches, "
+    print(f"{spec.label}: {log.batch_count} batches, "
           f"{report.records_processed} records -> {out}")
     if report.convergence_time_ms is not None:
         print(f"  interval converged at t={_fmt(report.convergence_time_ms)} ms")
@@ -430,16 +436,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = load_config_file(args.config)
-            spec = build_run_spec(cfg, base_dir=Path(args.config).resolve().parent)
-            execute(spec, args.out)
+            execute(load_run_spec(args.config), args.out)
         elif args.command == "preset":
             spec = load_preset(args.name, disable_prediction=args.disable_prediction,
                                seed=args.seed)
             execute(spec, args.out)
         else:
-            cfg = load_config_file(args.config)
-            spec = build_run_spec(cfg, base_dir=Path(args.config).resolve().parent)
+            spec = load_run_spec(args.config)
             print(f"{args.config}: ok ({spec.label}, {spec.engine.mode}, "
                   f"duration {spec.engine.duration} ms)")
     except (UsageError, TraceParseError) as exc:

@@ -4,6 +4,13 @@ grey model trained on the trailing windows for short-term rate prediction.
 A receiver report is two ints, the start of a block in ms and the records it
 holds, passed straight to ``report_info``: the engine reports every block
 of a run, so no object is built per report.
+
+The one-step forecast is computed once per fit: ``predict_rate(1)`` keeps
+it until the next ``train``, so the window close that trains the model and
+the control ticks that read the forecast share one evaluation. A series
+GM(1,1) cannot fit leaves no model, as before the first fit, until a later
+window close fits again. ``ResampledRecord`` is slotted, not frozen, since
+a frozen ``__init__`` sets each field through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -13,12 +20,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import grey
-from .errors import ConfigError, DomainError, NotReadyError
+from .errors import ConfigError, DomainError, FitError, NotReadyError
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResampledRecord:
     """Average data rate (records/s) over one closed window."""
 
@@ -51,6 +58,7 @@ class TrafficTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.model: Optional[grey.GreyModel] = None
+        self._next_rate: Optional[float] = None  # predict_rate(1) of self.model
         self._open_counts: dict[int, int] = {}
         self._closed: list[ResampledRecord] = []
         self._next_close_index = 0
@@ -96,24 +104,30 @@ class TrafficTracker:
             raise NotReadyError("no closed windows yet")
         return self._closed[-1]
 
-    def get_records(self) -> list[ResampledRecord]:
-        """A copy of the retained closed windows, oldest first; never the open one."""
-        return list(self._closed)
-
     def cleanup(self) -> None:
         """Drop the oldest closed windows beyond the retention cap."""
         excess = len(self._closed) - self.config.retain_windows
         if excess > 0:
             del self._closed[:excess]
 
-    def train(self) -> grey.GreyModel:
-        """Fit the grey model on the trailing train_num window rates."""
+    def train(self) -> Optional[grey.GreyModel]:
+        """Fit the grey model on the trailing train_num window rates.
+
+        A series GM(1,1) cannot fit (``FitError``) leaves no model, so the
+        controller runs on the workload alone until a later fit succeeds.
+        """
         if len(self._closed) < self.config.train_num:
             raise NotReadyError(
                 f"need {self.config.train_num} closed windows, have {len(self._closed)}"
             )
         tail = self._closed[-self.config.train_num:]
-        self.model = grey.fit([rec.rate for rec in tail])
+        self._next_rate = None
+        try:
+            self.model = grey.fit([rec.rate for rec in tail])
+        except FitError as exc:
+            log.debug("no grey model for the windows up to %d ms: %s",
+                      tail[-1].window_start + tail[-1].window_len, exc)
+            self.model = None
         self._closes_since_train = 0
         return self.model
 
@@ -126,10 +140,34 @@ class TrafficTracker:
         return self.train()
 
     def predict_rate(self, windows_ahead: int = 1) -> float:
-        """Forecast the mean rate windows_ahead windows past the training tail."""
+        """Forecast the mean rate windows_ahead windows past the training tail,
+        clamped to >= 0. The one-step forecast is computed once per fit."""
+        if windows_ahead == 1 and self._next_rate is not None:
+            return self._next_rate
         if windows_ahead < 1:
             raise DomainError(f"windows_ahead must be >= 1, got {windows_ahead}")
         if self.model is None:
             raise NotReadyError("no trained model")
-        value = grey.predict(self.model, self.model.train_len + windows_ahead)
-        return max(0.0, value)
+        value = max(0.0, grey.predict(self.model, self.model.train_len + windows_ahead))
+        if windows_ahead == 1:
+            self._next_rate = value
+        return value
+
+    def control_rates(self, prediction_enabled: bool
+                      ) -> tuple[Optional[float], Optional[float]]:
+        """(q_now, q_next) for a control tick: the latest window's rate and
+        the next window's expected rate, both None before any window closes.
+
+        q_next is q_now with prediction off; with it on, the one-step
+        forecast, or None while there is no model. The engine's per-window
+        forecast log keeps its own rule: None while there is no model, even
+        with prediction off.
+        """
+        if not self._closed:
+            return None, None
+        q_now = self._closed[-1].rate
+        if not prediction_enabled:
+            return q_now, q_now
+        if self.model is None:
+            return q_now, None
+        return q_now, self.predict_rate(1)

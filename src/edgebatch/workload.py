@@ -4,7 +4,9 @@ Each completed batch yields a workload sample eta = total delay / interval
 used, computed by the engine when the batch completes. The monitor buffers
 samples between control ticks and folds their mean into a single smoothed
 estimate S; S < 1 means the system keeps up, S > 1 means batches take longer
-than the interval that produced them.
+than the interval that produced them. Every control tick builds one
+``WorkloadEstimate``; it is a slotted dataclass, not a frozen one, because a
+frozen ``__init__`` sets each field through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class MonitorConfig:
             raise ConfigError(f"initial_estimate must be positive, got {self.initial_estimate!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WorkloadEstimate:
     value: float
     as_of: float

@@ -1,0 +1,204 @@
+"""Bit-exact checks of the control path against the straightforward versions.
+
+The oracles are the plain forms of fuzzification, inference, the GM(1,1)
+fit and its forecast: they iterate the label enum, build a rule table per
+call, check and accumulate the series in separate passes and difference two
+evaluations of the time response. The program's versions skip that work;
+they must return exactly the same floats and levels, because the outputs are
+pinned byte for byte and a last-bit change can flip a level at a .5 tie.
+"""
+
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from edgebatch import fuzzy, grey
+from edgebatch.errors import DomainError, FitError, LengthError
+from edgebatch.fuzzy import FuzzyLabel, MembershipPartition, RuleTable
+from edgebatch.tracker import TrackerConfig, TrafficTracker
+
+ORACLE = settings(max_examples=400, deadline=None)
+
+
+# -- fuzzy oracles ------------------------------------------------------------
+
+
+def oracle_fuzzify(partition, x):
+    x = min(partition.centers[-1], max(partition.centers[0], x))
+    out = {}
+    for label in FuzzyLabel:
+        degree = 1.0 - abs(x - partition.centers[label.value]) / partition.half_width
+        degree = round(degree, 12)
+        if degree > 0.0:
+            out[label] = degree
+    return out
+
+
+def oracle_infer(c, d, table=None, partition=fuzzy.DEFAULT_PARTITION):
+    table = table or RuleTable()
+    num = 0.0
+    den = 0.0
+    for c_label, wc in oracle_fuzzify(partition, c).items():
+        for d_label, wd in oracle_fuzzify(partition, d).items():
+            strength = min(wc, wd)
+            num += strength * table.levels[d_label.value][c_label.value]
+            den += strength
+    return fuzzy._round_half_away(num / den)
+
+
+# A valid table other than the default: level = c + d - 4, clipped to [-2, 2].
+STEEP = RuleTable(tuple(tuple(max(-2, min(2, c + d - 4)) for c in range(5))
+                        for d in range(5)))
+WIDE = MembershipPartition(centers=(-1.0, -0.5, 0.0, 0.5, 1.0), half_width=0.5)
+
+# Label centres, the midpoints between them, the clamp edges and values past
+# them, a 0.001 grid (where inexact degrees make the sum order matter at .5
+# ties) and arbitrary floats.
+SPECIAL = [k / 20 for k in range(-6, 7)] + [-math.inf, math.inf]
+INPUTS = st.one_of(st.sampled_from(SPECIAL),
+                   st.integers(-250, 250).map(lambda k: k / 1000),
+                   st.floats(-1.5, 1.5))
+TABLES = st.sampled_from([None, fuzzy.DEFAULT_TABLE, STEEP])
+PARTITIONS = st.sampled_from([fuzzy.DEFAULT_PARTITION, WIDE])
+
+
+@ORACLE
+@given(INPUTS, PARTITIONS)
+def test_fuzzify_matches_oracle(x, partition):
+    got = partition.fuzzify(x)
+    assert got == oracle_fuzzify(partition, x)
+    assert list(got) == sorted(got)  # label order, the order infer sums in
+
+
+@ORACLE
+@given(INPUTS, INPUTS, TABLES, PARTITIONS)
+@example(-0.193, -0.157, None, fuzzy.DEFAULT_PARTITION)  # ties at -1.5
+@example(-0.193, 0.043, None, fuzzy.DEFAULT_PARTITION)   # ties at -0.5
+def test_infer_matches_oracle(c, d, table, partition):
+    assert fuzzy.infer(c, d, table, partition) == oracle_infer(c, d, table, partition)
+
+
+# -- grey oracles -------------------------------------------------------------
+
+
+def oracle_fit(series):
+    """The fit as (alpha, mu, first_accumulated, train_len, shift)."""
+    vals = [float(v) for v in series]
+    if len(vals) < grey.MIN_TRAIN_LEN:
+        raise LengthError(f"need at least {grey.MIN_TRAIN_LEN} observations, got {len(vals)}")
+    for i, v in enumerate(vals):
+        if not math.isfinite(v):
+            raise DomainError(f"observation {i} is not finite: {v!r}")
+    shift = 0.0
+    lowest = min(vals)
+    if lowest <= 0:
+        shift = 1.0 - lowest
+        vals = [v + shift for v in vals]
+    for i, v in enumerate(vals):
+        if not math.isfinite(v):
+            raise DomainError(f"observation {i} is not finite: {v!r}")
+    for i, v in enumerate(vals):
+        if v <= 0:
+            raise DomainError(f"observation {i} must be positive, got {v!r}")
+    acc = []
+    total = 0.0
+    for v in vals:
+        total += v
+        acc.append(total)
+    n = len(vals)
+    z = [(acc[i] + acc[i - 1]) / 2.0 for i in range(1, n)]
+    y = vals[1:]
+    m = n - 1
+    sz = sum(z)
+    sy = sum(y)
+    szz = sum(v * v for v in z)
+    szy = sum(a * b for a, b in zip(z, y))
+    den = m * szz - sz * sz
+    scale = m * szz + sz * sz
+    if den <= scale * 1e-15:
+        spread = max(y) - min(y)
+        if spread <= 1e-12 * max(abs(y[0]), 1.0):
+            alpha, mu = 0.0, sy / m
+        else:
+            raise FitError("normal equations are singular and the data is inconsistent")
+    else:
+        alpha = (sz * sy - m * szy) / den
+        mu = (sy + alpha * sz) / m
+    for name, v in (("alpha", alpha), ("mu", mu), ("first_accumulated", acc[0]),
+                    ("shift", shift)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite")
+    return alpha, mu, acc[0], n, shift
+
+
+def oracle_response(model, t):
+    if abs(model.alpha) < grey.EPS_ALPHA:
+        return model.first_accumulated + model.mu * (t - 1)
+    ratio = model.mu / model.alpha
+    return (model.first_accumulated - ratio) * math.exp(-model.alpha * (t - 1)) + ratio
+
+
+def oracle_predict(model, t):
+    if t == 1:
+        raw = oracle_response(model, 1)
+    else:
+        raw = oracle_response(model, t) - oracle_response(model, t - 1)
+    return raw - model.shift
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, FitError, LengthError) as exc:
+        return type(exc), str(exc)
+
+
+RATE = st.one_of(st.just(0.0), st.floats(0.0, 1e9), st.floats(1e-3, 10.0))
+SERIES = st.one_of(
+    st.lists(RATE, min_size=4, max_size=8),  # zeros and ratios up to 1e12
+    st.tuples(RATE, st.integers(4, 8)).map(lambda p: [p[0]] * p[1]),  # constant
+    st.lists(st.floats(-1e20, 1e20), min_size=4, max_size=8),  # negatives, shifts
+    st.lists(st.sampled_from([0.0, 1.0, 5.0, 1e9, -3.0, math.nan, math.inf, -math.inf]),
+             min_size=3, max_size=6),  # short, non-finite, singular
+)
+
+
+@ORACLE
+@given(SERIES)
+@example([1e9, 5.0, 10.0, 5.0, 5.0])  # singular and inconsistent: FitError
+@example([-1e20, 1.0, 2.0, 3.0, 4.0])  # the shift cancels to 0: not positive
+def test_fit_and_predict_match_oracle(series):
+    expected = outcome(oracle_fit, series)
+    got = outcome(grey.fit, series)
+    if not isinstance(got, grey.GreyModel):
+        assert got == expected
+        return
+    assert (got.alpha, got.mu, got.first_accumulated, got.train_len, got.shift) == expected
+    for t in range(1, got.train_len + 4):
+        value, reference = grey.predict(got, t), oracle_predict(got, t)
+        assert value == reference or (math.isnan(value) and math.isnan(reference))
+
+
+# -- the tracker's one forecast per fit -----------------------------------------
+
+
+def test_retrain_replaces_cached_forecast():
+    tracker = TrafficTracker(TrackerConfig())
+    for k, count in enumerate([3000, 3300, 3600, 4200, 4500]):
+        tracker.report_info(k * 30_000, count)
+    tracker.close_windows_upto(150_000)
+    first = tracker.train()
+    before = tracker.predict_rate(1)
+    assert before == max(0.0, grey.predict(first, first.train_len + 1))
+    assert tracker.predict_rate(1) == before  # served again, same model
+    tracker.report_info(150_000, 1500)  # a sharp drop in the next window
+    tracker.close_windows_upto(180_000)
+    second = tracker.maybe_train()
+    assert second is tracker.model and second != first
+    after = tracker.predict_rate(1)
+    assert after == max(0.0, grey.predict(second, second.train_len + 1))
+    assert after != before
+    # Forecasts further ahead are computed on each call, from the new model.
+    assert tracker.predict_rate(3) == max(0.0, grey.predict(second, second.train_len + 3))

@@ -45,12 +45,12 @@ def test_partition_of_unity(x):
 
 
 def test_default_table_shape_and_corners():
-    table = RuleTable()
-    assert table.level(FuzzyLabel.NB, FuzzyLabel.NB) == -2
-    assert table.level(FuzzyLabel.PB, FuzzyLabel.PB) == 2
-    assert table.level(FuzzyLabel.ZO, FuzzyLabel.ZO) == 0
-    assert table.level(FuzzyLabel.ZO, FuzzyLabel.NB) == -1
-    assert table.level(FuzzyLabel.ZO, FuzzyLabel.PB) == 1
+    levels = RuleTable().levels  # rows by the D label, columns by the C label
+    assert levels[FuzzyLabel.NB][FuzzyLabel.NB] == -2
+    assert levels[FuzzyLabel.PB][FuzzyLabel.PB] == 2
+    assert levels[FuzzyLabel.ZO][FuzzyLabel.ZO] == 0
+    assert levels[FuzzyLabel.NB][FuzzyLabel.ZO] == -1
+    assert levels[FuzzyLabel.PB][FuzzyLabel.ZO] == 1
 
 
 def test_table_antisymmetry_enforced():

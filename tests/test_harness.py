@@ -369,3 +369,27 @@ def test_cli_run_zero_cost_writes_nothing_to_stderr(tmp_path):
     assert result.returncode == 0
     assert "20 batches" in result.stdout
     assert result.stderr == ""
+
+
+OUTPUT_FILES = ["metrics.csv", "series_delay.csv", "series_interval.csv", "series_rate.csv",
+                "series_workload.csv", "summary.json"]
+
+
+def test_cli_run_survives_a_window_series_grey_cannot_fit(tmp_path, capsys):
+    # Count mode, 30 s rows: window rates [1e9, 5, 10, 5, 5] leave the GM(1,1)
+    # normal equations singular with a tail that is not flat, so the fit at
+    # 150 s fails. Control runs on the workload alone until the next window
+    # closes and the fit succeeds.
+    (tmp_path / "trace.csv").write_text(
+        "timestamp_s,value\n0,30000000000\n30,150\n60,300\n90,150\n120,150\n150,150\n")
+    text = (MINI.replace("engine.duration = 120000", "engine.duration = 180000")
+            .replace(MINI_TRACE, "trace.kind = csv\ntrace.file = trace.csv\n"
+                                 "trace.mode = count\n"))
+    conf = write_conf(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == OUTPUT_FILES
+    forecasts = [line.split(",")[2] for line in
+                 (out / "series_rate.csv").read_text().splitlines()[1:]]
+    assert forecasts[:5] == [""] * 5 and forecasts[5] != ""

@@ -32,13 +32,15 @@ def test_empty_windows_close_with_zero_rate():
 def test_open_window_never_included():
     tracker = make_tracker()
     tracker.report_info(10_000, 50)
-    assert tracker.get_records() == []
-    tracker.close_windows_upto(29_999)
-    assert tracker.get_records() == []
+    assert tracker.close_windows_upto(29_999) == []
     with pytest.raises(NotReadyError):
         tracker.get_latest_record()
-    tracker.close_windows_upto(30_000)
-    assert len(tracker.get_records()) == 1
+    closed = tracker.close_windows_upto(30_000)
+    assert [(rec.window_start, rec.rate) for rec in closed] == [(0, 50 * 1000.0 / 30_000)]
+    tracker.report_info(40_000, 70)  # into the open window
+    assert tracker.get_latest_record() is closed[0]
+    assert tracker.close_windows_upto(59_999) == []
+    assert tracker.get_latest_record() is closed[0]
 
 
 def test_report_to_closed_window_is_dropped():
@@ -105,16 +107,18 @@ def test_record_conservation():
         count = (k * 37) % 250
         total += count
         tracker.report_info(k * 700, count)
-    tracker.close_windows_upto(140_000)
-    closed_sum = sum(rec.rate * rec.window_len / 1000.0 for rec in tracker.get_records())
+    closed = tracker.close_windows_upto(140_000)
+    assert [rec.window_start for rec in closed] == [k * 30_000 for k in range(4)]
+    closed_sum = sum(rec.rate * rec.window_len / 1000.0 for rec in closed)
     open_sum = sum(tracker._open_counts.values())
     assert math.isclose(closed_sum + open_sum, total, rel_tol=1e-9)
 
 
 def test_cleanup_caps_history():
     tracker = make_tracker(retain_windows=6, train_num=5)
-    tracker.close_windows_upto(30_000 * 50)
-    assert len(tracker.get_records()) == 6
+    closed = tracker.close_windows_upto(30_000 * 50)
+    assert len(closed) == 50  # every window closed now is returned
+    assert tracker._closed == closed[-6:]  # but only the last six are kept
     assert tracker.get_latest_record().window_start == 30_000 * 49
 
 
@@ -138,3 +142,39 @@ def test_report_validation():
     tracker.report_info(0, 0)
     tracker.close_windows_upto(30_000)
     assert tracker.get_latest_record().rate == 0.0
+
+
+def test_control_rates_rule():
+    tracker = make_tracker()
+    assert tracker.control_rates(True) == (None, None)  # no window closed yet
+    assert tracker.control_rates(False) == (None, None)
+    for k in range(150):
+        tracker.report_info(k * 1000, 100 + k)
+    tracker.close_windows_upto(120_000)  # four windows: no model yet
+    q_now = tracker.get_latest_record().rate
+    assert tracker.control_rates(True) == (q_now, None)
+    assert tracker.control_rates(False) == (q_now, q_now)
+    tracker.close_windows_upto(150_000)
+    tracker.maybe_train()
+    q_now = tracker.get_latest_record().rate
+    assert tracker.control_rates(True) == (q_now, tracker.predict_rate(1))
+    assert tracker.control_rates(False) == (q_now, q_now)
+
+
+def test_failed_fit_leaves_no_model_until_a_fit_succeeds():
+    # Window rates [1e9, 5, 10, 5, 5]: the normal equations are singular and
+    # the tail is not flat, so GM(1,1) cannot fit them.
+    tracker = make_tracker()
+    for k, count in enumerate([30_000_000_000, 150, 300, 150, 150]):
+        tracker.report_info(k * 30_000, count)
+    tracker.close_windows_upto(150_000)
+    assert tracker.maybe_train() is None
+    assert tracker.model is None
+    with pytest.raises(NotReadyError):
+        tracker.predict_rate(1)
+    assert tracker.control_rates(True) == (5.0, None)
+    tracker.report_info(150_000, 150)
+    tracker.close_windows_upto(180_000)
+    model = tracker.maybe_train()  # the next window close fits again
+    assert model is not None and tracker.model is model
+    assert tracker.control_rates(True) == (5.0, tracker.predict_rate(1))
