@@ -3,8 +3,11 @@
 Simulated time only: a receiver quantizes the input trace into blocks, a
 dynamic timer groups blocks into batches, and a single FIFO worker runs each
 batch under an affine cost model. In adaptive mode a fuzzy control loop
-retimes the batch interval; in vanilla mode the interval stays fixed and the
-monitor just watches.
+retimes the batch interval: on each control tick the controller returns the
+tick's ``ControlRow`` and the engine logs it and stages its interval, which
+takes effect at the next timer fire. In vanilla mode, and before
+``control_start``, the interval stays fixed and the tick only logs S and the
+rates.
 
 Timer fires, control ticks, window closes, job completions and the trace end
 are events on a heap. Blocks are not: before each event, a block clock in
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError, DomainError, ModeError
-from .fuzzy import ControllerConfig, FuzzyController, RuleTable
+from .fuzzy import ControllerConfig, ControlRow, FuzzyController, RuleTable
 from .tracker import TrafficTracker, TrackerConfig
 from .traces import RateFunction
 from .workload import MonitorConfig, WorkloadMonitor
@@ -153,20 +156,6 @@ class BatchRow:
 
 
 @dataclass(slots=True)
-class ControlRow:
-    """Metrics row emitted at every control tick (adaptive or monitoring)."""
-
-    time_ms: float
-    interval_ms: int
-    workload_s: float
-    rate_measured: Optional[float]
-    rate_predicted: Optional[float]
-    traffic_change: Optional[float]
-    workload_deviation: Optional[float]
-    fuzzy_level: Optional[int]
-
-
-@dataclass(slots=True)
 class WindowRow:
     """Per-window tracker row: measured rate plus the forecast made for the
     window after it (None while the tracker has no model)."""
@@ -179,13 +168,7 @@ class WindowRow:
 
 @dataclass
 class MetricsLog:
-    mode: str
     block_interval: int
-    initial_interval: int
-    control_period: int
-    control_start: int
-    resample_interval: int
-    duration: int
     rows: list = field(default_factory=list)
     windows: list = field(default_factory=list)
     total_generated: int = 0
@@ -215,7 +198,7 @@ class MicrobatchEngine:
         if config.mode == ADAPTIVE:
             self.controller = FuzzyController(
                 config.controller, self.tracker, self.monitor,
-                rule_table=rule_table, set_interval=self.set_interval)
+                rule_table=rule_table)
         self._heap: list = []  # (fire_at, rank, sequence, payload)
         self._sequence = 0
         self._ran = False
@@ -228,15 +211,7 @@ class MicrobatchEngine:
         self._worker_busy = False
         self._next_batch_id = 0
         self._rng = random.Random(config.seed)
-        self.log = MetricsLog(
-            mode=config.mode,
-            block_interval=config.block_interval,
-            initial_interval=config.initial_interval,
-            control_period=config.controller.control_period,
-            control_start=config.control_start,
-            resample_interval=config.tracker.resample_interval,
-            duration=config.duration,
-        )
+        self.log = MetricsLog(block_interval=config.block_interval)
 
     @property
     def current_interval(self) -> int:
@@ -361,11 +336,11 @@ class MicrobatchEngine:
         # control tick's q_next, see TrafficTracker.control_rates).
         closed = self.tracker.close_windows_upto(int(now))
         for rec in closed:
-            self.tracker.maybe_train()
+            self.tracker.train()
             predicted: Optional[float] = None
             if self.tracker.model is not None:
                 if self.config.controller.prediction_enabled:
-                    predicted = self.tracker.predict_rate(1)
+                    predicted = self.tracker.predict_rate()
                 else:
                     predicted = rec.rate
             self.log.windows.append(WindowRow(
@@ -380,31 +355,16 @@ class MicrobatchEngine:
 
     def _on_control_tick(self, now: float, _payload) -> None:
         if self.controller is not None and now >= self.config.control_start:
-            decision = self.controller.control_step(now, self._current_interval)
-            self.log.rows.append(ControlRow(
-                time_ms=now,
-                interval_ms=decision.interval,
-                workload_s=decision.s,
-                rate_measured=decision.q_now,
-                rate_predicted=decision.q_next,
-                traffic_change=decision.c,
-                workload_deviation=decision.d,
-                fuzzy_level=decision.level,
-            ))
+            row = self.controller.control_step(now, self._current_interval)
+            if row.interval_ms != self._current_interval:
+                self.set_interval(row.interval_ms)
         else:
-            estimate = self.monitor.update_estimate(now)
+            s = self.monitor.update_estimate()
             q_now, q_next = self.tracker.control_rates(
                 self.config.controller.prediction_enabled)
-            self.log.rows.append(ControlRow(
-                time_ms=now,
-                interval_ms=self._current_interval,
-                workload_s=estimate.value,
-                rate_measured=q_now,
-                rate_predicted=q_next,
-                traffic_change=None,
-                workload_deviation=None,
-                fuzzy_level=None,
-            ))
+            row = ControlRow(now, self._current_interval, s, q_now, q_next,
+                             None, None, None)
+        self.log.rows.append(row)
         nxt = now + self.config.controller.control_period
         if nxt <= self.config.duration:
             self._schedule(nxt, CONTROL_TICK)

@@ -14,7 +14,7 @@ class LengthError(EdgeBatchError, ValueError):
 
 
 class FitError(EdgeBatchError, ArithmeticError):
-    """Model fitting failed (degenerate normal equations)."""
+    """Model fitting failed (singular normal equations)."""
 
 
 class NotReadyError(EdgeBatchError, RuntimeError):

@@ -6,11 +6,16 @@ over five triangular labels, run through a 5x5 rule table, and defuzzified
 to an integer adjustment level in {-2..+2}. Level k moves the batch
 interval by k block intervals.
 
+Each control tick reads the last window's rate and its one-step forecast
+(which give C) and the smoothed workload S (which gives D).
+``FuzzyController.control_step`` returns the tick's ``ControlRow``, the
+metrics row itself; the engine logs it and applies its interval.
+
 ``fuzzify`` and ``infer`` walk a tuple of the labels and index with the
 ``IntEnum`` members themselves: iterating the enum class and reading
 ``.value`` run Python-level enum code on every control tick. Degrees are
 rounded and summed in label order, which the float sums depend on.
-``ControlDecision`` is slotted, not frozen, since a frozen ``__init__`` sets
+``ControlRow`` is slotted, not frozen, since a frozen ``__init__`` sets
 each field through ``object.__setattr__``.
 """
 
@@ -18,10 +23,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ConfigError, DomainError, TraceParseError
 
@@ -220,35 +225,40 @@ def adjust_interval(current: int, level: int, config: ControllerConfig) -> int:
 
 
 @dataclass(slots=True)
-class ControlDecision:
-    """What one control step saw and decided."""
+class ControlRow:
+    """Metrics row emitted at every control tick (adaptive or monitoring).
 
-    now: float
-    interval: int
-    level: int
-    s: float
-    c: float
-    d: float
-    q_now: Optional[float]
-    q_next: Optional[float]
+    C, D and the level are None on a tick that only monitors: in vanilla
+    mode and before ``control_start``.
+    """
+
+    time_ms: float
+    interval_ms: int
+    workload_s: float
+    rate_measured: Optional[float]
+    rate_predicted: Optional[float]
+    traffic_change: Optional[float]
+    workload_deviation: Optional[float]
+    fuzzy_level: Optional[int]
 
 
 class FuzzyController:
-    """Periodic control step tying tracker, monitor, and batch timer together."""
+    """Periodic control step: reads tracker and monitor, decides an interval.
+
+    The controller only decides; the engine stages the row's interval.
+    """
 
     def __init__(self, config: ControllerConfig, tracker, monitor,
                  rule_table: RuleTable | None = None,
-                 partition: MembershipPartition = DEFAULT_PARTITION,
-                 set_interval: Callable[[int], None] | None = None):
+                 partition: MembershipPartition = DEFAULT_PARTITION):
         self.config = config
         self.tracker = tracker
         self.monitor = monitor
         self.table = DEFAULT_TABLE if rule_table is None else rule_table
         self.partition = partition
-        self._set_interval = set_interval
 
-    def control_step(self, now: float, current_interval: int) -> ControlDecision:
-        s = self.monitor.update_estimate(now).value
+    def control_step(self, now: float, current_interval: int) -> ControlRow:
+        s = self.monitor.update_estimate()
         q_now, q_next = self.tracker.control_rates(self.config.prediction_enabled)
         if q_next is None:
             log.debug("tracker not ready at t=%s, workload-only control", now)
@@ -258,7 +268,4 @@ class FuzzyController:
         d = compute_workload_deviation(s, self.partition)
         level = infer(c, d, self.table, self.partition)
         interval = adjust_interval(current_interval, level, self.config)
-        if interval != current_interval and self._set_interval is not None:
-            self._set_interval(interval)
-        return ControlDecision(now=now, interval=interval, level=level,
-                               s=s, c=c, d=d, q_now=q_now, q_next=q_next)
+        return ControlRow(now, interval, s, q_now, q_next, c, d, level)

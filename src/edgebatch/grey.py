@@ -54,10 +54,6 @@ class GreyModel:
             name = next(n for n in _FINITE_FIELDS if not isfinite(getattr(self, n)))
             raise DomainError(f"{name} must be finite")
 
-    @property
-    def degenerate(self) -> bool:
-        return abs(self.alpha) < EPS_ALPHA
-
 
 def _check_finite(vals: list[float]) -> None:
     for i, v in enumerate(vals):
@@ -136,7 +132,7 @@ def response(model: GreyModel, t: int) -> float:
     """Accumulated-series value at step t (1-based) from the time response."""
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
-    if model.degenerate:
+    if abs(model.alpha) < EPS_ALPHA:
         return model.first_accumulated + model.mu * (t - 1)
     ratio = model.mu / model.alpha
     return (model.first_accumulated - ratio) * math.exp(-model.alpha * (t - 1)) + ratio
@@ -160,10 +156,3 @@ def predict(model: GreyModel, t: int) -> float:
             raw -= (first - ratio) * math.exp(-alpha * (t - 2)) + ratio
     return raw - model.shift
 
-
-def fit_predict(series: Sequence[float], horizon: int) -> list[float]:
-    """Fit on ``series`` and return forecasts for the next ``horizon`` steps."""
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
-    model = fit(series)
-    return [predict(model, model.train_len + k) for k in range(1, horizon + 1)]

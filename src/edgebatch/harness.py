@@ -182,8 +182,6 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
     tracker = TrackerConfig(
         resample_interval=_take_int(cfg, "tracker.resample_interval", 30_000),
         train_num=_take_int(cfg, "tracker.train_num", 5),
-        retain_windows=_take_int(cfg, "tracker.retain_windows", 240),
-        retrain_every=_take_int(cfg, "tracker.retrain_every", 1),
     )
     cost = JobCostModel(
         fixed_overhead=_take_float(cfg, "cost.fixed_overhead"),

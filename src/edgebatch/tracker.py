@@ -5,8 +5,10 @@ A receiver report is two ints, the start of a block in ms and the records it
 holds, passed straight to ``report_info``: the engine reports every block
 of a run, so no object is built per report.
 
-The one-step forecast is computed once per fit: ``predict_rate(1)`` keeps
-it until the next ``train``, so the window close that trains the model and
+The tracker keeps only what a fit reads: the rates of the last
+``train_num`` closed windows. The engine fits on every window close. The
+one-step forecast is computed once per fit: ``predict_rate`` keeps it
+until the next ``train``, so the window close that trains the model and
 the control ticks that read the forecast share one evaluation. A series
 GM(1,1) cannot fit leaves no model, as before the first fit, until a later
 window close fits again. ``ResampledRecord`` is slotted, not frozen, since
@@ -16,6 +18,7 @@ a frozen ``__init__`` sets each field through ``object.__setattr__``.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,18 +41,12 @@ class ResampledRecord:
 class TrackerConfig:
     resample_interval: int = 30_000
     train_num: int = 5
-    retain_windows: int = 240
-    retrain_every: int = 1
 
     def __post_init__(self):
         if self.resample_interval <= 0:
             raise ConfigError("resample_interval must be positive")
         if self.train_num < grey.MIN_TRAIN_LEN:
             raise ConfigError(f"train_num must be >= {grey.MIN_TRAIN_LEN}")
-        if self.retain_windows < self.train_num:
-            raise ConfigError("retain_windows must be >= train_num")
-        if self.retrain_every < 1:
-            raise ConfigError("retrain_every must be >= 1")
 
 
 class TrafficTracker:
@@ -58,11 +55,11 @@ class TrafficTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.model: Optional[grey.GreyModel] = None
-        self._next_rate: Optional[float] = None  # predict_rate(1) of self.model
+        self._next_rate: Optional[float] = None  # predict_rate() of self.model
         self._open_counts: dict[int, int] = {}
-        self._closed: list[ResampledRecord] = []
+        # Rates of the last train_num closed windows, oldest first.
+        self._rates: deque[float] = deque(maxlen=self.config.train_num)
         self._next_close_index = 0
-        self._closes_since_train = 0
 
     def report_info(self, timestamp: int, record_count: int) -> None:
         """Attribute record_count records, received from timestamp ms on, to
@@ -91,67 +88,38 @@ class TrafficTracker:
             count = self._open_counts.pop(index, 0)
             rec = ResampledRecord(window_start=index * w, window_len=w,
                                   rate=count * 1000.0 / w)
-            self._closed.append(rec)
+            self._rates.append(rec.rate)
             closed.append(rec)
             self._next_close_index += 1
-            self._closes_since_train += 1
-        if closed:
-            self.cleanup()
         return closed
 
-    def get_latest_record(self) -> ResampledRecord:
-        if not self._closed:
-            raise NotReadyError("no closed windows yet")
-        return self._closed[-1]
-
-    def cleanup(self) -> None:
-        """Drop the oldest closed windows beyond the retention cap."""
-        excess = len(self._closed) - self.config.retain_windows
-        if excess > 0:
-            del self._closed[:excess]
-
     def train(self) -> Optional[grey.GreyModel]:
-        """Fit the grey model on the trailing train_num window rates.
+        """Fit the grey model on the last train_num window rates.
 
-        A series GM(1,1) cannot fit (``FitError``) leaves no model, so the
-        controller runs on the workload alone until a later fit succeeds.
+        Returns None, and leaves no model, while fewer than train_num windows
+        have closed or when GM(1,1) cannot fit them (``FitError``); the
+        controller then runs on the workload alone until a later fit succeeds.
         """
-        if len(self._closed) < self.config.train_num:
-            raise NotReadyError(
-                f"need {self.config.train_num} closed windows, have {len(self._closed)}"
-            )
-        tail = self._closed[-self.config.train_num:]
+        if len(self._rates) < self.config.train_num:
+            return None
         self._next_rate = None
         try:
-            self.model = grey.fit([rec.rate for rec in tail])
+            self.model = grey.fit(self._rates)
         except FitError as exc:
             log.debug("no grey model for the windows up to %d ms: %s",
-                      tail[-1].window_start + tail[-1].window_len, exc)
+                      self._next_close_index * self.config.resample_interval, exc)
             self.model = None
-        self._closes_since_train = 0
         return self.model
 
-    def maybe_train(self) -> Optional[grey.GreyModel]:
-        """Retrain when enough new windows closed since the last fit."""
-        if len(self._closed) < self.config.train_num:
-            return None
-        if self.model is not None and self._closes_since_train < self.config.retrain_every:
-            return None
-        return self.train()
-
-    def predict_rate(self, windows_ahead: int = 1) -> float:
-        """Forecast the mean rate windows_ahead windows past the training tail,
-        clamped to >= 0. The one-step forecast is computed once per fit."""
-        if windows_ahead == 1 and self._next_rate is not None:
-            return self._next_rate
-        if windows_ahead < 1:
-            raise DomainError(f"windows_ahead must be >= 1, got {windows_ahead}")
-        if self.model is None:
-            raise NotReadyError("no trained model")
-        value = max(0.0, grey.predict(self.model, self.model.train_len + windows_ahead))
-        if windows_ahead == 1:
-            self._next_rate = value
-        return value
+    def predict_rate(self) -> float:
+        """Forecast the mean rate of the window after the training tail,
+        clamped to >= 0. It is computed once per fit."""
+        if self._next_rate is None:
+            if self.model is None:
+                raise NotReadyError("no trained model")
+            model = self.model
+            self._next_rate = max(0.0, grey.predict(model, model.train_len + 1))
+        return self._next_rate
 
     def control_rates(self, prediction_enabled: bool
                       ) -> tuple[Optional[float], Optional[float]]:
@@ -163,11 +131,11 @@ class TrafficTracker:
         forecast log keeps its own rule: None while there is no model, even
         with prediction off.
         """
-        if not self._closed:
+        if not self._rates:
             return None, None
-        q_now = self._closed[-1].rate
+        q_now = self._rates[-1]
         if not prediction_enabled:
             return q_now, q_now
         if self.model is None:
             return q_now, None
-        return q_now, self.predict_rate(1)
+        return q_now, self.predict_rate()

@@ -112,7 +112,8 @@ def test_criterion_02_offline_day_trace_error():
             vals.append(float(body.split(",")[1]))
     errs = []
     for k in range(5, len(vals)):
-        pred = grey.fit_predict(vals[k - 5:k], 1)[0]
+        model = grey.fit(vals[k - 5:k])
+        pred = grey.predict(model, model.train_len + 1)
         errs.append(abs(pred - vals[k]) / vals[k])
     err = mean(errs)
     assert err <= 0.05, err

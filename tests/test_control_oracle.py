@@ -190,15 +190,13 @@ def test_retrain_replaces_cached_forecast():
         tracker.report_info(k * 30_000, count)
     tracker.close_windows_upto(150_000)
     first = tracker.train()
-    before = tracker.predict_rate(1)
+    before = tracker.predict_rate()
     assert before == max(0.0, grey.predict(first, first.train_len + 1))
-    assert tracker.predict_rate(1) == before  # served again, same model
+    assert tracker.predict_rate() == before  # served again, same model
     tracker.report_info(150_000, 1500)  # a sharp drop in the next window
     tracker.close_windows_upto(180_000)
-    second = tracker.maybe_train()
+    second = tracker.train()
     assert second is tracker.model and second != first
-    after = tracker.predict_rate(1)
+    after = tracker.predict_rate()
     assert after == max(0.0, grey.predict(second, second.train_len + 1))
     assert after != before
-    # Forecasts further ahead are computed on each call, from the new model.
-    assert tracker.predict_rate(3) == max(0.0, grey.predict(second, second.train_len + 3))

@@ -64,7 +64,7 @@ def engine_runs(draw, jitter: bool):
         mode=mode,
         control_start=draw(st.integers(0, 40_000)),
         tracker=TrackerConfig(resample_interval=draw(st.integers(1, 50)) * block,
-                              train_num=train_num, retain_windows=train_num + 2),
+                              train_num=train_num),
         seed=draw(st.integers(0, 2**32)),
         jitter=draw(st.floats(0.01, 0.9)) if jitter else 0.0,
     )

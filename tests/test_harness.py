@@ -244,6 +244,21 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "absent.conf")]) == 2
 
 
+# The tracker keeps only the windows a fit reads and fits on every window
+# close, so these keys no longer exist, not even at their old defaults.
+@pytest.mark.parametrize("line", ["tracker.retain_windows = 240",
+                                  "tracker.retrain_every = 1"],
+                         ids=["retain_windows", "retrain_every"])
+def test_cli_removed_tracker_keys_exit_2_with_one_line(tmp_path, capsys, line):
+    conf = write_conf(tmp_path, MINI + line + "\n")
+    assert main(["validate", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config keys" in captured.err
+    assert line.split(" =")[0] in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_cli_bad_trace_file_exits_2(tmp_path, capsys):
     (tmp_path / "trace.csv").write_text("0,not_a_number\n")
     text = MINI.replace(

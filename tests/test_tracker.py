@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from edgebatch import grey
 from edgebatch.errors import ConfigError, DomainError, NotReadyError
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 
@@ -33,14 +34,14 @@ def test_open_window_never_included():
     tracker = make_tracker()
     tracker.report_info(10_000, 50)
     assert tracker.close_windows_upto(29_999) == []
-    with pytest.raises(NotReadyError):
-        tracker.get_latest_record()
+    assert tracker.control_rates(False) == (None, None)
     closed = tracker.close_windows_upto(30_000)
-    assert [(rec.window_start, rec.rate) for rec in closed] == [(0, 50 * 1000.0 / 30_000)]
+    rate = 50 * 1000.0 / 30_000
+    assert [(rec.window_start, rec.rate) for rec in closed] == [(0, rate)]
     tracker.report_info(40_000, 70)  # into the open window
-    assert tracker.get_latest_record() is closed[0]
+    assert tracker.control_rates(False) == (rate, rate)
     assert tracker.close_windows_upto(59_999) == []
-    assert tracker.get_latest_record() is closed[0]
+    assert tracker.control_rates(False) == (rate, rate)
 
 
 def test_report_to_closed_window_is_dropped():
@@ -48,15 +49,14 @@ def test_report_to_closed_window_is_dropped():
     tracker.close_windows_upto(30_000)
     tracker.report_info(1000, 999)
     tracker.close_windows_upto(60_000)
-    assert tracker.get_latest_record().rate == 0.0
+    assert tracker.control_rates(False) == (0.0, 0.0)
 
 
 def test_train_needs_enough_windows():
     tracker = make_tracker(train_num=5)
     tracker.close_windows_upto(120_000)  # 4 windows
-    with pytest.raises(NotReadyError):
-        tracker.train()
-    assert tracker.maybe_train() is None
+    assert tracker.train() is None
+    assert tracker.model is None
 
 
 def test_train_and_predict_constant_rate():
@@ -65,39 +65,27 @@ def test_train_and_predict_constant_rate():
         tracker.report_info(k * 1000, 100)
     tracker.close_windows_upto(150_000)
     model = tracker.train()
-    assert model.degenerate
-    assert tracker.predict_rate(1) == pytest.approx(100.0)
+    assert abs(model.alpha) < grey.EPS_ALPHA
+    assert tracker.predict_rate() == pytest.approx(100.0)
 
 
 def test_prediction_clamped_non_negative():
     tracker = make_tracker()
-    counts = [3000, 900, 240, 60, 12]  # sharply collapsing traffic
+    # Window rates [1000, 1000, 1000, 1000, 5000]: on this burst GM(1,1)
+    # forecasts about -6970 for the next window.
+    counts = [30_000, 30_000, 30_000, 30_000, 150_000]
     for k, count in enumerate(counts):
         tracker.report_info(k * 30_000, count)
     tracker.close_windows_upto(150_000)
-    tracker.train()
-    assert tracker.predict_rate(5) >= 0.0
+    model = tracker.train()
+    assert grey.predict(model, model.train_len + 1) < 0.0
+    assert tracker.predict_rate() == 0.0
 
 
 def test_predict_requires_model():
     tracker = make_tracker()
     with pytest.raises(NotReadyError):
-        tracker.predict_rate(1)
-    with pytest.raises(DomainError):
-        tracker.predict_rate(0)
-
-
-def test_maybe_train_respects_cadence():
-    tracker = make_tracker(retrain_every=2)
-    for k in range(300):
-        tracker.report_info(k * 1000, 100 + k)
-    tracker.close_windows_upto(150_000)
-    first = tracker.maybe_train()
-    assert first is not None
-    tracker.close_windows_upto(180_000)
-    assert tracker.maybe_train() is None  # one new window is below the cadence
-    tracker.close_windows_upto(210_000)
-    assert tracker.maybe_train() is not None
+        tracker.predict_rate()
 
 
 def test_record_conservation():
@@ -114,12 +102,16 @@ def test_record_conservation():
     assert math.isclose(closed_sum + open_sum, total, rel_tol=1e-9)
 
 
-def test_cleanup_caps_history():
-    tracker = make_tracker(retain_windows=6, train_num=5)
+def test_train_fits_the_last_train_num_windows():
+    tracker = make_tracker(train_num=5)
+    for k in range(50):
+        tracker.report_info(k * 30_000, 3000 + 7 * k * k)  # distinct rates
     closed = tracker.close_windows_upto(30_000 * 50)
     assert len(closed) == 50  # every window closed now is returned
-    assert tracker._closed == closed[-6:]  # but only the last six are kept
-    assert tracker.get_latest_record().window_start == 30_000 * 49
+    rates = [rec.rate for rec in closed]
+    assert len(set(rates)) == 50
+    assert tracker.train() == grey.fit(rates[-5:])
+    assert tracker.control_rates(False) == (rates[-1], rates[-1])
 
 
 def test_config_validation():
@@ -127,10 +119,6 @@ def test_config_validation():
         TrackerConfig(resample_interval=0)
     with pytest.raises(ConfigError):
         TrackerConfig(train_num=3)
-    with pytest.raises(ConfigError):
-        TrackerConfig(retain_windows=4, train_num=5)
-    with pytest.raises(ConfigError):
-        TrackerConfig(retrain_every=0)
 
 
 def test_report_validation():
@@ -141,7 +129,7 @@ def test_report_validation():
         tracker.report_info(0, -5)
     tracker.report_info(0, 0)
     tracker.close_windows_upto(30_000)
-    assert tracker.get_latest_record().rate == 0.0
+    assert tracker.control_rates(False) == (0.0, 0.0)
 
 
 def test_control_rates_rule():
@@ -150,14 +138,13 @@ def test_control_rates_rule():
     assert tracker.control_rates(False) == (None, None)
     for k in range(150):
         tracker.report_info(k * 1000, 100 + k)
-    tracker.close_windows_upto(120_000)  # four windows: no model yet
-    q_now = tracker.get_latest_record().rate
+    closed = tracker.close_windows_upto(120_000)  # four windows: no model yet
+    q_now = closed[-1].rate
     assert tracker.control_rates(True) == (q_now, None)
     assert tracker.control_rates(False) == (q_now, q_now)
-    tracker.close_windows_upto(150_000)
-    tracker.maybe_train()
-    q_now = tracker.get_latest_record().rate
-    assert tracker.control_rates(True) == (q_now, tracker.predict_rate(1))
+    q_now = tracker.close_windows_upto(150_000)[-1].rate
+    tracker.train()
+    assert tracker.control_rates(True) == (q_now, tracker.predict_rate())
     assert tracker.control_rates(False) == (q_now, q_now)
 
 
@@ -168,13 +155,13 @@ def test_failed_fit_leaves_no_model_until_a_fit_succeeds():
     for k, count in enumerate([30_000_000_000, 150, 300, 150, 150]):
         tracker.report_info(k * 30_000, count)
     tracker.close_windows_upto(150_000)
-    assert tracker.maybe_train() is None
+    assert tracker.train() is None
     assert tracker.model is None
     with pytest.raises(NotReadyError):
-        tracker.predict_rate(1)
+        tracker.predict_rate()
     assert tracker.control_rates(True) == (5.0, None)
     tracker.report_info(150_000, 150)
     tracker.close_windows_upto(180_000)
-    model = tracker.maybe_train()  # the next window close fits again
+    model = tracker.train()  # the next window close fits again
     assert model is not None and tracker.model is model
-    assert tracker.control_rates(True) == (5.0, tracker.predict_rate(1))
+    assert tracker.control_rates(True) == (5.0, tracker.predict_rate())
