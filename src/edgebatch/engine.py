@@ -15,11 +15,17 @@ are events on a heap. Blocks are not: before each event, a block clock in
 equal timestamps a block always comes first. A job starts as soon as the
 worker is free and a batch waits; only its completion is an event.
 
-Per block the engine builds no object: the receiver's count goes to the
-tracker as two ints. Per batch it builds a ``Batch`` when the timer seals it
-and one ``BatchRow`` when it completes, which holds the batch's delays and
-its workload sample. Rows and batches are slotted dataclasses, not frozen
-ones: a frozen dataclass's ``__init__`` sets each field through
+The receiver's counts are filled ``FILL_BLOCKS`` blocks at a time: one
+``block_integrals`` call for the chunk's expected counts, jitter drawn in
+block order, one rounding per block, and running sums of records and of
+non-empty blocks, built by ``itertools.accumulate``. An event then seals
+``int(fire_at // block)`` blocks by reading those sums, so a batch's counts
+and a window's total are differences of two running totals. The tracker
+gets one report per window, its total, when the window closes.
+Per batch the engine builds a ``Batch`` when the timer seals it and one
+``BatchRow`` when it completes, which holds the batch's delays and its
+workload sample. Rows and batches are slotted dataclasses, not frozen ones:
+a frozen dataclass's ``__init__`` sets each field through
 ``object.__setattr__``, which makes a 9-field row about five times as slow
 to build. Nothing changes a row or a batch after it is built.
 
@@ -36,6 +42,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from .errors import ConfigError, DomainError, ModeError
@@ -50,6 +57,7 @@ ADAPTIVE = "adaptive"
 VANILLA = "vanilla"
 
 MAX_TIME_MS = 2**53  # every integer up to here is exact as a float
+FILL_BLOCKS = 256  # blocks whose counts run() computes per trace call
 # The times MAX_TIME_MS bounds, as paths from EngineConfig, in the order
 # EngineConfig.__post_init__ reads them.
 _TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start",
@@ -206,7 +214,11 @@ class MicrobatchEngine:
         self._current_interval = config.initial_interval
         self._pending_interval: Optional[int] = None
         self._last_fire_at = 0
-        self._block_queue: list[int] = []  # record count of each unsealed block
+        # Records and non-empty blocks in every block sealed so far, and the
+        # same totals at the last batch seal; records at the last window close.
+        self._sealed_records = self._sealed_blocks = 0
+        self._batched_records = self._batched_blocks = 0
+        self._reported_records = 0
         self._batch_queue: deque[Batch] = deque()
         self._worker_busy = False
         self._next_batch_id = 0
@@ -246,34 +258,43 @@ class MicrobatchEngine:
             self._on_job_complete,
             self._on_trace_end,
         )
-        # The block clock, with every name the per-block loop uses bound once.
-        block, jitter = cfg.block_interval, cfg.jitter
-        integral, uniform, floor = self.trace.integral, self._rng.uniform, math.floor
-        report, receive = self.tracker.report_info, self._block_queue.append
-        block_end = block  # end of the next block to seal
-        generated = in_blocks = 0
+        # The block clock. Counts of blocks first .. first + len(records) - 2
+        # are filled in; records[j] and nonempty[j] are the running totals
+        # over blocks 0 .. first + j - 1.
+        block = cfg.block_interval
+        n_blocks = cfg.duration // block
+        first, records, nonempty = 0, [0], [0]
         heap, pop = self._heap, heapq.heappop
         while heap and not self._ended:
             fire_at, rank, _, payload = pop(heap)
             # Seal every block that ends by this event, so that at equal
             # timestamps blocks come before any other event. No event fires
             # after the trace end, so no block ends after it either.
-            while block_end <= fire_at:
-                start = block_end - block
-                expected = integral(start, block_end)
-                if jitter > 0.0:
-                    expected *= 1.0 + jitter * uniform(-1.0, 1.0)
-                count = floor(expected + 0.5)
-                generated += count
-                if count > 0:
-                    receive(count)
-                    in_blocks += count
-                    report(start, count)
-                block_end += block
+            j = int(fire_at // block) - first
+            while j >= len(records):
+                first += len(records) - 1
+                j -= len(records) - 1
+                counts = self._block_counts(first, min(FILL_BLOCKS, n_blocks - first))
+                records = list(accumulate(counts, initial=records[-1]))
+                nonempty = list(accumulate(map(bool, counts), initial=nonempty[-1]))
+            self._sealed_records, self._sealed_blocks = records[j], nonempty[j]
             handlers[rank](fire_at, payload)
-        self.log.total_generated = generated
-        self.log.total_block_records = in_blocks
+        self.log.total_generated = self.log.total_block_records = self._sealed_records
         return self.log
+
+    def _block_counts(self, first: int, n: int) -> list[int]:
+        """Record counts of blocks first .. first + n - 1: each block's
+        expected count, scaled by its jitter factor, rounded half up. The
+        jitter RNG is drawn once per block, in block order; the expression
+        is ``uniform(-1.0, 1.0)``'s own, ``-1.0 + 2.0 * random()``."""
+        block, jitter = self.config.block_interval, self.config.jitter
+        expected = self.trace.block_integrals(first * block, block, n)
+        floor = math.floor
+        if jitter > 0.0:
+            random_ = self._rng.random
+            return [floor(e * (1.0 + jitter * (-1.0 + 2.0 * random_())) + 0.5)
+                    for e in expected]
+        return [floor(e + 0.5) for e in expected]
 
     def _schedule(self, fire_at: float, rank: int, payload=None) -> None:
         heapq.heappush(self._heap, (fire_at, rank, self._sequence, payload))
@@ -281,10 +302,11 @@ class MicrobatchEngine:
 
     def _seal(self, now: float, interval_used: int) -> Batch:
         """Group every unsealed block into the next batch."""
-        blocks = self._block_queue
-        batch = Batch(self._next_batch_id, sum(blocks), len(blocks), int(now), interval_used)
+        records, blocks = self._sealed_records, self._sealed_blocks
+        batch = Batch(self._next_batch_id, records - self._batched_records,
+                      blocks - self._batched_blocks, int(now), interval_used)
+        self._batched_records, self._batched_blocks = records, blocks
         self._next_batch_id += 1
-        blocks.clear()
         self.log.total_batch_records += batch.record_count
         return batch
 
@@ -333,7 +355,12 @@ class MicrobatchEngine:
     def _on_rate_window_close(self, now: float, _payload) -> None:
         # Each closed window logs the forecast for the window after it: None
         # while there is no model, even with prediction off (unlike the
-        # control tick's q_next, see TrafficTracker.control_rates).
+        # control tick's q_next, see TrafficTracker.control_rates). The
+        # window closing is the one that ends now: every block sealed since
+        # the last close started in it, since windows are block multiples.
+        w = self.config.tracker.resample_interval
+        self.tracker.report_info(int(now) - w, self._sealed_records - self._reported_records)
+        self._reported_records = self._sealed_records
         closed = self.tracker.close_windows_upto(int(now))
         for rec in closed:
             self.tracker.train()
@@ -349,7 +376,7 @@ class MicrobatchEngine:
                 rate_measured=rec.rate,
                 rate_predicted_next=predicted,
             ))
-        nxt = now + self.config.tracker.resample_interval
+        nxt = now + w
         if nxt <= self.config.duration:
             self._schedule(nxt, RATE_WINDOW_CLOSE)
 
@@ -372,7 +399,7 @@ class MicrobatchEngine:
     def _on_trace_end(self, now: float, _payload) -> None:
         # Seal whatever the receiver still holds so the record ledger balances;
         # the sealed batch is never executed because simulated time stops here.
-        if self._block_queue:
+        if self._sealed_blocks > self._batched_blocks:
             self._seal(now, max(int(now) - self._last_fire_at, self.config.block_interval))
         self._ended = True
 

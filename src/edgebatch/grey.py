@@ -10,13 +10,17 @@ fit. ``fit`` checks each observation in the pass that accumulates it, and
 of ``response``, in the same order, so its values are exactly those of
 differencing ``response``. ``GreyModel`` is slotted, not frozen, since a
 frozen ``__init__`` sets each field through ``object.__setattr__``.
+
+Float sums here, in the workload monitor and in the run summary are left
+folds, one rounding per term in order: from Python 3.12 on, ``sum`` of
+floats is compensated and gives other last bits, which would make the
+outputs depend on the interpreter version.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, FitError, LengthError
@@ -109,10 +113,12 @@ def fit(series: Sequence[float]) -> GreyModel:
     y = vals[1:]
     m = n - 1
 
-    sz = sum(z)
-    sy = sum(y)
-    szz = sum([v * v for v in z])
-    szy = sum(map(mul, z, y))
+    sz = sy = szz = szy = 0.0  # left folds, see the module docstring
+    for a, b in zip(z, y):
+        sz += a
+        sy += b
+        szz += a * a
+        szy += a * b
 
     den = m * szz - sz * sz
     scale = m * szz + sz * sz

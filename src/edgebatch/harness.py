@@ -14,7 +14,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
+from operator import add
 from pathlib import Path
 from typing import Optional
 
@@ -311,14 +313,15 @@ def summarize(log: MetricsLog) -> SummaryReport:
     else:
         steady = [t.workload_s for t in ticks[len(ticks) // 2:]]
     delays = [b.total_delay_ms for b in batches]
+    # Float means are left folds, as in grey.fit.
 
     return SummaryReport(
-        prediction_error_mean=sum(errs) / len(errs) if errs else None,
+        prediction_error_mean=reduce(add, errs, 0) / len(errs) if errs else None,
         prediction_error_max=max(errs) if errs else None,
         convergence_time_ms=conv,
-        steady_workload_mean=sum(steady) / len(steady) if steady else None,
+        steady_workload_mean=reduce(add, steady, 0) / len(steady) if steady else None,
         steady_workload_max=max(steady) if steady else None,
-        total_delay_mean_ms=sum(delays) / len(delays) if delays else None,
+        total_delay_mean_ms=reduce(add, delays, 0) / len(delays) if delays else None,
         total_delay_max_ms=max(delays) if delays else None,
         overload_recovery_ms=overload_recovery(ticks),
         records_processed=sum(b.records for b in batches),

@@ -1,9 +1,11 @@
 """Traffic tracker: resamples receiver reports into fixed windows and keeps a
 grey model trained on the trailing windows for short-term rate prediction.
 
-A receiver report is two ints, the start of a block in ms and the records it
-holds, passed straight to ``report_info``: the engine reports every block
-of a run, so no object is built per report.
+A receiver report is two ints passed straight to ``report_info``: a time in
+ms and the records received from then on, counted into the window holding
+that time. The engine makes one report per window, when the window closes:
+its start and the records of every block in it. Any number of reports may
+go into one open window.
 
 The tracker keeps only what a fit reads: the rates of the last
 ``train_num`` closed windows. The engine fits on every window close. The

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import ConfigError, DomainError
 
@@ -49,7 +51,7 @@ class WorkloadMonitor:
         pending = self._pending
         if pending:
             a = self.config.smoothing_coefficient
-            mean_eta = sum(pending) / len(pending)
+            mean_eta = reduce(add, pending, 0) / len(pending)  # a left fold, see edgebatch.grey
             self.value = a * mean_eta + (1.0 - a) * self.value
             pending.clear()
         return self.value

@@ -82,6 +82,15 @@ def test_infer_matches_oracle(c, d, table, partition):
 # -- grey oracles -------------------------------------------------------------
 
 
+def left_sum(xs):
+    """Terms added in order, one rounding each; ``sum`` of floats is
+    compensated from Python 3.12 on and gives other last bits."""
+    total = 0
+    for x in xs:
+        total += x
+    return total
+
+
 def oracle_fit(series):
     """The fit as (alpha, mu, first_accumulated, train_len, shift)."""
     vals = [float(v) for v in series]
@@ -110,10 +119,10 @@ def oracle_fit(series):
     z = [(acc[i] + acc[i - 1]) / 2.0 for i in range(1, n)]
     y = vals[1:]
     m = n - 1
-    sz = sum(z)
-    sy = sum(y)
-    szz = sum(v * v for v in z)
-    szy = sum(a * b for a, b in zip(z, y))
+    sz = left_sum(z)
+    sy = left_sum(y)
+    szz = left_sum(v * v for v in z)
+    szy = left_sum(a * b for a, b in zip(z, y))
     den = m * szz - sz * sz
     scale = m * szz + sz * sz
     if den <= scale * 1e-15:

@@ -5,8 +5,16 @@ batches in FIFO order, split each batch's delay into non-negative scheduling
 and processing parts whose sum over the interval used is its workload sample,
 write metrics.csv in time order, and in adaptive mode keep every interval a
 block multiple inside [min_interval, max_interval].
+
+The engine fills block counts a chunk at a time and reads batch and window
+totals off running sums. Each run is also checked against a receiver that
+does it one block at a time: the integral of the block, a jitter factor from
+``uniform(-1.0, 1.0)`` and ``floor(x + 0.5)``, on the same seed. Every batch
+and every window must hold exactly that receiver's records.
 """
 
+import math
+import random
 import tempfile
 from pathlib import Path
 
@@ -23,7 +31,35 @@ from edgebatch.tracker import TrackerConfig
 
 RATES = st.integers(0, 5000).map(float)
 # Whole numbers make costs and events land on the same millisecond often.
-COSTS = st.one_of(st.integers(0, 2000).map(float), st.floats(0.0, 2000.0))
+# With a 200 ms block, a job started on a block boundary and costing 200.0
+# completes on the next one, and one costing 199.99999999999994 completes at
+# 399.99999999999994 or the like, one ulp before it: the block ending there
+# is sealed by the first and not by the second.
+COSTS = st.one_of(st.integers(0, 2000).map(float), st.floats(0.0, 2000.0),
+                  st.sampled_from([199.99999999999994, 200.0]))
+
+
+def csv_trace(rows, count_mode, time_scale, rate_scale):
+    """A trace loaded by from_csv from a file holding rows."""
+    text = "timestamp_s,value\n" + "".join(f"{t},{v}\n" for t, v in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text(text)
+        return traces.from_csv(path, count_mode=count_mode, time_scale=time_scale,
+                               rate_scale=rate_scale)
+
+
+@st.composite
+def csv_traces(draw, count_mode: bool):
+    """Count- or rate-mode CSV traces with fractional breakpoints, as the day
+    presets' time scales give them, starting before or after t = 0."""
+    t = draw(st.integers(-30, 30))
+    rows = []
+    for _ in range(draw(st.integers(2, 12))):
+        rows.append((t, draw(RATES)))
+        t += draw(st.integers(1, 120))
+    time_scale = draw(st.sampled_from([1.0, 1 / 6, 1 / 60, 0.37]))
+    return csv_trace(rows, count_mode, time_scale, draw(st.sampled_from([1.0, 6.0, 21.6])))
 
 
 @st.composite
@@ -38,11 +74,13 @@ def engine_runs(draw, jitter: bool):
     else:
         initial_blocks = draw(st.integers(1, 30))
     train_num = draw(st.integers(MIN_TRAIN_LEN, 8))
-    kind = draw(st.sampled_from(["constant", "step", "sinusoid"]))
+    kind = draw(st.sampled_from(["constant", "step", "sinusoid", "csv-count", "csv-rate"]))
     if kind == "constant":
         trace = traces.constant(draw(RATES))
     elif kind == "step":
         trace = traces.step(draw(RATES), draw(RATES), draw(st.integers(0, duration)))
+    elif kind.startswith("csv"):
+        trace = draw(csv_traces(count_mode=kind == "csv-count"))
     else:
         base = draw(RATES)
         trace = traces.sinusoid(base, draw(st.floats(0.0, base)),
@@ -71,9 +109,42 @@ def engine_runs(draw, jitter: bool):
     return config, trace
 
 
+def per_block_counts(config, trace):
+    """Record counts of every block of the run, one block at a time."""
+    rng = random.Random(config.seed)
+    block = config.block_interval
+    counts = []
+    for end in range(block, config.duration + 1, block):
+        expected = trace.integral(end - block, end)
+        if config.jitter > 0.0:
+            expected *= 1.0 + config.jitter * rng.uniform(-1.0, 1.0)
+        counts.append(math.floor(expected + 0.5))
+    return counts
+
+
+def check_against_per_block_receiver(config, trace, log):
+    counts = per_block_counts(config, trace)
+    block = config.block_interval
+    assert log.total_generated == sum(counts)
+    # Batch k holds the blocks that ended after the timer fire that sealed
+    # batch k - 1 and by its own; each fire is the last plus the interval used.
+    fired = 0
+    for b in log.batches:
+        sealed = counts[fired // block:(fired + b.interval_ms) // block]
+        assert (b.records, b.blocks) == (sum(sealed), sum(c > 0 for c in sealed))
+        fired += b.interval_ms
+    per_window = config.tracker.resample_interval // block
+    for k, w in enumerate(log.windows):
+        assert w.window_start_ms == k * config.tracker.resample_interval
+        window = counts[k * per_window:(k + 1) * per_window]
+        assert w.rate_measured == sum(window) * 1000.0 / config.tracker.resample_interval
+    assert len(log.windows) == config.duration // config.tracker.resample_interval
+
+
 def check_invariants(config, trace):
     log = run(config, trace)
     assert log.total_generated == log.total_block_records == log.total_batch_records
+    check_against_per_block_receiver(config, trace, log)
 
     batches = log.batches
     assert [b.batch_id for b in batches] == list(range(len(batches)))  # FIFO

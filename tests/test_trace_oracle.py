@@ -1,11 +1,15 @@
-"""Bit-exact checks of the CSV trace classes against linear-scan oracles.
+"""Bit-exact checks of the trace classes against straightforward oracles.
 
-The oracles are the straightforward full scans over every segment. The
-traces bisect to the segments a window touches instead; they must return
-exactly the same floats, because the engine rounds each block's expected
-count and a last-bit difference could flip a record.
+The oracles for ``rate`` and ``integral`` are the full scans over every
+segment; the CSV traces bisect to the segments a window touches instead. The
+oracle for ``block_integrals`` is ``integral`` called block by block; the
+count trace sweeps runs of blocks inside one segment and the sinusoid shares
+each block edge's cosine instead. All must return exactly the same floats,
+because the engine rounds each block's expected count and a last-bit
+difference could flip a record.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,3 +122,68 @@ def test_day_trace_blocks_match_scan():
     for end in range(200, 720_200, 200):
         start, now = end - 200, float(end)
         assert f.integral(start, now) == scan_constant_integral(f, start, now)
+
+
+def per_block(f, start, block, n):
+    return [f.integral(a, a + block) for a in range(start, start + n * block, block)]
+
+
+@st.composite
+def count_traces(draw):
+    """Count-mode traces as from_csv builds them: whole-second rows times
+    1000 * time_scale ms, so fractional edges at time_scale 1/6, and some
+    zero-length segments."""
+    to_ms = 1000.0 * draw(st.sampled_from([1.0, 1 / 6, 1 / 60, 0.37]))
+    seconds = draw(st.lists(st.integers(-100, 100), min_size=2, max_size=12).map(sorted))
+    edges = [t * to_ms for t in seconds]
+    rates = draw(st.lists(RATES, min_size=len(edges) - 1, max_size=len(edges) - 1))
+    return traces.PiecewiseConstantTrace(tuple(edges), tuple(rates))
+
+
+@ORACLE
+@given(st.data())
+def test_count_trace_block_integrals_match_integral(data):
+    f = data.draw(count_traces())
+    bp = f.breakpoints
+    block = data.draw(st.sampled_from([1, 7, 100, 200, 333, 1000, 5000]))
+    # From before bp[0] to past bp[-1], so runs straddle every edge.
+    start = data.draw(st.integers(int(bp[0]) - 3 * block, int(bp[-1]) + block))
+    n = data.draw(st.integers(0, max(int(bp[-1] - start) // block + 3, 0)))
+    assert f.block_integrals(start, block, n) == per_block(f, start, block, n)
+    assert f.block_integrals(start, block, 0) == []
+
+
+def test_count_trace_run_ends_on_a_rounded_edge():
+    # 599.9999999999999 - (-2000) rounds to 2600.0, 13 blocks of 200 ms, but
+    # only 12 end by the edge; the 13th straddles it.
+    f = traces.PiecewiseConstantTrace((-2000.0, 599.9999999999999, 1000.0), (1000.0, 3000.0))
+    assert f.block_integrals(-2000, 200, 20) == per_block(f, -2000, 200, 20)
+
+
+@ORACLE
+@given(base=RATES, share=st.floats(0.0, 1.0), period=st.floats(1.0, 1e9),
+       start=st.integers(0, 2**40), block=st.integers(1, 10**6), n=st.integers(0, 64))
+def test_sinusoid_block_integrals_match_integral(base, share, period, start, block, n):
+    f = traces.sinusoid(base, base * share, period)
+    assert f.block_integrals(start, block, n) == per_block(f, start, block, n)
+
+
+@pytest.mark.parametrize("f", [
+    traces.constant(1234.5),
+    traces.step(500.0, 1500.0, 30_100),  # switches in the middle of a block
+    traces.PiecewiseLinearTrace(((0.0, 100.0), (333.3, 2000.0), (5000.0, 0.0))),
+], ids=["constant", "step", "linear"])
+def test_default_block_integrals_call_integral_per_block(f):
+    for start, n in ((0, 0), (0, 300), (29_000, 40)):
+        assert f.block_integrals(start, 200, n) == per_block(f, start, 200, n)
+
+
+def test_day_workload_blocks_match_integral():
+    # The benchmark's day trace (time scale 1/6, fractional edges), every
+    # 200 ms block of its 2 h, in the engine's chunks and in one call.
+    f = traces.from_csv(traces.day_trace_path(), count_mode=True,
+                        time_scale=1 / 6, rate_scale=21.6)
+    whole = per_block(f, 0, 200, 36_000)
+    chunked = [x for a in range(0, 36_000, 256)
+               for x in f.block_integrals(a * 200, 200, min(256, 36_000 - a))]
+    assert chunked == whole == f.block_integrals(0, 200, 36_000)

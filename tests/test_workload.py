@@ -57,3 +57,13 @@ def test_sequence_of_updates_converges_toward_steady_eta():
             mon.on_batch_completed(0.9)
         mon.update_estimate()
     assert mon.value == pytest.approx(0.9, abs=1e-3)
+
+
+def test_mean_is_a_left_fold():
+    # Added in order, each 1e-16 rounds away against 1.0, so the sum is 1.0.
+    # A compensated sum (Python 3.12+'s built-in sum) keeps their 1e-15 and
+    # would change every output that S feeds on those versions.
+    mon = WorkloadMonitor(MonitorConfig(smoothing_coefficient=0.3, initial_estimate=1.0))
+    for eta in [1.0] + [1e-16] * 10:
+        mon.on_batch_completed(eta)
+    assert mon.update_estimate() == 0.3 * (1.0 / 11) + 0.7 * 1.0
