@@ -9,11 +9,19 @@ takes effect at the next timer fire. In vanilla mode, and before
 ``control_start``, the interval stays fixed and the tick only logs S and the
 rates.
 
-Timer fires, control ticks, window closes, job completions and the trace end
-are events on a heap. Blocks are not: before each event, a block clock in
-``run`` seals every block that ends at or before the event's time, so at
-equal timestamps a block always comes first. A job starts as soon as the
-worker is free and a batch waits; only its completion is an event.
+Only window closes, control ticks and the trace end are events on a heap,
+as ``(time, rank)`` entries. The batch timer and the worker are two clocks
+inside ``run``: the next fire time, and the running job as
+``(done_at, rank, batch, started_at)``. Before each heap event, ``run`` takes
+the earlier of the job's completion and the timer fire, by ``(time, rank)``,
+for as long as it comes before the heap event. A completion logs the batch's
+row and may start the next queued batch; a fire seals a batch, queues it and
+starts it if the worker is idle. Every source has at most one pending event
+and a rank of its own, so ``(time, rank)`` orders any two pending events and
+no tie is left to break. Before a fire or a heap event, a block clock seals
+every block that ends by its time, so at equal timestamps a block always
+comes first; a completion reads no block. At the trace end the blocks sealed
+since the last fire count as one more batch, which never runs.
 
 The receiver's counts are filled ``FILL_BLOCKS`` blocks at a time: one
 ``block_integrals`` call for the chunk's expected counts, jitter drawn in
@@ -65,12 +73,14 @@ _TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start
                 "controller.control_period", "tracker.resample_interval")
 
 
-# Event kinds, as heap ranks: at equal timestamps the lower rank fires first.
-# Jobs complete before windows close, windows close before the controller
-# reads them, and the controller runs before the timer fires, so every
-# consumer sees the freshest state a coinciding producer left behind. A job
-# that takes no time completes after the other events of the instant it
-# started in (INSTANT_JOB_COMPLETE).
+# Event ranks: at equal timestamps the lower rank runs first. Jobs complete
+# before windows close, windows close before the controller reads them, and
+# the controller runs before the timer fires, so every consumer sees the
+# freshest state a coinciding producer left behind. A job that takes no time
+# completes after the other events of the instant it started in
+# (INSTANT_JOB_COMPLETE), and the trace end comes last. Only
+# RATE_WINDOW_CLOSE, CONTROL_TICK and TRACE_END are heap entries; run()
+# compares the timer's and the job's ranks with the heap event's.
 (JOB_COMPLETE, RATE_WINDOW_CLOSE, CONTROL_TICK, BATCH_TIMER_FIRE,
  INSTANT_JOB_COMPLETE, TRACE_END) = range(6)
 
@@ -184,14 +194,6 @@ class MetricsLog:
     total_batch_records: int = 0
     batch_count: int = 0  # batches completed, one BatchRow each
 
-    @property
-    def batches(self) -> list[BatchRow]:
-        return [r for r in self.rows if isinstance(r, BatchRow)]
-
-    @property
-    def ticks(self) -> list[ControlRow]:
-        return [r for r in self.rows if isinstance(r, ControlRow)]
-
 
 class MicrobatchEngine:
     """Single-run engine; construct, call run() once, read the metrics log."""
@@ -207,21 +209,12 @@ class MicrobatchEngine:
             self.controller = FuzzyController(
                 config.controller, self.tracker, self.monitor,
                 rule_table=rule_table)
-        self._heap: list = []  # (fire_at, rank, sequence, payload)
-        self._sequence = 0
+        self._heap: list = []  # (fire_at, rank)
         self._ran = False
-        self._ended = False
         self._current_interval = config.initial_interval
         self._pending_interval: Optional[int] = None
-        self._last_fire_at = 0
-        # Records and non-empty blocks in every block sealed so far, and the
-        # same totals at the last batch seal; records at the last window close.
-        self._sealed_records = self._sealed_blocks = 0
-        self._batched_records = self._batched_blocks = 0
-        self._reported_records = 0
-        self._batch_queue: deque[Batch] = deque()
-        self._worker_busy = False
-        self._next_batch_id = 0
+        # Records in every block sealed so far, and at the last window close.
+        self._sealed_records = self._reported_records = 0
         self._rng = random.Random(config.seed)
         self.log = MetricsLog(block_interval=config.block_interval)
 
@@ -242,45 +235,105 @@ class MicrobatchEngine:
         self._pending_interval = new_interval
 
     def run(self) -> MetricsLog:
+        """Run the trace to its end and return the metrics log."""
         if self._ran:
             raise ModeError("engine instances are single-run")
         self._ran = True
         cfg = self.config
-        self._schedule(cfg.tracker.resample_interval, RATE_WINDOW_CLOSE)
-        self._schedule(cfg.controller.control_period, CONTROL_TICK)
-        self._schedule(cfg.initial_interval, BATCH_TIMER_FIRE)
-        self._schedule(cfg.duration, TRACE_END)
-        handlers = (  # indexed by rank
-            self._on_job_complete,
-            self._on_rate_window_close,
-            self._on_control_tick,
-            self._on_batch_timer_fire,
-            self._on_job_complete,
-            self._on_trace_end,
-        )
+        heap = self._heap = [(cfg.tracker.resample_interval, RATE_WINDOW_CLOSE),
+                             (cfg.controller.control_period, CONTROL_TICK),
+                             (cfg.duration, TRACE_END)]
+        heapq.heapify(heap)
+        cost = cfg.cost_model.cost
+        on_batch_completed = self.monitor.on_batch_completed
+        rows = self.log.rows
         # The block clock. Counts of blocks first .. first + len(records) - 2
         # are filled in; records[j] and nonempty[j] are the running totals
-        # over blocks 0 .. first + j - 1.
+        # over blocks 0 .. first + j - 1. batched_* are the same totals at
+        # the last batch seal.
         block = cfg.block_interval
         n_blocks = cfg.duration // block
         first, records, nonempty = 0, [0], [0]
-        heap, pop = self._heap, heapq.heappop
-        while heap and not self._ended:
-            fire_at, rank, _, payload = pop(heap)
-            # Seal every block that ends by this event, so that at equal
-            # timestamps blocks come before any other event. No event fires
-            # after the trace end, so no block ends after it either.
-            j = int(fire_at // block) - first
-            while j >= len(records):
-                first += len(records) - 1
-                j -= len(records) - 1
-                counts = self._block_counts(first, min(FILL_BLOCKS, n_blocks - first))
-                records = list(accumulate(counts, initial=records[-1]))
-                nonempty = list(accumulate(map(bool, counts), initial=nonempty[-1]))
-            self._sealed_records, self._sealed_blocks = records[j], nonempty[j]
-            handlers[rank](fire_at, payload)
-        self.log.total_generated = self.log.total_block_records = self._sealed_records
-        return self.log
+        batched_records = batched_blocks = 0
+        # The timer clock: the next fire, the last one and the interval
+        # between them; the worker clock: the running job as
+        # (done_at, rank, batch, started_at), or None when the worker is idle.
+        fire, last_fire, interval = cfg.initial_interval, 0, cfg.initial_interval
+        job = None
+        queue: deque[Batch] = deque()
+        next_batch_id = batch_records = completed = 0
+        at, rank = heapq.heappop(heap)
+        while True:
+            # The next event is the earliest, by (time, rank), of the job's
+            # completion, the timer fire and the heap event (at, rank).
+            if fire < at or fire == at and rank > BATCH_TIMER_FIRE:
+                now, kind = fire, BATCH_TIMER_FIRE
+            else:
+                now, kind = at, rank
+            if job is not None and (job[0] < now or job[0] == now and job[1] < kind):
+                now, _, batch, started_at = job
+                job = None
+                # float() keeps the delays floats when every time is an int,
+                # as summary.json writes them.
+                sched = started_at - float(batch.generated_at)
+                proc = now - started_at
+                total = sched + proc
+                eta = total / float(batch.interval_used)
+                rows.append(BatchRow(now, batch.batch_id, batch.interval_used,
+                                     batch.record_count, batch.block_count,
+                                     sched, proc, total, eta))
+                completed += 1
+                if total > 0:
+                    on_batch_completed(eta)
+                else:
+                    log.debug("batch %d completed with zero delay, no workload sample",
+                              batch.batch_id)
+            else:
+                # Seal every block that ends by now. No event runs after the
+                # trace end, so no block ends after it either.
+                k = int(now // block)
+                while k - first >= len(records):
+                    first += len(records) - 1
+                    counts = self._block_counts(first, min(FILL_BLOCKS, n_blocks - first))
+                    records = list(accumulate(counts, initial=records[-1]))
+                    nonempty = list(accumulate(map(bool, counts), initial=nonempty[-1]))
+                sealed_records = records[k - first]
+                if kind == BATCH_TIMER_FIRE:
+                    # Group every unsealed block into the next batch.
+                    sealed_blocks = nonempty[k - first]
+                    batch = Batch(next_batch_id, sealed_records - batched_records,
+                                  sealed_blocks - batched_blocks, now, now - last_fire)
+                    queue.append(batch)
+                    next_batch_id += 1
+                    batch_records += batch.record_count
+                    batched_records, batched_blocks, last_fire = sealed_records, sealed_blocks, now
+                    if self._pending_interval is not None:
+                        self._current_interval = interval = self._pending_interval
+                        self._pending_interval = None
+                    # A fire after the trace end never comes before it.
+                    fire = now + interval
+                elif kind == TRACE_END:
+                    break
+                else:
+                    self._sealed_records = sealed_records
+                    if kind == RATE_WINDOW_CLOSE:
+                        self._on_rate_window_close(now)
+                    else:
+                        self._on_control_tick(now)
+                    at, rank = heapq.heappop(heap)
+            if job is None and queue:
+                batch = queue.popleft()
+                done_at = now + cost(batch.record_count, batch.block_count)
+                job = (done_at, JOB_COMPLETE if done_at > now else INSTANT_JOB_COMPLETE,
+                       batch, now)
+        # Whatever the receiver still holds is sealed as one last batch, which
+        # never runs because simulated time stops here, so the ledger balances.
+        batch_records += sealed_records - batched_records
+        metrics = self.log
+        metrics.total_generated = metrics.total_block_records = sealed_records
+        metrics.total_batch_records = batch_records
+        metrics.batch_count = completed
+        return metrics
 
     def _block_counts(self, first: int, n: int) -> list[int]:
         """Record counts of blocks first .. first + n - 1: each block's
@@ -296,63 +349,9 @@ class MicrobatchEngine:
                     for e in expected]
         return [floor(e + 0.5) for e in expected]
 
-    def _schedule(self, fire_at: float, rank: int, payload=None) -> None:
-        heapq.heappush(self._heap, (fire_at, rank, self._sequence, payload))
-        self._sequence += 1
+    # -- heap event handlers ------------------------------------------------
 
-    def _seal(self, now: float, interval_used: int) -> Batch:
-        """Group every unsealed block into the next batch."""
-        records, blocks = self._sealed_records, self._sealed_blocks
-        batch = Batch(self._next_batch_id, records - self._batched_records,
-                      blocks - self._batched_blocks, int(now), interval_used)
-        self._batched_records, self._batched_blocks = records, blocks
-        self._next_batch_id += 1
-        self.log.total_batch_records += batch.record_count
-        return batch
-
-    # -- event handlers -----------------------------------------------------
-
-    def _on_batch_timer_fire(self, now: float, _payload) -> None:
-        self._batch_queue.append(self._seal(now, int(now) - self._last_fire_at))
-        self._last_fire_at = int(now)
-        if self._pending_interval is not None:
-            self._current_interval = self._pending_interval
-            self._pending_interval = None
-        nxt = now + self._current_interval
-        if nxt <= self.config.duration:
-            self._schedule(nxt, BATCH_TIMER_FIRE)
-        self._maybe_start_job(now)
-
-    def _maybe_start_job(self, now: float) -> None:
-        if self._worker_busy or not self._batch_queue:
-            return
-        batch = self._batch_queue.popleft()
-        self._worker_busy = True
-        done_at = now + self.config.cost_model.cost(batch.record_count, batch.block_count)
-        rank = JOB_COMPLETE if done_at > now else INSTANT_JOB_COMPLETE
-        self._schedule(done_at, rank, payload=(batch, now))
-
-    def _on_job_complete(self, now: float, payload) -> None:
-        batch, started_at = payload
-        self._worker_busy = False
-        # float() keeps the delays floats when every time is an int, as
-        # summary.json writes them.
-        sched = started_at - float(batch.generated_at)
-        proc = now - started_at
-        total = sched + proc
-        eta = total / float(batch.interval_used)
-        self.log.rows.append(BatchRow(now, batch.batch_id, batch.interval_used,
-                                      batch.record_count, batch.block_count,
-                                      sched, proc, total, eta))
-        self.log.batch_count += 1
-        if total > 0:
-            self.monitor.on_batch_completed(eta)
-        else:
-            log.debug("batch %d completed with zero delay, no workload sample",
-                      batch.batch_id)
-        self._maybe_start_job(now)
-
-    def _on_rate_window_close(self, now: float, _payload) -> None:
+    def _on_rate_window_close(self, now: int) -> None:
         # Each closed window logs the forecast for the window after it: None
         # while there is no model, even with prediction off (unlike the
         # control tick's q_next, see TrafficTracker.control_rates). The
@@ -376,11 +375,9 @@ class MicrobatchEngine:
                 rate_measured=rec.rate,
                 rate_predicted_next=predicted,
             ))
-        nxt = now + w
-        if nxt <= self.config.duration:
-            self._schedule(nxt, RATE_WINDOW_CLOSE)
+        heapq.heappush(self._heap, (now + w, RATE_WINDOW_CLOSE))
 
-    def _on_control_tick(self, now: float, _payload) -> None:
+    def _on_control_tick(self, now: int) -> None:
         if self.controller is not None and now >= self.config.control_start:
             row = self.controller.control_step(now, self._current_interval)
             if row.interval_ms != self._current_interval:
@@ -392,16 +389,8 @@ class MicrobatchEngine:
             row = ControlRow(now, self._current_interval, s, q_now, q_next,
                              None, None, None)
         self.log.rows.append(row)
-        nxt = now + self.config.controller.control_period
-        if nxt <= self.config.duration:
-            self._schedule(nxt, CONTROL_TICK)
-
-    def _on_trace_end(self, now: float, _payload) -> None:
-        # Seal whatever the receiver still holds so the record ledger balances;
-        # the sealed batch is never executed because simulated time stops here.
-        if self._sealed_blocks > self._batched_blocks:
-            self._seal(now, max(int(now) - self._last_fire_at, self.config.block_interval))
-        self._ended = True
+        heapq.heappush(self._heap, (now + self.config.controller.control_period,
+                                    CONTROL_TICK))
 
 
 def run(config: EngineConfig, trace: RateFunction,

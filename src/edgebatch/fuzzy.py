@@ -129,7 +129,7 @@ class RuleTable:
     def load(cls, path: str | Path) -> "RuleTable":
         """Read a 5x5 table, one comma-separated row per line, D rows NB..PB."""
         rows: list[tuple[int, ...]] = []
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

@@ -143,13 +143,21 @@ def _build_trace(cfg: dict, base_dir: Path) -> traces.RateFunction:
         path = Path(name)
         if not path.is_absolute():
             path = base_dir / path
-    mode = _take_str(cfg, "trace.mode", default="rate", choices=("rate", "count"))
-    return traces.from_csv(
-        path,
-        count_mode=(mode == "count"),
-        time_scale=_take_float(cfg, "trace.time_scale", 1.0),
-        rate_scale=_take_float(cfg, "trace.rate_scale", 1.0),
-    )
+    count_mode = _take_str(cfg, "trace.mode", default="rate",
+                           choices=("rate", "count")) == "count"
+    time_scale = _take_float(cfg, "trace.time_scale", 1.0)
+    rate_scale = _take_float(cfg, "trace.rate_scale", 1.0)
+    return _read("trace", path, lambda p: traces.from_csv(
+        p, count_mode=count_mode, time_scale=time_scale, rate_scale=rate_scale))
+
+
+def _read(what: str, path: Path, load):
+    """load(path), where a file that cannot be opened or is not UTF-8 text
+    becomes a UsageError that names it."""
+    try:
+        return load(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
         path = Path(rules_path)
         if not path.is_absolute():
             path = base_dir / path
-        rule_table = RuleTable.load(path)
+        rule_table = _read("rules", path, RuleTable.load)
 
     engine = EngineConfig(
         controller=controller,
@@ -221,10 +229,7 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    text = _read("config", path, lambda p: p.read_text(encoding="utf-8"))
     return parse_config_text(text, source=str(path))
 
 
@@ -302,8 +307,9 @@ def overload_recovery(ticks) -> Optional[float]:
 
 
 def summarize(log: MetricsLog) -> SummaryReport:
-    batches = log.batches
-    ticks = log.ticks
+    batches, ticks = [], []
+    for row in log.rows:
+        (batches if type(row) is BatchRow else ticks).append(row)
 
     errs = prediction_error_pairs(log.windows)
     conv = convergence_time(ticks, log.block_interval)

@@ -265,7 +265,7 @@ def load_trace_rows(path: str | Path) -> list[tuple[float, float]]:
     """
     rows: list[tuple[float, float]] = []
     seen_header = False
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:

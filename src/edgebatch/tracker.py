@@ -20,6 +20,7 @@ a frozen ``__init__`` sets each field through ``object.__setattr__``.
 from __future__ import annotations
 
 import logging
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -49,6 +50,8 @@ class TrackerConfig:
             raise ConfigError("resample_interval must be positive")
         if self.train_num < grey.MIN_TRAIN_LEN:
             raise ConfigError(f"train_num must be >= {grey.MIN_TRAIN_LEN}")
+        if self.train_num > sys.maxsize:  # the longest deque there can be
+            raise ConfigError(f"train_num must be at most {sys.maxsize}")
 
 
 class TrafficTracker:

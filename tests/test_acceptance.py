@@ -16,6 +16,8 @@ import pytest
 from edgebatch import engine, fuzzy, grey, harness, traces
 from edgebatch.engine import VANILLA
 
+from log_rows import split_rows
+
 
 def run_preset(name, **kw):
     spec = harness.load_preset(name, **kw)
@@ -139,7 +141,7 @@ def test_criterion_03_online_sinusoid_error(exp3):
 
 def test_criterion_04_exp1_convergence(exp1):
     spec, log = exp1
-    ticks = log.ticks
+    _, ticks = split_rows(log)
     conv = harness.convergence_time(ticks, log.block_interval)
     limit = spec.engine.control_start + 60_000
     assert conv is not None and conv <= limit, (conv, limit)
@@ -160,7 +162,7 @@ def test_criterion_04_exp1_convergence(exp1):
 def test_criterion_05_exp2_step_response(exp2):
     spec, log = exp2
     step_at = 150_000  # trace.switch in the exp2 preset
-    post = [t for t in log.ticks if t.time_ms >= step_at]
+    post = [t for t in split_rows(log)[1] if t.time_ms >= step_at]
     restab = harness.convergence_time(post, log.block_interval)
     assert restab is not None and restab - step_at <= 150_000, restab
 
@@ -188,8 +190,8 @@ def interval_churn(ticks):
 def test_criterion_06_prediction_reduces_churn(exp3, exp3_nopred):
     _, log_on = exp3
     _, log_off = exp3_nopred
-    churn_on = interval_churn(log_on.ticks)
-    churn_off = interval_churn(log_off.ticks)
+    churn_on = interval_churn(split_rows(log_on)[1])
+    churn_off = interval_churn(split_rows(log_off)[1])
     assert churn_on <= churn_off, (churn_on, churn_off)
     print(f"criterion 6: PASS (mean |interval change| {churn_on:.1f} ms with "
           f"prediction vs {churn_off:.1f} ms without)")
@@ -214,10 +216,11 @@ def overload_episode_lengths(ticks):
 
 def test_criterion_07_overload_suppression(exp3):
     spec, log = exp3
-    episodes = overload_episode_lengths(log.ticks)
+    batches, ticks = split_rows(log)
+    episodes = overload_episode_lengths(ticks)
     assert all(n <= 10 for n in episodes), episodes
 
-    delays = [b.total_delay_ms for b in log.batches
+    delays = [b.total_delay_ms for b in batches
               if b.time_ms >= spec.engine.control_start]
     med = statistics.median(delays)
     ratio = max(delays) / med
@@ -239,13 +242,13 @@ def longest_strict_growth(svals):
 
 def test_criterion_08_vanilla_accumulation(day, day_vanilla):
     _, log_v = day_vanilla
-    sv = [t.workload_s for t in log_v.ticks]
+    sv = [t.workload_s for t in split_rows(log_v)[1]]
     onset = next(i for i, s in enumerate(sv) if s > 1.0)
     assert all(b > a for a, b in zip(sv[onset:], sv[onset + 1:]))
     assert sv[-1] > 5.0, sv[-1]
 
     _, log_a = day
-    sa = [t.workload_s for t in log_a.ticks]
+    sa = [t.workload_s for t in split_rows(log_a)[1]]
     s_avg = mean(sa)
     growth = longest_strict_growth(sa)
     assert s_avg < 1.1, s_avg
@@ -274,8 +277,8 @@ def test_criterion_09_day_latency_and_restraint(day):
     log_v = engine.run(vanilla_cfg, spec.trace, spec.rule_table)
 
     third = spec.engine.duration // 3
-    low_a = mean([b.total_delay_ms for b in log_a.batches if b.time_ms < third])
-    low_v = mean([b.total_delay_ms for b in log_v.batches if b.time_ms < third])
+    low_a = mean([b.total_delay_ms for b in split_rows(log_a)[0] if b.time_ms < third])
+    low_v = mean([b.total_delay_ms for b in split_rows(log_v)[0] if b.time_ms < third])
     ratio = low_a / low_v
     assert ratio <= 0.65, ratio
 
@@ -293,7 +296,7 @@ def test_criterion_09_day_latency_and_restraint(day):
     seg0 = wrates[lo][0]
     seg1 = wrates[hi][0] + spec.engine.tracker.resample_interval
 
-    seg_ticks = [t for t in log_a.ticks if seg0 <= t.time_ms < seg1]
+    seg_ticks = [t for t in split_rows(log_a)[1] if seg0 <= t.time_ms < seg1]
     assert seg_ticks
     r_seg = max(r for t, r in wrates if seg0 <= t < seg1)
     optimal = block

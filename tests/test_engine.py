@@ -1,9 +1,14 @@
+import heapq
+from itertools import accumulate
+
 import pytest
 
 from edgebatch import traces
 from edgebatch.engine import (
     ADAPTIVE,
+    CONTROL_TICK,
     MAX_TIME_MS,
+    RATE_WINDOW_CLOSE,
     VANILLA,
     BatchRow,
     ControlRow,
@@ -16,6 +21,8 @@ from edgebatch.errors import ConfigError, DomainError, ModeError
 from edgebatch.fuzzy import ControllerConfig
 from edgebatch.tracker import TrackerConfig
 from edgebatch.workload import MonitorConfig
+
+from log_rows import split_rows
 
 
 def make_config(**kw):
@@ -43,7 +50,7 @@ def test_cost_model_validation():
 
 def test_blocks_per_batch_and_quantization():
     log = run(make_config(initial_interval=1600), traces.constant(1000.0))
-    batches = log.batches
+    batches, _ = split_rows(log)
     assert batches
     for row in batches:
         assert row.blocks == 8
@@ -54,7 +61,7 @@ def test_blocks_per_batch_and_quantization():
 def test_steady_state_delays():
     log = run(make_config(), traces.constant(1000.0))
     # cost = 100 + 0.4*2000 + 10*10 = 1000 ms against a 2000 ms interval
-    tail = log.batches[3:]
+    tail = split_rows(log)[0][3:]
     for row in tail:
         assert row.sched_delay_ms == pytest.approx(0.0)
         assert row.proc_delay_ms == pytest.approx(1000.0)
@@ -68,11 +75,12 @@ def test_batch_row_splits_delays():
                     duration=5000),
         traces.constant(1000.0))
     log = engine.run()
-    assert log.batches == [
+    batches, _ = split_rows(log)
+    assert batches == [
         BatchRow(2500.0, 0, 1000, 1000, 5, 0.0, 1500.0, 1500.0, 1.5),
         BatchRow(4000.0, 1, 1000, 1000, 5, 500.0, 1500.0, 2000.0, 2.0),
     ]
-    for row in log.batches:
+    for row in batches:
         assert type(row.sched_delay_ms) is type(row.total_delay_ms) is float
     # Both samples are still pending: 1.75 is the mean of 1.5 and 2.0.
     assert engine.monitor.update_estimate() == pytest.approx(0.3 * 1.75 + 0.7)
@@ -80,8 +88,9 @@ def test_batch_row_splits_delays():
 
 def test_zero_rate_batches_cost_fixed_overhead():
     log = run(make_config(), traces.constant(0.0))
-    assert log.batches
-    for row in log.batches:
+    batches, _ = split_rows(log)
+    assert batches
+    for row in batches:
         assert row.records == 0
         assert row.blocks == 0
         assert row.total_delay_ms == pytest.approx(100.0)
@@ -122,7 +131,7 @@ def test_jitter_changes_with_seed_but_not_rerun():
 def test_control_rows_present_and_gated():
     log = run(make_config(mode=ADAPTIVE, duration=100_000, control_start=30_000),
               traces.constant(1000.0))
-    ticks = log.ticks
+    _, ticks = split_rows(log)
     assert [t.time_ms for t in ticks] == [10_000 * k for k in range(1, 11)]
     for t in ticks:
         if t.time_ms < 30_000:
@@ -134,7 +143,7 @@ def test_control_rows_present_and_gated():
 
 def test_vanilla_mode_never_adjusts():
     log = run(make_config(duration=240_000), traces.step(500.0, 4000.0, 60_000))
-    for t in log.ticks:
+    for t in split_rows(log)[1]:
         assert t.interval_ms == 2000
         assert t.fuzzy_level is None
 
@@ -142,29 +151,47 @@ def test_vanilla_mode_never_adjusts():
 def test_vanilla_overload_grows_monotonically():
     log = run(make_config(duration=240_000), traces.step(500.0, 4000.0, 60_000))
     # cost at 4000 rec/s: 100 + 0.4*8000 + 100 = 3400 ms > 2000 ms interval
-    late = [t.workload_s for t in log.ticks if t.time_ms >= 90_000]
+    late = [t.workload_s for t in split_rows(log)[1] if t.time_ms >= 90_000]
     assert all(b > a for a, b in zip(late, late[1:]))
     assert late[-1] > 1.5
 
 
 def test_set_interval_takes_effect_next_fire():
-    cfg = make_config(mode=ADAPTIVE, duration=10_000, control_start=1_000_000)
+    # A control tick at 3000 ms, between the fires at 2000 and 4000 ms,
+    # stages 1600 ms: the 4000 ms fire still comes after the old interval.
+    cfg = make_config(mode=ADAPTIVE, duration=10_000, control_start=1_000_000,
+                      controller=ControllerConfig(block_interval=200, min_interval=400,
+                                                  max_interval=6000, control_period=3000))
     engine = MicrobatchEngine(cfg, traces.constant(1000.0))
-    fired = []
+    tick = engine._on_control_tick
 
-    original = engine._on_batch_timer_fire
-
-    def spy(now, payload):
-        fired.append((now, engine.current_interval))
-        original(now, payload)
-        if now == 2000:
+    def tick_and_stage(now):
+        tick(now)
+        if now == 3000:
             engine.set_interval(1600)
 
-    engine._on_batch_timer_fire = spy
-    handlers_patch = engine.run  # run wires handlers from bound methods at call time
-    handlers_patch()
-    times = [t for t, _ in fired]
-    assert times[:4] == [2000, 4000, 5600, 7200]
+    engine._on_control_tick = tick_and_stage
+    batches, _ = split_rows(engine.run())
+    # Each batch's interval_ms is the time since the fire before it.
+    fired = list(accumulate(b.interval_ms for b in batches))
+    assert fired[:4] == [2000, 4000, 5600, 7200]
+
+
+def test_heap_holds_only_window_closes_ticks_and_the_trace_end(monkeypatch):
+    # Timer fires and job completions are clocks inside run(), not heap events.
+    pushed = []
+    push = heapq.heappush
+
+    def recording_push(heap, entry):
+        push(heap, entry)
+        pushed.append(entry)
+        assert len(heap) <= 3
+
+    monkeypatch.setattr(heapq, "heappush", recording_push)
+    log = run(make_config(mode=ADAPTIVE, duration=60_000, control_start=0),
+              traces.constant(1000.0))
+    assert {rank for _, rank in pushed} == {RATE_WINDOW_CLOSE, CONTROL_TICK}
+    assert log.batch_count > len(pushed)
 
 
 def test_set_interval_validation():
@@ -193,9 +220,10 @@ def test_adaptive_constant_rate_interval_settles():
         cost_model=JobCostModel(896.0, 0.33, 8.0),
     )
     log = run(cfg, traces.constant(1000.0))
-    late = [t.interval_ms for t in log.ticks if t.time_ms >= 150_000]
+    _, ticks = split_rows(log)
+    late = [t.interval_ms for t in ticks if t.time_ms >= 150_000]
     assert len(set(late)) <= 2  # settles instead of hunting
-    final_s = [t.workload_s for t in log.ticks][-1]
+    final_s = ticks[-1].workload_s
     assert 0.7 <= final_s <= 1.05
 
 

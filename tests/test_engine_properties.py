@@ -11,11 +11,21 @@ totals off running sums. Each run is also checked against a receiver that
 does it one block at a time: the integral of the block, a jitter factor from
 ``uniform(-1.0, 1.0)`` and ``floor(x + 0.5)``, on the same seed. Every batch
 and every window must hold exactly that receiver's records.
+
+The engine keeps the batch timer and the worker off its event heap. Each run
+is also checked against a reference loop that puts all five event sources
+(job completions, window closes, control ticks, timer fires and the trace
+end) on one heap, ordered by time, rank and sequence number, and feeds the
+tracker one block at a time from the per-block receiver. Its rows, windows,
+batch count and record totals must equal the engine's, field for field.
 """
 
+import heapq
+import itertools
 import math
 import random
 import tempfile
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -23,13 +33,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgebatch import traces
-from edgebatch.engine import ADAPTIVE, VANILLA, EngineConfig, JobCostModel, run
-from edgebatch.fuzzy import ControllerConfig
+from edgebatch.engine import (
+    ADAPTIVE,
+    VANILLA,
+    Batch,
+    BatchRow,
+    EngineConfig,
+    JobCostModel,
+    MetricsLog,
+    WindowRow,
+    run,
+)
+from edgebatch.fuzzy import ControllerConfig, ControlRow, FuzzyController
 from edgebatch.grey import MIN_TRAIN_LEN
 from edgebatch.harness import METRICS_COLUMNS, write_metrics
-from edgebatch.tracker import TrackerConfig
+from edgebatch.tracker import TrackerConfig, TrafficTracker
+from edgebatch.workload import WorkloadMonitor
+
+from log_rows import split_rows
 
 RATES = st.integers(0, 5000).map(float)
+# Stretches of zero rate make empty batches, which cost nothing when the
+# cost has no fixed part: a job for one completes in the instant it starts.
+RATES_OR_ZERO = st.one_of(st.just(0.0), RATES)
 # Whole numbers make costs and events land on the same millisecond often.
 # With a 200 ms block, a job started on a block boundary and costing 200.0
 # completes on the next one, and one costing 199.99999999999994 completes at
@@ -56,16 +82,39 @@ def csv_traces(draw, count_mode: bool):
     t = draw(st.integers(-30, 30))
     rows = []
     for _ in range(draw(st.integers(2, 12))):
-        rows.append((t, draw(RATES)))
+        rows.append((t, draw(RATES_OR_ZERO)))
         t += draw(st.integers(1, 120))
     time_scale = draw(st.sampled_from([1.0, 1 / 6, 1 / 60, 0.37]))
     return csv_trace(rows, count_mode, time_scale, draw(st.sampled_from([1.0, 6.0, 21.6])))
 
 
 @st.composite
+def job_costs(draw, block: int, control_period: int):
+    """Cost models. Zero costs give jobs that complete in the instant they
+    start; whole multiples of the block or the control period give jobs that
+    complete on timer fires, window closes, control ticks or the trace end.
+    With no fixed part and a per-block cost of twice the unit, batches of
+    non-empty blocks overload the worker and empty ones cost nothing, so a
+    job that completes on another event can start one that completes in
+    that same instant."""
+    kind = draw(st.sampled_from(["any", "zero", "blocks", "periods"]))
+    if kind == "any":
+        return JobCostModel(draw(COSTS), draw(st.sampled_from([0.0, 0.25, 1.0, 2.0])),
+                            draw(st.sampled_from([0.0, 8.0, 100.0])))
+    if kind == "zero":
+        return JobCostModel(0.0, 0.0, 0.0)
+    unit = float(block if kind == "blocks" else control_period)
+    return JobCostModel(draw(st.one_of(st.just(0), st.integers(1, 10))) * unit, 0.0,
+                        draw(st.sampled_from([0.0, unit, 2 * unit])))
+
+
+@st.composite
 def engine_runs(draw, jitter: bool):
     block = draw(st.sampled_from([100, 200, 250]))
-    duration = draw(st.integers(block, 90_000))
+    # A duration that is a block multiple ends the trace on a timer fire now
+    # and then.
+    duration = draw(st.one_of(st.integers(block, 90_000),
+                              st.integers(1, 90_000 // block).map(lambda k: k * block)))
     min_blocks = draw(st.integers(1, 10))
     max_blocks = draw(st.integers(min_blocks, 30))
     mode = draw(st.sampled_from([ADAPTIVE, VANILLA]))
@@ -74,28 +123,40 @@ def engine_runs(draw, jitter: bool):
     else:
         initial_blocks = draw(st.integers(1, 30))
     train_num = draw(st.integers(MIN_TRAIN_LEN, 8))
-    kind = draw(st.sampled_from(["constant", "step", "sinusoid", "csv-count", "csv-rate"]))
+    kind = draw(st.sampled_from(["constant", "step", "sinusoid", "csv-count", "csv-rate",
+                                 "on-off"]))
     if kind == "constant":
         trace = traces.constant(draw(RATES))
     elif kind == "step":
-        trace = traces.step(draw(RATES), draw(RATES), draw(st.integers(0, duration)))
+        trace = traces.step(draw(RATES_OR_ZERO), draw(RATES_OR_ZERO),
+                            draw(st.integers(0, duration)))
     elif kind.startswith("csv"):
         trace = draw(csv_traces(count_mode=kind == "csv-count"))
+    elif kind == "on-off":
+        # Bursts between silences: an overloaded worker queues empty batches
+        # behind full ones.
+        rows, t = [], 0
+        for i in range(draw(st.integers(2, 12))):
+            rows.append((t, 0.0 if i % 2 else draw(RATES)))
+            t += draw(st.integers(1, 20))
+        trace = csv_trace(rows, True, 1.0, 1.0)
     else:
         base = draw(RATES)
         trace = traces.sinusoid(base, draw(st.floats(0.0, base)),
                                 draw(st.integers(1_000, 200_000)))
+    # A control period of one block puts a tick on every block boundary.
+    control_period = (draw(st.one_of(st.just(1), st.integers(1, 40)))
+                      * draw(st.sampled_from([block, 333])))
     config = EngineConfig(
         controller=ControllerConfig(
             block_interval=block,
             min_interval=min_blocks * block,
             max_interval=max_blocks * block,
-            control_period=draw(st.integers(1, 40)) * draw(st.sampled_from([block, 333])),
+            control_period=control_period,
             prediction_enabled=draw(st.booleans()),
             step_blocks=draw(st.integers(1, 3)),
         ),
-        cost_model=JobCostModel(draw(COSTS), draw(st.sampled_from([0.0, 0.25, 1.0, 2.0])),
-                                draw(st.sampled_from([0.0, 8.0, 100.0]))),
+        cost_model=draw(job_costs(block, control_period)),
         duration=duration,
         initial_interval=initial_blocks * block,
         block_interval=block,
@@ -129,7 +190,7 @@ def check_against_per_block_receiver(config, trace, log):
     # Batch k holds the blocks that ended after the timer fire that sealed
     # batch k - 1 and by its own; each fire is the last plus the interval used.
     fired = 0
-    for b in log.batches:
+    for b in split_rows(log)[0]:
         sealed = counts[fired // block:(fired + b.interval_ms) // block]
         assert (b.records, b.blocks) == (sum(sealed), sum(c > 0 for c in sealed))
         fired += b.interval_ms
@@ -141,12 +202,149 @@ def check_against_per_block_receiver(config, trace, log):
     assert len(log.windows) == config.duration // config.tracker.resample_interval
 
 
+# Event ranks of the reference loop: at equal times the lower rank runs first.
+(JOB_COMPLETE, RATE_WINDOW_CLOSE, CONTROL_TICK, BATCH_TIMER_FIRE,
+ INSTANT_JOB_COMPLETE, TRACE_END) = range(6)
+
+
+class HeapReference:
+    """Every event on one heap as (time, rank, sequence, payload), each timer
+    fire and job completion included, fed by the per-block receiver: every
+    block that ends by an event is sealed, and reported to the tracker on
+    its own, before the event runs."""
+
+    def __init__(self, config, trace):
+        self.config = config
+        self.counts = per_block_counts(config, trace)
+        self.tracker = TrafficTracker(config.tracker)
+        self.monitor = WorkloadMonitor(config.monitor)
+        self.controller = None
+        if config.mode == ADAPTIVE:
+            self.controller = FuzzyController(config.controller, self.tracker, self.monitor)
+        self.log = MetricsLog(block_interval=config.block_interval)
+        self.heap = []
+        self.sequence = itertools.count()
+        self.interval = config.initial_interval
+        self.pending_interval = None
+        self.last_fire = 0
+        self.sealed = self.batched = 0  # blocks sealed, blocks in batches
+        self.next_batch_id = 0
+        self.queue = deque()
+        self.busy = False
+        self.ended = False
+
+    def schedule(self, at, rank, payload=None):
+        heapq.heappush(self.heap, (at, rank, next(self.sequence), payload))
+
+    def run(self):
+        cfg = self.config
+        self.schedule(cfg.tracker.resample_interval, RATE_WINDOW_CLOSE)
+        self.schedule(cfg.controller.control_period, CONTROL_TICK)
+        self.schedule(cfg.initial_interval, BATCH_TIMER_FIRE)
+        self.schedule(cfg.duration, TRACE_END)
+        handlers = {JOB_COMPLETE: self.job_complete, RATE_WINDOW_CLOSE: self.window_close,
+                    CONTROL_TICK: self.control_tick, BATCH_TIMER_FIRE: self.timer_fire,
+                    INSTANT_JOB_COMPLETE: self.job_complete, TRACE_END: self.trace_end}
+        while not self.ended:
+            at, rank, _, payload = heapq.heappop(self.heap)
+            block = cfg.block_interval
+            while (self.sealed + 1) * block <= at:
+                self.tracker.report_info(self.sealed * block, self.counts[self.sealed])
+                self.log.total_generated += self.counts[self.sealed]
+                self.sealed += 1
+            handlers[rank](at, payload)
+        self.log.total_block_records = self.log.total_generated
+        return self.log
+
+    def seal(self, now, interval_used):
+        blocks = self.counts[self.batched:self.sealed]
+        self.batched = self.sealed
+        self.log.total_batch_records += sum(blocks)
+        self.next_batch_id += 1
+        return Batch(self.next_batch_id - 1, sum(blocks), sum(c > 0 for c in blocks), now,
+                     interval_used)
+
+    def timer_fire(self, now, _):
+        self.queue.append(self.seal(now, now - self.last_fire))
+        self.last_fire = now
+        if self.pending_interval is not None:
+            self.interval, self.pending_interval = self.pending_interval, None
+        if now + self.interval <= self.config.duration:
+            self.schedule(now + self.interval, BATCH_TIMER_FIRE)
+        self.maybe_start_job(now)
+
+    def maybe_start_job(self, now):
+        if self.busy or not self.queue:
+            return
+        batch = self.queue.popleft()
+        self.busy = True
+        done_at = now + self.config.cost_model.cost(batch.record_count, batch.block_count)
+        self.schedule(done_at, JOB_COMPLETE if done_at > now else INSTANT_JOB_COMPLETE,
+                      (batch, now))
+
+    def job_complete(self, now, payload):
+        batch, started_at = payload
+        self.busy = False
+        sched = started_at - float(batch.generated_at)
+        proc = now - started_at
+        total = sched + proc
+        eta = total / float(batch.interval_used)
+        self.log.rows.append(BatchRow(now, batch.batch_id, batch.interval_used,
+                                      batch.record_count, batch.block_count,
+                                      sched, proc, total, eta))
+        self.log.batch_count += 1
+        if total > 0:
+            self.monitor.on_batch_completed(eta)
+        self.maybe_start_job(now)
+
+    def window_close(self, now, _):
+        prediction = self.config.controller.prediction_enabled
+        for rec in self.tracker.close_windows_upto(now):
+            self.tracker.train()
+            predicted = None
+            if self.tracker.model is not None:
+                predicted = self.tracker.predict_rate() if prediction else rec.rate
+            self.log.windows.append(WindowRow(rec.window_start, rec.window_len,
+                                              rec.rate, predicted))
+        if now + self.config.tracker.resample_interval <= self.config.duration:
+            self.schedule(now + self.config.tracker.resample_interval, RATE_WINDOW_CLOSE)
+
+    def control_tick(self, now, _):
+        cfg = self.config
+        if self.controller is not None and now >= cfg.control_start:
+            row = self.controller.control_step(now, self.interval)
+            if row.interval_ms != self.interval:
+                self.pending_interval = row.interval_ms
+        else:
+            s = self.monitor.update_estimate()
+            q_now, q_next = self.tracker.control_rates(cfg.controller.prediction_enabled)
+            row = ControlRow(now, self.interval, s, q_now, q_next, None, None, None)
+        self.log.rows.append(row)
+        if now + cfg.controller.control_period <= cfg.duration:
+            self.schedule(now + cfg.controller.control_period, CONTROL_TICK)
+
+    def trace_end(self, now, _):
+        if any(self.counts[self.batched:self.sealed]):
+            self.seal(now, now - self.last_fire)
+        self.ended = True
+
+
+def check_against_heap_reference(config, trace, log):
+    ref = HeapReference(config, trace).run()
+    assert log.rows == ref.rows
+    assert log.windows == ref.windows
+    assert log.batch_count == ref.batch_count
+    assert (log.total_generated, log.total_block_records, log.total_batch_records) == \
+        (ref.total_generated, ref.total_block_records, ref.total_batch_records)
+
+
 def check_invariants(config, trace):
     log = run(config, trace)
     assert log.total_generated == log.total_block_records == log.total_batch_records
     check_against_per_block_receiver(config, trace, log)
+    check_against_heap_reference(config, trace, log)
 
-    batches = log.batches
+    batches, ticks = split_rows(log)
     assert [b.batch_id for b in batches] == list(range(len(batches)))  # FIFO
     assert sum(b.records for b in batches) <= log.total_generated
     for b in batches:
@@ -164,7 +362,7 @@ def check_invariants(config, trace):
 
     if config.mode == ADAPTIVE:
         ctl = config.controller
-        for interval in {b.interval_ms for b in batches} | {t.interval_ms for t in log.ticks}:
+        for interval in {b.interval_ms for b in batches} | {t.interval_ms for t in ticks}:
             assert interval % config.block_interval == 0
             assert ctl.min_interval <= interval <= ctl.max_interval
 

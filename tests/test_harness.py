@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from edgebatch import engine, harness
+from edgebatch import engine, fuzzy, harness
 from edgebatch.harness import (
     METRICS_COLUMNS,
     PRESETS,
@@ -18,6 +18,8 @@ from edgebatch.harness import (
     summarize,
     write_metrics,
 )
+
+from log_rows import split_rows
 
 MINI = """\
 run.label = mini
@@ -162,18 +164,20 @@ def test_metrics_csv_shape(tmp_path):
             tick_rows += 1
             assert fields["workload_S"]
             assert fields["records"] == ""
-    assert batch_rows == len(log.batches)
-    assert tick_rows == len(log.ticks)
+    batches, ticks = split_rows(log)
+    assert batch_rows == len(batches)
+    assert tick_rows == len(ticks)
 
 
 def test_series_files_row_counts(tmp_path):
     log = run_mini()
     write_metrics(log, tmp_path)
+    batches, ticks = split_rows(log)
     counts = {
-        "series_interval.csv": len(log.ticks),
-        "series_workload.csv": len(log.ticks),
+        "series_interval.csv": len(ticks),
+        "series_workload.csv": len(ticks),
         "series_rate.csv": len(log.windows),
-        "series_delay.csv": len(log.batches),
+        "series_delay.csv": len(batches),
     }
     for name, expected in counts.items():
         lines = (tmp_path / name).read_text().splitlines()
@@ -209,7 +213,7 @@ def test_summary_json_matches_recomputation(tmp_path):
 def test_summary_conservation_against_log():
     log = run_mini()
     report = summarize(log)
-    assert report.records_processed == sum(b.records for b in log.batches)
+    assert report.records_processed == sum(b.records for b in split_rows(log)[0])
     assert log.total_batch_records == log.total_block_records
 
 
@@ -408,3 +412,50 @@ def test_cli_run_survives_a_window_series_grey_cannot_fit(tmp_path, capsys):
     forecasts = [line.split(",")[2] for line in
                  (out / "series_rate.csv").read_text().splitlines()[1:]]
     assert forecasts[:5] == [""] * 5 and forecasts[5] != ""
+
+
+RULES = "".join(",".join(map(str, row)) + "\n" for row in fuzzy.DEFAULT_TABLE.levels)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("what", ["trace", "rules", "config"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, what, case,
+                                                         command):
+    # A file that cannot be opened or decoded ended the run in a traceback.
+    (tmp_path / "trace.csv").write_text("timestamp_s,value\n0,1000\n60,1000\n")
+    (tmp_path / "rules.txt").write_text(RULES)
+    text = MINI.replace(MINI_TRACE, "trace.kind = csv\ntrace.file = trace.csv\n")
+    conf = write_conf(tmp_path, text + "controller.rules = rules.txt\n")
+    bad = {"trace": tmp_path / "trace.csv", "rules": tmp_path / "rules.txt",
+           "config": conf}[what]
+    content = bad.read_bytes()
+    bad.unlink()
+    if case == "directory":
+        bad.mkdir()
+    elif case == "not-utf8":
+        bad.write_bytes(b"# \xff\xfe\n" + content)
+    argv = [command, "--config", str(conf)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {what} {bad}: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_train_num_beyond_deque_limit_exits_1_with_one_line(tmp_path, capsys, command):
+    # validate passed it, and run ended in OverflowError from deque(maxlen=...).
+    conf = write_conf(tmp_path, MINI + "tracker.train_num = 100000000000000000000\n")
+    argv = [command, "--config", str(conf)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "train_num must be at most" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
