@@ -4,10 +4,10 @@ Simulated time only: a receiver quantizes the input trace into blocks, a
 dynamic timer groups blocks into batches, and a single FIFO worker runs each
 batch under an affine cost model. In adaptive mode a fuzzy control loop
 retimes the batch interval: on each control tick the controller returns the
-tick's ``ControlRow`` and the engine logs it and stages its interval, which
-takes effect at the next timer fire. In vanilla mode, and before
-``control_start``, the interval stays fixed and the tick only logs S and the
-rates.
+tick's ``ControlRow``, and the engine logs it and, if its interval differs
+from the current one, stages that interval for the next timer fire. In
+vanilla mode, and before ``control_start``, the interval stays fixed and the
+tick only logs S and the rates.
 
 Only window closes, control ticks and the trace end are events on a heap,
 as ``(time, rank)`` entries. The batch timer and the worker are two clocks
@@ -51,9 +51,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import attrgetter
 from typing import Optional
 
-from .errors import ConfigError, DomainError, ModeError
+from .errors import ConfigError, ModeError
 from .fuzzy import ControllerConfig, ControlRow, FuzzyController, RuleTable
 from .tracker import TrafficTracker, TrackerConfig
 from .traces import RateFunction
@@ -66,8 +67,7 @@ VANILLA = "vanilla"
 
 MAX_TIME_MS = 2**53  # every integer up to here is exact as a float
 FILL_BLOCKS = 256  # blocks whose counts run() computes per trace call
-# The times MAX_TIME_MS bounds, as paths from EngineConfig, in the order
-# EngineConfig.__post_init__ reads them.
+# The times MAX_TIME_MS bounds, as attribute paths from EngineConfig.
 _TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start",
                 "controller.min_interval", "controller.max_interval",
                 "controller.control_period", "tracker.resample_interval")
@@ -131,10 +131,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.mode not in (ADAPTIVE, VANILLA):
             raise ConfigError(f"mode must be '{ADAPTIVE}' or '{VANILLA}', got {self.mode!r}")
-        ctl = self.controller
-        times = (self.duration, self.block_interval, self.initial_interval,
-                 self.control_start, ctl.min_interval, ctl.max_interval,
-                 ctl.control_period, self.tracker.resample_interval)
+        times = attrgetter(*_TIME_FIELDS)(self)
         if max(times) > MAX_TIME_MS:
             name = _TIME_FIELDS[times.index(max(times))]
             raise ConfigError(f"{name} must be at most MAX_TIME_MS = 2**53 ms")
@@ -217,22 +214,6 @@ class MicrobatchEngine:
         self._sealed_records = self._reported_records = 0
         self._rng = random.Random(config.seed)
         self.log = MetricsLog(block_interval=config.block_interval)
-
-    @property
-    def current_interval(self) -> int:
-        return self._current_interval
-
-    def set_interval(self, new_interval: int) -> None:
-        """Stage a new batch interval; it takes effect at the next timer fire."""
-        if self.config.mode != ADAPTIVE:
-            raise ModeError("interval is fixed in vanilla mode")
-        ctl = self.config.controller
-        if new_interval % self.config.block_interval != 0:
-            raise DomainError(f"interval {new_interval} is not a block multiple")
-        if not ctl.min_interval <= new_interval <= ctl.max_interval:
-            raise DomainError(f"interval {new_interval} outside [{ctl.min_interval}, "
-                              f"{ctl.max_interval}]")
-        self._pending_interval = new_interval
 
     def run(self) -> MetricsLog:
         """Run the trace to its end and return the metrics log."""
@@ -380,8 +361,10 @@ class MicrobatchEngine:
     def _on_control_tick(self, now: int) -> None:
         if self.controller is not None and now >= self.config.control_start:
             row = self.controller.control_step(now, self._current_interval)
+            # Stage only a change: a tick that holds the interval must not
+            # cancel one an earlier tick staged for the next fire.
             if row.interval_ms != self._current_interval:
-                self.set_interval(row.interval_ms)
+                self._pending_interval = row.interval_ms
         else:
             s = self.monitor.update_estimate()
             q_now, q_next = self.tracker.control_rates(
@@ -392,8 +375,3 @@ class MicrobatchEngine:
         heapq.heappush(self._heap, (now + self.config.controller.control_period,
                                     CONTROL_TICK))
 
-
-def run(config: EngineConfig, trace: RateFunction,
-        rule_table: RuleTable | None = None) -> MetricsLog:
-    """Build an engine, run the trace to completion, return the metrics log."""
-    return MicrobatchEngine(config, trace, rule_table).run()

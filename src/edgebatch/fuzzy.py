@@ -11,12 +11,10 @@ Each control tick reads the last window's rate and its one-step forecast
 ``FuzzyController.control_step`` returns the tick's ``ControlRow``, the
 metrics row itself; the engine logs it and applies its interval.
 
-``fuzzify`` and ``infer`` walk a tuple of the labels and index with the
-``IntEnum`` members themselves: iterating the enum class and reading
-``.value`` run Python-level enum code on every control tick. Degrees are
-rounded and summed in label order, which the float sums depend on.
-``ControlRow`` is slotted, not frozen, since a frozen ``__init__`` sets
-each field through ``object.__setattr__``.
+The labels are the ints 0..4 (NB..PB), and they index the rule table
+directly. Degrees are rounded and summed in label order, which the float
+sums depend on. ``ControlRow`` is slotted, not frozen, since a frozen
+``__init__`` sets each field through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from pathlib import Path
 from typing import Optional
 
@@ -33,60 +30,31 @@ from .errors import ConfigError, DomainError, TraceParseError
 log = logging.getLogger(__name__)
 
 
-class FuzzyLabel(IntEnum):
-    NB = 0
-    NS = 1
-    ZO = 2
-    PS = 3
-    PB = 4
-
-    def mirror(self) -> "FuzzyLabel":
-        return FuzzyLabel(4 - self)
+# The fuzzy labels are the ints 0..4, NB, NS, ZO, PS and PB: triangular
+# memberships centred every HALF_WIDTH, shoulders saturated. With centres
+# spaced exactly one HALF_WIDTH apart the degrees of any clamped input sum
+# to 1 and at most two labels are active.
+CENTERS = (-0.2, -0.1, 0.0, 0.1, 0.2)
+HALF_WIDTH = 0.1
 
 
-_LABELS = tuple(FuzzyLabel)  # NB..PB, the order degrees are summed in
+def clamp(x: float) -> float:
+    return min(CENTERS[-1], max(CENTERS[0], x))
 
 
-@dataclass(frozen=True)
-class MembershipPartition:
-    """Triangular memberships centred every half_width, shoulders saturated.
+def fuzzify(x: float) -> dict[int, float]:
+    """Nonzero membership degrees of x after clamping, by label in order."""
+    x = clamp(x)
+    out: dict[int, float] = {}
+    for label, center in enumerate(CENTERS):
+        degree = 1.0 - abs(x - center) / HALF_WIDTH
+        # Snap representation noise so boundary inputs (e.g. exactly half
+        # way between centres) fire with their exact intended degrees.
+        # Rounding never makes a degree <= 0 positive, so skip those.
+        if degree > 0.0 and (degree := round(degree, 12)) > 0.0:
+            out[label] = degree
+    return out
 
-    With centres spaced exactly one half_width apart the degrees of any
-    clamped input sum to 1 and at most two labels are active.
-    """
-
-    centers: tuple[float, ...] = (-0.2, -0.1, 0.0, 0.1, 0.2)
-    half_width: float = 0.1
-
-    def __post_init__(self):
-        if len(self.centers) != len(FuzzyLabel):
-            raise ConfigError(f"need {len(FuzzyLabel)} centers, got {len(self.centers)}")
-        if self.half_width <= 0:
-            raise ConfigError("half_width must be positive")
-        for a, b in zip(self.centers, self.centers[1:]):
-            if not math.isclose(b - a, self.half_width, rel_tol=1e-9):
-                raise ConfigError("centers must be spaced exactly one half_width apart")
-
-    def clamp(self, x: float) -> float:
-        centers = self.centers
-        return min(centers[-1], max(centers[0], x))
-
-    def fuzzify(self, x: float) -> dict[FuzzyLabel, float]:
-        """Nonzero membership degrees of x after clamping to the domain."""
-        x = self.clamp(x)
-        half_width = self.half_width
-        out: dict[FuzzyLabel, float] = {}
-        for label, center in zip(_LABELS, self.centers):
-            degree = 1.0 - abs(x - center) / half_width
-            # Snap representation noise so boundary inputs (e.g. exactly half
-            # way between centres) fire with their exact intended degrees.
-            # Rounding never makes a degree <= 0 positive, so skip those.
-            if degree > 0.0 and (degree := round(degree, 12)) > 0.0:
-                out[label] = degree
-        return out
-
-
-DEFAULT_PARTITION = MembershipPartition()
 
 # Rows indexed by the workload label D (NB..PB top to bottom), columns by the
 # traffic-change label C (NB..PB left to right).
@@ -107,7 +75,7 @@ class RuleTable:
     levels: tuple[tuple[int, ...], ...] = DEFAULT_RULES
 
     def __post_init__(self):
-        n = len(FuzzyLabel)
+        n = len(CENTERS)
         if len(self.levels) != n or any(len(row) != n for row in self.levels):
             raise ConfigError(f"rule table must be {n}x{n}")
         for row in self.levels:
@@ -120,9 +88,9 @@ class RuleTable:
                     raise ConfigError("rule rows must be non-decreasing left to right")
                 if self.levels[j][i] > self.levels[j + 1][i]:
                     raise ConfigError("rule columns must be non-decreasing top to bottom")
-        for d in FuzzyLabel:
-            for c in FuzzyLabel:
-                if self.levels[d][c] != -self.levels[d.mirror()][c.mirror()]:
+        for d in range(n):
+            for c in range(n):
+                if self.levels[d][c] != -self.levels[4 - d][4 - c]:
                     raise ConfigError("rule table must be antisymmetric under label mirroring")
 
     @classmethod
@@ -138,8 +106,8 @@ class RuleTable:
                 rows.append(tuple(int(cell.strip()) for cell in body.split(",")))
             except ValueError as exc:
                 raise TraceParseError(f"bad rule entry: {exc}", row=lineno) from exc
-        if len(rows) != len(FuzzyLabel):
-            raise TraceParseError(f"expected {len(FuzzyLabel)} rule rows, got {len(rows)}")
+        if len(rows) != len(CENTERS):
+            raise TraceParseError(f"expected {len(CENTERS)} rule rows, got {len(rows)}")
         try:
             return cls(tuple(rows))
         except ConfigError as exc:
@@ -175,8 +143,7 @@ class ControllerConfig:
             raise ConfigError("step_blocks must be >= 1")
 
 
-def compute_traffic_change(q_next: float, q_now: float,
-                           partition: MembershipPartition = DEFAULT_PARTITION) -> float:
+def compute_traffic_change(q_next: float, q_now: float) -> float:
     """Relative predicted rate change, clamped to the fuzzy domain.
 
     A non-positive current rate gives no usable denominator; treat the
@@ -185,12 +152,11 @@ def compute_traffic_change(q_next: float, q_now: float,
     if q_now <= 0:
         log.debug("traffic change undefined at q_now=%r, using 0", q_now)
         return 0.0
-    return partition.clamp((q_next - q_now) / q_now)
+    return clamp((q_next - q_now) / q_now)
 
 
-def compute_workload_deviation(s: float,
-                               partition: MembershipPartition = DEFAULT_PARTITION) -> float:
-    return partition.clamp(s - 1.0)
+def compute_workload_deviation(s: float) -> float:
+    return clamp(s - 1.0)
 
 
 def _round_half_away(x: float) -> int:
@@ -199,14 +165,13 @@ def _round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def infer(c: float, d: float, table: RuleTable | None = None,
-          partition: MembershipPartition = DEFAULT_PARTITION) -> int:
+def infer(c: float, d: float, table: RuleTable | None = None) -> int:
     """Min-conjunction inference over the rule table, defuzzified by weighted mean."""
     levels = (DEFAULT_TABLE if table is None else table).levels
-    d_degrees = partition.fuzzify(d).items()
+    d_degrees = fuzzify(d).items()
     num = 0.0
     den = 0.0
-    for c_label, wc in partition.fuzzify(c).items():
+    for c_label, wc in fuzzify(c).items():
         for d_label, wd in d_degrees:
             strength = min(wc, wd)
             num += strength * levels[d_label][c_label]
@@ -249,23 +214,21 @@ class FuzzyController:
     """
 
     def __init__(self, config: ControllerConfig, tracker, monitor,
-                 rule_table: RuleTable | None = None,
-                 partition: MembershipPartition = DEFAULT_PARTITION):
+                 rule_table: RuleTable | None = None):
         self.config = config
         self.tracker = tracker
         self.monitor = monitor
         self.table = DEFAULT_TABLE if rule_table is None else rule_table
-        self.partition = partition
 
-    def control_step(self, now: float, current_interval: int) -> ControlRow:
+    def control_step(self, now: float, interval: int) -> ControlRow:
         s = self.monitor.update_estimate()
         q_now, q_next = self.tracker.control_rates(self.config.prediction_enabled)
         if q_next is None:
             log.debug("tracker not ready at t=%s, workload-only control", now)
             c = 0.0
         else:
-            c = compute_traffic_change(q_next, q_now, self.partition)
-        d = compute_workload_deviation(s, self.partition)
-        level = infer(c, d, self.table, self.partition)
-        interval = adjust_interval(current_interval, level, self.config)
-        return ControlRow(now, interval, s, q_now, q_next, c, d, level)
+            c = compute_traffic_change(q_next, q_now)
+        d = compute_workload_deviation(s)
+        level = infer(c, d, self.table)
+        return ControlRow(now, adjust_interval(interval, level, self.config),
+                          s, q_now, q_next, c, d, level)

@@ -62,7 +62,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             continue
         if "=" not in body:
             raise UsageError(f"{source}:{lineno}: expected 'section.key = value'")
-        key, _, value = body.partition("=")
+        key, value = body.split("=", 1)
         key, value = key.strip(), value.strip()
         if "." not in key or not value:
             raise UsageError(f"{source}:{lineno}: expected 'section.key = value'")
@@ -153,11 +153,13 @@ def _build_trace(cfg: dict, base_dir: Path) -> traces.RateFunction:
 
 def _read(what: str, path: Path, load):
     """load(path), where a file that cannot be opened or is not UTF-8 text
-    becomes a UsageError that names it."""
+    becomes a UsageError that names it, and a parse error names it too."""
     try:
         return load(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    except TraceParseError as exc:
+        raise TraceParseError(f"{what} {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -402,9 +404,13 @@ def default_out_dir() -> Path:
 
 
 def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
-    engine = MicrobatchEngine(spec.engine, spec.trace, spec.rule_table)
-    log = engine.run()
     out = Path(out_dir) if out_dir is not None else default_out_dir()
+    # Before the run, so an output path that cannot be a directory fails fast.
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write output directory {out}: {exc}") from exc
+    log = MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
     report = summarize(log)
     write_metrics(log, out, report)
     print(f"{spec.label}: {log.batch_count} batches, "

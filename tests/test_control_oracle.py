@@ -1,11 +1,12 @@
 """Bit-exact checks of the control path against the straightforward versions.
 
 The oracles are the plain forms of fuzzification, inference, the GM(1,1)
-fit and its forecast: they iterate the label enum, build a rule table per
-call, check and accumulate the series in separate passes and difference two
-evaluations of the time response. The program's versions skip that work;
-they must return exactly the same floats and levels, because the outputs are
-pinned byte for byte and a last-bit change can flip a level at a .5 tie.
+fit and its forecast: they spell out their own label centres and half
+width, build a rule table per call, check and accumulate the series in
+separate passes and difference two evaluations of the time response. The
+program's versions skip that work; they must return exactly the same floats
+and levels, because the outputs are pinned byte for byte and a last-bit
+change can flip a level at a .5 tie.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from edgebatch import fuzzy, grey
 from edgebatch.errors import DomainError, FitError, LengthError
-from edgebatch.fuzzy import FuzzyLabel, MembershipPartition, RuleTable
+from edgebatch.fuzzy import RuleTable, fuzzify
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 
 ORACLE = settings(max_examples=400, deadline=None)
@@ -24,25 +25,30 @@ ORACLE = settings(max_examples=400, deadline=None)
 # -- fuzzy oracles ------------------------------------------------------------
 
 
-def oracle_fuzzify(partition, x):
-    x = min(partition.centers[-1], max(partition.centers[0], x))
+# Labels NB..PB are 0..4, centred every 0.1 on [-0.2, 0.2].
+ORACLE_CENTERS = (-0.2, -0.1, 0.0, 0.1, 0.2)
+ORACLE_HALF_WIDTH = 0.1
+
+
+def oracle_fuzzify(x):
+    x = min(ORACLE_CENTERS[4], max(ORACLE_CENTERS[0], x))
     out = {}
-    for label in FuzzyLabel:
-        degree = 1.0 - abs(x - partition.centers[label.value]) / partition.half_width
+    for label in range(5):
+        degree = 1.0 - abs(x - ORACLE_CENTERS[label]) / ORACLE_HALF_WIDTH
         degree = round(degree, 12)
         if degree > 0.0:
             out[label] = degree
     return out
 
 
-def oracle_infer(c, d, table=None, partition=fuzzy.DEFAULT_PARTITION):
+def oracle_infer(c, d, table=None):
     table = table or RuleTable()
     num = 0.0
     den = 0.0
-    for c_label, wc in oracle_fuzzify(partition, c).items():
-        for d_label, wd in oracle_fuzzify(partition, d).items():
+    for c_label, wc in oracle_fuzzify(c).items():
+        for d_label, wd in oracle_fuzzify(d).items():
             strength = min(wc, wd)
-            num += strength * table.levels[d_label.value][c_label.value]
+            num += strength * table.levels[d_label][c_label]
             den += strength
     return fuzzy._round_half_away(num / den)
 
@@ -50,7 +56,6 @@ def oracle_infer(c, d, table=None, partition=fuzzy.DEFAULT_PARTITION):
 # A valid table other than the default: level = c + d - 4, clipped to [-2, 2].
 STEEP = RuleTable(tuple(tuple(max(-2, min(2, c + d - 4)) for c in range(5))
                         for d in range(5)))
-WIDE = MembershipPartition(centers=(-1.0, -0.5, 0.0, 0.5, 1.0), half_width=0.5)
 
 # Label centres, the midpoints between them, the clamp edges and values past
 # them, a 0.001 grid (where inexact degrees make the sum order matter at .5
@@ -60,23 +65,22 @@ INPUTS = st.one_of(st.sampled_from(SPECIAL),
                    st.integers(-250, 250).map(lambda k: k / 1000),
                    st.floats(-1.5, 1.5))
 TABLES = st.sampled_from([None, fuzzy.DEFAULT_TABLE, STEEP])
-PARTITIONS = st.sampled_from([fuzzy.DEFAULT_PARTITION, WIDE])
 
 
 @ORACLE
-@given(INPUTS, PARTITIONS)
-def test_fuzzify_matches_oracle(x, partition):
-    got = partition.fuzzify(x)
-    assert got == oracle_fuzzify(partition, x)
+@given(INPUTS)
+def test_fuzzify_matches_oracle(x):
+    got = fuzzify(x)
+    assert got == oracle_fuzzify(x)
     assert list(got) == sorted(got)  # label order, the order infer sums in
 
 
 @ORACLE
-@given(INPUTS, INPUTS, TABLES, PARTITIONS)
-@example(-0.193, -0.157, None, fuzzy.DEFAULT_PARTITION)  # ties at -1.5
-@example(-0.193, 0.043, None, fuzzy.DEFAULT_PARTITION)   # ties at -0.5
-def test_infer_matches_oracle(c, d, table, partition):
-    assert fuzzy.infer(c, d, table, partition) == oracle_infer(c, d, table, partition)
+@given(INPUTS, INPUTS, TABLES)
+@example(-0.193, -0.157, None)  # ties at -1.5
+@example(-0.193, 0.043, None)   # ties at -0.5
+def test_infer_matches_oracle(c, d, table):
+    assert fuzzy.infer(c, d, table) == oracle_infer(c, d, table)
 
 
 # -- grey oracles -------------------------------------------------------------

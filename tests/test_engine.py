@@ -15,14 +15,17 @@ from edgebatch.engine import (
     EngineConfig,
     JobCostModel,
     MicrobatchEngine,
-    run,
 )
-from edgebatch.errors import ConfigError, DomainError, ModeError
+from edgebatch.errors import ConfigError, ModeError
 from edgebatch.fuzzy import ControllerConfig
 from edgebatch.tracker import TrackerConfig
 from edgebatch.workload import MonitorConfig
 
 from log_rows import split_rows
+
+
+def run(config, trace):
+    return MicrobatchEngine(config, trace).run()
 
 
 def make_config(**kw):
@@ -157,21 +160,19 @@ def test_vanilla_overload_grows_monotonically():
 
 
 def test_set_interval_takes_effect_next_fire():
-    # A control tick at 3000 ms, between the fires at 2000 and 4000 ms,
-    # stages 1600 ms: the 4000 ms fire still comes after the old interval.
-    cfg = make_config(mode=ADAPTIVE, duration=10_000, control_start=1_000_000,
-                      controller=ControllerConfig(block_interval=200, min_interval=400,
-                                                  max_interval=6000, control_period=3000))
-    engine = MicrobatchEngine(cfg, traces.constant(1000.0))
-    tick = engine._on_control_tick
-
-    def tick_and_stage(now):
-        tick(now)
-        if now == 3000:
-            engine.set_interval(1600)
-
-    engine._on_control_tick = tick_and_stage
-    batches, _ = split_rows(engine.run())
+    # The first control tick, at 3000 ms between the fires at 2000 and
+    # 4000 ms, reads a low S (D = -0.2) and no forecast (C = 0): level -1
+    # in steps of two blocks stages 1600 ms, the minimum, which later ticks
+    # hold. The 4000 ms fire still comes after the old interval.
+    cfg = make_config(mode=ADAPTIVE, duration=10_000, control_start=3000,
+                      monitor=MonitorConfig(initial_estimate=0.1),
+                      controller=ControllerConfig(block_interval=200, min_interval=1600,
+                                                  max_interval=6000, control_period=3000,
+                                                  step_blocks=2))
+    batches, ticks = split_rows(run(cfg, traces.constant(1000.0)))
+    staging = next(t for t in ticks if t.time_ms == 3000)
+    assert (staging.workload_deviation, staging.traffic_change) == (-0.2, 0.0)
+    assert (staging.fuzzy_level, staging.interval_ms) == (-1, 1600)
     # Each batch's interval_ms is the time since the fire before it.
     fired = list(accumulate(b.interval_ms for b in batches))
     assert fired[:4] == [2000, 4000, 5600, 7200]
@@ -192,18 +193,6 @@ def test_heap_holds_only_window_closes_ticks_and_the_trace_end(monkeypatch):
               traces.constant(1000.0))
     assert {rank for _, rank in pushed} == {RATE_WINDOW_CLOSE, CONTROL_TICK}
     assert log.batch_count > len(pushed)
-
-
-def test_set_interval_validation():
-    cfg = make_config(mode=ADAPTIVE)
-    engine = MicrobatchEngine(cfg, traces.constant(1000.0))
-    with pytest.raises(DomainError):
-        engine.set_interval(2100)
-    with pytest.raises(DomainError):
-        engine.set_interval(8000)
-    vanilla = MicrobatchEngine(make_config(), traces.constant(1000.0))
-    with pytest.raises(ModeError):
-        vanilla.set_interval(1800)
 
 
 def test_engine_is_single_run():

@@ -29,7 +29,7 @@ from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgebatch import traces
@@ -41,8 +41,8 @@ from edgebatch.engine import (
     EngineConfig,
     JobCostModel,
     MetricsLog,
+    MicrobatchEngine,
     WindowRow,
-    run,
 )
 from edgebatch.fuzzy import ControllerConfig, ControlRow, FuzzyController
 from edgebatch.grey import MIN_TRAIN_LEN
@@ -339,7 +339,7 @@ def check_against_heap_reference(config, trace, log):
 
 
 def check_invariants(config, trace):
-    log = run(config, trace)
+    log = MicrobatchEngine(config, trace).run()
     assert log.total_generated == log.total_block_records == log.total_batch_records
     check_against_per_block_receiver(config, trace, log)
     check_against_heap_reference(config, trace, log)
@@ -367,10 +367,26 @@ def check_invariants(config, trace):
             assert ctl.min_interval <= interval <= ctl.max_interval
 
 
+# A tick every block, whose level changes while the interval is long: a
+# tick that holds the interval must not cancel a change an earlier tick
+# staged for the same fire.
+HOLD_AFTER_STAGE = (
+    EngineConfig(
+        controller=ControllerConfig(block_interval=100, min_interval=100, max_interval=1900,
+                                    control_period=100, prediction_enabled=False,
+                                    step_blocks=3),
+        cost_model=JobCostModel(86.0, 2.0, 8.0), duration=10_900, initial_interval=1900,
+        block_interval=100, control_start=0,
+        tracker=TrackerConfig(resample_interval=100, train_num=4)),
+    traces.constant(15.0),
+)
+
+
 @pytest.mark.parametrize("jitter", [False, True], ids=["jitter-off", "jitter-on"])
 def test_engine_invariants_hold_over_random_configs(jitter):
     @settings(max_examples=250, deadline=None)
     @given(engine_runs(jitter))
+    @example(HOLD_AFTER_STAGE)
     def check(drawn):
         check_invariants(*drawn)
 

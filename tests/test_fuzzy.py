@@ -8,49 +8,48 @@ from edgebatch import fuzzy
 from edgebatch.errors import ConfigError, DomainError, TraceParseError
 from edgebatch.fuzzy import (
     ControllerConfig,
-    FuzzyLabel,
-    MembershipPartition,
     RuleTable,
     adjust_interval,
     compute_traffic_change,
     compute_workload_deviation,
+    fuzzify,
     infer,
 )
 
-PART = MembershipPartition()
+NB, NS, ZO, PS, PB = range(5)
 
 
 def test_fuzzify_at_center_is_crisp():
-    assert PART.fuzzify(0.0) == {FuzzyLabel.ZO: 1.0}
-    assert PART.fuzzify(-0.2) == {FuzzyLabel.NB: 1.0}
-    assert PART.fuzzify(0.2) == {FuzzyLabel.PB: 1.0}
+    assert fuzzify(0.0) == {ZO: 1.0}
+    assert fuzzify(-0.2) == {NB: 1.0}
+    assert fuzzify(0.2) == {PB: 1.0}
 
 
 def test_fuzzify_midpoint_splits_evenly():
-    degrees = PART.fuzzify(0.05)
-    assert degrees == pytest.approx({FuzzyLabel.ZO: 0.5, FuzzyLabel.PS: 0.5})
+    degrees = fuzzify(0.05)
+    assert degrees == pytest.approx({ZO: 0.5, PS: 0.5})
 
 
 def test_fuzzify_clamps_out_of_range():
-    assert PART.fuzzify(0.5) == {FuzzyLabel.PB: 1.0}
-    assert PART.fuzzify(-3.0) == {FuzzyLabel.NB: 1.0}
+    assert fuzzify(0.5) == {PB: 1.0}
+    assert fuzzify(-3.0) == {NB: 1.0}
 
 
 @given(st.floats(min_value=-0.5, max_value=0.5))
 @settings(max_examples=300)
 def test_partition_of_unity(x):
-    degrees = PART.fuzzify(x)
+    degrees = fuzzify(x)
     assert len(degrees) <= 2
     assert math.isclose(sum(degrees.values()), 1.0, rel_tol=1e-9)
 
 
 def test_default_table_shape_and_corners():
     levels = RuleTable().levels  # rows by the D label, columns by the C label
-    assert levels[FuzzyLabel.NB][FuzzyLabel.NB] == -2
-    assert levels[FuzzyLabel.PB][FuzzyLabel.PB] == 2
-    assert levels[FuzzyLabel.ZO][FuzzyLabel.ZO] == 0
-    assert levels[FuzzyLabel.NB][FuzzyLabel.ZO] == -1
-    assert levels[FuzzyLabel.PB][FuzzyLabel.ZO] == 1
+    assert levels[NB][NB] == -2
+    assert levels[PB][PB] == 2
+    assert levels[ZO][ZO] == 0
+    assert levels[NB][ZO] == -1
+    assert levels[PB][ZO] == 1
 
 
 def test_table_antisymmetry_enforced():

@@ -44,7 +44,7 @@ def mini_cfg(**extra):
 
 def run_mini(**extra):
     spec = build_run_spec(mini_cfg(**extra))
-    return engine.run(spec.engine, spec.trace, spec.rule_table)
+    return engine.MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
 
 
 # -- config parsing -----------------------------------------------------------
@@ -189,7 +189,7 @@ def test_rerun_outputs_byte_identical(tmp_path):
     names = ("metrics.csv", "summary.json", "series_interval.csv",
              "series_workload.csv", "series_rate.csv", "series_delay.csv")
     for sub in ("a", "b"):
-        log = engine.run(spec.engine, spec.trace, spec.rule_table)
+        log = engine.MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
         write_metrics(log, tmp_path / sub)
     for name in names:
         assert ((tmp_path / "a" / name).read_bytes()
@@ -459,3 +459,40 @@ def test_cli_train_num_beyond_deque_limit_exits_1_with_one_line(tmp_path, capsys
     assert "train_num must be at most" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "preset"])
+def test_cli_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, command):
+    # The whole run was simulated and then write_metrics' mkdir raised
+    # FileExistsError.
+    out = tmp_path / "afile"
+    out.write_text("keep\n")
+    if command == "run":
+        argv = ["run", "--config", str(write_conf(tmp_path))]
+    else:
+        argv = ["preset", "exp1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output directory {out}: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert out.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("what, content, message", [
+    ("trace", "timestamp_s,value\n0,1000\nabc,1000\n", "row 3: bad number: "),
+    ("rules", "-2,-1,-1,0,0\n", "expected 5 rule rows, got 1"),
+], ids=["trace", "rules"])
+def test_cli_validate_parse_error_names_the_file(tmp_path, capsys, what, content, message):
+    # The message gave the row and the fault but not which file held them.
+    (tmp_path / "trace.csv").write_text("timestamp_s,value\n0,1000\n60,1000\n")
+    (tmp_path / "rules.txt").write_text(RULES)
+    bad = tmp_path / {"trace": "trace.csv", "rules": "rules.txt"}[what]
+    bad.write_text(content)
+    text = MINI.replace(MINI_TRACE, "trace.kind = csv\ntrace.file = trace.csv\n")
+    conf = write_conf(tmp_path, text + "controller.rules = rules.txt\n")
+    assert main(["validate", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {what} {bad}: {message}")
+    assert len(captured.err.strip().splitlines()) == 1
