@@ -236,10 +236,10 @@ class MicrobatchEngine:
         n_blocks = cfg.duration // block
         first, records, nonempty = 0, [0], [0]
         batched_records = batched_blocks = 0
-        # The timer clock: the next fire, the last one and the interval
-        # between them; the worker clock: the running job as
-        # (done_at, rank, batch, started_at), or None when the worker is idle.
-        fire, last_fire, interval = cfg.initial_interval, 0, cfg.initial_interval
+        # The timer clock: the next fire and the interval that ends at it; the
+        # worker clock: the running job as (done_at, rank, batch, started_at),
+        # or None when the worker is idle.
+        fire = interval = cfg.initial_interval
         job = None
         queue: deque[Batch] = deque()
         next_batch_id = batch_records = completed = 0
@@ -283,11 +283,11 @@ class MicrobatchEngine:
                     # Group every unsealed block into the next batch.
                     sealed_blocks = nonempty[k - first]
                     batch = Batch(next_batch_id, sealed_records - batched_records,
-                                  sealed_blocks - batched_blocks, now, now - last_fire)
+                                  sealed_blocks - batched_blocks, now, interval)
                     queue.append(batch)
                     next_batch_id += 1
                     batch_records += batch.record_count
-                    batched_records, batched_blocks, last_fire = sealed_records, sealed_blocks, now
+                    batched_records, batched_blocks = sealed_records, sealed_blocks
                     if self._pending_interval is not None:
                         self._current_interval = interval = self._pending_interval
                         self._pending_interval = None
@@ -338,40 +338,32 @@ class MicrobatchEngine:
         # control tick's q_next, see TrafficTracker.control_rates). The
         # window closing is the one that ends now: every block sealed since
         # the last close started in it, since windows are block multiples.
-        w = self.config.tracker.resample_interval
-        self.tracker.report_info(int(now) - w, self._sealed_records - self._reported_records)
-        self._reported_records = self._sealed_records
-        closed = self.tracker.close_windows_upto(int(now))
-        for rec in closed:
-            self.tracker.train()
+        cfg, tracker = self.config, self.tracker
+        w = cfg.tracker.resample_interval
+        sealed = self._sealed_records
+        tracker.report_info(int(now) - w, sealed - self._reported_records)
+        self._reported_records = sealed
+        prediction_enabled = cfg.controller.prediction_enabled
+        windows = self.log.windows
+        for rec in tracker.close_windows_upto(int(now)):
+            tracker.train()
             predicted: Optional[float] = None
-            if self.tracker.model is not None:
-                if self.config.controller.prediction_enabled:
-                    predicted = self.tracker.predict_rate()
-                else:
-                    predicted = rec.rate
-            self.log.windows.append(WindowRow(
-                window_start_ms=rec.window_start,
-                window_len_ms=rec.window_len,
-                rate_measured=rec.rate,
-                rate_predicted_next=predicted,
-            ))
+            if tracker.model is not None:
+                predicted = tracker.predict_rate() if prediction_enabled else rec.rate
+            windows.append(WindowRow(rec.window_start, rec.window_len, rec.rate, predicted))
         heapq.heappush(self._heap, (now + w, RATE_WINDOW_CLOSE))
 
     def _on_control_tick(self, now: int) -> None:
-        if self.controller is not None and now >= self.config.control_start:
-            row = self.controller.control_step(now, self._current_interval)
+        cfg, current = self.config, self._current_interval
+        if self.controller is not None and now >= cfg.control_start:
+            row = self.controller.control_step(now, current)
             # Stage only a change: a tick that holds the interval must not
             # cancel one an earlier tick staged for the next fire.
-            if row.interval_ms != self._current_interval:
+            if row.interval_ms != current:
                 self._pending_interval = row.interval_ms
         else:
             s = self.monitor.update_estimate()
-            q_now, q_next = self.tracker.control_rates(
-                self.config.controller.prediction_enabled)
-            row = ControlRow(now, self._current_interval, s, q_now, q_next,
-                             None, None, None)
+            q_now, q_next = self.tracker.control_rates(cfg.controller.prediction_enabled)
+            row = ControlRow(now, current, s, q_now, q_next, None, None, None)
         self.log.rows.append(row)
-        heapq.heappush(self._heap, (now + self.config.controller.control_period,
-                                    CONTROL_TICK))
-
+        heapq.heappush(self._heap, (now + cfg.controller.control_period, CONTROL_TICK))

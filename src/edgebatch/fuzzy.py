@@ -13,7 +13,10 @@ metrics row itself; the engine logs it and applies its interval.
 
 The labels are the ints 0..4 (NB..PB), and they index the rule table
 directly. Degrees are rounded and summed in label order, which the float
-sums depend on. ``ControlRow`` is slotted, not frozen, since a frozen
+sums depend on. ``fuzzify`` evaluates only the active labels, the two whose
+centres bracket the clamped input: the centres are exactly one HALF_WIDTH
+apart as floats too, and float subtraction is monotone, so every other
+label's degree is <= 0. ``ControlRow`` is slotted, not frozen, since a frozen
 ``__init__`` sets each field through ``object.__setattr__``.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -46,8 +50,10 @@ def fuzzify(x: float) -> dict[int, float]:
     """Nonzero membership degrees of x after clamping, by label in order."""
     x = clamp(x)
     out: dict[int, float] = {}
-    for label, center in enumerate(CENTERS):
-        degree = 1.0 - abs(x - center) / HALF_WIDTH
+    # CENTERS[hi - 1] <= x < CENTERS[hi]: only these two labels can be active.
+    hi = bisect_right(CENTERS, x)
+    for label in range(hi - 1, min(hi + 1, len(CENTERS))):
+        degree = 1.0 - abs(x - CENTERS[label]) / HALF_WIDTH
         # Snap representation noise so boundary inputs (e.g. exactly half
         # way between centres) fire with their exact intended degrees.
         # Rounding never makes a degree <= 0 positive, so skip those.
@@ -173,7 +179,7 @@ def infer(c: float, d: float, table: RuleTable | None = None) -> int:
     den = 0.0
     for c_label, wc in fuzzify(c).items():
         for d_label, wd in d_degrees:
-            strength = min(wc, wd)
+            strength = wd if wd < wc else wc  # min(wc, wd)
             num += strength * levels[d_label][c_label]
             den += strength
     return _round_half_away(num / den)

@@ -5,11 +5,14 @@ accumulated series and extrapolates it a few steps ahead. Designed for
 very short training windows (five points is the usual case here).
 
 The tracker fits once per closed rate window and takes one forecast per
-fit. ``fit`` checks each observation in the pass that accumulates it, and
-``predict`` evaluates the time response inline with the float expressions
-of ``response``, in the same order, so its values are exactly those of
-differencing ``response``. ``GreyModel`` is slotted, not frozen, since a
-frozen ``__init__`` sets each field through ``object.__setattr__``.
+fit. ``fit`` makes one pass over the observations: it checks each one,
+accumulates it and adds its background value to the four normal-equation
+sums, keeping only the last running sum, so it builds no list of the
+accumulated series or of the background values. ``predict`` evaluates the
+time response inline with the float expressions of ``response``, in the
+same order, so its values are exactly those of differencing ``response``.
+``GreyModel`` is slotted, not frozen, since a frozen ``__init__`` sets each
+field through ``object.__setattr__``.
 
 Float sums here, in the workload monitor and in the run summary are left
 folds, one rounding per term in order: from Python 3.12 on, ``sum`` of
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import DomainError, FitError, LengthError
 
@@ -65,17 +68,11 @@ def _check_finite(vals: list[float]) -> None:
             raise DomainError(f"observation {i} is not finite: {v!r}")
 
 
-def _running_sums(vals: list[float]) -> list[float]:
-    """Running sums of vals, each of which must be finite and positive."""
-    out = []
-    total = 0.0
-    for v in vals:
-        if not 0.0 < v < math.inf:
-            _check_finite(vals)
-            raise DomainError(f"observation {vals.index(v)} must be positive, got {v!r}")
-        total += v
-        out.append(total)
-    return out
+def _reject(vals: list[float], v: float) -> NoReturn:
+    """Raise for observation v of vals, the first that is not finite and
+    positive."""
+    _check_finite(vals)
+    raise DomainError(f"observation {vals.index(v)} must be positive, got {v!r}")
 
 
 def _floats(series: Sequence[float]) -> list[float]:
@@ -87,7 +84,15 @@ def _floats(series: Sequence[float]) -> list[float]:
 
 def accumulate(series: Sequence[float]) -> list[float]:
     """First-order accumulation (running sums) of a positive series."""
-    return _running_sums(_floats(series))
+    vals = _floats(series)
+    out = []
+    total = 0.0
+    for v in vals:
+        if not 0.0 < v < math.inf:
+            _reject(vals, v)
+        total += v
+        out.append(total)
+    return out
 
 
 def fit(series: Sequence[float]) -> GreyModel:
@@ -106,32 +111,41 @@ def fit(series: Sequence[float]) -> GreyModel:
         vals = [v + shift for v in vals]
     # Without a shift every observation is checked here, in the one pass that
     # accumulates it; with one, this catches a shifted value that overflows
-    # or cancels to zero.
-    acc = _running_sums(vals)
-    n = len(vals)
-    z = [(a + b) / 2.0 for a, b in zip(acc[1:], acc)]  # (acc[i] + acc[i - 1]) / 2
-    y = vals[1:]
-    m = n - 1
-
+    # or cancels to zero. The pass keeps the last running sum only: each
+    # background value z = (acc[i] + acc[i - 1]) / 2 pairs with y = vals[i].
+    inf = math.inf
+    first = prev = vals[0]
+    if not 0.0 < first < inf:
+        _reject(vals, first)
     sz = sy = szz = szy = 0.0  # left folds, see the module docstring
-    for a, b in zip(z, y):
-        sz += a
-        sy += b
-        szz += a * a
-        szy += a * b
+    rest = iter(vals)
+    next(rest)
+    for y in rest:
+        if not 0.0 < y < inf:
+            _reject(vals, y)
+        acc = prev + y
+        z = (acc + prev) / 2.0
+        prev = acc
+        sz += z
+        sy += y
+        szz += z * z
+        szy += z * y
+    n = len(vals)
+    m = n - 1
 
     den = m * szz - sz * sz
     scale = m * szz + sz * sz
     if den <= scale * 1e-15:
         # All background values equal. Consistent only if the tail is flat.
-        spread = max(y) - min(y)
-        if spread <= 1e-12 * max(abs(y[0]), 1.0):
-            return GreyModel(0.0, sy / m, acc[0], n, shift)
+        tail = vals[1:]
+        spread = max(tail) - min(tail)
+        if spread <= 1e-12 * max(abs(tail[0]), 1.0):
+            return GreyModel(0.0, sy / m, first, n, shift)
         raise FitError("normal equations are singular and the data is inconsistent")
 
     alpha = (sz * sy - m * szy) / den
     mu = (sy + alpha * sz) / m
-    return GreyModel(alpha, mu, acc[0], n, shift)
+    return GreyModel(alpha, mu, first, n, shift)
 
 
 def response(model: GreyModel, t: int) -> float:

@@ -356,7 +356,11 @@ def write_metrics(log: MetricsLog, out_dir: str | Path,
     ``report`` is summarize(log), computed here when not given. The files are
     written in one pass over ``log.rows`` and one over ``log.windows``: each
     value is formatted once, for metrics.csv and its series file alike, and
-    each line goes straight to its file, so no output is held in memory.
+    each line goes straight to its file, so no output is held in memory. A
+    batch whose total delay equals its processing delay, as for every batch
+    that did not wait, writes the processing delay's string for both: equal
+    floats, 0.0 and -0.0, and an int and an equal float all give one
+    ``_fmt`` string.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -378,7 +382,9 @@ def write_metrics(log: MetricsLog, out_dir: str | Path,
             t = fmt(row.time_ms)
             if type(row) is BatchRow:
                 sched, proc = fmt(row.sched_delay_ms), fmt(row.proc_delay_ms)
-                total = fmt(row.total_delay_ms)
+                total = row.total_delay_ms
+                # A batch that did not wait: equal values format alike.
+                total = proc if total == row.proc_delay_ms else fmt(total)
                 metrics.write(f"{t},{row.batch_id},{row.interval_ms},{row.records},"
                               f"{row.blocks},{sched},{proc},{total},{fmt(row.eta)},,,,,,\n")
                 delay.write(f"{t},{total},{proc},{sched}\n")
@@ -412,7 +418,11 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
         raise UsageError(f"cannot write output directory {out}: {exc}") from exc
     log = MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
     report = summarize(log)
-    write_metrics(log, out, report)
+    try:
+        write_metrics(log, out, report)
+    except OSError as exc:
+        path = out if exc.filename is None else exc.filename
+        raise UsageError(f"cannot write {path}: {exc}") from exc
     print(f"{spec.label}: {log.batch_count} batches, "
           f"{report.records_processed} records -> {out}")
     if report.convergence_time_ms is not None:

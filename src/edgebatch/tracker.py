@@ -87,15 +87,14 @@ class TrafficTracker:
         stays contiguous.
         """
         w = self.config.resample_interval
+        index = self._next_close_index
         closed: list[ResampledRecord] = []
-        while (self._next_close_index + 1) * w <= now:
-            index = self._next_close_index
-            count = self._open_counts.pop(index, 0)
-            rec = ResampledRecord(window_start=index * w, window_len=w,
-                                  rate=count * 1000.0 / w)
-            self._rates.append(rec.rate)
-            closed.append(rec)
-            self._next_close_index += 1
+        while (index + 1) * w <= now:
+            rate = self._open_counts.pop(index, 0) * 1000.0 / w
+            self._rates.append(rate)
+            closed.append(ResampledRecord(index * w, w, rate))
+            index += 1
+        self._next_close_index = index
         return closed
 
     def train(self) -> Optional[grey.GreyModel]:

@@ -184,14 +184,16 @@ def test_series_files_row_counts(tmp_path):
         assert len(lines) == 1 + expected, name
 
 
+OUTPUT_NAMES = ("metrics.csv", "summary.json", "series_interval.csv",
+                "series_workload.csv", "series_rate.csv", "series_delay.csv")
+
+
 def test_rerun_outputs_byte_identical(tmp_path):
     spec = build_run_spec(mini_cfg())
-    names = ("metrics.csv", "summary.json", "series_interval.csv",
-             "series_workload.csv", "series_rate.csv", "series_delay.csv")
     for sub in ("a", "b"):
         log = engine.MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
         write_metrics(log, tmp_path / sub)
-    for name in names:
+    for name in OUTPUT_NAMES:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
 
@@ -215,6 +217,42 @@ def test_summary_conservation_against_log():
     report = summarize(log)
     assert report.records_processed == sum(b.records for b in split_rows(log)[0])
     assert log.total_batch_records == log.total_block_records
+
+
+def test_delay_cells_are_fmt_of_each_value(tmp_path):
+    # write_metrics reuses the processing delay's string for a total equal
+    # to it. Rows an engine run does not produce: equal values of different
+    # types and signs, integer-valued and huge floats, and unequal pairs.
+    delays = [  # (sched, proc, total)
+        (0.0, 0.0, -0.0),
+        (-0.0, -0.0, 0.0),
+        (0.0, 1250, 1250.0),
+        (0.0, 1250.0, 1250),
+        (0.0, 7.0, 7.0),
+        (0.0, 12.375, 12.375),
+        (0.0, 1e16, 1e16),
+        (0.0, 10**16, 1e16),
+        (0.0, 2.5e300, 2.5e300),
+        (250.5, 999.25, 1249.75),
+        (1e16, 1.5, 1e16 + 2.0),
+        (0.5, 7, 7.5),
+    ]
+    log = engine.MetricsLog(block_interval=200)
+    for i, (sched, proc, total) in enumerate(delays):
+        log.rows.append(engine.BatchRow(1000.5 * i, i, 600, 3 * i, i, sched, proc, total,
+                                        total / 600.0))
+    write_metrics(log, tmp_path)
+    fmt = harness._fmt
+    metrics = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    series = (tmp_path / "series_delay.csv").read_text().splitlines()[1:]
+    assert len(metrics) == len(series) == len(log.rows)
+    for row, m, d in zip(log.rows, metrics, series):
+        assert m.split(",") == [
+            fmt(row.time_ms), str(row.batch_id), str(row.interval_ms), str(row.records),
+            str(row.blocks), fmt(row.sched_delay_ms), fmt(row.proc_delay_ms),
+            fmt(row.total_delay_ms), fmt(row.eta)] + [""] * 6
+        assert d.split(",") == [fmt(row.time_ms), fmt(row.total_delay_ms),
+                                fmt(row.proc_delay_ms), fmt(row.sched_delay_ms)]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -477,6 +515,24 @@ def test_cli_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, command)
     assert captured.err.startswith(f"error: cannot write output directory {out}: ")
     assert len(captured.err.strip().splitlines()) == 1
     assert out.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("name", OUTPUT_NAMES)
+@pytest.mark.parametrize("command", ["run", "preset"])
+def test_cli_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, name, command):
+    # The whole run was simulated and then write_metrics' open() raised
+    # IsADirectoryError.
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    if command == "run":
+        argv = ["run", "--config", str(write_conf(tmp_path))]
+    else:
+        argv = ["preset", "exp1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out / name}: ")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("what, content, message", [

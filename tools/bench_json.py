@@ -13,7 +13,12 @@ that the change's BENCHMARK.json declares, the output holds:
 - the change's median relative to the parent's;
 - pair wins: pairs in which the change is better, in the metric's declared
   direction (ties count for neither side), out of all pairs;
-- the parent's quartile distance, which a gain in the median must exceed.
+- the parent's quartile distance, which a gain in the median must exceed;
+- the metric's regression `bound` from BENCHMARK.json, and two verdicts:
+  `within_bound`, the change's median is no worse than the parent's by more
+  than `bound` times the parent's median; `gain_shown`, the change won at
+  least 9 of every 10 pairs and its median is better than the parent's by
+  more than the parent's quartile distance.
 
 Per workload it also gives the seeds, each side's Python version, CPU count,
 failed and attempted runs, timed repeats per seed, and the output sha256 of
@@ -54,11 +59,14 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
-def summarise_metric(parent: list[float], change: list[float], better: str) -> dict:
+def summarise_metric(parent: list[float], change: list[float], better: str,
+                     bound: float) -> dict:
     sign = 1 if better == "higher" else -1
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     losses = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
     before, after = spread(parent), spread(change)
+    distance = before["q3"] - before["q1"]
+    gain = sign * (after["median"] - before["median"])  # > 0: the change is better
     return {
         "better": better,
         "parent": before,
@@ -67,7 +75,10 @@ def summarise_metric(parent: list[float], change: list[float], better: str) -> d
         "pair_wins": wins,
         "pair_losses": losses,
         "pairs": len(parent),
-        "parent_quartile_distance": before["q3"] - before["q1"],
+        "parent_quartile_distance": distance,
+        "bound": bound,
+        "within_bound": -gain <= bound * abs(before["median"]),
+        "gain_shown": 10 * wins >= 9 * len(parent) and gain > distance,
     }
 
 
@@ -96,7 +107,7 @@ def summarise_workload(parent: list[dict], change: list[dict], metrics: list[dic
             m["name"]: {"unit": m["unit"],
                         **summarise_metric([r["values"][m["name"]] for r in parent],
                                            [r["values"][m["name"]] for r in change],
-                                           m["better"])}
+                                           m["better"], m["bound"])}
             for m in metrics
         },
     }
