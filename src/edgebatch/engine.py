@@ -57,7 +57,7 @@ from typing import Optional
 from .errors import ConfigError, ModeError
 from .fuzzy import ControllerConfig, ControlRow, FuzzyController, RuleTable
 from .tracker import TrafficTracker, TrackerConfig
-from .traces import RateFunction
+from .traces import MAX_TIME_MS, RateFunction
 from .workload import MonitorConfig, WorkloadMonitor
 
 log = logging.getLogger(__name__)
@@ -65,7 +65,6 @@ log = logging.getLogger(__name__)
 ADAPTIVE = "adaptive"
 VANILLA = "vanilla"
 
-MAX_TIME_MS = 2**53  # every integer up to here is exact as a float
 FILL_BLOCKS = 256  # blocks whose counts run() computes per trace call
 # The times MAX_TIME_MS bounds, as attribute paths from EngineConfig.
 _TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start",
@@ -176,7 +175,6 @@ class WindowRow:
     window after it (None while the tracker has no model)."""
 
     window_start_ms: int
-    window_len_ms: int
     rate_measured: float
     rate_predicted_next: Optional[float]
 
@@ -350,7 +348,7 @@ class MicrobatchEngine:
             predicted: Optional[float] = None
             if tracker.model is not None:
                 predicted = tracker.predict_rate() if prediction_enabled else rec.rate
-            windows.append(WindowRow(rec.window_start, rec.window_len, rec.rate, predicted))
+            windows.append(WindowRow(rec.window_start, rec.rate, predicted))
         heapq.heappush(self._heap, (now + w, RATE_WINDOW_CLOSE))
 
     def _on_control_tick(self, now: int) -> None:

@@ -8,9 +8,8 @@ The tracker fits once per closed rate window and takes one forecast per
 fit. ``fit`` makes one pass over the observations: it checks each one,
 accumulates it and adds its background value to the four normal-equation
 sums, keeping only the last running sum, so it builds no list of the
-accumulated series or of the background values. ``predict`` evaluates the
-time response inline with the float expressions of ``response``, in the
-same order, so its values are exactly those of differencing ``response``.
+accumulated series or of the background values. ``predict`` differences two
+evaluations of the time response of the accumulated series.
 ``GreyModel`` is slotted, not frozen, since a frozen ``__init__`` sets each
 field through ``object.__setattr__``.
 
@@ -75,26 +74,6 @@ def _reject(vals: list[float], v: float) -> NoReturn:
     raise DomainError(f"observation {vals.index(v)} must be positive, got {v!r}")
 
 
-def _floats(series: Sequence[float]) -> list[float]:
-    vals = [float(v) for v in series]
-    if len(vals) < MIN_TRAIN_LEN:
-        raise LengthError(f"need at least {MIN_TRAIN_LEN} observations, got {len(vals)}")
-    return vals
-
-
-def accumulate(series: Sequence[float]) -> list[float]:
-    """First-order accumulation (running sums) of a positive series."""
-    vals = _floats(series)
-    out = []
-    total = 0.0
-    for v in vals:
-        if not 0.0 < v < math.inf:
-            _reject(vals, v)
-        total += v
-        out.append(total)
-    return out
-
-
 def fit(series: Sequence[float]) -> GreyModel:
     """Fit GM(1,1) to a series of at least four finite observations.
 
@@ -102,7 +81,9 @@ def fit(series: Sequence[float]) -> GreyModel:
     (1 - min) first, so the accumulated series is strictly increasing;
     the shift is stored on the model and undone by :func:`predict`.
     """
-    vals = _floats(series)
+    vals = [float(v) for v in series]
+    if len(vals) < MIN_TRAIN_LEN:
+        raise LengthError(f"need at least {MIN_TRAIN_LEN} observations, got {len(vals)}")
     shift = 0.0
     lowest = min(vals)
     if lowest <= 0:
@@ -148,20 +129,11 @@ def fit(series: Sequence[float]) -> GreyModel:
     return GreyModel(alpha, mu, first, n, shift)
 
 
-def response(model: GreyModel, t: int) -> float:
-    """Accumulated-series value at step t (1-based) from the time response."""
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
-    if abs(model.alpha) < EPS_ALPHA:
-        return model.first_accumulated + model.mu * (t - 1)
-    ratio = model.mu / model.alpha
-    return (model.first_accumulated - ratio) * math.exp(-model.alpha * (t - 1)) + ratio
-
-
 def predict(model: GreyModel, t: int) -> float:
-    """Original-series value at step t: response(t) - response(t - 1), or
-    response(1) at t = 1, less the shift. Evaluated inline, with the
-    expressions of :func:`response`."""
+    """Original-series value at step t (1-based), less the shift: the time
+    response r(t) - r(t - 1), or r(1) at t = 1, where r(t) is
+    (first_accumulated - mu / alpha) * exp(-alpha * (t - 1)) + mu / alpha,
+    or its linear limit first_accumulated + mu * (t - 1) near alpha = 0."""
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
     alpha, mu, first = model.alpha, model.mu, model.first_accumulated

@@ -37,6 +37,7 @@ HEADER = "timestamp_s,value"
 # node's input (the presets peak near 2,400 records/s) and keeps a block's
 # expected count, and every sum or product of counts, well inside float range.
 MAX_RATE = 1e9
+MAX_TIME_MS = 2**53  # every integer up to here is exact as a float
 
 _time = itemgetter(0)  # of a (t_ms, rate) sample
 
@@ -134,6 +135,9 @@ class SinusoidRate(RateFunction):
             raise DomainError("base must be >= amplitude or the rate would go negative")
         if self.period_ms <= 0:
             raise DomainError("period must be positive")
+        # cos(w * t) needs w * t finite for every time the engine can reach.
+        if not math.isfinite(2.0 * math.pi / self.period_ms * MAX_TIME_MS):
+            raise DomainError(f"period {self.period_ms!r} ms is too short")
         if not math.isfinite(self.amplitude / (2.0 * math.pi / self.period_ms)):
             raise DomainError("amplitude times period is too large to integrate")
 

@@ -9,6 +9,7 @@ stays fast enough to run on every change.
 import dataclasses
 import random
 import statistics
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ def test_criterion_01_grey_fit_matches_oracle():
     for q in (1.02, 1.2, 0.9):
         series = [5.0 * q ** k for k in range(6)]
         model = grey.fit(series)
-        acc = grey.accumulate(series)
+        acc = list(accumulate(series))
         for k in range(1, 6):
             z = (acc[k] + acc[k - 1]) / 2.0
             residual = series[k] + model.alpha * z - model.mu

@@ -1,22 +1,25 @@
 """Bit-exact checks of the control path against the straightforward versions.
 
-The oracles are the plain forms of fuzzification, inference, the GM(1,1)
-fit and its forecast: they spell out their own label centres and half
-width, build a rule table per call, check and accumulate the series in
-separate passes and difference two evaluations of the time response. The
-program's versions skip that work; they must return exactly the same floats
-and levels, because the outputs are pinned byte for byte and a last-bit
-change can flip a level at a .5 tie.
+The oracles are the plain forms of the clamps, fuzzification, inference,
+the GM(1,1) fit and its forecast: they clamp with ``min`` and ``max``, spell
+out their own label centres and half width, build a dict of degrees and a
+rule table per call, check and accumulate the series in separate passes and
+difference two evaluations of the time response. The program's versions
+skip that work; they must return exactly the same floats and levels, because
+the outputs are pinned byte for byte and a last-bit change can flip a level
+at a .5 tie.
 """
 
 import math
+import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgebatch import fuzzy, grey
 from edgebatch.errors import DomainError, FitError, LengthError
-from edgebatch.fuzzy import RuleTable, fuzzify
+from edgebatch.fuzzy import ControllerConfig, RuleTable, adjust_interval, clamp, fuzzify
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 
 ORACLE = settings(max_examples=400, deadline=None)
@@ -30,8 +33,12 @@ ORACLE_CENTERS = (-0.2, -0.1, 0.0, 0.1, 0.2)
 ORACLE_HALF_WIDTH = 0.1
 
 
+def oracle_clamp(x):
+    return min(ORACLE_CENTERS[4], max(ORACLE_CENTERS[0], x))
+
+
 def oracle_fuzzify(x):
-    x = min(ORACLE_CENTERS[4], max(ORACLE_CENTERS[0], x))
+    x = oracle_clamp(x)
     out = {}
     for label in range(5):
         degree = 1.0 - abs(x - ORACLE_CENTERS[label]) / ORACLE_HALF_WIDTH
@@ -58,9 +65,10 @@ STEEP = RuleTable(tuple(tuple(max(-2, min(2, c + d - 4)) for c in range(5))
                         for d in range(5)))
 
 # Label centres, the midpoints between them, the clamp edges and values past
-# them, a 0.001 grid (where inexact degrees make the sum order matter at .5
-# ties) and arbitrary floats.
-SPECIAL = [k / 20 for k in range(-6, 7)] + [-math.inf, math.inf]
+# them, NaN and -0.0, a 0.001 grid (where inexact degrees make the sum order
+# matter at .5 ties) and arbitrary floats.
+GRID = [k / 20 for k in range(-4, 5)]  # the centres and their midpoints
+SPECIAL = [k / 20 for k in range(-6, 7)] + [-math.inf, math.inf, math.nan, -0.0]
 INPUTS = st.one_of(st.sampled_from(SPECIAL),
                    st.integers(-250, 250).map(lambda k: k / 1000),
                    st.floats(-1.5, 1.5))
@@ -81,6 +89,39 @@ def test_fuzzify_matches_oracle(x):
 @example(-0.193, 0.043, None)   # ties at -0.5
 def test_infer_matches_oracle(c, d, table):
     assert fuzzy.infer(c, d, table) == oracle_infer(c, d, table)
+
+
+def test_infer_matches_oracle_on_the_grid_and_random_pairs():
+    for table in (None, STEEP):
+        for c in GRID:
+            for d in GRID:
+                assert fuzzy.infer(c, d, table) == oracle_infer(c, d, table), (c, d)
+    rng = random.Random(20261018)
+    for _ in range(20_000):
+        c, d = (rng.uniform(-0.25, 0.25) if rng.random() < 0.5
+                else rng.randint(-250, 250) / 1000 for _ in range(2))
+        assert fuzzy.infer(c, d) == oracle_infer(c, d), (c, d)
+
+
+# -- the clamps, against the min/max forms they replace -------------------------
+# repr tells -0.0 from 0.0 and shows NaN, which == cannot.
+
+
+@ORACLE
+@given(st.sampled_from(SPECIAL) | st.floats())
+def test_clamp_matches_min_max(x):
+    assert repr(clamp(x)) == repr(oracle_clamp(x))
+
+
+@pytest.mark.parametrize("step_blocks", [1, 2, 3])
+@pytest.mark.parametrize("lo, hi", [(1000, 3000), (1600, 1600)])
+def test_adjust_interval_matches_min_max(step_blocks, lo, hi):
+    config = ControllerConfig(200, lo, hi, step_blocks=step_blocks)
+    for current in range(0, 4400, 200):  # below, inside and above [lo, hi]
+        for level in range(-2, 3):
+            proposed = current + level * step_blocks * 200
+            expected = min(hi, max(lo, proposed))
+            assert repr(adjust_interval(current, level, config)) == repr(expected)
 
 
 # -- grey oracles -------------------------------------------------------------
@@ -213,3 +254,14 @@ def test_retrain_replaces_cached_forecast():
     after = tracker.predict_rate()
     assert after == max(0.0, grey.predict(second, second.train_len + 1))
     assert after != before
+
+
+@pytest.mark.parametrize("forecast", [math.nan, -0.0, -1.0, math.inf, 3.5])
+def test_predict_rate_clamps_like_max(monkeypatch, forecast):
+    tracker = TrafficTracker(TrackerConfig())
+    for k in range(5):
+        tracker.report_info(k * 30_000, 3000)
+    tracker.close_windows_upto(150_000)
+    tracker.train()
+    monkeypatch.setattr(grey, "predict", lambda model, t: forecast)
+    assert repr(tracker.predict_rate()) == repr(max(0.0, forecast))

@@ -304,8 +304,7 @@ class HeapReference:
             predicted = None
             if self.tracker.model is not None:
                 predicted = self.tracker.predict_rate() if prediction else rec.rate
-            self.log.windows.append(WindowRow(rec.window_start, rec.window_len,
-                                              rec.rate, predicted))
+            self.log.windows.append(WindowRow(rec.window_start, rec.rate, predicted))
         if now + self.config.tracker.resample_interval <= self.config.duration:
             self.schedule(now + self.config.tracker.resample_interval, RATE_WINDOW_CLOSE)
 

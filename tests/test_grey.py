@@ -1,6 +1,7 @@
 """Grey-model tests, anchored by an independent least-squares oracle."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from edgebatch import grey
 from edgebatch.errors import DomainError, FitError, LengthError
+
+from test_control_oracle import oracle_response
 
 
 def oracle_fit(series):
@@ -36,11 +39,13 @@ def test_fit_matches_doubling_series_exactly():
 
 
 def test_response_of_doubling_series():
+    # The time response at t is the sum of the predictions up to t.
     model = grey.fit([1.0, 2.0, 4.0, 8.0])
-    assert grey.response(model, 1) == pytest.approx(1.0, rel=1e-12)
+    assert grey.predict(model, 1) == pytest.approx(1.0, rel=1e-12)
     expected = 2.0 * math.exp(2.0 / 3.0) - 1.0
-    assert grey.response(model, 2) == pytest.approx(expected, rel=1e-12)
-    assert grey.response(model, 2) == pytest.approx(2.8955, abs=5e-5)
+    response_2 = grey.predict(model, 1) + grey.predict(model, 2)
+    assert response_2 == pytest.approx(expected, rel=1e-12)
+    assert response_2 == pytest.approx(2.8955, abs=5e-5)
 
 
 def test_predict_of_doubling_series():
@@ -68,7 +73,7 @@ def test_geometric_series_fit_is_exact():
         n = int(rng.integers(4, 9))
         series = [c * q**k for k in range(n)]
         model = grey.fit(series)
-        acc = grey.accumulate(series)
+        acc = list(accumulate(series))
         # Residuals of the difference equation itself.
         for t in range(1, n):
             z = 0.5 * (acc[t] + acc[t - 1])
@@ -81,16 +86,8 @@ def test_constant_series_takes_the_linear_limit():
     assert abs(model.alpha) < grey.EPS_ALPHA
     assert model.alpha == 0.0
     assert model.mu == pytest.approx(5.0, rel=1e-12)
-    assert grey.response(model, 3) == pytest.approx(15.0, rel=1e-12)
+    assert sum(grey.predict(model, t) for t in (1, 2, 3)) == pytest.approx(15.0, rel=1e-12)
     assert grey.predict(model, 7) == pytest.approx(5.0, rel=1e-12)
-
-
-def test_accumulate_and_difference_round_trip():
-    series = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0]
-    acc = grey.accumulate(series)
-    assert acc == [3.0, 4.0, 8.0, 9.0, 14.0, 23.0]
-    back = [acc[0]] + [b - a for a, b in zip(acc, acc[1:])]
-    assert back == pytest.approx(series, rel=1e-12)
 
 
 def fit_or_reject(series):
@@ -111,7 +108,7 @@ def test_predictions_telescope_to_response(series):
     model = fit_or_reject(series)
     for k in (1, model.train_len, model.train_len + 3):
         total = sum(grey.predict(model, t) for t in range(1, k + 1))
-        assert math.isclose(total, grey.response(model, k), rel_tol=1e-12, abs_tol=1e-9)
+        assert math.isclose(total, oracle_response(model, k), rel_tol=1e-12, abs_tol=1e-9)
 
 
 @given(
@@ -151,7 +148,7 @@ def test_short_series_rejected():
     with pytest.raises(LengthError):
         grey.fit([1.0, 2.0, 3.0])
     with pytest.raises(LengthError):
-        grey.accumulate([1.0, 2.0])
+        grey.fit([1.0, 2.0])
 
 
 def test_non_finite_rejected():
@@ -161,11 +158,13 @@ def test_non_finite_rejected():
         grey.fit([1.0, float("inf"), 3.0, 4.0])
 
 
-def test_accumulate_rejects_non_positive():
-    with pytest.raises(DomainError):
-        grey.accumulate([1.0, 0.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        grey.accumulate([1.0, -2.0, 2.0, 3.0])
+def test_fit_rejects_a_shift_that_cancels_to_zero():
+    # A zero or negative value shifts the window instead of failing the fit;
+    # only a shifted value that is still not positive is rejected.
+    assert grey.fit([1.0, 0.0, 2.0, 3.0]).shift == 1.0
+    assert grey.fit([1.0, -2.0, 2.0, 3.0]).shift == 3.0
+    with pytest.raises(DomainError, match="observation 0 must be positive"):
+        grey.fit([-1e20, 1.0, 2.0, 3.0])
 
 
 def test_unfittable_positive_series_raises_fit_error():
@@ -179,4 +178,4 @@ def test_bad_prediction_args():
     with pytest.raises(DomainError):
         grey.predict(model, 0)
     with pytest.raises(DomainError):
-        grey.response(model, -1)
+        grey.predict(model, -1)

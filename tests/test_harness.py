@@ -366,8 +366,11 @@ MINI_TRACE = "trace.kind = constant\ntrace.rate = 1000\n"
     ("trace.kind = constant\ntrace.rate = 2e9\n", "MAX_RATE"),
     ("trace.kind = sinusoid\ntrace.base = 1000\ntrace.amplitude = 400\n"
      "trace.period = 1e308\n", "too large"),
+    ("trace.kind = sinusoid\ntrace.base = 1000\ntrace.amplitude = 400\n"
+     "trace.period = 1e-320\n", "too short"),  # validate passed it, run raised
     (MINI_TRACE + "tracker.resample_interval = 30100\n", "resample_interval"),
-], ids=["rate-1e308", "rate-2e9", "sinusoid-period-1e308", "resample-off-block"])
+], ids=["rate-1e308", "rate-2e9", "sinusoid-period-1e308", "sinusoid-period-1e-320",
+        "resample-off-block"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_rejected_config_exits_1_with_one_line(tmp_path, capsys, replacement, message,
                                                    command):

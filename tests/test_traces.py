@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgebatch import traces
 from edgebatch.errors import DomainError, TraceParseError
@@ -187,3 +189,28 @@ def test_sinusoid_whose_integral_overflows_rejected():
     traces.sinusoid(1000.0, 0.0, 1e308)  # flat: nothing to overflow
     with pytest.raises(DomainError, match="too large"):
         traces.sinusoid(1000.0, 400.0, 1e308)
+
+
+def test_sinusoid_too_short_for_max_time_rejected():
+    # 2 pi / period overflows to inf, and cos(inf * t) is a math domain error.
+    with pytest.raises(DomainError, match="too short"):
+        traces.sinusoid(1000.0, 400.0, 1e-320)
+    with pytest.raises(DomainError, match="too short"):
+        traces.sinusoid(1000.0, 400.0, 3e-292)  # finite w, but w * 2**53 is not
+    traces.sinusoid(1000.0, 400.0, 4e-292)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.floats(0.0, 2e9) | st.floats(), amplitude=st.floats(0.0, 2e9) | st.floats(),
+       period=st.floats(0.0, 1e-280) | st.floats(0.0, 1e9) | st.floats(),
+       share=st.floats(0.0, 1.0))
+@example(1000.0, 400.0, 1e-320, 0.5)
+def test_sinusoid_is_rejected_or_finite_up_to_max_time(base, amplitude, period, share):
+    try:
+        f = traces.sinusoid(base, amplitude, period)
+    except DomainError:
+        return
+    for block, n in ((1, 64), (200, 256), (10**6, 3)):
+        last = traces.MAX_TIME_MS - n * block  # every block edge <= MAX_TIME_MS
+        for start in (0, int(share * last), last):
+            assert all(map(math.isfinite, f.block_integrals(start, block, n)))

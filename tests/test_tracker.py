@@ -97,7 +97,8 @@ def test_record_conservation():
         tracker.report_info(k * 700, count)
     closed = tracker.close_windows_upto(140_000)
     assert [rec.window_start for rec in closed] == [k * 30_000 for k in range(4)]
-    closed_sum = sum(rec.rate * rec.window_len / 1000.0 for rec in closed)
+    w = tracker.config.resample_interval  # every window's length
+    closed_sum = sum(rec.rate * w / 1000.0 for rec in closed)
     open_sum = sum(tracker._open_counts.values())
     assert math.isclose(closed_sum + open_sum, total, rel_tol=1e-9)
 
