@@ -30,12 +30,15 @@ non-empty blocks, built by ``itertools.accumulate``. An event then seals
 ``int(fire_at // block)`` blocks by reading those sums, so a batch's counts
 and a window's total are differences of two running totals. The tracker
 gets one report per window, its total, when the window closes.
-Per batch the engine builds a ``Batch`` when the timer seals it and one
-``BatchRow`` when it completes, which holds the batch's delays and its
-workload sample. Rows and batches are slotted dataclasses, not frozen ones:
-a frozen dataclass's ``__init__`` sets each field through
-``object.__setattr__``, which makes a 9-field row about five times as slow
-to build. Nothing changes a row or a batch after it is built.
+A fire queues its batch as a ``(records, blocks, generated_at,
+interval_used)`` tuple, and a completion logs one ``BatchRow``. The log
+keeps every row to the end of the run, so rows are most of a run's peak
+memory, and a row holds only the objects it needs (see ``BatchRow``). One
+worker runs the batches in FIFO order, so a batch's id is the count of
+batches completed before it. Rows are slotted dataclasses, not frozen
+ones: a frozen dataclass's ``__init__`` sets each field through
+``object.__setattr__``, which makes a row about five times as slow to
+build. Nothing changes a row after it is built.
 
 Every configured time (ms) must be at most ``MAX_TIME_MS`` = 2**53: up to
 there a float holds every integer exactly, so each time converts to a float
@@ -84,17 +87,6 @@ _TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start
  INSTANT_JOB_COMPLETE, TRACE_END) = range(6)
 
 
-@dataclass(slots=True)
-class Batch:
-    """Blocks sealed by one timer fire; only their counts matter downstream."""
-
-    batch_id: int
-    record_count: int
-    block_count: int
-    generated_at: int
-    interval_used: int
-
-
 @dataclass(frozen=True)
 class JobCostModel:
     """Affine batch cost in ms: fixed + per-record + per-block terms."""
@@ -108,6 +100,8 @@ class JobCostModel:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
+            # A float cost makes every batch delay a float (see run()).
+            object.__setattr__(self, name, float(v))
 
     def cost(self, records: int, blocks: int) -> float:
         return self.fixed_overhead + self.per_record_cost * records + self.per_block_cost * blocks
@@ -156,7 +150,18 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class BatchRow:
-    """Metrics row emitted when a batch completes."""
+    """Metrics row emitted when a batch completes.
+
+    The eight fields are stored; ``eta``, the batch's workload sample, is
+    derived. ``total_delay_ms`` is stored although it is ``sched_delay_ms +
+    proc_delay_ms``, because ``summarize`` and ``write_metrics`` read it on
+    every row. A batch that started at its own fire, most batches when the
+    worker keeps up, holds the constant 0.0 as ``sched_delay_ms`` and its
+    ``proc_delay_ms`` object as ``total_delay_ms``, so its delays cost one
+    float. ``eta`` is read only by the monitor, once per batch, and by
+    ``write_metrics``; storing it would keep one more float per row for
+    the whole run.
+    """
 
     time_ms: float
     batch_id: int
@@ -166,7 +171,11 @@ class BatchRow:
     sched_delay_ms: float
     proc_delay_ms: float
     total_delay_ms: float
-    eta: float
+
+    @property
+    def eta(self) -> float:
+        """Total delay over the interval used: the monitor's sample."""
+        return self.total_delay_ms / float(self.interval_ms)
 
 
 @dataclass(slots=True)
@@ -236,11 +245,12 @@ class MicrobatchEngine:
         batched_records = batched_blocks = 0
         # The timer clock: the next fire and the interval that ends at it; the
         # worker clock: the running job as (done_at, rank, batch, started_at),
-        # or None when the worker is idle.
+        # or None when the worker is idle. A batch is a tuple (records,
+        # blocks, generated_at, interval_used).
         fire = interval = cfg.initial_interval
         job = None
-        queue: deque[Batch] = deque()
-        next_batch_id = batch_records = completed = 0
+        queue: deque[tuple[int, int, int, int]] = deque()
+        batch_records = completed = 0
         at, rank = heapq.heappop(heap)
         while True:
             # The next event is the earliest, by (time, rank), of the job's
@@ -250,23 +260,28 @@ class MicrobatchEngine:
             else:
                 now, kind = at, rank
             if job is not None and (job[0] < now or job[0] == now and job[1] < kind):
-                now, _, batch, started_at = job
+                now, _, (batch_size, batch_blocks, generated_at, used), started_at = job
                 job = None
-                # float() keeps the delays floats when every time is an int,
-                # as summary.json writes them.
-                sched = started_at - float(batch.generated_at)
                 proc = now - started_at
-                total = sched + proc
-                eta = total / float(batch.interval_used)
-                rows.append(BatchRow(now, batch.batch_id, batch.interval_used,
-                                     batch.record_count, batch.block_count,
-                                     sched, proc, total, eta))
-                completed += 1
+                if started_at == generated_at:
+                    # A batch that did not wait shares its floats, with the
+                    # values the general rule gives: x - x is +0.0, proc is
+                    # a float and never -0.0, and 0.0 + proc is proc.
+                    sched, total = 0.0, proc
+                else:
+                    # float() keeps the delays floats when every time is an
+                    # int, as summary.json writes them.
+                    sched = started_at - float(generated_at)
+                    total = sched + proc
+                row = BatchRow(now, completed, used, batch_size, batch_blocks, sched, proc,
+                               total)
+                rows.append(row)
                 if total > 0:
-                    on_batch_completed(eta)
+                    on_batch_completed(row.eta)
                 else:
                     log.debug("batch %d completed with zero delay, no workload sample",
-                              batch.batch_id)
+                              completed)
+                completed += 1
             else:
                 # Seal every block that ends by now. No event runs after the
                 # trace end, so no block ends after it either.
@@ -280,11 +295,9 @@ class MicrobatchEngine:
                 if kind == BATCH_TIMER_FIRE:
                     # Group every unsealed block into the next batch.
                     sealed_blocks = nonempty[k - first]
-                    batch = Batch(next_batch_id, sealed_records - batched_records,
-                                  sealed_blocks - batched_blocks, now, interval)
-                    queue.append(batch)
-                    next_batch_id += 1
-                    batch_records += batch.record_count
+                    batch_size = sealed_records - batched_records
+                    queue.append((batch_size, sealed_blocks - batched_blocks, now, interval))
+                    batch_records += batch_size
                     batched_records, batched_blocks = sealed_records, sealed_blocks
                     if self._pending_interval is not None:
                         self._current_interval = interval = self._pending_interval
@@ -302,7 +315,7 @@ class MicrobatchEngine:
                     at, rank = heapq.heappop(heap)
             if job is None and queue:
                 batch = queue.popleft()
-                done_at = now + cost(batch.record_count, batch.block_count)
+                done_at = now + cost(batch[0], batch[1])
                 job = (done_at, JOB_COMPLETE if done_at > now else INSTANT_JOB_COMPLETE,
                        batch, now)
         # Whatever the receiver still holds is sealed as one last batch, which

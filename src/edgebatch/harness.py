@@ -241,17 +241,14 @@ def load_run_spec(path: str | Path) -> RunSpec:
     return build_run_spec(load_config_file(path), base_dir=Path(path).resolve().parent)
 
 
-def load_preset(name: str, *, disable_prediction: bool = False,
-                seed: int | None = None) -> RunSpec:
-    """Load a packaged preset config, with optional CLI overrides."""
+def load_preset(name: str, *, disable_prediction: bool = False) -> RunSpec:
+    """Load a packaged preset config, with prediction optionally off."""
     if name not in PRESETS:
         raise UsageError(f"unknown preset {name!r} (choose from {', '.join(PRESETS)})")
     res = resources.files("edgebatch").joinpath(f"presets/{name}.conf")
     cfg = parse_config_text(res.read_text(), source=f"preset {name}")
     if disable_prediction:
         cfg["controller.prediction"] = "off"
-    if seed is not None:
-        cfg["engine.seed"] = str(seed)
     return build_run_spec(cfg)
 
 
@@ -447,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset = sub.add_parser("preset", help="run a packaged experiment preset")
     p_preset.add_argument("name", choices=PRESETS)
     p_preset.add_argument("--disable-prediction", action="store_true")
-    p_preset.add_argument("--seed", type=int, default=None)
     p_preset.add_argument("--out", default=None)
 
     p_val = sub.add_parser("validate", help="check a config file and exit")
@@ -461,8 +457,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             execute(load_run_spec(args.config), args.out)
         elif args.command == "preset":
-            spec = load_preset(args.name, disable_prediction=args.disable_prediction,
-                               seed=args.seed)
+            spec = load_preset(args.name, disable_prediction=args.disable_prediction)
             execute(spec, args.out)
         else:
             spec = load_run_spec(args.config)

@@ -80,11 +80,19 @@ def test_batch_row_splits_delays():
     log = engine.run()
     batches, _ = split_rows(log)
     assert batches == [
-        BatchRow(2500.0, 0, 1000, 1000, 5, 0.0, 1500.0, 1500.0, 1.5),
-        BatchRow(4000.0, 1, 1000, 1000, 5, 500.0, 1500.0, 2000.0, 2.0),
+        BatchRow(2500.0, 0, 1000, 1000, 5, 0.0, 1500.0, 1500.0),
+        BatchRow(4000.0, 1, 1000, 1000, 5, 500.0, 1500.0, 2000.0),
     ]
+    first, second = batches
+    # Batch 0 starts at its own fire: no scheduling delay, and its total is
+    # its processing delay, the same float object.
+    assert repr(first.sched_delay_ms) == "0.0"
+    assert first.total_delay_ms is first.proc_delay_ms
+    assert second.total_delay_ms == second.sched_delay_ms + second.proc_delay_ms
     for row in batches:
         assert type(row.sched_delay_ms) is type(row.total_delay_ms) is float
+        assert row.eta == row.total_delay_ms / float(row.interval_ms)
+    assert [row.eta for row in batches] == [1.5, 2.0]
     # Both samples are still pending: 1.75 is the mean of 1.5 and 2.0.
     assert engine.monitor.update_estimate() == pytest.approx(0.3 * 1.75 + 0.7)
 

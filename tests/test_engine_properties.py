@@ -17,16 +17,19 @@ is also checked against a reference loop that puts all five event sources
 (job completions, window closes, control ticks, timer fires and the trace
 end) on one heap, ordered by time, rank and sequence number, and feeds the
 tracker one block at a time from the per-block receiver. Its rows, windows,
-batch count and record totals must equal the engine's, field for field.
+batch count and record totals must equal the engine's, field for field, and
+its batch rows by repr too. The reference numbers batches when it seals
+them and computes every delay by the general rule, so it checks the
+engine's completion-count ids and the floats a batch that did not wait
+shares.
 """
 
 import heapq
 import itertools
-import math
-import random
 import tempfile
 from collections import deque
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +39,6 @@ from edgebatch import traces
 from edgebatch.engine import (
     ADAPTIVE,
     VANILLA,
-    Batch,
     BatchRow,
     EngineConfig,
     JobCostModel,
@@ -50,7 +52,7 @@ from edgebatch.harness import METRICS_COLUMNS, write_metrics
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 from edgebatch.workload import WorkloadMonitor
 
-from log_rows import split_rows
+from log_rows import per_block_counts, split_rows
 
 RATES = st.integers(0, 5000).map(float)
 # Stretches of zero rate make empty batches, which cost nothing when the
@@ -170,19 +172,6 @@ def engine_runs(draw, jitter: bool):
     return config, trace
 
 
-def per_block_counts(config, trace):
-    """Record counts of every block of the run, one block at a time."""
-    rng = random.Random(config.seed)
-    block = config.block_interval
-    counts = []
-    for end in range(block, config.duration + 1, block):
-        expected = trace.integral(end - block, end)
-        if config.jitter > 0.0:
-            expected *= 1.0 + config.jitter * rng.uniform(-1.0, 1.0)
-        counts.append(math.floor(expected + 0.5))
-    return counts
-
-
 def check_against_per_block_receiver(config, trace, log):
     counts = per_block_counts(config, trace)
     block = config.block_interval
@@ -207,11 +196,22 @@ def check_against_per_block_receiver(config, trace, log):
  INSTANT_JOB_COMPLETE, TRACE_END) = range(6)
 
 
+class RefBatch(NamedTuple):
+    """A batch of the reference loop, with the id it gets when sealed."""
+
+    batch_id: int
+    records: int
+    blocks: int
+    generated_at: int
+    interval_used: int
+
+
 class HeapReference:
     """Every event on one heap as (time, rank, sequence, payload), each timer
     fire and job completion included, fed by the per-block receiver: every
     block that ends by an event is sealed, and reported to the tracker on
-    its own, before the event runs."""
+    its own, before the event runs. Batch ids are assigned at seal time and
+    every batch's delays take the general arithmetic."""
 
     def __init__(self, config, trace):
         self.config = config
@@ -261,8 +261,8 @@ class HeapReference:
         self.batched = self.sealed
         self.log.total_batch_records += sum(blocks)
         self.next_batch_id += 1
-        return Batch(self.next_batch_id - 1, sum(blocks), sum(c > 0 for c in blocks), now,
-                     interval_used)
+        return RefBatch(self.next_batch_id - 1, sum(blocks), sum(c > 0 for c in blocks), now,
+                        interval_used)
 
     def timer_fire(self, now, _):
         self.queue.append(self.seal(now, now - self.last_fire))
@@ -278,7 +278,7 @@ class HeapReference:
             return
         batch = self.queue.popleft()
         self.busy = True
-        done_at = now + self.config.cost_model.cost(batch.record_count, batch.block_count)
+        done_at = now + self.config.cost_model.cost(batch.records, batch.blocks)
         self.schedule(done_at, JOB_COMPLETE if done_at > now else INSTANT_JOB_COMPLETE,
                       (batch, now))
 
@@ -288,13 +288,11 @@ class HeapReference:
         sched = started_at - float(batch.generated_at)
         proc = now - started_at
         total = sched + proc
-        eta = total / float(batch.interval_used)
-        self.log.rows.append(BatchRow(now, batch.batch_id, batch.interval_used,
-                                      batch.record_count, batch.block_count,
-                                      sched, proc, total, eta))
+        self.log.rows.append(BatchRow(now, batch.batch_id, batch.interval_used, batch.records,
+                                      batch.blocks, sched, proc, total))
         self.log.batch_count += 1
         if total > 0:
-            self.monitor.on_batch_completed(eta)
+            self.monitor.on_batch_completed(total / float(batch.interval_used))
         self.maybe_start_job(now)
 
     def window_close(self, now, _):
@@ -331,6 +329,8 @@ class HeapReference:
 def check_against_heap_reference(config, trace, log):
     ref = HeapReference(config, trace).run()
     assert log.rows == ref.rows
+    # By repr too, which tells +0.0 from -0.0 and an int from a float.
+    assert repr(split_rows(log)[0]) == repr(split_rows(ref)[0])
     assert log.windows == ref.windows
     assert log.batch_count == ref.batch_count
     assert (log.total_generated, log.total_block_records, log.total_batch_records) == \
@@ -349,8 +349,10 @@ def check_invariants(config, trace):
     for b in batches:
         assert b.sched_delay_ms >= 0 and b.proc_delay_ms >= 0
         assert b.total_delay_ms == b.sched_delay_ms + b.proc_delay_ms
+        if b.sched_delay_ms == 0:  # started at its own fire: one shared float
+            assert repr(b.sched_delay_ms) == "0.0" and b.total_delay_ms is b.proc_delay_ms
         assert b.interval_ms > 0
-        assert b.eta == b.total_delay_ms / b.interval_ms
+        assert b.eta == b.total_delay_ms / float(b.interval_ms)
 
     with tempfile.TemporaryDirectory() as out:
         write_metrics(log, out)

@@ -132,9 +132,13 @@ def test_all_presets_load():
 
 
 def test_preset_overrides():
-    spec = load_preset("exp1", disable_prediction=True, seed=7)
+    spec = load_preset("exp1", disable_prediction=True)
     assert not spec.engine.controller.prediction_enabled
-    assert spec.engine.seed == 7
+    # No preset sets engine.jitter, so a seed would change no output: the
+    # preset command has no --seed.
+    with pytest.raises(SystemExit) as exc:
+        main(["preset", "exp1", "--seed", "7"])
+    assert exc.value.code == 2
 
 
 def test_unknown_preset_rejected():
@@ -239,8 +243,7 @@ def test_delay_cells_are_fmt_of_each_value(tmp_path):
     ]
     log = engine.MetricsLog(block_interval=200)
     for i, (sched, proc, total) in enumerate(delays):
-        log.rows.append(engine.BatchRow(1000.5 * i, i, 600, 3 * i, i, sched, proc, total,
-                                        total / 600.0))
+        log.rows.append(engine.BatchRow(1000.5 * i, i, 600, 3 * i, i, sched, proc, total))
     write_metrics(log, tmp_path)
     fmt = harness._fmt
     metrics = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
