@@ -9,19 +9,22 @@ from the current one, stages that interval for the next timer fire. In
 vanilla mode, and before ``control_start``, the interval stays fixed and the
 tick only logs S and the rates.
 
-Only window closes, control ticks and the trace end are events on a heap,
-as ``(time, rank)`` entries. The batch timer and the worker are two clocks
-inside ``run``: the next fire time, and the running job as
-``(done_at, rank, batch, started_at)``. Before each heap event, ``run`` takes
-the earlier of the job's completion and the timer fire, by ``(time, rank)``,
-for as long as it comes before the heap event. A completion logs the batch's
-row and may start the next queued batch; a fire seals a batch, queues it and
-starts it if the worker is idle. Every source has at most one pending event
-and a rank of its own, so ``(time, rank)`` orders any two pending events and
-no tie is left to break. Before a fire or a heap event, a block clock seals
-every block that ends by its time, so at equal timestamps a block always
-comes first; a completion reads no block. At the trace end the blocks sealed
-since the last fire count as one more batch, which never runs.
+Every event source is a clock inside ``run``, and there is no event heap:
+the window close and the control tick are two times, the trace end is
+``duration``, the batch timer is the next fire time, and the worker is the
+running job as ``(done_at, rank, batch, started_at)``. Each iteration takes
+the earliest of the five by ``(time, rank)``, with comparisons. A window
+close logs the closed window and its forecast; a tick reads S and the rates
+and logs a ``ControlRow``; a completion logs the batch's row and may start
+the next queued batch; a fire seals a batch, queues it and starts it if the
+worker is idle. Every source has at most one pending event and a rank of
+its own, so ``(time, rank)`` orders any two pending events and no tie is
+left to break. Before a fire, a window close, a tick or the trace end, a
+block clock seals every block that ends by its time, so at equal timestamps
+a block always comes first; a completion reads no block. At the trace end
+the blocks sealed since the last fire count as one more batch, which never
+runs. ``run`` builds the tracker, monitor, controller, RNG and log itself,
+so every call returns a fresh, equal log.
 
 The receiver's counts are filled ``FILL_BLOCKS`` blocks at a time: one
 ``block_integrals`` call for the chunk's expected counts, jitter drawn in
@@ -47,7 +50,6 @@ without rounding or overflow.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 import random
@@ -57,7 +59,7 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import Optional
 
-from .errors import ConfigError, ModeError
+from .errors import ConfigError
 from .fuzzy import ControllerConfig, ControlRow, FuzzyController, RuleTable
 from .tracker import TrafficTracker, TrackerConfig
 from .traces import MAX_TIME_MS, RateFunction
@@ -80,9 +82,8 @@ _TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start
 # the controller runs before the timer fires, so every consumer sees the
 # freshest state a coinciding producer left behind. A job that takes no time
 # completes after the other events of the instant it started in
-# (INSTANT_JOB_COMPLETE), and the trace end comes last. Only
-# RATE_WINDOW_CLOSE, CONTROL_TICK and TRACE_END are heap entries; run()
-# compares the timer's and the job's ranks with the heap event's.
+# (INSTANT_JOB_COMPLETE), and the trace end comes last. run() keeps one
+# clock per source and compares their (time, rank) pairs.
 (JOB_COMPLETE, RATE_WINDOW_CLOSE, CONTROL_TICK, BATCH_TIMER_FIRE,
  INSTANT_JOB_COMPLETE, TRACE_END) = range(6)
 
@@ -200,65 +201,59 @@ class MetricsLog:
 
 
 class MicrobatchEngine:
-    """Single-run engine; construct, call run() once, read the metrics log."""
+    """Engine for one config and trace: each run() builds its own tracker,
+    monitor, controller, RNG and metrics log, so runs are equal."""
 
     def __init__(self, config: EngineConfig, trace: RateFunction,
                  rule_table: RuleTable | None = None):
         self.config = config
         self.trace = trace
-        self.tracker = TrafficTracker(config.tracker)
-        self.monitor = WorkloadMonitor(config.monitor)
-        self.controller: Optional[FuzzyController] = None
-        if config.mode == ADAPTIVE:
-            self.controller = FuzzyController(
-                config.controller, self.tracker, self.monitor,
-                rule_table=rule_table)
-        self._heap: list = []  # (fire_at, rank)
-        self._ran = False
-        self._current_interval = config.initial_interval
-        self._pending_interval: Optional[int] = None
-        # Records in every block sealed so far, and at the last window close.
-        self._sealed_records = self._reported_records = 0
-        self._rng = random.Random(config.seed)
-        self.log = MetricsLog(block_interval=config.block_interval)
+        self.rule_table = rule_table
 
     def run(self) -> MetricsLog:
         """Run the trace to its end and return the metrics log."""
-        if self._ran:
-            raise ModeError("engine instances are single-run")
-        self._ran = True
         cfg = self.config
-        heap = self._heap = [(cfg.tracker.resample_interval, RATE_WINDOW_CLOSE),
-                             (cfg.controller.control_period, CONTROL_TICK),
-                             (cfg.duration, TRACE_END)]
-        heapq.heapify(heap)
+        tracker = TrafficTracker(cfg.tracker)
+        monitor = WorkloadMonitor(cfg.monitor)
+        controller = (FuzzyController(cfg.controller, self.rule_table)
+                      if cfg.mode == ADAPTIVE else None)
+        rng = random.Random(cfg.seed)
+        metrics = MetricsLog(block_interval=cfg.block_interval)
         cost = cfg.cost_model.cost
-        on_batch_completed = self.monitor.on_batch_completed
-        rows = self.log.rows
+        on_batch_completed = monitor.on_batch_completed
+        rows, windows = metrics.rows, metrics.windows
+        prediction_enabled = cfg.controller.prediction_enabled
+        # The window, tick and trace-end clocks.
+        w, period = cfg.tracker.resample_interval, cfg.controller.control_period
+        window, tick, end = w, period, cfg.duration
         # The block clock. Counts of blocks first .. first + len(records) - 2
         # are filled in; records[j] and nonempty[j] are the running totals
         # over blocks 0 .. first + j - 1. batched_* are the same totals at
-        # the last batch seal.
+        # the last batch seal, and reported_records at the last window close.
         block = cfg.block_interval
         n_blocks = cfg.duration // block
         first, records, nonempty = 0, [0], [0]
-        batched_records = batched_blocks = 0
-        # The timer clock: the next fire and the interval that ends at it; the
+        batched_records = batched_blocks = reported_records = 0
+        # The timer clock: the next fire, the interval that ends at it and the
+        # one a tick staged for the fire after it (None for no change); the
         # worker clock: the running job as (done_at, rank, batch, started_at),
         # or None when the worker is idle. A batch is a tuple (records,
         # blocks, generated_at, interval_used).
         fire = interval = cfg.initial_interval
+        pending = None
         job = None
         queue: deque[tuple[int, int, int, int]] = deque()
         batch_records = completed = 0
-        at, rank = heapq.heappop(heap)
         while True:
-            # The next event is the earliest, by (time, rank), of the job's
-            # completion, the timer fire and the heap event (at, rank).
-            if fire < at or fire == at and rank > BATCH_TIMER_FIRE:
-                now, kind = fire, BATCH_TIMER_FIRE
+            # The next event is the earliest of the five clocks by (time, rank).
+            if window <= tick:
+                now, kind = window, RATE_WINDOW_CLOSE
             else:
-                now, kind = at, rank
+                now, kind = tick, CONTROL_TICK
+            if now > end:
+                now, kind = end, TRACE_END
+            if fire < now or fire == now and kind > BATCH_TIMER_FIRE:
+                now, kind = fire, BATCH_TIMER_FIRE
             if job is not None and (job[0] < now or job[0] == now and job[1] < kind):
                 now, _, (batch_size, batch_blocks, generated_at, used), started_at = job
                 job = None
@@ -288,7 +283,7 @@ class MicrobatchEngine:
                 k = int(now // block)
                 while k - first >= len(records):
                     first += len(records) - 1
-                    counts = self._block_counts(first, min(FILL_BLOCKS, n_blocks - first))
+                    counts = self._block_counts(first, min(FILL_BLOCKS, n_blocks - first), rng)
                     records = list(accumulate(counts, initial=records[-1]))
                     nonempty = list(accumulate(map(bool, counts), initial=nonempty[-1]))
                 sealed_records = records[k - first]
@@ -299,20 +294,42 @@ class MicrobatchEngine:
                     queue.append((batch_size, sealed_blocks - batched_blocks, now, interval))
                     batch_records += batch_size
                     batched_records, batched_blocks = sealed_records, sealed_blocks
-                    if self._pending_interval is not None:
-                        self._current_interval = interval = self._pending_interval
-                        self._pending_interval = None
+                    if pending is not None:
+                        interval, pending = pending, None
                     # A fire after the trace end never comes before it.
                     fire = now + interval
-                elif kind == TRACE_END:
-                    break
-                else:
-                    self._sealed_records = sealed_records
-                    if kind == RATE_WINDOW_CLOSE:
-                        self._on_rate_window_close(now)
+                elif kind == RATE_WINDOW_CLOSE:
+                    # The window closing is the one that ends now: every block
+                    # sealed since the last close started in it, since windows
+                    # are block multiples. Each closed window logs the forecast
+                    # for the window after it: None while there is no model,
+                    # even with prediction off (unlike the control tick's
+                    # q_next, see TrafficTracker.control_rates).
+                    tracker.report_info(now - w, sealed_records - reported_records)
+                    reported_records = sealed_records
+                    for rec in tracker.close_windows_upto(now):
+                        tracker.train()
+                        predicted = None
+                        if tracker.model is not None:
+                            predicted = tracker.predict_rate() if prediction_enabled else rec.rate
+                        windows.append(WindowRow(rec.window_start, rec.rate, predicted))
+                    window = now + w
+                elif kind == CONTROL_TICK:
+                    s = monitor.update_estimate()
+                    q_now, q_next = tracker.control_rates(prediction_enabled)
+                    if controller is not None and now >= cfg.control_start:
+                        row = controller.control_step(now, interval, s, q_now, q_next)
+                        # Stage only a change: a tick that holds the interval
+                        # must not cancel one an earlier tick staged for the
+                        # next fire.
+                        if row.interval_ms != interval:
+                            pending = row.interval_ms
                     else:
-                        self._on_control_tick(now)
-                    at, rank = heapq.heappop(heap)
+                        row = ControlRow(now, interval, s, q_now, q_next, None, None, None)
+                    rows.append(row)
+                    tick = now + period
+                else:
+                    break
             if job is None and queue:
                 batch = queue.popleft()
                 done_at = now + cost(batch[0], batch[1])
@@ -321,13 +338,12 @@ class MicrobatchEngine:
         # Whatever the receiver still holds is sealed as one last batch, which
         # never runs because simulated time stops here, so the ledger balances.
         batch_records += sealed_records - batched_records
-        metrics = self.log
         metrics.total_generated = metrics.total_block_records = sealed_records
         metrics.total_batch_records = batch_records
         metrics.batch_count = completed
         return metrics
 
-    def _block_counts(self, first: int, n: int) -> list[int]:
+    def _block_counts(self, first: int, n: int, rng: random.Random) -> list[int]:
         """Record counts of blocks first .. first + n - 1: each block's
         expected count, scaled by its jitter factor, rounded half up. The
         jitter RNG is drawn once per block, in block order; the expression
@@ -336,45 +352,7 @@ class MicrobatchEngine:
         expected = self.trace.block_integrals(first * block, block, n)
         floor = math.floor
         if jitter > 0.0:
-            random_ = self._rng.random
+            random_ = rng.random
             return [floor(e * (1.0 + jitter * (-1.0 + 2.0 * random_())) + 0.5)
                     for e in expected]
         return [floor(e + 0.5) for e in expected]
-
-    # -- heap event handlers ------------------------------------------------
-
-    def _on_rate_window_close(self, now: int) -> None:
-        # Each closed window logs the forecast for the window after it: None
-        # while there is no model, even with prediction off (unlike the
-        # control tick's q_next, see TrafficTracker.control_rates). The
-        # window closing is the one that ends now: every block sealed since
-        # the last close started in it, since windows are block multiples.
-        cfg, tracker = self.config, self.tracker
-        w = cfg.tracker.resample_interval
-        sealed = self._sealed_records
-        tracker.report_info(int(now) - w, sealed - self._reported_records)
-        self._reported_records = sealed
-        prediction_enabled = cfg.controller.prediction_enabled
-        windows = self.log.windows
-        for rec in tracker.close_windows_upto(int(now)):
-            tracker.train()
-            predicted: Optional[float] = None
-            if tracker.model is not None:
-                predicted = tracker.predict_rate() if prediction_enabled else rec.rate
-            windows.append(WindowRow(rec.window_start, rec.rate, predicted))
-        heapq.heappush(self._heap, (now + w, RATE_WINDOW_CLOSE))
-
-    def _on_control_tick(self, now: int) -> None:
-        cfg, current = self.config, self._current_interval
-        if self.controller is not None and now >= cfg.control_start:
-            row = self.controller.control_step(now, current)
-            # Stage only a change: a tick that holds the interval must not
-            # cancel one an earlier tick staged for the next fire.
-            if row.interval_ms != current:
-                self._pending_interval = row.interval_ms
-        else:
-            s = self.monitor.update_estimate()
-            q_now, q_next = self.tracker.control_rates(cfg.controller.prediction_enabled)
-            row = ControlRow(now, current, s, q_now, q_next, None, None, None)
-        self.log.rows.append(row)
-        heapq.heappush(self._heap, (now + cfg.controller.control_period, CONTROL_TICK))

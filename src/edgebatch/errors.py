@@ -17,14 +17,6 @@ class FitError(EdgeBatchError, ArithmeticError):
     """Model fitting failed (singular normal equations)."""
 
 
-class NotReadyError(EdgeBatchError, RuntimeError):
-    """A component was asked for output before it has enough data."""
-
-
-class ModeError(EdgeBatchError, RuntimeError):
-    """An operation is not available in the engine's current mode."""
-
-
 class ConfigError(EdgeBatchError, ValueError):
     """A configuration value violates an invariant."""
 

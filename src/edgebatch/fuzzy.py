@@ -6,10 +6,11 @@ over five triangular labels, run through a 5x5 rule table, and defuzzified
 to an integer adjustment level in {-2..+2}. Level k moves the batch
 interval by k block intervals.
 
-Each control tick reads the last window's rate and its one-step forecast
-(which give C) and the smoothed workload S (which gives D).
-``FuzzyController.control_step`` returns the tick's ``ControlRow``, the
-metrics row itself; the engine logs it and applies its interval.
+On each control tick the engine reads the smoothed workload S (which gives
+D), then the last window's rate and its one-step forecast (which give C),
+and passes them to ``FuzzyController.control_step``. The controller only
+decides: it returns the tick's ``ControlRow``, the metrics row itself, and
+the engine logs it and applies its interval.
 
 The labels are the ints 0..4 (NB..PB), and they index the rule table
 directly. Degrees are rounded and summed in label order, which the float
@@ -234,21 +235,18 @@ class ControlRow:
 
 
 class FuzzyController:
-    """Periodic control step: reads tracker and monitor, decides an interval.
+    """Periodic control step: decides an interval from S and the rates.
 
-    The controller only decides; the engine stages the row's interval.
+    The engine reads S and (q_now, q_next) once per tick and passes them in;
+    the controller only decides, and the engine stages the row's interval.
     """
 
-    def __init__(self, config: ControllerConfig, tracker, monitor,
-                 rule_table: RuleTable | None = None):
+    def __init__(self, config: ControllerConfig, rule_table: RuleTable | None = None):
         self.config = config
-        self.tracker = tracker
-        self.monitor = monitor
         self.table = DEFAULT_TABLE if rule_table is None else rule_table
 
-    def control_step(self, now: float, interval: int) -> ControlRow:
-        s = self.monitor.update_estimate()
-        q_now, q_next = self.tracker.control_rates(self.config.prediction_enabled)
+    def control_step(self, now: float, interval: int, s: float, q_now: Optional[float],
+                     q_next: Optional[float]) -> ControlRow:
         if q_next is None:
             log.debug("tracker not ready at t=%s, workload-only control", now)
             c = 0.0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import grey
-from .errors import ConfigError, DomainError, FitError, NotReadyError
+from .errors import ConfigError, DomainError, FitError
 
 log = logging.getLogger(__name__)
 
@@ -119,10 +119,9 @@ class TrafficTracker:
 
     def predict_rate(self) -> float:
         """Forecast the mean rate of the window after the training tail,
-        clamped to >= 0. It is computed once per fit."""
+        clamped to >= 0. It is computed once per fit; call it only while
+        there is a model."""
         if self._next_rate is None:
-            if self.model is None:
-                raise NotReadyError("no trained model")
             model = self.model
             rate = grey.predict(model, model.train_len + 1)
             self._next_rate = rate if rate > 0.0 else 0.0  # max(0.0, rate)

@@ -1,4 +1,3 @@
-import heapq
 from itertools import accumulate
 
 import pytest
@@ -6,9 +5,7 @@ import pytest
 from edgebatch import traces
 from edgebatch.engine import (
     ADAPTIVE,
-    CONTROL_TICK,
     MAX_TIME_MS,
-    RATE_WINDOW_CLOSE,
     VANILLA,
     BatchRow,
     ControlRow,
@@ -16,12 +13,12 @@ from edgebatch.engine import (
     JobCostModel,
     MicrobatchEngine,
 )
-from edgebatch.errors import ConfigError, ModeError
+from edgebatch.errors import ConfigError
 from edgebatch.fuzzy import ControllerConfig
 from edgebatch.tracker import TrackerConfig
-from edgebatch.workload import MonitorConfig
+from edgebatch.workload import MonitorConfig, WorkloadMonitor
 
-from log_rows import split_rows
+from log_rows import per_block_counts, split_rows
 
 
 def run(config, trace):
@@ -71,13 +68,14 @@ def test_steady_state_delays():
         assert row.eta == pytest.approx(0.5)
 
 
-def test_batch_row_splits_delays():
+def test_batch_row_splits_delays(monkeypatch):
     # 1500 ms jobs against a 1000 ms interval: batch 1 waits 500 ms for batch 0.
-    engine = MicrobatchEngine(
-        make_config(cost_model=JobCostModel(1500.0, 0.0, 0.0), initial_interval=1000,
-                    duration=5000),
-        traces.constant(1000.0))
-    log = engine.run()
+    samples = []
+    monkeypatch.setattr(WorkloadMonitor, "on_batch_completed",
+                        lambda monitor, eta: samples.append(eta))
+    log = run(make_config(cost_model=JobCostModel(1500.0, 0.0, 0.0), initial_interval=1000,
+                          duration=5000),
+              traces.constant(1000.0))
     batches, _ = split_rows(log)
     assert batches == [
         BatchRow(2500.0, 0, 1000, 1000, 5, 0.0, 1500.0, 1500.0),
@@ -93,8 +91,8 @@ def test_batch_row_splits_delays():
         assert type(row.sched_delay_ms) is type(row.total_delay_ms) is float
         assert row.eta == row.total_delay_ms / float(row.interval_ms)
     assert [row.eta for row in batches] == [1.5, 2.0]
-    # Both samples are still pending: 1.75 is the mean of 1.5 and 2.0.
-    assert engine.monitor.update_estimate() == pytest.approx(0.3 * 1.75 + 0.7)
+    # The monitor gets each row's eta, once, in completion order.
+    assert samples == [1.5, 2.0]
 
 
 def test_zero_rate_batches_cost_fixed_overhead():
@@ -110,15 +108,16 @@ def test_zero_rate_batches_cost_fixed_overhead():
 
 
 def test_record_conservation_exact():
-    trace = traces.sinusoid(900.0, 400.0, 60_000)
-    log = run(make_config(duration=300_000), trace)
-    assert log.total_generated == log.total_block_records == log.total_batch_records
+    cfg, trace = make_config(duration=300_000), traces.sinusoid(900.0, 400.0, 60_000)
+    log = run(cfg, trace)
+    assert log.total_generated == log.total_batch_records == sum(per_block_counts(cfg, trace))
 
 
 def test_conservation_includes_unbatched_tail():
     # Duration not aligned with the interval leaves blocks in the queue.
-    log = run(make_config(duration=119_000), traces.constant(500.0))
-    assert log.total_generated == log.total_block_records == log.total_batch_records
+    cfg, trace = make_config(duration=119_000), traces.constant(500.0)
+    log = run(cfg, trace)
+    assert log.total_generated == log.total_batch_records == sum(per_block_counts(cfg, trace))
 
 
 def test_rerun_is_identical():
@@ -128,6 +127,15 @@ def test_rerun_is_identical():
     second = run(cfg, trace)
     assert first.rows == second.rows
     assert first.windows == second.windows
+    # One instance run twice, with jitter on, also returns equal logs.
+    engine = MicrobatchEngine(make_config(mode=ADAPTIVE, duration=200_000, jitter=0.05, seed=3),
+                              trace)
+    first, second = engine.run(), engine.run()
+    assert first is not second
+    assert first.rows == second.rows
+    assert first.windows == second.windows
+    assert (first.total_generated, first.total_batch_records, first.batch_count) == \
+        (second.total_generated, second.total_batch_records, second.batch_count)
 
 
 def test_jitter_changes_with_seed_but_not_rerun():
@@ -184,30 +192,6 @@ def test_set_interval_takes_effect_next_fire():
     # Each batch's interval_ms is the time since the fire before it.
     fired = list(accumulate(b.interval_ms for b in batches))
     assert fired[:4] == [2000, 4000, 5600, 7200]
-
-
-def test_heap_holds_only_window_closes_ticks_and_the_trace_end(monkeypatch):
-    # Timer fires and job completions are clocks inside run(), not heap events.
-    pushed = []
-    push = heapq.heappush
-
-    def recording_push(heap, entry):
-        push(heap, entry)
-        pushed.append(entry)
-        assert len(heap) <= 3
-
-    monkeypatch.setattr(heapq, "heappush", recording_push)
-    log = run(make_config(mode=ADAPTIVE, duration=60_000, control_start=0),
-              traces.constant(1000.0))
-    assert {rank for _, rank in pushed} == {RATE_WINDOW_CLOSE, CONTROL_TICK}
-    assert log.batch_count > len(pushed)
-
-
-def test_engine_is_single_run():
-    engine = MicrobatchEngine(make_config(duration=5_000), traces.constant(10.0))
-    engine.run()
-    with pytest.raises(ModeError):
-        engine.run()
 
 
 def test_adaptive_constant_rate_interval_settles():

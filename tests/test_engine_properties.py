@@ -12,10 +12,10 @@ does it one block at a time: the integral of the block, a jitter factor from
 ``uniform(-1.0, 1.0)`` and ``floor(x + 0.5)``, on the same seed. Every batch
 and every window must hold exactly that receiver's records.
 
-The engine keeps the batch timer and the worker off its event heap. Each run
-is also checked against a reference loop that puts all five event sources
-(job completions, window closes, control ticks, timer fires and the trace
-end) on one heap, ordered by time, rank and sequence number, and feeds the
+The engine has no event heap: its five event sources are clocks compared
+by (time, rank). Each run is also checked against a reference loop that puts
+all five (job completions, window closes, control ticks, timer fires and the
+trace end) on one heap, ordered by time, rank and sequence number, and feeds the
 tracker one block at a time from the per-block receiver. Its rows, windows,
 batch count and record totals must equal the engine's, field for field, and
 its batch rows by repr too. The reference numbers batches when it seals
@@ -220,7 +220,7 @@ class HeapReference:
         self.monitor = WorkloadMonitor(config.monitor)
         self.controller = None
         if config.mode == ADAPTIVE:
-            self.controller = FuzzyController(config.controller, self.tracker, self.monitor)
+            self.controller = FuzzyController(config.controller)
         self.log = MetricsLog(block_interval=config.block_interval)
         self.heap = []
         self.sequence = itertools.count()
@@ -308,13 +308,13 @@ class HeapReference:
 
     def control_tick(self, now, _):
         cfg = self.config
+        s = self.monitor.update_estimate()
+        q_now, q_next = self.tracker.control_rates(cfg.controller.prediction_enabled)
         if self.controller is not None and now >= cfg.control_start:
-            row = self.controller.control_step(now, self.interval)
+            row = self.controller.control_step(now, self.interval, s, q_now, q_next)
             if row.interval_ms != self.interval:
                 self.pending_interval = row.interval_ms
         else:
-            s = self.monitor.update_estimate()
-            q_now, q_next = self.tracker.control_rates(cfg.controller.prediction_enabled)
             row = ControlRow(now, self.interval, s, q_now, q_next, None, None, None)
         self.log.rows.append(row)
         if now + cfg.controller.control_period <= cfg.duration:

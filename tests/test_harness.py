@@ -19,7 +19,7 @@ from edgebatch.harness import (
     write_metrics,
 )
 
-from log_rows import split_rows
+from log_rows import per_block_counts, split_rows
 
 MINI = """\
 run.label = mini
@@ -217,10 +217,12 @@ def test_summary_json_matches_recomputation(tmp_path):
 
 
 def test_summary_conservation_against_log():
-    log = run_mini()
+    spec = build_run_spec(mini_cfg())
+    log = engine.MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
     report = summarize(log)
     assert report.records_processed == sum(b.records for b in split_rows(log)[0])
-    assert log.total_batch_records == log.total_block_records
+    generated = sum(per_block_counts(spec.engine, spec.trace))
+    assert log.total_generated == log.total_batch_records == generated
 
 
 def test_delay_cells_are_fmt_of_each_value(tmp_path):

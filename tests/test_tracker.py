@@ -3,7 +3,7 @@ import math
 import pytest
 
 from edgebatch import grey
-from edgebatch.errors import ConfigError, DomainError, NotReadyError
+from edgebatch.errors import ConfigError, DomainError
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 
 
@@ -82,12 +82,6 @@ def test_prediction_clamped_non_negative():
     assert tracker.predict_rate() == 0.0
 
 
-def test_predict_requires_model():
-    tracker = make_tracker()
-    with pytest.raises(NotReadyError):
-        tracker.predict_rate()
-
-
 def test_record_conservation():
     tracker = make_tracker()
     total = 0
@@ -158,8 +152,6 @@ def test_failed_fit_leaves_no_model_until_a_fit_succeeds():
     tracker.close_windows_upto(150_000)
     assert tracker.train() is None
     assert tracker.model is None
-    with pytest.raises(NotReadyError):
-        tracker.predict_rate()
     assert tracker.control_rates(True) == (5.0, None)
     tracker.report_info(150_000, 150)
     tracker.close_windows_upto(180_000)
