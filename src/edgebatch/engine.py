@@ -14,17 +14,18 @@ the window close and the control tick are two times, the trace end is
 ``duration``, the batch timer is the next fire time, and the worker is the
 running job as ``(done_at, rank, batch, started_at)``. Each iteration takes
 the earliest of the five by ``(time, rank)``, with comparisons. A window
-close logs the closed window and its forecast; a tick reads S and the rates
-and logs a ``ControlRow``; a completion logs the batch's row and may start
-the next queued batch; a fire seals a batch, queues it and starts it if the
-worker is idle. Every source has at most one pending event and a rank of
-its own, so ``(time, rank)`` orders any two pending events and no tie is
-left to break. Before a fire, a window close, a tick or the trace end, a
-block clock seals every block that ends by its time, so at equal timestamps
-a block always comes first; a completion reads no block. At the trace end
-the blocks sealed since the last fire count as one more batch, which never
-runs. ``run`` builds the tracker, monitor, controller, RNG and log itself,
-so every call returns a fresh, equal log.
+close reports the window's records to the tracker and logs the
+``WindowRow`` the tracker returns, which holds its fit's forecast; a tick
+reads S and the rates and logs a ``ControlRow``; a completion logs the
+batch's row and may start the next queued batch; a fire seals a batch,
+queues it and starts it if the worker is idle. Every source has at most one
+pending event and a rank of its own, so ``(time, rank)`` orders any two
+pending events and no tie is left to break. Before a fire, a window close,
+a tick or the trace end, a block clock seals every block that ends by its
+time, so at equal timestamps a block always comes first; a completion reads
+no block. At the trace end the blocks sealed since the last fire count as
+one more batch, which never runs. ``run`` builds the tracker, monitor,
+controller, RNG and log itself, so every call returns a fresh, equal log.
 
 The receiver's counts are filled ``FILL_BLOCKS`` blocks at a time: one
 ``block_integrals`` call for the chunk's expected counts, jitter drawn in
@@ -57,7 +58,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
-from typing import Optional
 
 from .errors import ConfigError
 from .fuzzy import ControllerConfig, ControlRow, FuzzyController, RuleTable
@@ -179,16 +179,6 @@ class BatchRow:
         return self.total_delay_ms / float(self.interval_ms)
 
 
-@dataclass(slots=True)
-class WindowRow:
-    """Per-window tracker row: measured rate plus the forecast made for the
-    window after it (None while the tracker has no model)."""
-
-    window_start_ms: int
-    rate_measured: float
-    rate_predicted_next: Optional[float]
-
-
 @dataclass
 class MetricsLog:
     block_interval: int
@@ -222,7 +212,6 @@ class MicrobatchEngine:
         cost = cfg.cost_model.cost
         on_batch_completed = monitor.on_batch_completed
         rows, windows = metrics.rows, metrics.windows
-        prediction_enabled = cfg.controller.prediction_enabled
         # The window, tick and trace-end clocks.
         w, period = cfg.tracker.resample_interval, cfg.controller.control_period
         window, tick, end = w, period, cfg.duration
@@ -301,22 +290,14 @@ class MicrobatchEngine:
                 elif kind == RATE_WINDOW_CLOSE:
                     # The window closing is the one that ends now: every block
                     # sealed since the last close started in it, since windows
-                    # are block multiples. Each closed window logs the forecast
-                    # for the window after it: None while there is no model,
-                    # even with prediction off (unlike the control tick's
-                    # q_next, see TrafficTracker.control_rates).
+                    # are block multiples.
                     tracker.report_info(now - w, sealed_records - reported_records)
                     reported_records = sealed_records
-                    for rec in tracker.close_windows_upto(now):
-                        tracker.train()
-                        predicted = None
-                        if tracker.model is not None:
-                            predicted = tracker.predict_rate() if prediction_enabled else rec.rate
-                        windows.append(WindowRow(rec.window_start, rec.rate, predicted))
+                    windows += tracker.close_windows_upto(now)
                     window = now + w
                 elif kind == CONTROL_TICK:
                     s = monitor.update_estimate()
-                    q_now, q_next = tracker.control_rates(prediction_enabled)
+                    q_now, q_next = tracker.control_rates()
                     if controller is not None and now >= cfg.control_start:
                         row = controller.control_step(now, interval, s, q_now, q_next)
                         # Stage only a change: a tick that holds the interval

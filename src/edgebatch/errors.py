@@ -9,10 +9,6 @@ class DomainError(EdgeBatchError, ValueError):
     """A value is outside the range an operation accepts."""
 
 
-class LengthError(EdgeBatchError, ValueError):
-    """A series is too short for the requested operation."""
-
-
 class FitError(EdgeBatchError, ArithmeticError):
     """Model fitting failed (singular normal equations)."""
 

@@ -10,7 +10,9 @@ On each control tick the engine reads the smoothed workload S (which gives
 D), then the last window's rate and its one-step forecast (which give C),
 and passes them to ``FuzzyController.control_step``. The controller only
 decides: it returns the tick's ``ControlRow``, the metrics row itself, and
-the engine logs it and applies its interval.
+the engine logs it and applies its interval. ``ControllerConfig`` holds the
+interval range, the step size and the control period; whether C uses the
+forecast is the tracker's rule (``TrackerConfig.prediction_enabled``).
 
 The labels are the ints 0..4 (NB..PB), and they index the rule table
 directly. Degrees are rounded and summed in label order, which the float
@@ -147,7 +149,6 @@ class ControllerConfig:
     min_interval: int
     max_interval: int
     control_period: int = 10_000
-    prediction_enabled: bool = True
     step_blocks: int = 1
 
     def __post_init__(self):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
-from .errors import DomainError, FitError, LengthError
+from .errors import DomainError, FitError
 
 MIN_TRAIN_LEN = 4
 
@@ -53,7 +53,7 @@ class GreyModel:
 
     def __post_init__(self):
         if self.train_len < MIN_TRAIN_LEN:
-            raise LengthError(f"train_len must be >= {MIN_TRAIN_LEN}, got {self.train_len}")
+            raise DomainError(f"train_len must be >= {MIN_TRAIN_LEN}, got {self.train_len}")
         isfinite = math.isfinite
         if not (isfinite(self.alpha) and isfinite(self.mu)
                 and isfinite(self.first_accumulated) and isfinite(self.shift)):
@@ -83,7 +83,7 @@ def fit(series: Sequence[float]) -> GreyModel:
     """
     vals = [float(v) for v in series]
     if len(vals) < MIN_TRAIN_LEN:
-        raise LengthError(f"need at least {MIN_TRAIN_LEN} observations, got {len(vals)}")
+        raise DomainError(f"need at least {MIN_TRAIN_LEN} observations, got {len(vals)}")
     shift = 0.0
     lowest = min(vals)
     if lowest <= 0:

@@ -184,7 +184,6 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
         min_interval=_take_int(cfg, "controller.min_interval"),
         max_interval=_take_int(cfg, "controller.max_interval"),
         control_period=_take_int(cfg, "controller.control_period", 10_000),
-        prediction_enabled=_take_bool(cfg, "controller.prediction", True),
         step_blocks=_take_int(cfg, "controller.step_blocks", 1),
     )
     monitor = MonitorConfig(
@@ -194,6 +193,7 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
     tracker = TrackerConfig(
         resample_interval=_take_int(cfg, "tracker.resample_interval", 30_000),
         train_num=_take_int(cfg, "tracker.train_num", 5),
+        prediction_enabled=_take_bool(cfg, "controller.prediction", True),
     )
     cost = JobCostModel(
         fixed_overhead=_take_float(cfg, "cost.fixed_overhead"),

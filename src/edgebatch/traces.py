@@ -4,20 +4,30 @@ Every rate function reports records/second at a millisecond timestamp and
 can integrate itself exactly over an arbitrary window, so the engine can
 quantize arrivals per block without numerical drift.
 
+Three classes cover the four trace shapes. ``PiecewiseConstantTrace`` holds
+the constant and step traces, which ``constant`` and ``step`` build over
+[0, MAX_TIME_MS), and the count-mode CSV trace; ``SinusoidRate`` is the
+sinusoid and ``PiecewiseLinearTrace`` the rate-mode CSV trace. A constant or
+step trace gives the same floats as its closed form: with non-negative
+terms, ``(0.0 + before * (lo - t0)) + after * (t1 - lo)`` adds the same
+values as ``before * (lo - t0) + after * (t1 - lo)``, and ``0.0 + x`` is x.
+
 The engine asks for a run of equal blocks at once: ``block_integrals(start,
 block, n)`` returns the same n floats, bit for bit, as ``integral`` block by
 block, which is what the default does. An override may only change how the
 floats are reached, never which floats come out, because the engine rounds
 each block's expected count and a last-bit difference could flip a record.
 
-Cost per call: the closed-form rates are O(1). The CSV traces bisect to the
+Cost per call: the sinusoid is O(1). The piecewise traces bisect to the
 first segment a window touches, so ``rate`` is O(log n) and ``integral`` is
 O(log n + k) for n breakpoints and k segments overlapping the window; the
-terms are summed in segment order, as a full scan would sum them.
-``block_integrals`` costs n ``integral`` calls by default. The count trace
-overrides it with O(log n) work per run of blocks inside one segment plus
-one ``integral`` call per block on a segment edge; the sinusoid with one
-``cos`` per block edge, n + 1 in all instead of 2n.
+terms are summed in segment order, as a full scan would sum them. A constant
+or step trace has at most three breakpoints, so each call is O(1) there.
+``block_integrals`` costs n ``integral`` calls by default, which only the
+rate-mode CSV trace takes. The piecewise-constant trace overrides it with
+O(log n) work per run of blocks inside one segment plus one ``integral``
+call per block on a segment edge; the sinusoid with one ``cos`` per block
+edge, n + 1 in all instead of 2n.
 """
 
 from __future__ import annotations
@@ -77,49 +87,6 @@ class RateFunction:
 
 
 @dataclass(frozen=True)
-class ConstantRate(RateFunction):
-    value: float
-    kind = "constant"
-
-    def __post_init__(self):
-        _check_finite(self.value)
-        _check_peak(self.value)
-        if self.value < 0:
-            raise DomainError(f"rate must be >= 0, got {self.value}")
-
-    def rate(self, t_ms: float) -> float:
-        return self.value
-
-    def integral(self, t0_ms: float, t1_ms: float) -> float:
-        self._check_window(t0_ms, t1_ms)
-        return self.value * (t1_ms - t0_ms) / 1000.0
-
-
-@dataclass(frozen=True)
-class StepRate(RateFunction):
-    before: float
-    after: float
-    switch_ms: float
-    kind = "step"
-
-    def __post_init__(self):
-        _check_finite(self.before, self.after, self.switch_ms)
-        _check_peak(max(self.before, self.after))
-        if self.before < 0 or self.after < 0:
-            raise DomainError("rates must be >= 0")
-        if self.switch_ms < 0:
-            raise DomainError("switch time must be >= 0")
-
-    def rate(self, t_ms: float) -> float:
-        return self.before if t_ms < self.switch_ms else self.after
-
-    def integral(self, t0_ms: float, t1_ms: float) -> float:
-        self._check_window(t0_ms, t1_ms)
-        lo = min(max(self.switch_ms, t0_ms), t1_ms)
-        return (self.before * (lo - t0_ms) + self.after * (t1_ms - lo)) / 1000.0
-
-
-@dataclass(frozen=True)
 class SinusoidRate(RateFunction):
     base: float
     amplitude: float
@@ -161,7 +128,9 @@ class SinusoidRate(RateFunction):
 
 @dataclass(frozen=True)
 class PiecewiseConstantTrace(RateFunction):
-    """Counts-per-row trace: each row's count spreads evenly over its interval."""
+    """rates[i] records/s over [breakpoints[i], breakpoints[i + 1]), 0 outside:
+    the constant and step traces, and the count-mode CSV trace, whose rows'
+    counts spread evenly over their intervals."""
 
     breakpoints: tuple[float, ...]  # non-decreasing segment edges in ms, one more than rates
     rates: tuple[float, ...]
@@ -249,12 +218,28 @@ class PiecewiseLinearTrace(RateFunction):
         return total / 1000.0
 
 
-def constant(rate: float) -> ConstantRate:
-    return ConstantRate(rate)
+def _check_rates(*rates: float) -> None:
+    _check_finite(*rates)
+    _check_peak(max(rates))
+    if min(rates) < 0:
+        raise DomainError(f"rates must be >= 0, got {min(rates)}")
 
 
-def step(before: float, after: float, switch_ms: float) -> StepRate:
-    return StepRate(before, after, switch_ms)
+def constant(rate: float) -> PiecewiseConstantTrace:
+    """``rate`` records/s over [0, MAX_TIME_MS)."""
+    _check_rates(rate)
+    return PiecewiseConstantTrace((0, MAX_TIME_MS), (rate,))
+
+
+def step(before: float, after: float, switch_ms: float) -> PiecewiseConstantTrace:
+    """``before`` records/s until ``switch_ms``, then ``after``, over
+    [0, MAX_TIME_MS); a switch from MAX_TIME_MS on never comes."""
+    _check_finite(switch_ms)
+    _check_rates(before, after)
+    if switch_ms < 0:
+        raise DomainError("switch time must be >= 0")
+    return PiecewiseConstantTrace((0, min(switch_ms, MAX_TIME_MS), MAX_TIME_MS),
+                                  (before, after))
 
 
 def sinusoid(base: float, amplitude: float, period_ms: float) -> SinusoidRate:

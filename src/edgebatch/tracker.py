@@ -8,12 +8,15 @@ its start and the records of every block in it. Any number of reports may
 go into one open window.
 
 The tracker keeps only what a fit reads: the rates of the last
-``train_num`` closed windows. The engine fits on every window close. The
-one-step forecast is computed once per fit: ``predict_rate`` keeps it
-until the next ``train``, so the window close that trains the model and
-the control ticks that read the forecast share one evaluation. A series
-GM(1,1) cannot fit leaves no model, as before the first fit, until a later
-window close fits again. ``ResampledRecord`` is slotted, not frozen, since
+``train_num`` closed windows. ``close_windows_upto`` fits after every
+window it closes and returns one ``WindowRow`` per window, which carries the
+forecast rule: the row's forecast is None while there is no model, the
+measured rate with prediction off, and the GM(1,1) forecast otherwise.
+``train`` evaluates the one-step forecast once per fit and ``predict_rate``
+serves it until the next fit, so the window close and the control ticks
+share one evaluation. A series GM(1,1) cannot fit, or whose forecast
+overflows or is not finite, leaves no model, as before the first fit, until
+a later window close fits again. ``WindowRow`` is slotted, not frozen, since
 a frozen ``__init__`` sets each field through ``object.__setattr__``. The
 forecast's clamp at 0 is a comparison, not ``max``: a builtin call costs
 about seven times as much on CPython 3.11, and it runs on every fit.
@@ -22,6 +25,7 @@ about seven times as much on CPython 3.11, and it runs on every fit.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -34,18 +38,20 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(slots=True)
-class ResampledRecord:
-    """Average data rate (records/s) over one closed window, which is
-    ``resample_interval`` ms long."""
+class WindowRow:
+    """One closed window: its mean rate (records/s) and the forecast made for
+    the window after it."""
 
-    window_start: int
-    rate: float
+    window_start_ms: int
+    rate_measured: float
+    rate_predicted_next: Optional[float]
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
     resample_interval: int = 30_000
     train_num: int = 5
+    prediction_enabled: bool = True
 
     def __post_init__(self):
         if self.resample_interval <= 0:
@@ -62,7 +68,7 @@ class TrafficTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.model: Optional[grey.GreyModel] = None
-        self._next_rate: Optional[float] = None  # predict_rate() of self.model
+        self._next_rate = 0.0  # predict_rate() of self.model
         self._open_counts: dict[int, int] = {}
         # Rates of the last train_num closed windows, oldest first.
         self._rates: deque[float] = deque(maxlen=self.config.train_num)
@@ -82,65 +88,70 @@ class TrafficTracker:
             return
         self._open_counts[index] = self._open_counts.get(index, 0) + record_count
 
-    def close_windows_upto(self, now: int) -> list[ResampledRecord]:
-        """Close every window whose end is <= now; returns them oldest first.
+    def close_windows_upto(self, now: int) -> list[WindowRow]:
+        """Close every window whose end is <= now, fitting after each; returns
+        their rows oldest first.
 
         Windows with no reports close with rate 0 so the resampled history
         stays contiguous.
         """
         w = self.config.resample_interval
+        prediction_enabled = self.config.prediction_enabled
         index = self._next_close_index
-        closed: list[ResampledRecord] = []
+        closed: list[WindowRow] = []
         while (index + 1) * w <= now:
             rate = self._open_counts.pop(index, 0) * 1000.0 / w
             self._rates.append(rate)
-            closed.append(ResampledRecord(index * w, rate))
+            self._next_close_index = index + 1
+            predicted = None
+            if self.train() is not None:
+                predicted = self.predict_rate() if prediction_enabled else rate
+            closed.append(WindowRow(index * w, rate, predicted))
             index += 1
-        self._next_close_index = index
         return closed
 
     def train(self) -> Optional[grey.GreyModel]:
-        """Fit the grey model on the last train_num window rates.
+        """Fit the grey model on the last train_num window rates and evaluate
+        its one-step forecast.
 
         Returns None, and leaves no model, while fewer than train_num windows
-        have closed or when GM(1,1) cannot fit them (``FitError``); the
-        controller then runs on the workload alone until a later fit succeeds.
+        have closed, when GM(1,1) cannot fit them (``FitError``) or when the
+        forecast overflows or is not finite; the controller then runs on the
+        workload alone until a later fit succeeds.
         """
         if len(self._rates) < self.config.train_num:
             return None
-        self._next_rate = None
         try:
-            self.model = grey.fit(self._rates)
-        except FitError as exc:
+            model = grey.fit(self._rates)
+            rate = grey.predict(model, model.train_len + 1)
+            if not math.isfinite(rate):
+                raise OverflowError(f"forecast {rate!r} is not finite")
+        except (FitError, OverflowError) as exc:
             log.debug("no grey model for the windows up to %d ms: %s",
                       self._next_close_index * self.config.resample_interval, exc)
             self.model = None
-        return self.model
+            return None
+        self.model = model
+        self._next_rate = rate if rate > 0.0 else 0.0  # max(0.0, rate)
+        return model
 
     def predict_rate(self) -> float:
         """Forecast the mean rate of the window after the training tail,
-        clamped to >= 0. It is computed once per fit; call it only while
+        clamped to >= 0, as the last fit evaluated it; call it only while
         there is a model."""
-        if self._next_rate is None:
-            model = self.model
-            rate = grey.predict(model, model.train_len + 1)
-            self._next_rate = rate if rate > 0.0 else 0.0  # max(0.0, rate)
         return self._next_rate
 
-    def control_rates(self, prediction_enabled: bool
-                      ) -> tuple[Optional[float], Optional[float]]:
+    def control_rates(self) -> tuple[Optional[float], Optional[float]]:
         """(q_now, q_next) for a control tick: the latest window's rate and
         the next window's expected rate, both None before any window closes.
 
         q_next is q_now with prediction off; with it on, the one-step
-        forecast, or None while there is no model. The engine's per-window
-        forecast log keeps its own rule: None while there is no model, even
-        with prediction off.
+        forecast, or None while there is no model.
         """
         if not self._rates:
             return None, None
         q_now = self._rates[-1]
-        if not prediction_enabled:
+        if not self.config.prediction_enabled:
             return q_now, q_now
         if self.model is None:
             return q_now, None

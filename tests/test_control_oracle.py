@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgebatch import fuzzy, grey
-from edgebatch.errors import DomainError, FitError, LengthError
+from edgebatch.errors import DomainError, FitError
 from edgebatch.fuzzy import ControllerConfig, RuleTable, adjust_interval, clamp, fuzzify
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 
@@ -140,7 +140,7 @@ def oracle_fit(series):
     """The fit as (alpha, mu, first_accumulated, train_len, shift)."""
     vals = [float(v) for v in series]
     if len(vals) < grey.MIN_TRAIN_LEN:
-        raise LengthError(f"need at least {grey.MIN_TRAIN_LEN} observations, got {len(vals)}")
+        raise DomainError(f"need at least {grey.MIN_TRAIN_LEN} observations, got {len(vals)}")
     for i, v in enumerate(vals):
         if not math.isfinite(v):
             raise DomainError(f"observation {i} is not finite: {v!r}")
@@ -205,7 +205,7 @@ def outcome(fn, *args):
     """fn's value, or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (DomainError, FitError, LengthError) as exc:
+    except (DomainError, FitError) as exc:
         return type(exc), str(exc)
 
 
@@ -242,15 +242,15 @@ def test_retrain_replaces_cached_forecast():
     tracker = TrafficTracker(TrackerConfig())
     for k, count in enumerate([3000, 3300, 3600, 4200, 4500]):
         tracker.report_info(k * 30_000, count)
-    tracker.close_windows_upto(150_000)
-    first = tracker.train()
+    tracker.close_windows_upto(150_000)  # fits on closing the fifth window
+    first = tracker.model
     before = tracker.predict_rate()
     assert before == max(0.0, grey.predict(first, first.train_len + 1))
     assert tracker.predict_rate() == before  # served again, same model
     tracker.report_info(150_000, 1500)  # a sharp drop in the next window
     tracker.close_windows_upto(180_000)
-    second = tracker.train()
-    assert second is tracker.model and second != first
+    second = tracker.model
+    assert second is not None and second != first
     after = tracker.predict_rate()
     assert after == max(0.0, grey.predict(second, second.train_len + 1))
     assert after != before
@@ -258,10 +258,13 @@ def test_retrain_replaces_cached_forecast():
 
 @pytest.mark.parametrize("forecast", [math.nan, -0.0, -1.0, math.inf, 3.5])
 def test_predict_rate_clamps_like_max(monkeypatch, forecast):
+    # The fit that the fifth window close makes evaluates the forecast.
+    monkeypatch.setattr(grey, "predict", lambda model, t: forecast)
     tracker = TrafficTracker(TrackerConfig())
     for k in range(5):
         tracker.report_info(k * 30_000, 3000)
     tracker.close_windows_upto(150_000)
-    tracker.train()
-    monkeypatch.setattr(grey, "predict", lambda model, t: forecast)
-    assert repr(tracker.predict_rate()) == repr(max(0.0, forecast))
+    if math.isfinite(forecast):
+        assert repr(tracker.predict_rate()) == repr(max(0.0, forecast))
+    else:  # a forecast that is not finite leaves no model
+        assert tracker.model is None

@@ -44,7 +44,6 @@ from edgebatch.engine import (
     JobCostModel,
     MetricsLog,
     MicrobatchEngine,
-    WindowRow,
 )
 from edgebatch.fuzzy import ControllerConfig, ControlRow, FuzzyController
 from edgebatch.grey import MIN_TRAIN_LEN
@@ -155,7 +154,6 @@ def engine_runs(draw, jitter: bool):
             min_interval=min_blocks * block,
             max_interval=max_blocks * block,
             control_period=control_period,
-            prediction_enabled=draw(st.booleans()),
             step_blocks=draw(st.integers(1, 3)),
         ),
         cost_model=draw(job_costs(block, control_period)),
@@ -165,7 +163,7 @@ def engine_runs(draw, jitter: bool):
         mode=mode,
         control_start=draw(st.integers(0, 40_000)),
         tracker=TrackerConfig(resample_interval=draw(st.integers(1, 50)) * block,
-                              train_num=train_num),
+                              train_num=train_num, prediction_enabled=draw(st.booleans())),
         seed=draw(st.integers(0, 2**32)),
         jitter=draw(st.floats(0.01, 0.9)) if jitter else 0.0,
     )
@@ -296,20 +294,14 @@ class HeapReference:
         self.maybe_start_job(now)
 
     def window_close(self, now, _):
-        prediction = self.config.controller.prediction_enabled
-        for rec in self.tracker.close_windows_upto(now):
-            self.tracker.train()
-            predicted = None
-            if self.tracker.model is not None:
-                predicted = self.tracker.predict_rate() if prediction else rec.rate
-            self.log.windows.append(WindowRow(rec.window_start, rec.rate, predicted))
+        self.log.windows += self.tracker.close_windows_upto(now)
         if now + self.config.tracker.resample_interval <= self.config.duration:
             self.schedule(now + self.config.tracker.resample_interval, RATE_WINDOW_CLOSE)
 
     def control_tick(self, now, _):
         cfg = self.config
         s = self.monitor.update_estimate()
-        q_now, q_next = self.tracker.control_rates(cfg.controller.prediction_enabled)
+        q_now, q_next = self.tracker.control_rates()
         if self.controller is not None and now >= cfg.control_start:
             row = self.controller.control_step(now, self.interval, s, q_now, q_next)
             if row.interval_ms != self.interval:
@@ -374,11 +366,10 @@ def check_invariants(config, trace):
 HOLD_AFTER_STAGE = (
     EngineConfig(
         controller=ControllerConfig(block_interval=100, min_interval=100, max_interval=1900,
-                                    control_period=100, prediction_enabled=False,
-                                    step_blocks=3),
+                                    control_period=100, step_blocks=3),
         cost_model=JobCostModel(86.0, 2.0, 8.0), duration=10_900, initial_interval=1900,
         block_interval=100, control_start=0,
-        tracker=TrackerConfig(resample_interval=100, train_num=4)),
+        tracker=TrackerConfig(resample_interval=100, train_num=4, prediction_enabled=False)),
     traces.constant(15.0),
 )
 

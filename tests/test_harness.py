@@ -83,7 +83,7 @@ def test_defaults_applied():
     assert spec.engine.block_interval == 200
     assert spec.engine.control_start == 30_000
     assert spec.engine.controller.control_period == 10_000
-    assert spec.engine.controller.prediction_enabled
+    assert spec.engine.tracker.prediction_enabled
     assert spec.engine.controller.step_blocks == 1
     assert spec.engine.monitor.smoothing_coefficient == pytest.approx(0.3)
     assert spec.engine.tracker.resample_interval == 30_000
@@ -111,7 +111,7 @@ def test_bad_choice_rejected():
 
 def test_bool_values():
     spec = build_run_spec(mini_cfg(**{"controller.prediction": "off"}))
-    assert not spec.engine.controller.prediction_enabled
+    assert not spec.engine.tracker.prediction_enabled
     with pytest.raises(UsageError, match="controller.prediction"):
         build_run_spec(mini_cfg(**{"controller.prediction": "maybe"}))
 
@@ -133,7 +133,7 @@ def test_all_presets_load():
 
 def test_preset_overrides():
     spec = load_preset("exp1", disable_prediction=True)
-    assert not spec.engine.controller.prediction_enabled
+    assert not spec.engine.tracker.prediction_enabled
     # No preset sets engine.jitter, so a seed would change no output: the
     # preset command has no --seed.
     with pytest.raises(SystemExit) as exc:
@@ -440,16 +440,39 @@ OUTPUT_FILES = ["metrics.csv", "series_delay.csv", "series_interval.csv", "serie
                 "series_workload.csv", "summary.json"]
 
 
-def test_cli_run_survives_a_window_series_grey_cannot_fit(tmp_path, capsys):
-    # Count mode, 30 s rows: window rates [1e9, 5, 10, 5, 5] leave the GM(1,1)
-    # normal equations singular with a tail that is not flat, so the fit at
-    # 150 s fails. Control runs on the workload alone until the next window
-    # closes and the fit succeeds.
+# Count mode, 30 s rows: window rates [1e9, 5, 10, 5, 5] leave the GM(1,1)
+# normal equations singular with a tail that is not flat, so the fit on
+# closing window 4 (at 150 s) fails.
+GREY_SINGULAR = (MINI.replace("engine.duration = 120000", "engine.duration = 180000")
+                 .replace(MINI_TRACE, "trace.kind = csv\ntrace.file = trace.csv\n"
+                                      "trace.mode = count\n"))
+# 200 ms windows, 399 empty ones and then 1e5 records/s: the fit on closing
+# window 399 (at 80 s) forecasts past math.exp's range.
+GREY_OVERFLOW = """\
+engine.duration = 120000
+engine.initial_interval = 1000
+engine.control_start = 0
+controller.min_interval = 400
+controller.max_interval = 6000
+tracker.resample_interval = 200
+tracker.train_num = 400
+cost.fixed_overhead = 100
+cost.per_record = 0.1
+cost.per_block = 1
+trace.kind = step
+trace.before = 0
+trace.after = 100000
+trace.switch = 79800
+"""
+
+
+@pytest.mark.parametrize("text, failed", [(GREY_SINGULAR, 4), (GREY_OVERFLOW, 399)],
+                         ids=["singular", "overflow"])
+def test_cli_run_survives_a_window_series_grey_cannot_fit(tmp_path, capsys, text, failed):
+    # Control runs on the workload alone until the next window closes and the
+    # fit succeeds.
     (tmp_path / "trace.csv").write_text(
         "timestamp_s,value\n0,30000000000\n30,150\n60,300\n90,150\n120,150\n150,150\n")
-    text = (MINI.replace("engine.duration = 120000", "engine.duration = 180000")
-            .replace(MINI_TRACE, "trace.kind = csv\ntrace.file = trace.csv\n"
-                                 "trace.mode = count\n"))
     conf = write_conf(tmp_path, text)
     out = tmp_path / "out"
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
@@ -457,7 +480,7 @@ def test_cli_run_survives_a_window_series_grey_cannot_fit(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == OUTPUT_FILES
     forecasts = [line.split(",")[2] for line in
                  (out / "series_rate.csv").read_text().splitlines()[1:]]
-    assert forecasts[:5] == [""] * 5 and forecasts[5] != ""
+    assert forecasts[:failed + 1] == [""] * (failed + 1) and forecasts[failed + 1] != ""
 
 
 RULES = "".join(",".join(map(str, row)) + "\n" for row in fuzzy.DEFAULT_TABLE.levels)

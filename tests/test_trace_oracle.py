@@ -1,13 +1,17 @@
 """Bit-exact checks of the trace classes against straightforward oracles.
 
 The oracles for ``rate`` and ``integral`` are the full scans over every
-segment; the CSV traces bisect to the segments a window touches instead. The
+segment; the CSV traces bisect to the segments a window touches instead.
+The constant and step traces are also checked against the closed forms of
+their integrals. The
 oracle for ``block_integrals`` is ``integral`` called block by block; the
 count trace sweeps runs of blocks inside one segment and the sinusoid shares
 each block edge's cosine instead. All must return exactly the same floats,
 because the engine rounds each block's expected count and a last-bit
 difference could flip a record.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -169,13 +173,80 @@ def test_sinusoid_block_integrals_match_integral(base, share, period, start, blo
 
 
 @pytest.mark.parametrize("f", [
-    traces.constant(1234.5),
-    traces.step(500.0, 1500.0, 30_100),  # switches in the middle of a block
     traces.PiecewiseLinearTrace(((0.0, 100.0), (333.3, 2000.0), (5000.0, 0.0))),
-], ids=["constant", "step", "linear"])
+], ids=["linear"])
 def test_default_block_integrals_call_integral_per_block(f):
     for start, n in ((0, 0), (0, 300), (29_000, 40)):
         assert f.block_integrals(start, 200, n) == per_block(f, start, 200, n)
+
+
+# -- constant and step traces against their closed forms -----------------------
+
+
+def closed_constant(v, t0_ms, t1_ms):
+    return v * (t1_ms - t0_ms) / 1000.0
+
+
+def closed_step(before, after, switch_ms, t0_ms, t1_ms):
+    lo = min(max(switch_ms, t0_ms), t1_ms)
+    return (before * (lo - t0_ms) + after * (t1_ms - lo)) / 1000.0
+
+
+MAX_MS = traces.MAX_TIME_MS
+TRACE_RATES = st.one_of(st.just(0.0), st.floats(0.0, traces.MAX_RATE))
+SWITCHES = st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6), st.just(0),
+                     st.integers(MAX_MS, 2**60), st.floats(float(MAX_MS), 1e300))
+# Windows inside [0, MAX_TIME_MS]: near the start, where the switches are,
+# and at the end.
+WINDOW_MS = st.one_of(st.integers(0, 2 * 10**6), st.floats(0.0, 2e6),
+                      st.integers(MAX_MS - 10**6, MAX_MS))
+STARTS = st.one_of(st.integers(0, 2 * 10**6), st.integers(MAX_MS - 10**7, MAX_MS - 10**7 // 2))
+
+
+def closed_form_case(draw):
+    """(trace, closed form of its integral) for a drawn constant or step."""
+    if draw(st.booleans()):
+        v = draw(TRACE_RATES)
+        return traces.constant(v), partial(closed_constant, v)
+    before, after, switch = draw(TRACE_RATES), draw(TRACE_RATES), draw(SWITCHES)
+    return traces.step(before, after, switch), partial(closed_step, before, after, switch)
+
+
+def closed_blocks(closed, start, block, n):
+    return [closed(a, a + block) for a in range(start, start + n * block, block)]
+
+
+@ORACLE
+@given(data=st.data())
+def test_constant_and_step_integral_match_closed_forms(data):
+    f, closed = closed_form_case(data.draw)
+    t0, t1 = sorted((data.draw(WINDOW_MS), data.draw(WINDOW_MS)))
+    assert repr(f.integral(t0, t1)) == repr(closed(t0, t1))
+
+
+@ORACLE
+@given(data=st.data(), block=st.integers(1, 10**5), n=st.integers(0, 64))
+def test_constant_and_step_block_integrals_match_closed_forms(data, block, n):
+    f, closed = closed_form_case(data.draw)
+    start = data.draw(STARTS)
+    assert repr(f.block_integrals(start, block, n)) == repr(closed_blocks(closed, start, block, n))
+
+
+EDGE_SWITCHES = {"inside-a-block": 30_100, "fractional": 30_100.5, "zero": 0,
+                 "max-time": MAX_MS, "past-max-time": MAX_MS + 1, "huge": 1e300}
+
+
+@pytest.mark.parametrize("f, closed", [
+    (traces.constant(1234.5), partial(closed_constant, 1234.5)),
+    *((traces.step(500.0, 1500.0, s), partial(closed_step, 500.0, 1500.0, s))
+      for s in EDGE_SWITCHES.values()),
+], ids=["constant", *(f"step-{name}" for name in EDGE_SWITCHES)])
+def test_constant_and_step_edges_match_closed_forms(f, closed):
+    assert f.breakpoints == tuple(sorted(f.breakpoints))  # a switch past the end is clamped
+    for start, n in ((0, 0), (0, 300), (29_000, 40), (MAX_MS - 40 * 200, 40)):
+        assert repr(f.block_integrals(start, 200, n)) == repr(closed_blocks(closed, start, 200, n))
+    for t0, t1 in ((0, 30_000), (30_000, 30_200), (30_100, 30_100.5), (0, MAX_MS)):
+        assert repr(f.integral(t0, t1)) == repr(closed(t0, t1))
 
 
 def test_day_workload_blocks_match_integral():

@@ -14,6 +14,8 @@ def test_constant_rate_and_integral():
     assert f.rate(123456.0) == 1000.0
     assert f.integral(0, 200) == pytest.approx(200.0)
     assert f.integral(5000, 5000) == 0.0
+    # The trace spans [0, MAX_TIME_MS), every time the engine can reach.
+    assert f.rate(-1) == f.rate(traces.MAX_TIME_MS) == 0.0
 
 
 def test_step_rate_and_integral():
