@@ -60,7 +60,7 @@ from itertools import accumulate
 from operator import attrgetter
 
 from .errors import ConfigError
-from .fuzzy import ControllerConfig, ControlRow, FuzzyController, RuleTable
+from .fuzzy import ControllerConfig, ControlRow, FuzzyController
 from .tracker import TrafficTracker, TrackerConfig
 from .traces import MAX_TIME_MS, RateFunction
 from .workload import MonitorConfig, WorkloadMonitor
@@ -194,19 +194,16 @@ class MicrobatchEngine:
     """Engine for one config and trace: each run() builds its own tracker,
     monitor, controller, RNG and metrics log, so runs are equal."""
 
-    def __init__(self, config: EngineConfig, trace: RateFunction,
-                 rule_table: RuleTable | None = None):
+    def __init__(self, config: EngineConfig, trace: RateFunction):
         self.config = config
         self.trace = trace
-        self.rule_table = rule_table
 
     def run(self) -> MetricsLog:
         """Run the trace to its end and return the metrics log."""
         cfg = self.config
         tracker = TrafficTracker(cfg.tracker)
         monitor = WorkloadMonitor(cfg.monitor)
-        controller = (FuzzyController(cfg.controller, self.rule_table)
-                      if cfg.mode == ADAPTIVE else None)
+        controller = FuzzyController(cfg.controller) if cfg.mode == ADAPTIVE else None
         rng = random.Random(cfg.seed)
         metrics = MetricsLog(block_interval=cfg.block_interval)
         cost = cfg.cost_model.cost

@@ -18,7 +18,7 @@ class ConfigError(EdgeBatchError, ValueError):
 
 
 class TraceParseError(EdgeBatchError, ValueError):
-    """A trace or table file could not be parsed.
+    """A trace file could not be parsed.
 
     ``row`` is the 1-based line number of the offending input line when known.
     """

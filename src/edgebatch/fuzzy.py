@@ -2,19 +2,20 @@
 
 Two inputs drive it: the predicted relative traffic change C and the
 workload deviation D = S - 1. Both are clamped to [-0.2, +0.2], fuzzified
-over five triangular labels, run through a 5x5 rule table, and defuzzified
-to an integer adjustment level in {-2..+2}. Level k moves the batch
-interval by k block intervals.
+over five triangular labels, run through the constant 5x5 rule table
+``DEFAULT_RULES``, and defuzzified to an integer adjustment level in
+{-2..+2}. A level is one block: level k moves the batch interval by k block
+intervals.
 
 On each control tick the engine reads the smoothed workload S (which gives
 D), then the last window's rate and its one-step forecast (which give C),
 and passes them to ``FuzzyController.control_step``. The controller only
 decides: it returns the tick's ``ControlRow``, the metrics row itself, and
 the engine logs it and applies its interval. ``ControllerConfig`` holds the
-interval range, the step size and the control period; whether C uses the
+block interval, the interval range and the control period; whether C uses the
 forecast is the tracker's rule (``TrackerConfig.prediction_enabled``).
 
-The labels are the ints 0..4 (NB..PB), and they index the rule table
+The labels are the ints 0..4 (NB..PB), and they index ``DEFAULT_RULES``
 directly. Degrees are rounded and summed in label order, which the float
 sums depend on. ``_memberships`` evaluates only the two labels whose centres
 bracket the clamped input: the centres are exactly one HALF_WIDTH apart as
@@ -32,10 +33,9 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, DomainError, TraceParseError
+from .errors import ConfigError, DomainError
 
 log = logging.getLogger(__name__)
 
@@ -97,59 +97,11 @@ MAX_LEVEL = 2
 
 
 @dataclass(frozen=True)
-class RuleTable:
-    levels: tuple[tuple[int, ...], ...] = DEFAULT_RULES
-
-    def __post_init__(self):
-        n = len(CENTERS)
-        if len(self.levels) != n or any(len(row) != n for row in self.levels):
-            raise ConfigError(f"rule table must be {n}x{n}")
-        for row in self.levels:
-            for v in row:
-                if not isinstance(v, int) or not MIN_LEVEL <= v <= MAX_LEVEL:
-                    raise ConfigError(f"rule levels must be integers in [-2, 2], got {v!r}")
-        for i in range(n):
-            for j in range(n - 1):
-                if self.levels[i][j] > self.levels[i][j + 1]:
-                    raise ConfigError("rule rows must be non-decreasing left to right")
-                if self.levels[j][i] > self.levels[j + 1][i]:
-                    raise ConfigError("rule columns must be non-decreasing top to bottom")
-        for d in range(n):
-            for c in range(n):
-                if self.levels[d][c] != -self.levels[4 - d][4 - c]:
-                    raise ConfigError("rule table must be antisymmetric under label mirroring")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RuleTable":
-        """Read a 5x5 table, one comma-separated row per line, D rows NB..PB."""
-        rows: list[tuple[int, ...]] = []
-        text = Path(path).read_text(encoding="utf-8")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                rows.append(tuple(int(cell.strip()) for cell in body.split(",")))
-            except ValueError as exc:
-                raise TraceParseError(f"bad rule entry: {exc}", row=lineno) from exc
-        if len(rows) != len(CENTERS):
-            raise TraceParseError(f"expected {len(CENTERS)} rule rows, got {len(rows)}")
-        try:
-            return cls(tuple(rows))
-        except ConfigError as exc:
-            raise TraceParseError(str(exc)) from exc
-
-
-DEFAULT_TABLE = RuleTable()
-
-
-@dataclass(frozen=True)
 class ControllerConfig:
     block_interval: int
     min_interval: int
     max_interval: int
     control_period: int = 10_000
-    step_blocks: int = 1
 
     def __post_init__(self):
         if self.block_interval <= 0:
@@ -164,8 +116,6 @@ class ControllerConfig:
             raise ConfigError("min_interval must not exceed max_interval")
         if self.control_period <= 0:
             raise ConfigError("control_period must be positive")
-        if self.step_blocks < 1:
-            raise ConfigError("step_blocks must be >= 1")
 
 
 def compute_traffic_change(q_next: float, q_now: float) -> float:
@@ -190,27 +140,26 @@ def _round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def infer(c: float, d: float, table: RuleTable | None = None) -> int:
-    """Min-conjunction inference over the rule table, defuzzified by weighted mean."""
-    levels = (DEFAULT_TABLE if table is None else table).levels
+def infer(c: float, d: float) -> int:
+    """Min-conjunction inference over DEFAULT_RULES, defuzzified by weighted mean."""
     d_degrees = _memberships(d)
     num = 0.0
     den = 0.0
     for c_label, wc in _memberships(c):
         for d_label, wd in d_degrees:
             strength = wd if wd < wc else wc  # min(wc, wd)
-            num += strength * levels[d_label][c_label]
+            num += strength * DEFAULT_RULES[d_label][c_label]
             den += strength
     return _round_half_away(num / den)
 
 
 def adjust_interval(current: int, level: int, config: ControllerConfig) -> int:
-    """Move the interval by level block steps, clamped to the configured range."""
+    """Move the interval by level blocks, clamped to the configured range."""
     if current % config.block_interval != 0:
         raise DomainError(f"current interval {current} is not a block multiple")
     if not MIN_LEVEL <= level <= MAX_LEVEL:
         raise DomainError(f"level must be in [-2, 2], got {level}")
-    proposed = current + level * config.step_blocks * config.block_interval
+    proposed = current + level * config.block_interval
     # min(max_interval, max(min_interval, proposed)), as comparisons.
     lo, hi = config.min_interval, config.max_interval
     proposed = proposed if proposed > lo else lo
@@ -242,9 +191,8 @@ class FuzzyController:
     the controller only decides, and the engine stages the row's interval.
     """
 
-    def __init__(self, config: ControllerConfig, rule_table: RuleTable | None = None):
+    def __init__(self, config: ControllerConfig):
         self.config = config
-        self.table = DEFAULT_TABLE if rule_table is None else rule_table
 
     def control_step(self, now: float, interval: int, s: float, q_now: Optional[float],
                      q_next: Optional[float]) -> ControlRow:
@@ -254,6 +202,6 @@ class FuzzyController:
         else:
             c = compute_traffic_change(q_next, q_now)
         d = compute_workload_deviation(s)
-        level = infer(c, d, self.table)
+        level = infer(c, d)
         return ControlRow(now, adjust_interval(interval, level, self.config),
                           s, q_now, q_next, c, d, level)

@@ -31,7 +31,7 @@ from .engine import (
     MicrobatchEngine,
 )
 from .errors import EdgeBatchError, TraceParseError
-from .fuzzy import ControllerConfig, RuleTable
+from .fuzzy import ControllerConfig
 from .tracker import TrackerConfig
 from .workload import MonitorConfig
 
@@ -152,8 +152,9 @@ def _build_trace(cfg: dict, base_dir: Path) -> traces.RateFunction:
 
 
 def _read(what: str, path: Path, load):
-    """load(path), where a file that cannot be opened or is not UTF-8 text
-    becomes a UsageError that names it, and a parse error names it too."""
+    """load(path) for a trace or config file: a file that cannot be opened or
+    is not UTF-8 text becomes a UsageError that names it, and a trace parse
+    error names it too."""
     try:
         return load(path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -169,11 +170,10 @@ class RunSpec:
     label: str
     engine: EngineConfig
     trace: traces.RateFunction
-    rule_table: Optional[RuleTable]
 
 
 def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec:
-    """Turn a parsed config dict into engine config, trace, and rule table."""
+    """Turn a parsed config dict into engine config and trace."""
     cfg = dict(cfg)
     base_dir = base_dir or Path.cwd()
     label = _take_str(cfg, "run.label", default="run")
@@ -184,7 +184,6 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
         min_interval=_take_int(cfg, "controller.min_interval"),
         max_interval=_take_int(cfg, "controller.max_interval"),
         control_period=_take_int(cfg, "controller.control_period", 10_000),
-        step_blocks=_take_int(cfg, "controller.step_blocks", 1),
     )
     monitor = MonitorConfig(
         smoothing_coefficient=_take_float(cfg, "monitor.smoothing", 0.3),
@@ -202,14 +201,6 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
     )
     trace = _build_trace(cfg, base_dir)
 
-    rule_table = None
-    rules_path = cfg.pop("controller.rules", None)
-    if rules_path is not None:
-        path = Path(rules_path)
-        if not path.is_absolute():
-            path = base_dir / path
-        rule_table = _read("rules", path, RuleTable.load)
-
     engine = EngineConfig(
         controller=controller,
         cost_model=cost,
@@ -226,7 +217,7 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
     )
     if cfg:
         raise UsageError(f"unknown config keys: {sorted(cfg)}")
-    return RunSpec(label=label, engine=engine, trace=trace, rule_table=rule_table)
+    return RunSpec(label=label, engine=engine, trace=trace)
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -413,7 +404,7 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot write output directory {out}: {exc}") from exc
-    log = MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
+    log = MicrobatchEngine(spec.engine, spec.trace).run()
     report = summarize(log)
     try:
         write_metrics(log, out, report)

@@ -22,7 +22,7 @@ from log_rows import per_block_counts, split_rows
 
 def run_preset(name, **kw):
     spec = harness.load_preset(name, **kw)
-    return spec, engine.MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
+    return spec, engine.MicrobatchEngine(spec.engine, spec.trace).run()
 
 
 @pytest.fixture(scope="module")
@@ -106,13 +106,7 @@ def test_criterion_01_grey_fit_matches_oracle():
 
 
 def test_criterion_02_offline_day_trace_error():
-    vals = []
-    with open(traces.day_trace_path()) as f:
-        for line in f:
-            body = line.split("#", 1)[0].strip()
-            if not body or body.startswith("timestamp_s"):
-                continue
-            vals.append(float(body.split(",")[1]))
+    vals = [v for _, v in traces.load_trace_rows(traces.day_trace_path())]
     errs = []
     for k in range(5, len(vals)):
         model = grey.fit(vals[k - 5:k])
@@ -275,7 +269,7 @@ def test_criterion_09_day_latency_and_restraint(day):
 
     vanilla_cfg = dataclasses.replace(spec.engine, mode=VANILLA,
                                       initial_interval=safe)
-    log_v = engine.MicrobatchEngine(vanilla_cfg, spec.trace, spec.rule_table).run()
+    log_v = engine.MicrobatchEngine(vanilla_cfg, spec.trace).run()
 
     third = spec.engine.duration // 3
     low_a = mean([b.total_delay_ms for b in split_rows(log_a)[0] if b.time_ms < third])
@@ -328,7 +322,7 @@ def test_criterion_10_determinism_and_conservation(tmp_path, exp1, exp2, exp3,
 
     spec = harness.load_preset("exp1")
     for sub in ("a", "b"):
-        log = engine.MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
+        log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
         harness.write_metrics(log, tmp_path / sub)
     first = (tmp_path / "a" / "metrics.csv").read_bytes()
     second = (tmp_path / "b" / "metrics.csv").read_bytes()

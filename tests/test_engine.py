@@ -178,20 +178,19 @@ def test_vanilla_overload_grows_monotonically():
 def test_set_interval_takes_effect_next_fire():
     # The first control tick, at 3000 ms between the fires at 2000 and
     # 4000 ms, reads a low S (D = -0.2) and no forecast (C = 0): level -1
-    # in steps of two blocks stages 1600 ms, the minimum, which later ticks
+    # stages 1800 ms, one block less and the minimum, which later ticks
     # hold. The 4000 ms fire still comes after the old interval.
     cfg = make_config(mode=ADAPTIVE, duration=10_000, control_start=3000,
                       monitor=MonitorConfig(initial_estimate=0.1),
-                      controller=ControllerConfig(block_interval=200, min_interval=1600,
-                                                  max_interval=6000, control_period=3000,
-                                                  step_blocks=2))
+                      controller=ControllerConfig(block_interval=200, min_interval=1800,
+                                                  max_interval=6000, control_period=3000))
     batches, ticks = split_rows(run(cfg, traces.constant(1000.0)))
     staging = next(t for t in ticks if t.time_ms == 3000)
     assert (staging.workload_deviation, staging.traffic_change) == (-0.2, 0.0)
-    assert (staging.fuzzy_level, staging.interval_ms) == (-1, 1600)
+    assert (staging.fuzzy_level, staging.interval_ms) == (-1, 1800)
     # Each batch's interval_ms is the time since the fire before it.
     fired = list(accumulate(b.interval_ms for b in batches))
-    assert fired[:4] == [2000, 4000, 5600, 7200]
+    assert fired[:4] == [2000, 4000, 5800, 7600]
 
 
 def test_adaptive_constant_rate_interval_settles():

@@ -154,7 +154,6 @@ def engine_runs(draw, jitter: bool):
             min_interval=min_blocks * block,
             max_interval=max_blocks * block,
             control_period=control_period,
-            step_blocks=draw(st.integers(1, 3)),
         ),
         cost_model=draw(job_costs(block, control_period)),
         duration=duration,
@@ -366,8 +365,8 @@ def check_invariants(config, trace):
 HOLD_AFTER_STAGE = (
     EngineConfig(
         controller=ControllerConfig(block_interval=100, min_interval=100, max_interval=1900,
-                                    control_period=100, step_blocks=3),
-        cost_model=JobCostModel(86.0, 2.0, 8.0), duration=10_900, initial_interval=1900,
+                                    control_period=100),
+        cost_model=JobCostModel(86.0, 4.0, 8.0), duration=10_900, initial_interval=1000,
         block_interval=100, control_start=0,
         tracker=TrackerConfig(resample_interval=100, train_num=4, prediction_enabled=False)),
     traces.constant(15.0),

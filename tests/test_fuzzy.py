@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgebatch import fuzzy
-from edgebatch.errors import ConfigError, DomainError, TraceParseError
+from edgebatch.errors import ConfigError, DomainError
 from edgebatch.fuzzy import (
     ControllerConfig,
-    RuleTable,
     adjust_interval,
     compute_traffic_change,
     compute_workload_deviation,
@@ -44,41 +43,12 @@ def test_partition_of_unity(x):
 
 
 def test_default_table_shape_and_corners():
-    levels = RuleTable().levels  # rows by the D label, columns by the C label
+    levels = fuzzy.DEFAULT_RULES  # rows by the D label, columns by the C label
     assert levels[NB][NB] == -2
     assert levels[PB][PB] == 2
     assert levels[ZO][ZO] == 0
     assert levels[NB][ZO] == -1
     assert levels[PB][ZO] == 1
-
-
-def test_table_antisymmetry_enforced():
-    rows = list(list(r) for r in fuzzy.DEFAULT_RULES)
-    rows[0][0] = 0  # breaks mirror pairing with (PB, PB) = 2
-    with pytest.raises(ConfigError):
-        RuleTable(tuple(tuple(r) for r in rows))
-
-
-def test_table_monotonicity_enforced():
-    rows = list(list(r) for r in fuzzy.DEFAULT_RULES)
-    rows[2][0], rows[2][4] = 1, -1
-    with pytest.raises(ConfigError):
-        RuleTable(tuple(tuple(r) for r in rows))
-
-
-def test_table_load_round_trip(tmp_path):
-    path = tmp_path / "rules.csv"
-    lines = ["# default adjustment table"]
-    lines += [",".join(str(v) for v in row) for row in fuzzy.DEFAULT_RULES]
-    path.write_text("\n".join(lines) + "\n")
-    assert RuleTable.load(path) == RuleTable()
-
-
-def test_table_load_rejects_garbage(tmp_path):
-    path = tmp_path / "rules.csv"
-    path.write_text("-2,-1,-1,0,0\n-1,-1,x,0,0\n")
-    with pytest.raises(TraceParseError):
-        RuleTable.load(path)
 
 
 def test_infer_neutral():
@@ -154,11 +124,6 @@ def test_adjust_interval_steps_and_clamps():
     assert adjust_interval(6000, 1, c) == 6000
 
 
-def test_adjust_interval_step_blocks():
-    c = cfg(step_blocks=3)
-    assert adjust_interval(2000, 1, c) == 2600
-
-
 def test_adjust_interval_rejects_bad_input():
     c = cfg()
     with pytest.raises(DomainError):
@@ -183,5 +148,3 @@ def test_controller_config_validation():
         cfg(min_interval=4000, max_interval=2000)
     with pytest.raises(ConfigError):
         cfg(control_period=0)
-    with pytest.raises(ConfigError):
-        cfg(step_blocks=0)

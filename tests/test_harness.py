@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from edgebatch import engine, fuzzy, harness
+from edgebatch import engine, harness
 from edgebatch.harness import (
     METRICS_COLUMNS,
     PRESETS,
@@ -44,7 +44,7 @@ def mini_cfg(**extra):
 
 def run_mini(**extra):
     spec = build_run_spec(mini_cfg(**extra))
-    return engine.MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
+    return engine.MicrobatchEngine(spec.engine, spec.trace).run()
 
 
 # -- config parsing -----------------------------------------------------------
@@ -84,12 +84,10 @@ def test_defaults_applied():
     assert spec.engine.control_start == 30_000
     assert spec.engine.controller.control_period == 10_000
     assert spec.engine.tracker.prediction_enabled
-    assert spec.engine.controller.step_blocks == 1
     assert spec.engine.monitor.smoothing_coefficient == pytest.approx(0.3)
     assert spec.engine.tracker.resample_interval == 30_000
     assert spec.engine.tracker.train_num == 5
     assert spec.engine.seed == 0
-    assert spec.rule_table is None
 
 
 def test_unknown_keys_rejected():
@@ -195,7 +193,7 @@ OUTPUT_NAMES = ("metrics.csv", "summary.json", "series_interval.csv",
 def test_rerun_outputs_byte_identical(tmp_path):
     spec = build_run_spec(mini_cfg())
     for sub in ("a", "b"):
-        log = engine.MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
+        log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
         write_metrics(log, tmp_path / sub)
     for name in OUTPUT_NAMES:
         assert ((tmp_path / "a" / name).read_bytes()
@@ -218,7 +216,7 @@ def test_summary_json_matches_recomputation(tmp_path):
 
 def test_summary_conservation_against_log():
     spec = build_run_spec(mini_cfg())
-    log = engine.MicrobatchEngine(spec.engine, spec.trace, spec.rule_table).run()
+    log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
     report = summarize(log)
     assert report.records_processed == sum(b.records for b in split_rows(log)[0])
     generated = sum(per_block_counts(spec.engine, spec.trace))
@@ -284,6 +282,17 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_readme_config_example_validates(tmp_path, capsys):
+    # The documented example must name only keys the parser accepts.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config format\n", 1)[1]
+    example = section.split("\n```\n", 2)[1]
+    conf = tmp_path / "readme.conf"
+    conf.write_text(example + "\n")
+    assert main(["validate", "--config", str(conf)]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
 def test_cli_usage_errors_exit_2(tmp_path, capsys):
     conf = write_conf(tmp_path, MINI + "engine.bogus = 1\n")
     assert main(["validate", "--config", str(conf)]) == 2
@@ -292,11 +301,14 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
 
 
 # The tracker keeps only the windows a fit reads and fits on every window
-# close, so these keys no longer exist, not even at their old defaults.
+# close, and the controller moves one block per level through the constant
+# rule table, so these keys no longer exist, not even at their old defaults.
 @pytest.mark.parametrize("line", ["tracker.retain_windows = 240",
-                                  "tracker.retrain_every = 1"],
-                         ids=["retain_windows", "retrain_every"])
-def test_cli_removed_tracker_keys_exit_2_with_one_line(tmp_path, capsys, line):
+                                  "tracker.retrain_every = 1",
+                                  "controller.rules = rules.txt",
+                                  "controller.step_blocks = 1"],
+                         ids=["retain_windows", "retrain_every", "rules", "step_blocks"])
+def test_cli_removed_config_keys_exit_2_with_one_line(tmp_path, capsys, line):
     conf = write_conf(tmp_path, MINI + line + "\n")
     assert main(["validate", "--config", str(conf)]) == 2
     captured = capsys.readouterr()
@@ -483,21 +495,16 @@ def test_cli_run_survives_a_window_series_grey_cannot_fit(tmp_path, capsys, text
     assert forecasts[:failed + 1] == [""] * (failed + 1) and forecasts[failed + 1] != ""
 
 
-RULES = "".join(",".join(map(str, row)) + "\n" for row in fuzzy.DEFAULT_TABLE.levels)
-
-
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
-@pytest.mark.parametrize("what", ["trace", "rules", "config"])
+@pytest.mark.parametrize("what", ["trace", "config"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, what, case,
                                                          command):
     # A file that cannot be opened or decoded ended the run in a traceback.
     (tmp_path / "trace.csv").write_text("timestamp_s,value\n0,1000\n60,1000\n")
-    (tmp_path / "rules.txt").write_text(RULES)
     text = MINI.replace(MINI_TRACE, "trace.kind = csv\ntrace.file = trace.csv\n")
-    conf = write_conf(tmp_path, text + "controller.rules = rules.txt\n")
-    bad = {"trace": tmp_path / "trace.csv", "rules": tmp_path / "rules.txt",
-           "config": conf}[what]
+    conf = write_conf(tmp_path, text)
+    bad = {"trace": tmp_path / "trace.csv", "config": conf}[what]
     content = bad.read_bytes()
     bad.unlink()
     if case == "directory":
@@ -568,16 +575,13 @@ def test_cli_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, name
 
 @pytest.mark.parametrize("what, content, message", [
     ("trace", "timestamp_s,value\n0,1000\nabc,1000\n", "row 3: bad number: "),
-    ("rules", "-2,-1,-1,0,0\n", "expected 5 rule rows, got 1"),
-], ids=["trace", "rules"])
+], ids=["trace"])
 def test_cli_validate_parse_error_names_the_file(tmp_path, capsys, what, content, message):
     # The message gave the row and the fault but not which file held them.
-    (tmp_path / "trace.csv").write_text("timestamp_s,value\n0,1000\n60,1000\n")
-    (tmp_path / "rules.txt").write_text(RULES)
-    bad = tmp_path / {"trace": "trace.csv", "rules": "rules.txt"}[what]
+    bad = tmp_path / "trace.csv"
     bad.write_text(content)
     text = MINI.replace(MINI_TRACE, "trace.kind = csv\ntrace.file = trace.csv\n")
-    conf = write_conf(tmp_path, text + "controller.rules = rules.txt\n")
+    conf = write_conf(tmp_path, text)
     assert main(["validate", "--config", str(conf)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
