@@ -123,16 +123,20 @@ class EngineConfig:
     jitter: float = 0.0
 
     def __post_init__(self):
+        if self.block_interval <= 0:
+            raise ConfigError("block_interval must be positive")
+        for name in ("min_interval", "max_interval"):
+            v = getattr(self.controller, name)
+            if v <= 0 or v % self.block_interval != 0:
+                raise ConfigError(f"{name} must be a positive multiple of block_interval, got {v}")
+        if self.controller.min_interval > self.controller.max_interval:
+            raise ConfigError("min_interval must not exceed max_interval")
         if self.mode not in (ADAPTIVE, VANILLA):
             raise ConfigError(f"mode must be '{ADAPTIVE}' or '{VANILLA}', got {self.mode!r}")
         times = attrgetter(*_TIME_FIELDS)(self)
         if max(times) > MAX_TIME_MS:
             name = _TIME_FIELDS[times.index(max(times))]
             raise ConfigError(f"{name} must be at most MAX_TIME_MS = 2**53 ms")
-        if self.block_interval <= 0:
-            raise ConfigError("block_interval must be positive")
-        if self.controller.block_interval != self.block_interval:
-            raise ConfigError("controller block_interval must match the engine's")
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.initial_interval <= 0 or self.initial_interval % self.block_interval != 0:
@@ -201,11 +205,12 @@ class MicrobatchEngine:
     def run(self) -> MetricsLog:
         """Run the trace to its end and return the metrics log."""
         cfg = self.config
+        block = cfg.block_interval
         tracker = TrafficTracker(cfg.tracker)
         monitor = WorkloadMonitor(cfg.monitor)
-        controller = FuzzyController(cfg.controller) if cfg.mode == ADAPTIVE else None
+        controller = FuzzyController(cfg.controller, block) if cfg.mode == ADAPTIVE else None
         rng = random.Random(cfg.seed)
-        metrics = MetricsLog(block_interval=cfg.block_interval)
+        metrics = MetricsLog(block_interval=block)
         cost = cfg.cost_model.cost
         on_batch_completed = monitor.on_batch_completed
         rows, windows = metrics.rows, metrics.windows
@@ -216,7 +221,6 @@ class MicrobatchEngine:
         # are filled in; records[j] and nonempty[j] are the running totals
         # over blocks 0 .. first + j - 1. batched_* are the same totals at
         # the last batch seal, and reported_records at the last window close.
-        block = cfg.block_interval
         n_blocks = cfg.duration // block
         first, records, nonempty = 0, [0], [0]
         batched_records = batched_blocks = reported_records = 0

@@ -12,8 +12,8 @@ D), then the last window's rate and its one-step forecast (which give C),
 and passes them to ``FuzzyController.control_step``. The controller only
 decides: it returns the tick's ``ControlRow``, the metrics row itself, and
 the engine logs it and applies its interval. ``ControllerConfig`` holds the
-block interval, the interval range and the control period; whether C uses the
-forecast is the tracker's rule (``TrackerConfig.prediction_enabled``).
+interval range and the control period; the block interval is
+``EngineConfig``'s, and whether C uses the forecast is ``TrackerConfig``'s.
 
 The labels are the ints 0..4 (NB..PB), and they index ``DEFAULT_RULES``
 directly. Degrees are rounded and summed in label order, which the float
@@ -98,22 +98,11 @@ MAX_LEVEL = 2
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    block_interval: int
     min_interval: int
     max_interval: int
     control_period: int = 10_000
 
     def __post_init__(self):
-        if self.block_interval <= 0:
-            raise ConfigError("block_interval must be positive")
-        for name in ("min_interval", "max_interval"):
-            v = getattr(self, name)
-            if v <= 0 or v % self.block_interval != 0:
-                raise ConfigError(
-                    f"{name} must be a positive multiple of block_interval, got {v}"
-                )
-        if self.min_interval > self.max_interval:
-            raise ConfigError("min_interval must not exceed max_interval")
         if self.control_period <= 0:
             raise ConfigError("control_period must be positive")
 
@@ -153,13 +142,14 @@ def infer(c: float, d: float) -> int:
     return _round_half_away(num / den)
 
 
-def adjust_interval(current: int, level: int, config: ControllerConfig) -> int:
+def adjust_interval(current: int, level: int, block_interval: int,
+                    config: ControllerConfig) -> int:
     """Move the interval by level blocks, clamped to the configured range."""
-    if current % config.block_interval != 0:
+    if current % block_interval != 0:
         raise DomainError(f"current interval {current} is not a block multiple")
     if not MIN_LEVEL <= level <= MAX_LEVEL:
         raise DomainError(f"level must be in [-2, 2], got {level}")
-    proposed = current + level * config.block_interval
+    proposed = current + level * block_interval
     # min(max_interval, max(min_interval, proposed)), as comparisons.
     lo, hi = config.min_interval, config.max_interval
     proposed = proposed if proposed > lo else lo
@@ -191,8 +181,9 @@ class FuzzyController:
     the controller only decides, and the engine stages the row's interval.
     """
 
-    def __init__(self, config: ControllerConfig):
+    def __init__(self, config: ControllerConfig, block_interval: int):
         self.config = config
+        self.block_interval = block_interval
 
     def control_step(self, now: float, interval: int, s: float, q_now: Optional[float],
                      q_next: Optional[float]) -> ControlRow:
@@ -203,5 +194,5 @@ class FuzzyController:
             c = compute_traffic_change(q_next, q_now)
         d = compute_workload_deviation(s)
         level = infer(c, d)
-        return ControlRow(now, adjust_interval(interval, level, self.config),
-                          s, q_now, q_next, c, d, level)
+        interval = adjust_interval(interval, level, self.block_interval, self.config)
+        return ControlRow(now, interval, s, q_now, q_next, c, d, level)

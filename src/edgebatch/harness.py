@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -72,12 +73,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
-def _take_float(cfg: dict, key: str, default=None) -> float:
-    raw = cfg.pop(key, None)
-    if raw is None:
-        if default is None:
-            raise UsageError(f"missing required key {key!r}")
-        return default
+def _float(key: str, raw: str) -> float:
     try:
         if "/" in raw:
             num, den = raw.split("/", 1)
@@ -87,31 +83,18 @@ def _take_float(cfg: dict, key: str, default=None) -> float:
         raise UsageError(f"bad value for {key!r}: {raw!r}") from exc
 
 
-def _take_int(cfg: dict, key: str, default=None) -> int:
-    raw = cfg.pop(key, None)
-    if raw is None:
-        if default is None:
-            raise UsageError(f"missing required key {key!r}")
-        return default
+def _int(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError as exc:
         raise UsageError(f"bad value for {key!r}: {raw!r}") from exc
 
 
-def _take_str(cfg: dict, key: str, default=None, choices=None) -> str:
-    raw = cfg.pop(key, default)
-    if raw is None:
-        raise UsageError(f"missing required key {key!r}")
-    if choices and raw not in choices:
-        raise UsageError(f"bad value for {key!r}: {raw!r} (expected one of {choices})")
+def _text(key: str, raw: str) -> str:
     return raw
 
 
-def _take_bool(cfg: dict, key: str, default: bool) -> bool:
-    raw = cfg.pop(key, None)
-    if raw is None:
-        return default
+def _bool(key: str, raw: str) -> bool:
     if raw in ("on", "true", "1", "yes"):
         return True
     if raw in ("off", "false", "0", "no"):
@@ -119,36 +102,14 @@ def _take_bool(cfg: dict, key: str, default: bool) -> bool:
     raise UsageError(f"bad value for {key!r}: {raw!r} (expected on/off)")
 
 
-def _build_trace(cfg: dict, base_dir: Path) -> traces.RateFunction:
-    kind = _take_str(cfg, "trace.kind",
-                     choices=("constant", "step", "sinusoid", "csv"))
-    if kind == "constant":
-        return traces.constant(_take_float(cfg, "trace.rate"))
-    if kind == "step":
-        return traces.step(
-            _take_float(cfg, "trace.before"),
-            _take_float(cfg, "trace.after"),
-            _take_float(cfg, "trace.switch"),
-        )
-    if kind == "sinusoid":
-        return traces.sinusoid(
-            _take_float(cfg, "trace.base"),
-            _take_float(cfg, "trace.amplitude"),
-            _take_float(cfg, "trace.period"),
-        )
-    name = _take_str(cfg, "trace.file")
-    if name == "builtin:day":
-        path = traces.day_trace_path()
-    else:
-        path = Path(name)
-        if not path.is_absolute():
-            path = base_dir / path
-    count_mode = _take_str(cfg, "trace.mode", default="rate",
-                           choices=("rate", "count")) == "count"
-    time_scale = _take_float(cfg, "trace.time_scale", 1.0)
-    rate_scale = _take_float(cfg, "trace.rate_scale", 1.0)
-    return _read("trace", path, lambda p: traces.from_csv(
-        p, count_mode=count_mode, time_scale=time_scale, rate_scale=rate_scale))
+def _choice(values: dict):
+    """A parser that maps each allowed text to its value."""
+    def parse(key: str, raw: str):
+        if raw not in values:
+            raise UsageError(
+                f"bad value for {key!r}: {raw!r} (expected one of {tuple(values)})")
+        return values[raw]
+    return parse
 
 
 def _read(what: str, path: Path, load):
@@ -167,57 +128,97 @@ def _read(what: str, path: Path, load):
 class RunSpec:
     """Everything one simulation run needs."""
 
-    label: str
     engine: EngineConfig
     trace: traces.RateFunction
+    label: str = "run"
+
+
+# The config schema: key -> (the config class or trace builder it sets, the
+# parameter, the parser). An omitted key leaves its parameter's default, and
+# a key whose parameter has no default is required. trace.kind's value is
+# the trace builder; only the trace keys of that kind are known.
+CONFIG_KEYS = {
+    "run.label": (RunSpec, "label", _text),
+    "engine.mode": (EngineConfig, "mode", _choice({ADAPTIVE: ADAPTIVE, VANILLA: VANILLA})),
+    "engine.duration": (EngineConfig, "duration", _int),
+    "engine.initial_interval": (EngineConfig, "initial_interval", _int),
+    "engine.block_interval": (EngineConfig, "block_interval", _int),
+    "engine.control_start": (EngineConfig, "control_start", _int),
+    "engine.seed": (EngineConfig, "seed", _int),
+    "engine.jitter": (EngineConfig, "jitter", _float),
+    "controller.min_interval": (ControllerConfig, "min_interval", _int),
+    "controller.max_interval": (ControllerConfig, "max_interval", _int),
+    "controller.control_period": (ControllerConfig, "control_period", _int),
+    "controller.prediction": (TrackerConfig, "prediction_enabled", _bool),
+    "monitor.smoothing": (MonitorConfig, "smoothing_coefficient", _float),
+    "monitor.initial": (MonitorConfig, "initial_estimate", _float),
+    "tracker.resample_interval": (TrackerConfig, "resample_interval", _int),
+    "tracker.train_num": (TrackerConfig, "train_num", _int),
+    "cost.fixed_overhead": (JobCostModel, "fixed_overhead", _float),
+    "cost.per_record": (JobCostModel, "per_record_cost", _float),
+    "cost.per_block": (JobCostModel, "per_block_cost", _float),
+    "trace.kind": (RunSpec, "trace", _choice({"constant": traces.constant, "step": traces.step,
+                                              "sinusoid": traces.sinusoid,
+                                              "csv": traces.from_csv})),
+    "trace.rate": (traces.constant, "rate", _float),
+    "trace.before": (traces.step, "before", _float),
+    "trace.after": (traces.step, "after", _float),
+    "trace.switch": (traces.step, "switch_ms", _float),
+    "trace.base": (traces.sinusoid, "base", _float),
+    "trace.amplitude": (traces.sinusoid, "amplitude", _float),
+    "trace.period": (traces.sinusoid, "period_ms", _float),
+    "trace.file": (traces.from_csv, "path", _text),
+    "trace.mode": (traces.from_csv, "count_mode", _choice({"rate": False, "count": True})),
+    "trace.time_scale": (traces.from_csv, "time_scale", _float),
+    "trace.rate_scale": (traces.from_csv, "rate_scale", _float),
+}
+# The keys whose parameter has no default, with what they set: a config
+# must set each, and a trace key only for its own kind.
+_REQUIRED = [(key, target) for key, (target, name, _) in CONFIG_KEYS.items()
+             if inspect.signature(target).parameters[name].default is inspect.Parameter.empty]
 
 
 def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec:
-    """Turn a parsed config dict into engine config and trace."""
-    cfg = dict(cfg)
-    base_dir = base_dir or Path.cwd()
-    label = _take_str(cfg, "run.label", default="run")
-    block = _take_int(cfg, "engine.block_interval", 200)
+    """Turn a parsed config dict into engine config and trace: each key sets,
+    parsed, the parameter ``CONFIG_KEYS`` names, and an omitted key leaves
+    its parameter's default. A relative trace file resolves against base_dir
+    (by default the working directory)."""
+    if "trace.kind" not in cfg:
+        raise UsageError("missing required key 'trace.kind'")
+    build_trace = CONFIG_KEYS["trace.kind"][2]("trace.kind", cfg["trace.kind"])
+    # The keyword arguments of each config class and of the trace builder.
+    args = {RunSpec: {}, EngineConfig: {}, ControllerConfig: {}, MonitorConfig: {},
+            TrackerConfig: {}, JobCostModel: {}, build_trace: {}}
+    unknown = []
+    for key, raw in cfg.items():
+        target, name, parse = CONFIG_KEYS.get(key, (None, None, None))
+        if target in args:
+            args[target][name] = parse(key, raw)
+        else:
+            unknown.append(key)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, target in _REQUIRED:
+        if target in args and key not in cfg:
+            raise UsageError(f"missing required key {key!r}")
 
-    controller = ControllerConfig(
-        block_interval=block,
-        min_interval=_take_int(cfg, "controller.min_interval"),
-        max_interval=_take_int(cfg, "controller.max_interval"),
-        control_period=_take_int(cfg, "controller.control_period", 10_000),
-    )
-    monitor = MonitorConfig(
-        smoothing_coefficient=_take_float(cfg, "monitor.smoothing", 0.3),
-        initial_estimate=_take_float(cfg, "monitor.initial", 1.0),
-    )
-    tracker = TrackerConfig(
-        resample_interval=_take_int(cfg, "tracker.resample_interval", 30_000),
-        train_num=_take_int(cfg, "tracker.train_num", 5),
-        prediction_enabled=_take_bool(cfg, "controller.prediction", True),
-    )
-    cost = JobCostModel(
-        fixed_overhead=_take_float(cfg, "cost.fixed_overhead"),
-        per_record_cost=_take_float(cfg, "cost.per_record"),
-        per_block_cost=_take_float(cfg, "cost.per_block"),
-    )
-    trace = _build_trace(cfg, base_dir)
-
+    trace_args = args[build_trace]
+    if build_trace is traces.from_csv:
+        name = trace_args.pop("path")
+        path = (traces.day_trace_path() if name == "builtin:day"
+                else (base_dir or Path.cwd()) / name)
+        trace = _read("trace", path, lambda p: traces.from_csv(p, **trace_args))
+    else:
+        trace = build_trace(**trace_args)
     engine = EngineConfig(
-        controller=controller,
-        cost_model=cost,
-        duration=_take_int(cfg, "engine.duration"),
-        initial_interval=_take_int(cfg, "engine.initial_interval"),
-        block_interval=block,
-        mode=_take_str(cfg, "engine.mode", default=ADAPTIVE,
-                       choices=(ADAPTIVE, VANILLA)),
-        control_start=_take_int(cfg, "engine.control_start", 30_000),
-        monitor=monitor,
-        tracker=tracker,
-        seed=_take_int(cfg, "engine.seed", 0),
-        jitter=_take_float(cfg, "engine.jitter", 0.0),
+        controller=ControllerConfig(**args[ControllerConfig]),
+        cost_model=JobCostModel(**args[JobCostModel]),
+        monitor=MonitorConfig(**args[MonitorConfig]),
+        tracker=TrackerConfig(**args[TrackerConfig]),
+        **args[EngineConfig],
     )
-    if cfg:
-        raise UsageError(f"unknown config keys: {sorted(cfg)}")
-    return RunSpec(label=label, engine=engine, trace=trace)
+    args[RunSpec]["trace"] = trace  # was the builder, from trace.kind
+    return RunSpec(engine=engine, **args[RunSpec])
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:

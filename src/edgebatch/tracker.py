@@ -8,10 +8,12 @@ its start and the records of every block in it. Any number of reports may
 go into one open window.
 
 The tracker keeps only what a fit reads: the rates of the last
-``train_num`` closed windows. ``close_windows_upto`` fits after every
-window it closes and returns one ``WindowRow`` per window, which carries the
-forecast rule: the row's forecast is None while there is no model, the
-measured rate with prediction off, and the GM(1,1) forecast otherwise.
+``train_num`` closed windows. ``close_windows_upto`` returns one
+``WindowRow`` per window it closes, which carries the forecast rule. With
+prediction on it fits after every window, and the forecast is the GM(1,1)
+forecast, or None while there is no model. With it off nothing reads a fit,
+so none is made: the forecast is None until ``train_num`` windows have
+closed, and the measured rate from then on.
 ``train`` evaluates the one-step forecast once per fit and ``predict_rate``
 serves it until the next fit, so the window close and the control ticks
 share one evaluation. A series GM(1,1) cannot fit, or whose forecast
@@ -65,8 +67,8 @@ class TrackerConfig:
 class TrafficTracker:
     """Accumulates reports per window, closes windows as time advances."""
 
-    def __init__(self, config: TrackerConfig | None = None):
-        self.config = config or TrackerConfig()
+    def __init__(self, config: TrackerConfig):
+        self.config = config
         self.model: Optional[grey.GreyModel] = None
         self._next_rate = 0.0  # predict_rate() of self.model
         self._open_counts: dict[int, int] = {}
@@ -89,8 +91,8 @@ class TrafficTracker:
         self._open_counts[index] = self._open_counts.get(index, 0) + record_count
 
     def close_windows_upto(self, now: int) -> list[WindowRow]:
-        """Close every window whose end is <= now, fitting after each; returns
-        their rows oldest first.
+        """Close every window whose end is <= now, fitting after each while
+        prediction is on; returns their rows oldest first.
 
         Windows with no reports close with rate 0 so the resampled history
         stays contiguous.
@@ -103,9 +105,10 @@ class TrafficTracker:
             rate = self._open_counts.pop(index, 0) * 1000.0 / w
             self._rates.append(rate)
             self._next_close_index = index + 1
-            predicted = None
-            if self.train() is not None:
-                predicted = self.predict_rate() if prediction_enabled else rate
+            if prediction_enabled:
+                predicted = None if self.train() is None else self.predict_rate()
+            else:
+                predicted = rate if len(self._rates) == self.config.train_num else None
             closed.append(WindowRow(index * w, rate, predicted))
             index += 1
         return closed

@@ -34,8 +34,8 @@ class MonitorConfig:
 class WorkloadMonitor:
     """Buffers per-batch workload samples and smooths them on demand."""
 
-    def __init__(self, config: MonitorConfig | None = None):
-        self.config = config or MonitorConfig()
+    def __init__(self, config: MonitorConfig):
+        self.config = config
         self._pending: list[float] = []
         self.value = self.config.initial_estimate  # S
 

@@ -361,12 +361,11 @@ def test_criterion_11_fuzzy_layer_suite():
     assert fuzzy.infer(0.0, 0.0) == 0
 
     rng = random.Random(7)
-    config = fuzzy.ControllerConfig(block_interval=200, min_interval=400,
-                                    max_interval=6000)
+    config = fuzzy.ControllerConfig(min_interval=400, max_interval=6000)
     for _ in range(500):
         current = 200 * rng.randint(2, 30)
         level = rng.randint(-2, 2)
-        nxt = fuzzy.adjust_interval(current, level, config)
+        nxt = fuzzy.adjust_interval(current, level, 200, config)
         assert nxt % 200 == 0
         assert 400 <= nxt <= 6000
     print("criterion 11: PASS (partition of unity, rule table shape and "

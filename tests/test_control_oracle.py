@@ -108,12 +108,12 @@ def test_clamp_matches_min_max(x):
 
 @pytest.mark.parametrize("lo, hi", [(1000, 3000), (1600, 1600)])
 def test_adjust_interval_matches_min_max(lo, hi):
-    config = ControllerConfig(200, lo, hi)
+    config = ControllerConfig(lo, hi)
     for current in range(0, 4400, 200):  # below, inside and above [lo, hi]
         for level in range(-2, 3):
             proposed = current + level * 200
             expected = min(hi, max(lo, proposed))
-            assert repr(adjust_interval(current, level, config)) == repr(expected)
+            assert repr(adjust_interval(current, level, 200, config)) == repr(expected)
 
 
 # -- grey oracles -------------------------------------------------------------

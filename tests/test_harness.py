@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from edgebatch import engine, harness
+from edgebatch import engine, grey, harness
 from edgebatch.harness import (
     METRICS_COLUMNS,
     PRESETS,
@@ -77,22 +77,43 @@ def test_fraction_values_accepted():
 # -- spec building ------------------------------------------------------------
 
 
-def test_defaults_applied():
-    spec = build_run_spec(mini_cfg())
-    assert spec.label == "mini"
-    assert spec.engine.block_interval == 200
-    assert spec.engine.control_start == 30_000
-    assert spec.engine.controller.control_period == 10_000
-    assert spec.engine.tracker.prediction_enabled
-    assert spec.engine.monitor.smoothing_coefficient == pytest.approx(0.3)
-    assert spec.engine.tracker.resample_interval == 30_000
-    assert spec.engine.tracker.train_num == 5
-    assert spec.engine.seed == 0
+def readme_config_example() -> str:
+    """The fenced block under README's "## Config format"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config format\n", 1)[1]
+    return section.split("\n```\n", 2)[1]
+
+
+README_REQUIRED = ("engine.duration", "engine.initial_interval", "controller.min_interval",
+                   "controller.max_interval", "cost.fixed_overhead", "cost.per_record",
+                   "cost.per_block", "trace.kind", "trace.rate")
+
+
+def test_readme_defaults_are_the_config_defaults():
+    # README's example sets every key of a constant-trace config, each
+    # optional one to its documented default. Left out, a key takes its
+    # config class's default, which must be the same.
+    cfg = parse_config_text(readme_config_example())
+    assert set(cfg) == {key for key in harness.CONFIG_KEYS
+                        if not key.startswith("trace.")} | {"trace.kind", "trace.rate"}
+    required = {key: cfg[key] for key in README_REQUIRED}
+    assert build_run_spec(cfg) == build_run_spec(required)
+    for key in README_REQUIRED:
+        with pytest.raises(UsageError, match=f"^missing required key '{key}'$"):
+            build_run_spec({k: v for k, v in required.items() if k != key})
+    # The CSV trace's optional keys, at README's defaults, are from_csv's.
+    csv = {**required, "trace.kind": "csv", "trace.file": "builtin:day"}
+    del csv["trace.rate"]
+    spelled = {**csv, "trace.mode": "rate", "trace.time_scale": "1", "trace.rate_scale": "1"}
+    assert build_run_spec(spelled) == build_run_spec(csv)
 
 
 def test_unknown_keys_rejected():
     with pytest.raises(UsageError, match="engine.bogus"):
         build_run_spec(mini_cfg(**{"engine.bogus": "1"}))
+    # A key of another trace kind is unknown too, whatever its value.
+    with pytest.raises(UsageError, match=r"^unknown config keys: \['trace.period'\]$"):
+        build_run_spec(mini_cfg(**{"trace.period": "soon"}))
 
 
 def test_missing_required_key_rejected():
@@ -284,11 +305,8 @@ def test_cli_validate_ok(tmp_path, capsys):
 
 def test_readme_config_example_validates(tmp_path, capsys):
     # The documented example must name only keys the parser accepts.
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Config format\n", 1)[1]
-    example = section.split("\n```\n", 2)[1]
     conf = tmp_path / "readme.conf"
-    conf.write_text(example + "\n")
+    conf.write_text(readme_config_example() + "\n")
     assert main(["validate", "--config", str(conf)]) == 0
     assert "ok" in capsys.readouterr().out
 
@@ -452,9 +470,10 @@ OUTPUT_FILES = ["metrics.csv", "series_delay.csv", "series_interval.csv", "serie
                 "series_workload.csv", "summary.json"]
 
 
-# Count mode, 30 s rows: window rates [1e9, 5, 10, 5, 5] leave the GM(1,1)
-# normal equations singular with a tail that is not flat, so the fit on
-# closing window 4 (at 150 s) fails.
+GREY_TRACE = "timestamp_s,value\n0,30000000000\n30,150\n60,300\n90,150\n120,150\n150,150\n"
+# GREY_TRACE in count mode, 30 s rows: window rates [1e9, 5, 10, 5, 5] leave
+# the GM(1,1) normal equations singular with a tail that is not flat, so the
+# fit on closing window 4 (at 150 s) fails.
 GREY_SINGULAR = (MINI.replace("engine.duration = 120000", "engine.duration = 180000")
                  .replace(MINI_TRACE, "trace.kind = csv\ntrace.file = trace.csv\n"
                                       "trace.mode = count\n"))
@@ -483,8 +502,7 @@ trace.switch = 79800
 def test_cli_run_survives_a_window_series_grey_cannot_fit(tmp_path, capsys, text, failed):
     # Control runs on the workload alone until the next window closes and the
     # fit succeeds.
-    (tmp_path / "trace.csv").write_text(
-        "timestamp_s,value\n0,30000000000\n30,150\n60,300\n90,150\n120,150\n150,150\n")
+    (tmp_path / "trace.csv").write_text(GREY_TRACE)
     conf = write_conf(tmp_path, text)
     out = tmp_path / "out"
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
@@ -493,6 +511,26 @@ def test_cli_run_survives_a_window_series_grey_cannot_fit(tmp_path, capsys, text
     forecasts = [line.split(",")[2] for line in
                  (out / "series_rate.csv").read_text().splitlines()[1:]]
     assert forecasts[:failed + 1] == [""] * (failed + 1) and forecasts[failed + 1] != ""
+
+
+def test_prediction_off_fits_nothing(tmp_path, monkeypatch, capsys):
+    # Nothing reads a fit with prediction off, so none is made, and every row
+    # from the fifth window (train_num) on forecasts the measured rate: also
+    # window 4, whose series GM(1,1) cannot fit.
+    fits = []
+    fit = grey.fit
+    monkeypatch.setattr(grey, "fit", lambda rates: fits.append(rates) or fit(rates))
+    (tmp_path / "trace.csv").write_text(GREY_TRACE)
+    conf = write_conf(tmp_path, GREY_SINGULAR + "controller.prediction = off\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert fits == []
+    rows = [line.split(",") for line in
+            (out / "series_rate.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    assert [forecast for _, _, forecast in rows[:4]] == [""] * 4
+    assert all(forecast == measured for _, measured, forecast in rows[4:])
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])

@@ -12,7 +12,7 @@ def test_smoothing_single_update():
 
 
 def test_update_uses_mean_of_pending_and_clears_buffer():
-    mon = WorkloadMonitor()
+    mon = WorkloadMonitor(MonitorConfig())
     for eta in (0.5, 1.0, 1.5):
         mon.on_batch_completed(eta)
     assert mon.update_estimate() == pytest.approx(0.3 * 1.0 + 0.7 * 1.0)
@@ -22,19 +22,19 @@ def test_update_uses_mean_of_pending_and_clears_buffer():
 
 
 def test_update_without_samples_keeps_value():
-    mon = WorkloadMonitor()
+    mon = WorkloadMonitor(MonitorConfig())
     first = mon.update_estimate()
     second = mon.update_estimate()
     assert first == second == 1.0
 
 
 def test_initial_estimate_default():
-    mon = WorkloadMonitor()
+    mon = WorkloadMonitor(MonitorConfig())
     assert mon.value == 1.0
 
 
 def test_rejects_zero_total_delay():
-    mon = WorkloadMonitor()
+    mon = WorkloadMonitor(MonitorConfig())
     for eta in (0.0, -0.5, float("nan")):
         with pytest.raises(DomainError):
             mon.on_batch_completed(eta)
@@ -51,7 +51,7 @@ def test_config_validation():
 
 
 def test_sequence_of_updates_converges_toward_steady_eta():
-    mon = WorkloadMonitor()
+    mon = WorkloadMonitor(MonitorConfig())
     for tick in range(1, 30):
         for b in range(5):
             mon.on_batch_completed(0.9)
