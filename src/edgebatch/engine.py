@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
 
-from .errors import ConfigError
+from .errors import DomainError
 from .fuzzy import ControllerConfig, ControlRow, FuzzyController
 from .tracker import TrafficTracker, TrackerConfig
 from .traces import MAX_TIME_MS, RateFunction
@@ -100,7 +100,7 @@ class JobCostModel:
         for name in ("fixed_overhead", "per_record_cost", "per_block_cost"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
+                raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
             # A float cost makes every batch delay a float (see run()).
             object.__setattr__(self, name, float(v))
 
@@ -124,33 +124,33 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.block_interval <= 0:
-            raise ConfigError("block_interval must be positive")
+            raise DomainError("block_interval must be positive")
         for name in ("min_interval", "max_interval"):
             v = getattr(self.controller, name)
             if v <= 0 or v % self.block_interval != 0:
-                raise ConfigError(f"{name} must be a positive multiple of block_interval, got {v}")
+                raise DomainError(f"{name} must be a positive multiple of block_interval, got {v}")
         if self.controller.min_interval > self.controller.max_interval:
-            raise ConfigError("min_interval must not exceed max_interval")
+            raise DomainError("min_interval must not exceed max_interval")
         if self.mode not in (ADAPTIVE, VANILLA):
-            raise ConfigError(f"mode must be '{ADAPTIVE}' or '{VANILLA}', got {self.mode!r}")
+            raise DomainError(f"mode must be '{ADAPTIVE}' or '{VANILLA}', got {self.mode!r}")
         times = attrgetter(*_TIME_FIELDS)(self)
         if max(times) > MAX_TIME_MS:
             name = _TIME_FIELDS[times.index(max(times))]
-            raise ConfigError(f"{name} must be at most MAX_TIME_MS = 2**53 ms")
+            raise DomainError(f"{name} must be at most MAX_TIME_MS = 2**53 ms")
         if self.duration <= 0:
-            raise ConfigError("duration must be positive")
+            raise DomainError("duration must be positive")
         if self.initial_interval <= 0 or self.initial_interval % self.block_interval != 0:
-            raise ConfigError("initial_interval must be a positive multiple of block_interval")
+            raise DomainError("initial_interval must be a positive multiple of block_interval")
         if self.mode == ADAPTIVE:
             if not (self.controller.min_interval <= self.initial_interval
                     <= self.controller.max_interval):
-                raise ConfigError("initial_interval must lie within the controller's range")
+                raise DomainError("initial_interval must lie within the controller's range")
         if self.tracker.resample_interval % self.block_interval != 0:
-            raise ConfigError("tracker resample_interval must be a multiple of block_interval")
+            raise DomainError("tracker resample_interval must be a multiple of block_interval")
         if self.control_start < 0:
-            raise ConfigError("control_start must be >= 0")
+            raise DomainError("control_start must be >= 0")
         if not (0.0 <= self.jitter < 1.0):
-            raise ConfigError("jitter must be in [0, 1)")
+            raise DomainError("jitter must be in [0, 1)")
 
 
 @dataclass(slots=True)
@@ -185,7 +185,6 @@ class BatchRow:
 
 @dataclass
 class MetricsLog:
-    block_interval: int
     rows: list = field(default_factory=list)
     windows: list = field(default_factory=list)
     total_generated: int = 0
@@ -210,7 +209,7 @@ class MicrobatchEngine:
         monitor = WorkloadMonitor(cfg.monitor)
         controller = FuzzyController(cfg.controller, block) if cfg.mode == ADAPTIVE else None
         rng = random.Random(cfg.seed)
-        metrics = MetricsLog(block_interval=block)
+        metrics = MetricsLog()
         cost = cfg.cost_model.cost
         on_batch_completed = monitor.on_batch_completed
         rows, windows = metrics.rows, metrics.windows

@@ -6,15 +6,11 @@ class EdgeBatchError(Exception):
 
 
 class DomainError(EdgeBatchError, ValueError):
-    """A value is outside the range an operation accepts."""
+    """A value is outside the range an operation or a config accepts."""
 
 
 class FitError(EdgeBatchError, ArithmeticError):
     """Model fitting failed (singular normal equations)."""
-
-
-class ConfigError(EdgeBatchError, ValueError):
-    """A configuration value violates an invariant."""
 
 
 class TraceParseError(EdgeBatchError, ValueError):

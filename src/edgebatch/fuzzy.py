@@ -1,11 +1,13 @@
 """Fuzzy batch-interval controller.
 
 Two inputs drive it: the predicted relative traffic change C and the
-workload deviation D = S - 1. Both are clamped to [-0.2, +0.2], fuzzified
-over five triangular labels, run through the constant 5x5 rule table
-``DEFAULT_RULES``, and defuzzified to an integer adjustment level in
-{-2..+2}. A level is one block: level k moves the batch interval by k block
-intervals.
+workload deviation D = S - 1. ``compute_traffic_change`` and
+``compute_workload_deviation`` clamp them to [-0.2, +0.2], once: the clamped
+values are the ones logged, and ``infer`` takes only inputs in that range.
+``infer`` fuzzifies them over five triangular labels, runs them through the
+constant 5x5 rule table ``DEFAULT_RULES``, and defuzzifies to an integer
+adjustment level in {-2..+2}. A level is one block: level k moves the batch
+interval by k block intervals.
 
 On each control tick the engine reads the smoothed workload S (which gives
 D), then the last window's rate and its one-step forecast (which give C),
@@ -18,7 +20,7 @@ interval range and the control period; the block interval is
 The labels are the ints 0..4 (NB..PB), and they index ``DEFAULT_RULES``
 directly. Degrees are rounded and summed in label order, which the float
 sums depend on. ``_memberships`` evaluates only the two labels whose centres
-bracket the clamped input: the centres are exactly one HALF_WIDTH apart as
+bracket its input: the centres are exactly one HALF_WIDTH apart as
 floats too, and float subtraction is monotone, so every other label's degree
 is <= 0. ``infer`` walks its (label, degree) lists and builds no dict. The
 clamps are comparisons that return what ``min``/``max`` would: on CPython
@@ -35,15 +37,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 log = logging.getLogger(__name__)
 
 
 # The fuzzy labels are the ints 0..4, NB, NS, ZO, PS and PB: triangular
 # memberships centred every HALF_WIDTH, shoulders saturated. With centres
-# spaced exactly one HALF_WIDTH apart the degrees of any clamped input sum
-# to 1 and at most two labels are active.
+# spaced exactly one HALF_WIDTH apart the degrees of any input in [_LO, _HI]
+# sum to 1 and at most two labels are active.
 CENTERS = (-0.2, -0.1, 0.0, 0.1, 0.2)
 HALF_WIDTH = 0.1
 _LO, _HI = CENTERS[0], CENTERS[-1]
@@ -57,8 +59,8 @@ def clamp(x: float) -> float:
 
 
 def _memberships(x: float) -> list[tuple[int, float]]:
-    """(label, degree) of x's nonzero memberships after clamping, in order."""
-    x = clamp(x)
+    """(label, degree) of x's nonzero memberships in label order, for x in
+    [-0.2, 0.2]."""
     out = []
     # CENTERS[hi - 1] <= x < CENTERS[hi]: only these two labels can be active.
     # Below x, x - centre >= 0 stands for its abs (-0.0 gives the same degree);
@@ -75,11 +77,6 @@ def _memberships(x: float) -> list[tuple[int, float]]:
         if degree > 0.0 and (degree := round(degree, 12)) > 0.0:
             out.append((hi, degree))
     return out
-
-
-def fuzzify(x: float) -> dict[int, float]:
-    """Nonzero membership degrees of x after clamping, by label in order."""
-    return dict(_memberships(x))
 
 
 # Rows indexed by the workload label D (NB..PB top to bottom), columns by the
@@ -104,7 +101,7 @@ class ControllerConfig:
 
     def __post_init__(self):
         if self.control_period <= 0:
-            raise ConfigError("control_period must be positive")
+            raise DomainError("control_period must be positive")
 
 
 def compute_traffic_change(q_next: float, q_now: float) -> float:
@@ -130,7 +127,8 @@ def _round_half_away(x: float) -> int:
 
 
 def infer(c: float, d: float) -> int:
-    """Min-conjunction inference over DEFAULT_RULES, defuzzified by weighted mean."""
+    """Min-conjunction inference over DEFAULT_RULES, defuzzified by weighted
+    mean, for C and D in [-0.2, 0.2] (as the compute_* functions return)."""
     d_degrees = _memberships(d)
     num = 0.0
     den = 0.0

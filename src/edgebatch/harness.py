@@ -136,7 +136,7 @@ class RunSpec:
 # The config schema: key -> (the config class or trace builder it sets, the
 # parameter, the parser). An omitted key leaves its parameter's default, and
 # a key whose parameter has no default is required. trace.kind's value is
-# the trace builder; only the trace keys of that kind are known.
+# the trace builder, or ``SinusoidRate``; only the trace keys of that kind are known.
 CONFIG_KEYS = {
     "run.label": (RunSpec, "label", _text),
     "engine.mode": (EngineConfig, "mode", _choice({ADAPTIVE: ADAPTIVE, VANILLA: VANILLA})),
@@ -158,15 +158,15 @@ CONFIG_KEYS = {
     "cost.per_record": (JobCostModel, "per_record_cost", _float),
     "cost.per_block": (JobCostModel, "per_block_cost", _float),
     "trace.kind": (RunSpec, "trace", _choice({"constant": traces.constant, "step": traces.step,
-                                              "sinusoid": traces.sinusoid,
+                                              "sinusoid": traces.SinusoidRate,
                                               "csv": traces.from_csv})),
     "trace.rate": (traces.constant, "rate", _float),
     "trace.before": (traces.step, "before", _float),
     "trace.after": (traces.step, "after", _float),
     "trace.switch": (traces.step, "switch_ms", _float),
-    "trace.base": (traces.sinusoid, "base", _float),
-    "trace.amplitude": (traces.sinusoid, "amplitude", _float),
-    "trace.period": (traces.sinusoid, "period_ms", _float),
+    "trace.base": (traces.SinusoidRate, "base", _float),
+    "trace.amplitude": (traces.SinusoidRate, "amplitude", _float),
+    "trace.period": (traces.SinusoidRate, "period_ms", _float),
     "trace.file": (traces.from_csv, "path", _text),
     "trace.mode": (traces.from_csv, "count_mode", _choice({"rate": False, "count": True})),
     "trace.time_scale": (traces.from_csv, "time_scale", _float),
@@ -297,13 +297,13 @@ def overload_recovery(ticks) -> Optional[float]:
     return worst
 
 
-def summarize(log: MetricsLog) -> SummaryReport:
+def summarize(log: MetricsLog, block_interval: int) -> SummaryReport:
     batches, ticks = [], []
     for row in log.rows:
         (batches if type(row) is BatchRow else ticks).append(row)
 
     errs = prediction_error_pairs(log.windows)
-    conv = convergence_time(ticks, log.block_interval)
+    conv = convergence_time(ticks, block_interval)
 
     if conv is not None:
         steady = [t.workload_s for t in ticks if t.time_ms >= conv]
@@ -338,23 +338,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_metrics(log: MetricsLog, out_dir: str | Path,
-                  report: SummaryReport | None = None) -> Path:
+def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -> Path:
     """Write metrics.csv, summary.json, and the series files; returns out_dir.
 
-    ``report`` is summarize(log), computed here when not given. The files are
-    written in one pass over ``log.rows`` and one over ``log.windows``: each
-    value is formatted once, for metrics.csv and its series file alike, and
-    each line goes straight to its file, so no output is held in memory. A
-    batch whose total delay equals its processing delay, as for every batch
-    that did not wait, writes the processing delay's string for both: equal
-    floats, 0.0 and -0.0, and an int and an equal float all give one
-    ``_fmt`` string.
+    ``report`` is summary.json's ``summarize(log, block_interval)``, with the
+    block interval from the run's ``EngineConfig``, as ``execute`` passes it.
+    The files are written in one pass over ``log.rows`` and one over
+    ``log.windows``: each value is formatted once, for metrics.csv and its
+    series file alike, and each line goes straight to its file, so no output
+    is held in memory. A batch whose total delay equals its processing delay,
+    as for every batch that did not wait, writes the processing delay's
+    string for both: equal floats, 0.0 and -0.0, and an int and an equal
+    float all give one ``_fmt`` string.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if report is None:
-        report = summarize(log)
     fmt = _fmt
     with (open(out / "metrics.csv", "w") as metrics,
           open(out / "series_interval.csv", "w") as interval,
@@ -406,7 +404,7 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
     except OSError as exc:
         raise UsageError(f"cannot write output directory {out}: {exc}") from exc
     log = MicrobatchEngine(spec.engine, spec.trace).run()
-    report = summarize(log)
+    report = summarize(log, spec.engine.block_interval)
     try:
         write_metrics(log, out, report)
     except OSError as exc:

@@ -7,7 +7,8 @@ quantize arrivals per block without numerical drift.
 Three classes cover the four trace shapes. ``PiecewiseConstantTrace`` holds
 the constant and step traces, which ``constant`` and ``step`` build over
 [0, MAX_TIME_MS), and the count-mode CSV trace; ``SinusoidRate`` is the
-sinusoid and ``PiecewiseLinearTrace`` the rate-mode CSV trace. A constant or
+sinusoid, built directly since it needs no builder function, and
+``PiecewiseLinearTrace`` the rate-mode CSV trace. A constant or
 step trace gives the same floats as its closed form: with non-negative
 terms, ``(0.0 + before * (lo - t0)) + after * (t1 - lo)`` adds the same
 values as ``before * (lo - t0) + after * (t1 - lo)``, and ``0.0 + x`` is x.
@@ -240,10 +241,6 @@ def step(before: float, after: float, switch_ms: float) -> PiecewiseConstantTrac
         raise DomainError("switch time must be >= 0")
     return PiecewiseConstantTrace((0, min(switch_ms, MAX_TIME_MS), MAX_TIME_MS),
                                   (before, after))
-
-
-def sinusoid(base: float, amplitude: float, period_ms: float) -> SinusoidRate:
-    return SinusoidRate(base, amplitude, period_ms)
 
 
 def load_trace_rows(path: str | Path) -> list[tuple[float, float]]:

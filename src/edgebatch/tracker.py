@@ -14,14 +14,15 @@ prediction on it fits after every window, and the forecast is the GM(1,1)
 forecast, or None while there is no model. With it off nothing reads a fit,
 so none is made: the forecast is None until ``train_num`` windows have
 closed, and the measured rate from then on.
-``train`` evaluates the one-step forecast once per fit and ``predict_rate``
-serves it until the next fit, so the window close and the control ticks
-share one evaluation. A series GM(1,1) cannot fit, or whose forecast
-overflows or is not finite, leaves no model, as before the first fit, until
-a later window close fits again. ``WindowRow`` is slotted, not frozen, since
-a frozen ``__init__`` sets each field through ``object.__setattr__``. The
-forecast's clamp at 0 is a comparison, not ``max``: a builtin call costs
-about seven times as much on CPython 3.11, and it runs on every fit.
+The fit keeps no model, only its one-step forecast: ``_fit`` evaluates it
+once per window close and ``predict_rate`` serves it until the next, so the
+window close and the control ticks share one evaluation. Fewer than
+``train_num`` windows, a series GM(1,1) cannot fit, or a forecast that
+overflows or is not finite leave no forecast (None), until a later window
+close fits again. ``WindowRow`` is slotted, not frozen, since a frozen
+``__init__`` sets each field through ``object.__setattr__``. The forecast's
+clamp at 0 is a comparison, not ``max``: a builtin call costs about seven
+times as much on CPython 3.11, and it runs on every fit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import grey
-from .errors import ConfigError, DomainError, FitError
+from .errors import DomainError, FitError
 
 log = logging.getLogger(__name__)
 
@@ -57,11 +58,11 @@ class TrackerConfig:
 
     def __post_init__(self):
         if self.resample_interval <= 0:
-            raise ConfigError("resample_interval must be positive")
+            raise DomainError("resample_interval must be positive")
         if self.train_num < grey.MIN_TRAIN_LEN:
-            raise ConfigError(f"train_num must be >= {grey.MIN_TRAIN_LEN}")
+            raise DomainError(f"train_num must be >= {grey.MIN_TRAIN_LEN}")
         if self.train_num > sys.maxsize:  # the longest deque there can be
-            raise ConfigError(f"train_num must be at most {sys.maxsize}")
+            raise DomainError(f"train_num must be at most {sys.maxsize}")
 
 
 class TrafficTracker:
@@ -69,8 +70,8 @@ class TrafficTracker:
 
     def __init__(self, config: TrackerConfig):
         self.config = config
-        self.model: Optional[grey.GreyModel] = None
-        self._next_rate = 0.0  # predict_rate() of self.model
+        # The last fit's one-step forecast, clamped to >= 0; None without one.
+        self._forecast: Optional[float] = None
         self._open_counts: dict[int, int] = {}
         # Rates of the last train_num closed windows, oldest first.
         self._rates: deque[float] = deque(maxlen=self.config.train_num)
@@ -106,24 +107,23 @@ class TrafficTracker:
             self._rates.append(rate)
             self._next_close_index = index + 1
             if prediction_enabled:
-                predicted = None if self.train() is None else self.predict_rate()
+                self._fit()
+                predicted = self.predict_rate()
             else:
                 predicted = rate if len(self._rates) == self.config.train_num else None
             closed.append(WindowRow(index * w, rate, predicted))
             index += 1
         return closed
 
-    def train(self) -> Optional[grey.GreyModel]:
-        """Fit the grey model on the last train_num window rates and evaluate
-        its one-step forecast.
-
-        Returns None, and leaves no model, while fewer than train_num windows
+    def _fit(self) -> None:
+        """Fit GM(1,1) on the last train_num window rates and keep its one-step
+        forecast, clamped to >= 0; keep None while fewer than train_num windows
         have closed, when GM(1,1) cannot fit them (``FitError``) or when the
-        forecast overflows or is not finite; the controller then runs on the
-        workload alone until a later fit succeeds.
-        """
+        forecast overflows or is not finite. The controller then runs on the
+        workload alone until a later fit succeeds."""
+        self._forecast = None
         if len(self._rates) < self.config.train_num:
-            return None
+            return
         try:
             model = grey.fit(self._rates)
             rate = grey.predict(model, model.train_len + 1)
@@ -132,17 +132,14 @@ class TrafficTracker:
         except (FitError, OverflowError) as exc:
             log.debug("no grey model for the windows up to %d ms: %s",
                       self._next_close_index * self.config.resample_interval, exc)
-            self.model = None
-            return None
-        self.model = model
-        self._next_rate = rate if rate > 0.0 else 0.0  # max(0.0, rate)
-        return model
+            return
+        self._forecast = rate if rate > 0.0 else 0.0  # max(0.0, rate)
 
-    def predict_rate(self) -> float:
-        """Forecast the mean rate of the window after the training tail,
-        clamped to >= 0, as the last fit evaluated it; call it only while
-        there is a model."""
-        return self._next_rate
+    def predict_rate(self) -> Optional[float]:
+        """Forecast of the mean rate of the window after the training tail,
+        clamped to >= 0, as the last fit evaluated it; None while there is
+        no model."""
+        return self._forecast
 
     def control_rates(self) -> tuple[Optional[float], Optional[float]]:
         """(q_now, q_next) for a control tick: the latest window's rate and
@@ -156,6 +153,4 @@ class TrafficTracker:
         q_now = self._rates[-1]
         if not self.config.prediction_enabled:
             return q_now, q_now
-        if self.model is None:
-            return q_now, None
         return q_now, self.predict_rate()

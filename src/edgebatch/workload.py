@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class MonitorConfig:
     def __post_init__(self):
         a = self.smoothing_coefficient
         if not (isinstance(a, float) and 0.0 < a < 1.0):
-            raise ConfigError(f"smoothing_coefficient must be in (0, 1), got {a!r}")
+            raise DomainError(f"smoothing_coefficient must be in (0, 1), got {a!r}")
         if not (math.isfinite(self.initial_estimate) and self.initial_estimate > 0):
-            raise ConfigError(f"initial_estimate must be positive, got {self.initial_estimate!r}")
+            raise DomainError(f"initial_estimate must be positive, got {self.initial_estimate!r}")
 
 
 class WorkloadMonitor:

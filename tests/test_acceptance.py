@@ -137,7 +137,7 @@ def test_criterion_03_online_sinusoid_error(exp3):
 def test_criterion_04_exp1_convergence(exp1):
     spec, log = exp1
     _, ticks = split_rows(log)
-    conv = harness.convergence_time(ticks, log.block_interval)
+    conv = harness.convergence_time(ticks, spec.engine.block_interval)
     limit = spec.engine.control_start + 60_000
     assert conv is not None and conv <= limit, (conv, limit)
 
@@ -158,7 +158,7 @@ def test_criterion_05_exp2_step_response(exp2):
     spec, log = exp2
     step_at = 150_000  # trace.switch in the exp2 preset
     post = [t for t in split_rows(log)[1] if t.time_ms >= step_at]
-    restab = harness.convergence_time(post, log.block_interval)
+    restab = harness.convergence_time(post, spec.engine.block_interval)
     assert restab is not None and restab - step_at <= 150_000, restab
 
     s_max = max(t.workload_s for t in post)
@@ -323,7 +323,8 @@ def test_criterion_10_determinism_and_conservation(tmp_path, exp1, exp2, exp3,
     spec = harness.load_preset("exp1")
     for sub in ("a", "b"):
         log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-        harness.write_metrics(log, tmp_path / sub)
+        harness.write_metrics(log, tmp_path / sub,
+                              harness.summarize(log, spec.engine.block_interval))
     first = (tmp_path / "a" / "metrics.csv").read_bytes()
     second = (tmp_path / "b" / "metrics.csv").read_bytes()
     assert first == second
@@ -337,7 +338,7 @@ def test_criterion_10_determinism_and_conservation(tmp_path, exp1, exp2, exp3,
 
 def test_criterion_11_fuzzy_layer_suite():
     for i in range(-250, 251):
-        degrees = fuzzy.fuzzify(i / 1000.0)
+        degrees = dict(fuzzy._memberships(fuzzy.clamp(i / 1000.0)))
         assert abs(sum(degrees.values()) - 1.0) <= 1e-9, i / 1000.0
         assert len(degrees) <= 2
 

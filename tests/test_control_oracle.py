@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgebatch import fuzzy, grey
+from edgebatch import fuzzy, grey, harness
+from edgebatch.engine import ADAPTIVE, MicrobatchEngine
 from edgebatch.errors import DomainError, FitError
-from edgebatch.fuzzy import ControllerConfig, adjust_interval, clamp, fuzzify
+from edgebatch.fuzzy import ControllerConfig, ControlRow, _memberships, adjust_interval, clamp
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 
 ORACLE = settings(max_examples=400, deadline=None)
@@ -72,9 +73,10 @@ INPUTS = st.one_of(st.sampled_from(SPECIAL),
 @ORACLE
 @given(INPUTS)
 def test_fuzzify_matches_oracle(x):
-    got = fuzzify(x)
-    assert got == oracle_fuzzify(x)
-    assert list(got) == sorted(got)  # label order, the order infer sums in
+    # C and D are clamped once, before infer reads their memberships.
+    got = _memberships(clamp(x))
+    assert dict(got) == oracle_fuzzify(x)
+    assert got == sorted(got)  # label order, the order infer sums in
 
 
 @ORACLE
@@ -82,7 +84,7 @@ def test_fuzzify_matches_oracle(x):
 @example(-0.193, -0.157)  # ties at -1.5
 @example(-0.193, 0.043)   # ties at -0.5
 def test_infer_matches_oracle(c, d):
-    assert fuzzy.infer(c, d) == oracle_infer(c, d)
+    assert fuzzy.infer(clamp(c), clamp(d)) == oracle_infer(c, d)
 
 
 def test_infer_matches_oracle_on_the_grid_and_random_pairs():
@@ -93,7 +95,7 @@ def test_infer_matches_oracle_on_the_grid_and_random_pairs():
     for _ in range(20_000):
         c, d = (rng.uniform(-0.25, 0.25) if rng.random() < 0.5
                 else rng.randint(-250, 250) / 1000 for _ in range(2))
-        assert fuzzy.infer(c, d) == oracle_infer(c, d), (c, d)
+        assert fuzzy.infer(clamp(c), clamp(d)) == oracle_infer(c, d), (c, d)
 
 
 # -- the clamps, against the min/max forms they replace -------------------------
@@ -114,6 +116,29 @@ def test_adjust_interval_matches_min_max(lo, hi):
             proposed = current + level * 200
             expected = min(hi, max(lo, proposed))
             assert repr(adjust_interval(current, level, 200, config)) == repr(expected)
+
+
+# -- the logged decision -----------------------------------------------------------
+# C and D are clamped once, where they are computed, and infer takes only
+# inputs in [-0.2, 0.2]: every logged C and D must lie there, and the logged
+# level must be infer's of them.
+
+
+@pytest.mark.parametrize("prediction", [True, False], ids=["prediction-on", "prediction-off"])
+@pytest.mark.parametrize("preset", harness.PRESETS)
+def test_logged_level_is_infer_of_logged_c_and_d(preset, prediction):
+    spec = harness.load_preset(preset, disable_prediction=not prediction)
+    log = MicrobatchEngine(spec.engine, spec.trace).run()
+    ticks = [row for row in log.rows if type(row) is ControlRow]
+    controlled = [t for t in ticks if t.fuzzy_level is not None]
+    assert bool(controlled) == (spec.engine.mode == ADAPTIVE)
+    for t in ticks:
+        if t.fuzzy_level is None:  # a tick that only monitors
+            assert t.traffic_change is None and t.workload_deviation is None
+            continue
+        c, d = t.traffic_change, t.workload_deviation
+        assert -0.2 <= c <= 0.2 and -0.2 <= d <= 0.2, (t.time_ms, c, d)
+        assert fuzzy.infer(c, d) == t.fuzzy_level, t.time_ms
 
 
 # -- grey oracles -------------------------------------------------------------
@@ -234,17 +259,16 @@ def test_retrain_replaces_cached_forecast():
     tracker = TrafficTracker(TrackerConfig())
     for k, count in enumerate([3000, 3300, 3600, 4200, 4500]):
         tracker.report_info(k * 30_000, count)
-    tracker.close_windows_upto(150_000)  # fits on closing the fifth window
-    first = tracker.model
+    closed = tracker.close_windows_upto(150_000)  # fits on closing the fifth window
+    rates = [row.rate_measured for row in closed]
     before = tracker.predict_rate()
-    assert before == max(0.0, grey.predict(first, first.train_len + 1))
-    assert tracker.predict_rate() == before  # served again, same model
+    assert before == max(0.0, grey.predict(grey.fit(rates), len(rates) + 1))
+    assert tracker.predict_rate() == before  # served again, same fit
     tracker.report_info(150_000, 1500)  # a sharp drop in the next window
-    tracker.close_windows_upto(180_000)
-    second = tracker.model
-    assert second is not None and second != first
+    [row] = tracker.close_windows_upto(180_000)
+    rates = rates[1:] + [row.rate_measured]
     after = tracker.predict_rate()
-    assert after == max(0.0, grey.predict(second, second.train_len + 1))
+    assert after == max(0.0, grey.predict(grey.fit(rates), len(rates) + 1))
     assert after != before
 
 
@@ -259,4 +283,4 @@ def test_predict_rate_clamps_like_max(monkeypatch, forecast):
     if math.isfinite(forecast):
         assert repr(tracker.predict_rate()) == repr(max(0.0, forecast))
     else:  # a forecast that is not finite leaves no model
-        assert tracker.model is None
+        assert tracker.predict_rate() is None

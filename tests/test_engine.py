@@ -13,7 +13,7 @@ from edgebatch.engine import (
     JobCostModel,
     MicrobatchEngine,
 )
-from edgebatch.errors import ConfigError
+from edgebatch.errors import DomainError
 from edgebatch.fuzzy import ControllerConfig
 from edgebatch.tracker import TrackerConfig
 from edgebatch.workload import MonitorConfig, WorkloadMonitor
@@ -43,7 +43,7 @@ def test_cost_model_example():
 
 
 def test_cost_model_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         JobCostModel(-1.0, 0.0, 0.0)
 
 
@@ -107,7 +107,7 @@ def test_zero_rate_batches_cost_fixed_overhead():
 
 
 def test_record_conservation_exact():
-    cfg, trace = make_config(duration=300_000), traces.sinusoid(900.0, 400.0, 60_000)
+    cfg, trace = make_config(duration=300_000), traces.SinusoidRate(900.0, 400.0, 60_000)
     log = run(cfg, trace)
     assert log.total_generated == log.total_batch_records == sum(per_block_counts(cfg, trace))
 
@@ -121,7 +121,7 @@ def test_conservation_includes_unbatched_tail():
 
 def test_rerun_is_identical():
     cfg = make_config(mode=ADAPTIVE, duration=200_000)
-    trace = traces.sinusoid(1000.0, 250.0, 120_000)
+    trace = traces.SinusoidRate(1000.0, 250.0, 120_000)
     first = run(cfg, trace)
     second = run(cfg, trace)
     assert first.rows == second.rows
@@ -218,13 +218,13 @@ def test_window_rows_measured_rates():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         make_config(mode="turbo")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         make_config(mode=ADAPTIVE, initial_interval=8000)
-    with pytest.raises(ConfigError, match="min_interval must not exceed max_interval"):
+    with pytest.raises(DomainError, match="min_interval must not exceed max_interval"):
         make_config(controller=ControllerConfig(4000, 2000))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         make_config(jitter=1.5)
 
 
@@ -244,7 +244,7 @@ BLOCK_MULTIPLES = {
 @pytest.mark.parametrize("name", BLOCK_MULTIPLES)
 def test_intervals_must_be_block_multiples(name):
     make_config(**BLOCK_MULTIPLES[name](3000))
-    with pytest.raises(ConfigError, match=f"{name} must be a"):
+    with pytest.raises(DomainError, match=f"{name} must be a"):
         make_config(**BLOCK_MULTIPLES[name](3100))
 
 
@@ -270,7 +270,7 @@ BEYOND_CASES = [
 def test_times_beyond_max_time_rejected(name, overrides):
     # A float holds every integer up to 2**53 exactly; a time beyond that
     # would round, and one beyond float range ended the run in OverflowError.
-    with pytest.raises(ConfigError, match=f"{name} must be at most MAX_TIME_MS"):
+    with pytest.raises(DomainError, match=f"{name} must be at most MAX_TIME_MS"):
         make_config(**overrides)
 
 

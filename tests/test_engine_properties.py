@@ -47,7 +47,7 @@ from edgebatch.engine import (
 )
 from edgebatch.fuzzy import ControllerConfig, ControlRow, FuzzyController
 from edgebatch.grey import MIN_TRAIN_LEN
-from edgebatch.harness import METRICS_COLUMNS, write_metrics
+from edgebatch.harness import METRICS_COLUMNS, summarize, write_metrics
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 from edgebatch.workload import WorkloadMonitor
 
@@ -143,7 +143,7 @@ def engine_runs(draw, jitter: bool):
         trace = csv_trace(rows, True, 1.0, 1.0)
     else:
         base = draw(RATES)
-        trace = traces.sinusoid(base, draw(st.floats(0.0, base)),
+        trace = traces.SinusoidRate(base, draw(st.floats(0.0, base)),
                                 draw(st.integers(1_000, 200_000)))
     # A control period of one block puts a tick on every block boundary.
     control_period = (draw(st.one_of(st.just(1), st.integers(1, 40)))
@@ -217,7 +217,7 @@ class HeapReference:
         self.controller = None
         if config.mode == ADAPTIVE:
             self.controller = FuzzyController(config.controller, config.block_interval)
-        self.log = MetricsLog(block_interval=config.block_interval)
+        self.log = MetricsLog()
         self.heap = []
         self.sequence = itertools.count()
         self.interval = config.initial_interval
@@ -345,7 +345,7 @@ def check_invariants(config, trace):
         assert b.eta == b.total_delay_ms / float(b.interval_ms)
 
     with tempfile.TemporaryDirectory() as out:
-        write_metrics(log, out)
+        write_metrics(log, out, summarize(log, config.block_interval))
         lines = (Path(out) / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(METRICS_COLUMNS)
     times = [float(line.split(",", 1)[0]) for line in lines[1:]]

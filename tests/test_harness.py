@@ -47,6 +47,9 @@ def run_mini(**extra):
     return engine.MicrobatchEngine(spec.engine, spec.trace).run()
 
 
+MINI_BLOCK = 200  # MINI's engine.block_interval, EngineConfig's default
+
+
 # -- config parsing -----------------------------------------------------------
 
 
@@ -170,7 +173,7 @@ def test_unknown_preset_rejected():
 
 def test_metrics_csv_shape(tmp_path):
     log = run_mini()
-    write_metrics(log, tmp_path)
+    write_metrics(log, tmp_path, summarize(log, MINI_BLOCK))
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header == list(METRICS_COLUMNS)
@@ -194,7 +197,7 @@ def test_metrics_csv_shape(tmp_path):
 
 def test_series_files_row_counts(tmp_path):
     log = run_mini()
-    write_metrics(log, tmp_path)
+    write_metrics(log, tmp_path, summarize(log, MINI_BLOCK))
     batches, ticks = split_rows(log)
     counts = {
         "series_interval.csv": len(ticks),
@@ -215,7 +218,7 @@ def test_rerun_outputs_byte_identical(tmp_path):
     spec = build_run_spec(mini_cfg())
     for sub in ("a", "b"):
         log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-        write_metrics(log, tmp_path / sub)
+        write_metrics(log, tmp_path / sub, summarize(log, spec.engine.block_interval))
     for name in OUTPUT_NAMES:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
@@ -223,10 +226,10 @@ def test_rerun_outputs_byte_identical(tmp_path):
 
 def test_summary_json_matches_recomputation(tmp_path):
     log = run_mini()
-    write_metrics(log, tmp_path)
+    write_metrics(log, tmp_path, summarize(log, MINI_BLOCK))
     stored = json.loads((tmp_path / "summary.json").read_text())
     import dataclasses
-    assert stored == dataclasses.asdict(summarize(log))
+    assert stored == dataclasses.asdict(summarize(log, MINI_BLOCK))
 
     header, *rows = (tmp_path / "metrics.csv").read_text().splitlines()
     cols = header.split(",")
@@ -238,7 +241,7 @@ def test_summary_json_matches_recomputation(tmp_path):
 def test_summary_conservation_against_log():
     spec = build_run_spec(mini_cfg())
     log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-    report = summarize(log)
+    report = summarize(log, spec.engine.block_interval)
     assert report.records_processed == sum(b.records for b in split_rows(log)[0])
     generated = sum(per_block_counts(spec.engine, spec.trace))
     assert log.total_generated == log.total_batch_records == generated
@@ -262,10 +265,10 @@ def test_delay_cells_are_fmt_of_each_value(tmp_path):
         (1e16, 1.5, 1e16 + 2.0),
         (0.5, 7, 7.5),
     ]
-    log = engine.MetricsLog(block_interval=200)
+    log = engine.MetricsLog()
     for i, (sched, proc, total) in enumerate(delays):
         log.rows.append(engine.BatchRow(1000.5 * i, i, 600, 3 * i, i, sched, proc, total))
-    write_metrics(log, tmp_path)
+    write_metrics(log, tmp_path, summarize(log, 200))
     fmt = harness._fmt
     metrics = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
     series = (tmp_path / "series_delay.csv").read_text().splitlines()[1:]

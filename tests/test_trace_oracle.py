@@ -168,7 +168,7 @@ def test_count_trace_run_ends_on_a_rounded_edge():
 @given(base=RATES, share=st.floats(0.0, 1.0), period=st.floats(1.0, 1e9),
        start=st.integers(0, 2**40), block=st.integers(1, 10**6), n=st.integers(0, 64))
 def test_sinusoid_block_integrals_match_integral(base, share, period, start, block, n):
-    f = traces.sinusoid(base, base * share, period)
+    f = traces.SinusoidRate(base, base * share, period)
     assert f.block_integrals(start, block, n) == per_block(f, start, block, n)
 
 

@@ -27,16 +27,16 @@ def test_step_rate_and_integral():
 
 
 def test_sinusoid_respects_bounds():
-    f = traces.sinusoid(1000.0, 300.0, 600_000)
+    f = traces.SinusoidRate(1000.0, 300.0, 600_000)
     values = [f.rate(t) for t in range(0, 600_000, 1000)]
     assert min(values) >= 700.0 - 1e-9
     assert max(values) <= 1300.0 + 1e-9
     with pytest.raises(DomainError):
-        traces.sinusoid(100.0, 300.0, 600_000)
+        traces.SinusoidRate(100.0, 300.0, 600_000)
 
 
 def test_sinusoid_integral_matches_quadrature():
-    f = traces.sinusoid(1000.0, 300.0, 240_000)
+    f = traces.SinusoidRate(1000.0, 300.0, 240_000)
     for (a, b) in ((0, 200), (12_345, 99_999), (0, 240_000)):
         steps = 20_000
         h = (b - a) / steps
@@ -45,7 +45,7 @@ def test_sinusoid_integral_matches_quadrature():
 
 
 def test_sinusoid_full_period_integral_is_base_only():
-    f = traces.sinusoid(1000.0, 300.0, 240_000)
+    f = traces.SinusoidRate(1000.0, 300.0, 240_000)
     assert f.integral(0, 240_000) == pytest.approx(1000.0 * 240.0, rel=1e-12)
 
 
@@ -106,7 +106,7 @@ def test_parse_errors_carry_row_numbers(tmp_path):
 
 
 def test_block_quantization_error_bounded():
-    f = traces.sinusoid(900.0, 400.0, 120_000)
+    f = traces.SinusoidRate(900.0, 400.0, 120_000)
     duration = 600_000
     block = 200
     counts = []
@@ -141,9 +141,9 @@ def test_scale_validation(tmp_path):
     lambda bad: traces.step(bad, 1000.0, 60_000),
     lambda bad: traces.step(1000.0, bad, 60_000),
     lambda bad: traces.step(1000.0, 2000.0, bad),
-    lambda bad: traces.sinusoid(bad, 300.0, 60_000),
-    lambda bad: traces.sinusoid(1000.0, bad, 60_000),
-    lambda bad: traces.sinusoid(1000.0, 300.0, bad),
+    lambda bad: traces.SinusoidRate(bad, 300.0, 60_000),
+    lambda bad: traces.SinusoidRate(1000.0, bad, 60_000),
+    lambda bad: traces.SinusoidRate(1000.0, 300.0, bad),
 ], ids=["constant", "step-before", "step-after", "step-switch", "sinusoid-base",
         "sinusoid-amplitude", "sinusoid-period"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -169,7 +169,7 @@ def test_non_finite_scales_rejected(tmp_path, scales):
     lambda peak: traces.constant(peak),
     lambda peak: traces.step(peak, 1000.0, 60_000),
     lambda peak: traces.step(1000.0, peak, 60_000),
-    lambda peak: traces.sinusoid(peak - 300.0, 300.0, 60_000),
+    lambda peak: traces.SinusoidRate(peak - 300.0, 300.0, 60_000),
 ], ids=["constant", "step-before", "step-after", "sinusoid"])
 def test_rates_capped_at_max_rate(make):
     make(traces.MAX_RATE)
@@ -188,18 +188,18 @@ def test_csv_rates_capped_at_max_rate(tmp_path):
 
 
 def test_sinusoid_whose_integral_overflows_rejected():
-    traces.sinusoid(1000.0, 0.0, 1e308)  # flat: nothing to overflow
+    traces.SinusoidRate(1000.0, 0.0, 1e308)  # flat: nothing to overflow
     with pytest.raises(DomainError, match="too large"):
-        traces.sinusoid(1000.0, 400.0, 1e308)
+        traces.SinusoidRate(1000.0, 400.0, 1e308)
 
 
 def test_sinusoid_too_short_for_max_time_rejected():
     # 2 pi / period overflows to inf, and cos(inf * t) is a math domain error.
     with pytest.raises(DomainError, match="too short"):
-        traces.sinusoid(1000.0, 400.0, 1e-320)
+        traces.SinusoidRate(1000.0, 400.0, 1e-320)
     with pytest.raises(DomainError, match="too short"):
-        traces.sinusoid(1000.0, 400.0, 3e-292)  # finite w, but w * 2**53 is not
-    traces.sinusoid(1000.0, 400.0, 4e-292)
+        traces.SinusoidRate(1000.0, 400.0, 3e-292)  # finite w, but w * 2**53 is not
+    traces.SinusoidRate(1000.0, 400.0, 4e-292)
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,7 +209,7 @@ def test_sinusoid_too_short_for_max_time_rejected():
 @example(1000.0, 400.0, 1e-320, 0.5)
 def test_sinusoid_is_rejected_or_finite_up_to_max_time(base, amplitude, period, share):
     try:
-        f = traces.sinusoid(base, amplitude, period)
+        f = traces.SinusoidRate(base, amplitude, period)
     except DomainError:
         return
     for block, n in ((1, 64), (200, 256), (10**6, 3)):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgebatch import grey
-from edgebatch.errors import ConfigError, DomainError
+from edgebatch.errors import DomainError
 from edgebatch.traces import MAX_RATE
 from edgebatch.tracker import TrackerConfig, TrafficTracker, WindowRow
 
@@ -57,19 +57,20 @@ def test_report_to_closed_window_is_dropped():
 
 def test_train_needs_enough_windows():
     tracker = make_tracker(train_num=5)
-    tracker.close_windows_upto(120_000)  # 4 windows
-    assert tracker.train() is None
-    assert tracker.model is None
+    closed = tracker.close_windows_upto(120_000)  # 4 windows
+    assert [row.rate_predicted_next for row in closed] == [None] * 4
+    assert tracker.predict_rate() is None
 
 
 def test_train_and_predict_constant_rate():
     tracker = make_tracker()
     for k in range(150):
         tracker.report_info(k * 1000, 100)
-    tracker.close_windows_upto(150_000)
-    model = tracker.train()
+    closed = tracker.close_windows_upto(150_000)
+    model = grey.fit([row.rate_measured for row in closed])
     assert abs(model.alpha) < grey.EPS_ALPHA
     assert tracker.predict_rate() == pytest.approx(100.0)
+    assert closed[-1].rate_predicted_next == tracker.predict_rate()
 
 
 def test_prediction_clamped_non_negative():
@@ -79,10 +80,10 @@ def test_prediction_clamped_non_negative():
     counts = [30_000, 30_000, 30_000, 30_000, 150_000]
     for k, count in enumerate(counts):
         tracker.report_info(k * 30_000, count)
-    tracker.close_windows_upto(150_000)
-    model = tracker.train()
+    closed = tracker.close_windows_upto(150_000)
+    model = grey.fit([row.rate_measured for row in closed])
     assert grey.predict(model, model.train_len + 1) < 0.0
-    assert tracker.predict_rate() == 0.0
+    assert tracker.predict_rate() == closed[-1].rate_predicted_next == 0.0
 
 
 def test_record_conservation():
@@ -113,14 +114,14 @@ def test_train_fits_the_last_train_num_windows():
     for k in range(4, 50):
         forecast = grey.predict(grey.fit(rates[k - 4:k + 1]), 6)
         assert closed[k].rate_predicted_next == max(0.0, forecast)
-    assert tracker.train() == grey.fit(rates[-5:])
+    assert tracker.predict_rate() == closed[-1].rate_predicted_next
     assert tracker.control_rates() == (rates[-1], tracker.predict_rate())
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         TrackerConfig(resample_interval=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         TrackerConfig(train_num=3)
 
 
@@ -157,20 +158,22 @@ def test_control_rates_rule():
 
 
 def test_failed_fit_leaves_no_model_until_a_fit_succeeds():
-    # Window rates [1e9, 5, 10, 5, 5]: the normal equations are singular and
-    # the tail is not flat, so GM(1,1) cannot fit them.
+    # Window rates [5, 5, 5, 5, 1e9, 5, 10, 5, 5]: on the last five the normal
+    # equations are singular and the tail is not flat, so GM(1,1) cannot fit
+    # them, while the fits before succeed.
     tracker = make_tracker()
-    for k, count in enumerate([30_000_000_000, 150, 300, 150, 150]):
+    for k, count in enumerate([150] * 4 + [30_000_000_000, 150, 300, 150, 150]):
         tracker.report_info(k * 30_000, count)
-    tracker.close_windows_upto(150_000)
-    assert tracker.train() is None
-    assert tracker.model is None
+    *_, fitted, failed = tracker.close_windows_upto(270_000)
+    assert fitted.rate_predicted_next is not None
+    # The failed fit drops the forecast the fit before it made.
+    assert failed.rate_predicted_next is None
+    assert tracker.predict_rate() is None
     assert tracker.control_rates() == (5.0, None)
-    tracker.report_info(150_000, 150)
-    tracker.close_windows_upto(180_000)
-    model = tracker.train()  # the next window close fits again
-    assert model is not None and tracker.model is model
-    assert tracker.control_rates() == (5.0, tracker.predict_rate())
+    tracker.report_info(270_000, 150)
+    [row] = tracker.close_windows_upto(300_000)  # the next window close fits again
+    assert row.rate_predicted_next is not None
+    assert tracker.control_rates() == (5.0, row.rate_predicted_next)
 
 
 # Window counts of 1 s windows, so each window's rate is its count.
@@ -200,9 +203,7 @@ def test_every_forecast_is_finite_and_non_negative(series):
     for k, count in enumerate(counts):
         tracker.report_info(k * 1000, count)
         [row] = tracker.close_windows_upto((k + 1) * 1000)
-        if tracker.model is None:
-            assert row.rate_predicted_next is None
-        else:
-            forecast = tracker.predict_rate()
+        forecast = tracker.predict_rate()
+        assert row.rate_predicted_next == forecast
+        if forecast is not None:
             assert math.isfinite(forecast) and forecast >= 0.0
-            assert row.rate_predicted_next == forecast

@@ -1,6 +1,6 @@
 import pytest
 
-from edgebatch.errors import ConfigError, DomainError
+from edgebatch.errors import DomainError
 from edgebatch.workload import MonitorConfig, WorkloadMonitor
 
 
@@ -42,11 +42,11 @@ def test_rejects_zero_total_delay():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         MonitorConfig(smoothing_coefficient=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         MonitorConfig(smoothing_coefficient=1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         MonitorConfig(initial_estimate=0.0)
 
 
