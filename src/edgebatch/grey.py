@@ -81,7 +81,7 @@ def fit(series: Sequence[float]) -> GreyModel:
     (1 - min) first, so the accumulated series is strictly increasing;
     the shift is stored on the model and undone by :func:`predict`.
     """
-    vals = [float(v) for v in series]
+    vals = list(map(float, series))
     if len(vals) < MIN_TRAIN_LEN:
         raise DomainError(f"need at least {MIN_TRAIN_LEN} observations, got {len(vals)}")
     shift = 0.0

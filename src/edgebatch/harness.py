@@ -38,7 +38,7 @@ from .engine import (
     MetricsLog,
     MicrobatchEngine,
 )
-from .errors import EdgeBatchError, TraceParseError
+from .errors import DomainError, EdgeBatchError, TraceParseError
 from .fuzzy import ControllerConfig
 from .tracker import TrackerConfig
 from .workload import MonitorConfig
@@ -53,6 +53,11 @@ METRICS_COLUMNS = (
 
 STABLE_TICKS = 20  # control ticks the interval must hold within one block
 FMT_CACHE_SIZE = 256  # write_metrics' cache of delay strings empties at this size
+# The most rows a run may log, as build_run_spec bounds them. The log keeps
+# every row to the end of the run, at 240-290 bytes of peak memory each
+# (tracemalloc on the exp3, day and day-vanilla presets), so this is about
+# 2.9 GB; the benchmark workloads' bound is 75,600 and exp3's 30,150.
+MAX_RUN_ROWS = 10_000_000
 
 
 class UsageError(ValueError):
@@ -190,7 +195,8 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
     """Turn a parsed config dict into engine config and trace: each key sets,
     parsed, the parameter ``CONFIG_KEYS`` names, and an omitted key leaves
     its parameter's default. A relative trace file resolves against base_dir
-    (by default the working directory)."""
+    (by default the working directory). A run that could log more than
+    ``MAX_RUN_ROWS`` rows is rejected here, before it starts."""
     if "trace.kind" not in cfg:
         raise UsageError("missing required key 'trace.kind'")
     build_trace = CONFIG_KEYS["trace.kind"][2]("trace.kind", cfg["trace.kind"])
@@ -225,6 +231,14 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
         tracker=TrackerConfig(**args[TrackerConfig]),
         **args[EngineConfig],
     )
+    # Every interval and window is a block multiple, so a run logs at most one
+    # batch and one window per block, and one row per control tick; beyond
+    # MAX_RUN_ROWS it would end in a MemoryError or the OOM killer.
+    rows = (2 * (engine.duration // engine.block_interval)
+            + engine.duration // engine.controller.control_period)
+    if rows > MAX_RUN_ROWS:
+        raise DomainError(f"engine.duration {engine.duration} ms allows up to {rows} rows, "
+                          f"more than MAX_RUN_ROWS = {MAX_RUN_ROWS}")
     args[RunSpec]["trace"] = trace  # was the builder, from trace.kind
     return RunSpec(engine=engine, **args[RunSpec])
 

@@ -15,8 +15,10 @@ forecast, or None while there is no model. With it off nothing reads a fit,
 so none is made: the forecast is None until ``train_num`` windows have
 closed, and the measured rate from then on.
 The fit keeps no model, only its one-step forecast: ``_fit`` evaluates it
-once per window close and ``predict_rate`` serves it until the next, so the
-window close and the control ticks share one evaluation. Fewer than
+once per window close, the window's row reads it there, and
+``predict_rate`` serves it to the control ticks until the next close. So
+the benchmark's ``tracker.forecasts_per_fit`` (``predict_rate`` calls over
+``grey.fit`` calls) counts ticks per fit: about 1.0 on sine-fine-2h. Fewer than
 ``train_num`` windows, a series GM(1,1) cannot fit, or a forecast that
 overflows or is not finite leave no forecast (None), until a later window
 close fits again. ``WindowRow`` is slotted, not frozen, since a frozen
@@ -108,7 +110,7 @@ class TrafficTracker:
             self._next_close_index = index + 1
             if prediction_enabled:
                 self._fit()
-                predicted = self.predict_rate()
+                predicted = self._forecast
             else:
                 predicted = rate if len(self._rates) == self.config.train_num else None
             closed.append(WindowRow(index * w, rate, predicted))

@@ -98,6 +98,28 @@ def test_infer_matches_oracle_on_the_grid_and_random_pairs():
         assert fuzzy.infer(clamp(c), clamp(d)) == oracle_infer(c, d), (c, d)
 
 
+# infer's fast mean of the unsnapped degrees decides a level only away from
+# a half-integer; at a half-way tie the snapped evaluation decides it.
+# C = 0.15 is PS and PB at 0.5 each, whose rules at D = 0 (ZO) give 0 and 1:
+# mean 0.5. (0.0, -0.15) gives -1 and 0 the same way: mean -0.5.
+# (-0.193, -0.157) is the oracle example that ties at -1.5, and (0.175,
+# 0.175) ties at 1.5, where the unsnapped mean lies a few ulps below it.
+@pytest.mark.parametrize("c, d, tie", [(0.15, 0.0, True), (0.0, -0.15, True),
+                                       (-0.193, -0.157, True), (0.175, 0.175, True),
+                                       (0.0, 0.0, False), (0.12, -0.05, False)])
+def test_infer_takes_the_snapped_path_exactly_at_ties(monkeypatch, c, d, tie):
+    calls = []
+    snapped = fuzzy._infer_snapped
+
+    def counting(c, d):
+        calls.append((c, d))
+        return snapped(c, d)
+
+    monkeypatch.setattr(fuzzy, "_infer_snapped", counting)
+    assert fuzzy.infer(c, d) == oracle_infer(c, d)
+    assert calls == ([(c, d)] if tie else [])
+
+
 # -- the clamps, against the min/max forms they replace -------------------------
 # repr tells -0.0 from 0.0 and shows NaN, which == cannot.
 

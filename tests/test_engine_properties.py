@@ -24,6 +24,7 @@ engine's completion-count ids and the floats a batch that did not wait
 shares.
 """
 
+import dataclasses
 import heapq
 import itertools
 import tempfile
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgebatch import traces
@@ -379,3 +380,56 @@ def test_engine_invariants_hold_over_random_configs(jitter):
         check_invariants(*drawn)
 
     check()
+
+
+# -- metamorphic relations ------------------------------------------------------
+# Each relates two runs of configs that differ in one setting, so it also
+# catches a defect that the engine and its reference loop would share (Chen
+# et al., "Metamorphic Testing: A Review of Challenges and Opportunities",
+# ACM Computing Surveys, 2018).
+
+RELATION = settings(max_examples=150, deadline=None)
+ANY_RUN = st.booleans().flatmap(engine_runs)  # jitter off and on
+
+
+def written_files(config, trace):
+    """The bytes of every file a run of config writes, by name."""
+    log = MicrobatchEngine(config, trace).run()
+    with tempfile.TemporaryDirectory() as out:
+        write_metrics(log, out, summarize(log, config.block_interval))
+        files = {path.name: path.read_bytes() for path in Path(out).iterdir()}
+    assert len(files) == 6
+    return files
+
+
+@RELATION
+@given(ANY_RUN, st.integers(1, 10**6))
+def test_adaptive_run_with_no_controlled_tick_is_vanilla(drawn, after):
+    # Every tick comes before control_start, so each only monitors, as in
+    # vanilla mode: the six files must match byte for byte.
+    config, trace = drawn
+    assume(config.mode == ADAPTIVE)
+    adaptive = dataclasses.replace(config, control_start=config.duration + after)
+    vanilla = dataclasses.replace(adaptive, mode=VANILLA)
+    assert written_files(adaptive, trace) == written_files(vanilla, trace)
+
+
+@RELATION
+@given(ANY_RUN)
+def test_prediction_without_a_model_changes_no_decision(drawn):
+    # With train_num above the window count no fit is ever made: prediction
+    # on gives no forecast and C = 0, and prediction off gives q_next = q_now
+    # and C = 0 too. Only the rate_predicted column may differ.
+    config, trace = drawn
+    windows = config.duration // config.tracker.resample_interval
+    tracker = dataclasses.replace(config.tracker, train_num=max(MIN_TRAIN_LEN, windows + 1),
+                                  prediction_enabled=True)
+    on = dataclasses.replace(config, tracker=tracker)
+    off = dataclasses.replace(on, tracker=dataclasses.replace(tracker,
+                                                              prediction_enabled=False))
+    (batches_on, ticks_on), (batches_off, ticks_off) = (
+        split_rows(MicrobatchEngine(c, trace).run()) for c in (on, off))
+    assert all(t.rate_predicted is None for t in ticks_on)
+    assert repr(batches_on) == repr(batches_off)  # equal, floats to the last bit
+    assert ([(t.time_ms, t.interval_ms, t.fuzzy_level) for t in ticks_on]
+            == [(t.time_ms, t.interval_ms, t.fuzzy_level) for t in ticks_off])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from edgebatch import engine, grey, harness
+from edgebatch.errors import DomainError
 from edgebatch.harness import (
     METRICS_COLUMNS,
     PRESETS,
@@ -495,6 +496,33 @@ def test_cli_times_beyond_float_range_exit_1_with_one_line(tmp_path, capsys, com
     assert "MAX_TIME_MS" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_oversized_run_exits_1_with_one_line(tmp_path, capsys, command):
+    # 2**53 ms is a valid time, but the run would need about 4.5e13 blocks:
+    # validate printed "ok", and run would end in a MemoryError.
+    conf = write_conf(tmp_path, MINI.replace("engine.duration = 120000",
+                                             f"engine.duration = {2**53}"))
+    argv = [command, "--config", str(conf)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_RUN_ROWS" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_size_bound_admits_max_run_rows_and_no_more():
+    # 2 ms blocks and a tick every 1 ms: an even duration d bounds the rows
+    # at 2 * (d // 2) + d = 2 * d.
+    cfg = mini_cfg(**{"engine.block_interval": 2, "controller.control_period": 1})
+    limit = harness.MAX_RUN_ROWS // 2
+    assert build_run_spec({**cfg, "engine.duration": str(limit)}).engine.duration == limit
+    with pytest.raises(DomainError, match=f"up to {harness.MAX_RUN_ROWS + 1} rows"):
+        build_run_spec({**cfg, "engine.duration": str(limit + 1)})
 
 
 ZERO_COST = (MINI.replace("engine.duration = 120000", "engine.duration = 20000")

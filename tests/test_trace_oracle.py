@@ -200,7 +200,9 @@ SWITCHES = st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6), st.just(0),
 # and at the end.
 WINDOW_MS = st.one_of(st.integers(0, 2 * 10**6), st.floats(0.0, 2e6),
                       st.integers(MAX_MS - 10**6, MAX_MS))
-STARTS = st.one_of(st.integers(0, 2 * 10**6), st.integers(MAX_MS - 10**7, MAX_MS - 10**7 // 2))
+# A run of up to 64 blocks of up to 1e5 ms from a start ends by MAX_TIME_MS,
+# past which a trace is 0 and the closed forms are not.
+STARTS = st.one_of(st.integers(0, 2 * 10**6), st.integers(MAX_MS - 10**7, MAX_MS - 64 * 10**5))
 
 
 def closed_form_case(draw):
