@@ -37,12 +37,14 @@ gets one report per window, its total, when the window closes.
 A fire queues its batch as a ``(records, blocks, generated_at,
 interval_used)`` tuple, and a completion logs one ``BatchRow``. The log
 keeps every row to the end of the run, so rows are most of a run's peak
-memory, and a row holds only the objects it needs (see ``BatchRow``). One
-worker runs the batches in FIFO order, so a batch's id is the count of
-batches completed before it. Rows are slotted dataclasses, not frozen
-ones: a frozen dataclass's ``__init__`` sets each field through
-``object.__setattr__``, which makes a row about five times as slow to
-build. Nothing changes a row after it is built.
+memory, and a batch row stores only the six values the log does not
+determine otherwise (see ``BatchRow``). One worker runs the batches in
+FIFO order, so a batch's id is the count of batches completed before it:
+the row stores no id, and ``harness.write_metrics`` numbers the batch rows
+as it writes them. Rows are slotted dataclasses, not frozen ones: a frozen
+dataclass's ``__init__`` sets each field through ``object.__setattr__``,
+which makes a row about five times as slow to build. Nothing changes a row
+after it is built.
 
 Every configured time (ms) must be at most ``MAX_TIME_MS`` = 2**53: up to
 there a float holds every integer exactly, so each time converts to a float
@@ -157,25 +159,38 @@ class EngineConfig:
 class BatchRow:
     """Metrics row emitted when a batch completes.
 
-    The eight fields are stored; ``eta``, the batch's workload sample, is
-    derived. ``total_delay_ms`` is stored although it is ``sched_delay_ms +
-    proc_delay_ms``, because ``summarize`` and ``write_metrics`` read it on
-    every row. A batch that started at its own fire, most batches when the
-    worker keeps up, holds the constant 0.0 as ``sched_delay_ms`` and its
-    ``proc_delay_ms`` object as ``total_delay_ms``, so its delays cost one
-    float. ``eta`` is read only by the monitor, once per batch, and by
-    ``write_metrics``; storing it would keep one more float per row for
-    the whole run.
+    Six values are stored: the completion time, the interval used, the
+    record and non-empty block counts, and the scheduling and processing
+    delays. Everything else about the batch follows from them or from the
+    log, so it is derived rather than kept for the whole run:
+
+    - ``total_delay_ms`` is ``sched_delay_ms + proc_delay_ms``, the
+      engine's own expression. A batch that started at its own fire, most
+      batches when the worker keeps up, holds the constant 0.0 as
+      ``sched_delay_ms``, and 0.0 + proc is proc bit for bit, since proc is
+      never -0.0.
+    - ``eta``, the batch's workload sample, is the total over the interval
+      used.
+    - The batch id is the row's place among the log's batch rows: one
+      worker runs batches FIFO, so it is the count completed before it.
+
+    Storing the total and the id cost a float for each batch that waited,
+    an int for each id above 256, and 16 bytes of slots per row. ``run``,
+    ``harness.summarize`` and ``harness.write_metrics`` add the two delays
+    inline in their per-batch loops; the properties are for other readers.
     """
 
     time_ms: float
-    batch_id: int
     interval_ms: int
     records: int
     blocks: int
     sched_delay_ms: float
     proc_delay_ms: float
-    total_delay_ms: float
+
+    @property
+    def total_delay_ms(self) -> float:
+        """Scheduling plus processing delay."""
+        return self.sched_delay_ms + self.proc_delay_ms
 
     @property
     def eta(self) -> float:
@@ -248,20 +263,18 @@ class MicrobatchEngine:
                 job = None
                 proc = now - started_at
                 if started_at == generated_at:
-                    # A batch that did not wait shares its floats, with the
-                    # values the general rule gives: x - x is +0.0, proc is
-                    # a float and never -0.0, and 0.0 + proc is proc.
+                    # A batch that did not wait stores the constant 0.0, with
+                    # the values the general rule gives: x - x is +0.0, proc
+                    # is a float and never -0.0, and 0.0 + proc is proc.
                     sched, total = 0.0, proc
                 else:
                     # float() keeps the delays floats when every time is an
                     # int, as summary.json writes them.
                     sched = started_at - float(generated_at)
                     total = sched + proc
-                row = BatchRow(now, completed, used, batch_size, batch_blocks, sched, proc,
-                               total)
-                rows.append(row)
+                rows.append(BatchRow(now, used, batch_size, batch_blocks, sched, proc))
                 if total > 0:
-                    on_batch_completed(row.eta)
+                    on_batch_completed(total / float(used))  # the row's eta
                 else:
                     log.debug("batch %d completed with zero delay, no workload sample",
                               completed)

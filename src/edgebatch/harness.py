@@ -3,21 +3,25 @@
 Config files are flat ``section.key = value`` lines with ``#`` comments.
 Outputs land in --out, the EDGEBATCH_OUT directory, or ./out: metrics.csv
 (one row per batch completion and per control tick), summary.json, and four
-plot-ready series files.
+plot-ready series files. They are written all or nothing: each under a
+temporary name in the same directory, renamed over the old file only once
+every write has succeeded.
 
 Most of the output time is float ``repr``, so ``write_metrics`` formats
 each repeated batch delay once: a dict local to one call maps each
 processing delay, and the eta of each batch that did not wait
 (``sched_delay_ms == 0``), to its ``_fmt`` string. It empties at
-``FMT_CACHE_SIZE`` (256) entries, which keeps it below the run's peak
-memory; the ``write_metrics`` docstring gives the measurements.
+``FMT_CACHE_SIZE`` (256) entries, which keeps it a small part of the run's
+peak memory; the ``write_metrics`` docstring gives the measurements.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import inspect
+import io
 import json
 import os
 import sys
@@ -51,17 +55,27 @@ METRICS_COLUMNS = (
     "workload_S", "rate_measured", "rate_predicted", "C", "D", "fuzzy_level",
 )
 
+OUTPUT_FILES = ("metrics.csv", "series_interval.csv", "series_workload.csv",
+                "series_rate.csv", "series_delay.csv", "summary.json")
+
 STABLE_TICKS = 20  # control ticks the interval must hold within one block
 FMT_CACHE_SIZE = 256  # write_metrics' cache of delay strings empties at this size
 # The most rows a run may log, as build_run_spec bounds them. The log keeps
-# every row to the end of the run, at 240-290 bytes of peak memory each
-# (tracemalloc on the exp3, day and day-vanilla presets), so this is about
-# 2.9 GB; the benchmark workloads' bound is 75,600 and exp3's 30,150.
+# every row to the end of the run: 170-195 bytes a row are held when run
+# returns, and execute's peak is 230-295 bytes a row (tracemalloc on the
+# exp3, day and day-vanilla presets), so this is about 2.9 GB; the
+# benchmark workloads' bound is 75,600 and exp3's 30,150.
 MAX_RUN_ROWS = 10_000_000
 
 
 class UsageError(ValueError):
-    """Malformed config or trace input (exit code 2)."""
+    """Malformed config or trace input, or an output file that cannot be
+    opened (exit code 2)."""
+
+
+class OutputError(OSError):
+    """An output file that opened but could not be written, as on a full
+    disk (exit code 1)."""
 
 
 # -- config files -----------------------------------------------------------
@@ -320,9 +334,22 @@ def overload_recovery(ticks) -> Optional[float]:
 
 
 def summarize(log: MetricsLog, block_interval: int) -> SummaryReport:
-    batches, ticks = [], []
+    """The run's summary.json. The batch rows are folded in the one pass
+    that collects the ticks: a list of their total delays would hold one
+    new float per batch, and set the run's peak memory."""
+    ticks = []
+    batches = records = 0
+    delay_sum, delay_max = 0, None  # as reduce(add, delays, 0) and max(delays)
     for row in log.rows:
-        (batches if type(row) is BatchRow else ticks).append(row)
+        if type(row) is BatchRow:
+            delay = row.sched_delay_ms + row.proc_delay_ms  # total_delay_ms
+            delay_sum += delay
+            if not batches or delay > delay_max:
+                delay_max = delay
+            batches += 1
+            records += row.records
+        else:
+            ticks.append(row)
 
     errs = prediction_error_pairs(log.windows)
     conv = convergence_time(ticks, block_interval)
@@ -331,7 +358,6 @@ def summarize(log: MetricsLog, block_interval: int) -> SummaryReport:
         steady = [t.workload_s for t in ticks if t.time_ms >= conv]
     else:
         steady = [t.workload_s for t in ticks[len(ticks) // 2:]]
-    delays = [b.total_delay_ms for b in batches]
     # Float means are left folds, as in grey.fit.
 
     return SummaryReport(
@@ -340,10 +366,10 @@ def summarize(log: MetricsLog, block_interval: int) -> SummaryReport:
         convergence_time_ms=conv,
         steady_workload_mean=reduce(add, steady, 0) / len(steady) if steady else None,
         steady_workload_max=max(steady) if steady else None,
-        total_delay_mean_ms=reduce(add, delays, 0) / len(delays) if delays else None,
-        total_delay_max_ms=max(delays) if delays else None,
+        total_delay_mean_ms=delay_sum / batches if batches else None,
+        total_delay_max_ms=delay_max,
         overload_recovery_ms=overload_recovery(ticks),
-        records_processed=sum(b.records for b in batches),
+        records_processed=records,
     )
 
 
@@ -360,6 +386,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+class _OutputFile(io.FileIO):
+    """An output file written under a temporary name: a failed open raises
+    an OSError of its kind, and a failed write an ``OutputError``, each
+    naming the output. Its buffered writer writes here once per buffer it
+    fills, not once per line."""
+
+    def __init__(self, temp: Path, path: Path):
+        self.path = path
+        try:
+            super().__init__(temp, "w")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise OutputError(exc.errno, exc.strerror, str(self.path)) from exc
+
+
 def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -> Path:
     """Write metrics.csv, summary.json, and the series files; returns out_dir.
 
@@ -368,10 +414,12 @@ def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -
     The files are written in one pass over ``log.rows`` and one over
     ``log.windows``: each value is formatted once, for metrics.csv and its
     series file alike, and each line goes straight to its file, so no output
-    is held in memory. A batch whose total delay equals its processing delay,
-    as for every batch that did not wait, writes the processing delay's
-    string for both: equal floats, 0.0 and -0.0, and an int and an equal
-    float all give one ``_fmt`` string.
+    is held in memory. Batch rows store no id: the one worker runs batches
+    FIFO, so the id written is the count of batch rows before it. A batch
+    whose total delay equals its processing delay, as for every batch that
+    did not wait, writes the processing delay's string for both: equal
+    floats, 0.0 and -0.0, and an int and an equal float all give one
+    ``_fmt`` string. The total is summed here, as the row's property would.
 
     The same rule lets one dict, local to this call, map each value to its
     ``_fmt`` string, so a repeated value is formatted once and every hit is
@@ -384,12 +432,47 @@ def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -
     delays, nearly all with reprs of 16 characters or more. The dict
     empties at ``FMT_CACHE_SIZE`` (256) entries. Keeping every value raised
     the benchmark's peak memory by 24% there (11% on sine-fine-2h), and
-    1024 entries by 5%; at 256 the dict stays below the peak that
-    ``summarize`` sets. Time stamps and a waited batch's sched, total and
-    eta are unique, so they stay out of the dict.
+    1024 entries by 5%. This call sets the peak on the day workloads, and
+    256 entries are 1.7% of it on day-adaptive-2h and 0.5% on
+    day-vanilla-2h, against a one-entry dict. Time stamps and a waited
+    batch's sched, total and eta are unique, so they stay out of the dict.
+
+    Each file is written as ``.<name>.tmp`` in out_dir and renamed to its
+    name only once all six are written and closed, so a failed write leaves
+    the old outputs as they were, and no temporary file is left either way.
+    An output that cannot be opened, or is a directory, raises an
+    ``OSError``, and a failed write an ``OutputError``; each names the
+    output file.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    outputs = [(out / f".{name}.tmp", out / name) for name in OUTPUT_FILES]
+    try:
+        _write_outputs(log, report, outputs)
+        for _, path in outputs:
+            if path.is_dir():  # fail before any rename, not after some
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for temp, path in outputs:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in outputs:
+            temp.unlink(missing_ok=True)
+    return out
+
+
+def _write_outputs(log: MetricsLog, report: SummaryReport, outputs) -> None:
+    """Write the files of ``write_metrics`` under their temporary names:
+    ``outputs`` holds a (temporary name, output) pair for each of
+    ``OUTPUT_FILES``, in that order."""
+
+    def new(i: int) -> io.TextIOWrapper:
+        raw = _OutputFile(*outputs[i])
+        # The buffer size open() picks: the file system's block size, often
+        # half of io.DEFAULT_BUFFER_SIZE. Six buffers are part of the peak.
+        size = os.fstat(raw.fileno()).st_blksize
+        buffer = io.BufferedWriter(raw, size if size > 1 else io.DEFAULT_BUFFER_SIZE)
+        return io.TextIOWrapper(buffer, encoding="utf-8")
+
     fmt = _fmt
     zero = fmt(0.0)  # the sched cell of a batch that did not wait
     cache: dict = {}  # value -> fmt(value), for the delays that repeat
@@ -401,32 +484,31 @@ def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -
         text = cache[value] = fmt(value)
         return text
 
-    with (open(out / "metrics.csv", "w") as metrics,
-          open(out / "series_interval.csv", "w") as interval,
-          open(out / "series_workload.csv", "w") as workload,
-          open(out / "series_rate.csv", "w") as rate,
-          open(out / "series_delay.csv", "w") as delay,
-          open(out / "summary.json", "w") as summary):
+    with (new(0) as metrics, new(1) as interval, new(2) as workload, new(3) as rate,
+          new(4) as delay, new(5) as summary):
         metrics.write(",".join(METRICS_COLUMNS) + "\n")
         interval.write("time_ms,interval_ms\n")
         workload.write("time_ms,workload_S\n")
         rate.write("window_start_ms,rate_measured,rate_predicted_next\n")
         delay.write("time_ms,total_delay_ms,proc_delay_ms,sched_delay_ms\n")
+        batch_id = 0
         for row in log.rows:
             t = fmt(row.time_ms)
             if type(row) is BatchRow:
-                proc = cached(row.proc_delay_ms) or remember(row.proc_delay_ms)
+                p = row.proc_delay_ms
+                total = row.sched_delay_ms + p
+                proc = cached(p) or remember(p)
                 if row.sched_delay_ms == 0:  # eta = proc / interval repeats
-                    sched, eta = zero, row.eta
-                    eta = cached(eta) or remember(eta)
+                    eta = total / float(row.interval_ms)
+                    sched, eta = zero, cached(eta) or remember(eta)
                 else:
-                    sched, eta = fmt(row.sched_delay_ms), fmt(row.eta)
-                total = row.total_delay_ms
+                    sched, eta = fmt(row.sched_delay_ms), fmt(total / float(row.interval_ms))
                 # A batch that did not wait: equal values format alike.
-                total = proc if total == row.proc_delay_ms else fmt(total)
-                metrics.write(f"{t},{row.batch_id},{row.interval_ms},{row.records},"
+                total = proc if total == p else fmt(total)
+                metrics.write(f"{t},{batch_id},{row.interval_ms},{row.records},"
                               f"{row.blocks},{sched},{proc},{total},{eta},,,,,,\n")
                 delay.write(f"{t},{total},{proc},{sched}\n")
+                batch_id += 1
             else:
                 s = fmt(row.workload_s)
                 metrics.write(f"{t},,{row.interval_ms},,,,,,,{s},{fmt(row.rate_measured)},"
@@ -438,7 +520,6 @@ def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -
             rate.write(f"{w.window_start_ms},{fmt(w.rate_measured)},"
                        f"{fmt(w.rate_predicted_next)}\n")
         summary.write(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
-    return out
 
 
 # -- CLI --------------------------------------------------------------------
@@ -459,9 +540,10 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
     report = summarize(log, spec.engine.block_interval)
     try:
         write_metrics(log, out, report)
-    except OSError as exc:
-        path = out if exc.filename is None else exc.filename
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+    except OutputError:
+        raise
+    except OSError as exc:  # an output that cannot be opened, or renamed over
+        raise UsageError(f"cannot write {exc.filename}: {exc}") from exc
     print(f"{spec.label}: {log.batch_count} batches, "
           f"{report.records_processed} records -> {out}")
     if report.convergence_time_ms is not None:
@@ -508,6 +590,9 @@ def main(argv=None) -> int:
     except (UsageError, TraceParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
+        return 1
     except EdgeBatchError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

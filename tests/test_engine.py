@@ -77,21 +77,29 @@ def test_batch_row_splits_delays(monkeypatch):
               traces.constant(1000.0))
     batches, _ = split_rows(log)
     assert batches == [
-        BatchRow(2500.0, 0, 1000, 1000, 5, 0.0, 1500.0, 1500.0),
-        BatchRow(4000.0, 1, 1000, 1000, 5, 500.0, 1500.0, 2000.0),
+        BatchRow(2500.0, 1000, 1000, 5, 0.0, 1500.0),
+        BatchRow(4000.0, 1000, 1000, 5, 500.0, 1500.0),
     ]
     first, second = batches
     # Batch 0 starts at its own fire: no scheduling delay, and its total is
-    # its processing delay, the same float object.
+    # its processing delay, to the last bit.
     assert repr(first.sched_delay_ms) == "0.0"
-    assert first.total_delay_ms is first.proc_delay_ms
-    assert second.total_delay_ms == second.sched_delay_ms + second.proc_delay_ms
+    assert first.total_delay_ms == first.proc_delay_ms
+    assert repr(first.total_delay_ms) == repr(first.proc_delay_ms)
+    assert second.total_delay_ms == 2000.0
     for row in batches:
         assert type(row.sched_delay_ms) is type(row.total_delay_ms) is float
         assert row.eta == row.total_delay_ms / float(row.interval_ms)
     assert [row.eta for row in batches] == [1.5, 2.0]
     # The monitor gets each row's eta, once, in completion order.
     assert samples == [1.5, 2.0]
+
+
+def test_batch_row_stores_six_values():
+    # The total delay and the batch id follow from the stored values and
+    # from the row's place in the log, so the row does not hold them.
+    assert BatchRow.__slots__ == ("time_ms", "interval_ms", "records", "blocks",
+                                  "sched_delay_ms", "proc_delay_ms")
 
 
 def test_zero_rate_batches_cost_fixed_overhead():

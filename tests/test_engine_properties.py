@@ -19,9 +19,10 @@ trace end) on one heap, ordered by time, rank and sequence number, and feeds the
 tracker one block at a time from the per-block receiver. Its rows, windows,
 batch count and record totals must equal the engine's, field for field, and
 its batch rows by repr too. The reference numbers batches when it seals
-them and computes every delay by the general rule, so it checks the
-engine's completion-count ids and the floats a batch that did not wait
-shares.
+them and checks that each completes after exactly that many others, so
+the count of completed batches that ``write_metrics`` writes as the id is
+the seal-time id. It computes every delay by the general rule, so it also
+checks the floats of a batch that did not wait.
 """
 
 import dataclasses
@@ -281,11 +282,12 @@ class HeapReference:
     def job_complete(self, now, payload):
         batch, started_at = payload
         self.busy = False
+        assert batch.batch_id == self.log.batch_count  # FIFO
         sched = started_at - float(batch.generated_at)
         proc = now - started_at
         total = sched + proc
-        self.log.rows.append(BatchRow(now, batch.batch_id, batch.interval_used, batch.records,
-                                      batch.blocks, sched, proc, total))
+        self.log.rows.append(BatchRow(now, batch.interval_used, batch.records, batch.blocks,
+                                      sched, proc))
         self.log.batch_count += 1
         if total > 0:
             self.monitor.on_batch_completed(total / float(batch.interval_used))
@@ -334,13 +336,13 @@ def check_invariants(config, trace):
     check_against_heap_reference(config, trace, log)
 
     batches, ticks = split_rows(log)
-    assert [b.batch_id for b in batches] == list(range(len(batches)))  # FIFO
     assert sum(b.records for b in batches) <= log.total_generated
     for b in batches:
         assert b.sched_delay_ms >= 0 and b.proc_delay_ms >= 0
-        assert b.total_delay_ms == b.sched_delay_ms + b.proc_delay_ms
-        if b.sched_delay_ms == 0:  # started at its own fire: one shared float
-            assert repr(b.sched_delay_ms) == "0.0" and b.total_delay_ms is b.proc_delay_ms
+        if b.sched_delay_ms == 0:  # started at its own fire: total is proc
+            assert repr(b.sched_delay_ms) == "0.0"
+            assert b.total_delay_ms == b.proc_delay_ms
+            assert repr(b.total_delay_ms) == repr(b.proc_delay_ms)
         assert b.interval_ms > 0
         assert b.eta == b.total_delay_ms / float(b.interval_ms)
 
@@ -348,8 +350,11 @@ def check_invariants(config, trace):
         write_metrics(log, out, summarize(log, config.block_interval))
         lines = (Path(out) / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(METRICS_COLUMNS)
-    times = [float(line.split(",", 1)[0]) for line in lines[1:]]
+    cells = [line.split(",") for line in lines[1:]]
+    times = [float(row[0]) for row in cells]
     assert times == sorted(times)
+    ids = [row[1] for row in cells if row[1]]
+    assert ids == [str(k) for k in range(len(batches))]  # FIFO, as the reference checks
 
     if config.mode == ADAPTIVE:
         ctl = config.controller
@@ -433,3 +438,37 @@ def test_prediction_without_a_model_changes_no_decision(drawn):
     assert repr(batches_on) == repr(batches_off)  # equal, floats to the last bit
     assert ([(t.time_ms, t.interval_ms, t.fuzzy_level) for t in ticks_on]
             == [(t.time_ms, t.interval_ms, t.fuzzy_level) for t in ticks_off])
+
+
+@RELATION
+@given(ANY_RUN, st.integers(1, 10), st.integers(0, 20), st.integers(0, 40_000))
+def test_vanilla_run_ignores_the_controller_settings(drawn, min_blocks, extra_blocks, start):
+    # A vanilla run keeps its initial interval, so the controller's range and
+    # start must change none of the six files.
+    config, trace = drawn
+    vanilla = dataclasses.replace(config, mode=VANILLA)
+    block = config.block_interval
+    controller = dataclasses.replace(config.controller, min_interval=min_blocks * block,
+                                     max_interval=(min_blocks + extra_blocks) * block)
+    other = dataclasses.replace(vanilla, controller=controller, control_start=start)
+    assert written_files(vanilla, trace) == written_files(other, trace)
+
+
+@RELATION
+@given(ANY_RUN, st.sampled_from(["fixed_overhead", "per_record_cost", "per_block_cost"]),
+       st.one_of(st.integers(1, 2000).map(float), st.floats(2**-20, 2000.0)))
+def test_vanilla_run_is_monotone_in_each_cost_term(drawn, term, raise_by):
+    # Every batch holds the same blocks at the same fire, and its start is
+    # max(its fire, the last completion): a wait never falls when a service
+    # time rises (Lindley's recursion for one FIFO server). So every batch
+    # completes no earlier, and no more batches complete by the trace end.
+    config, trace = drawn
+    cheap = dataclasses.replace(config, mode=VANILLA)
+    model = cheap.cost_model
+    costly = dataclasses.replace(cheap, cost_model=dataclasses.replace(
+        model, **{term: getattr(model, term) + raise_by}))
+    fast, slow = (split_rows(MicrobatchEngine(c, trace).run())[0] for c in (cheap, costly))
+    assert len(slow) <= len(fast)
+    for a, b in zip(fast, slow):
+        assert (b.interval_ms, b.records, b.blocks) == (a.interval_ms, a.records, a.blocks)
+        assert b.time_ms >= a.time_ms

@@ -1,8 +1,12 @@
+import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -249,41 +253,56 @@ def test_summary_conservation_against_log():
     assert log.total_generated == log.total_batch_records == generated
 
 
+@pytest.mark.parametrize("prediction", [True, False], ids=["prediction-on", "prediction-off"])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_summarize_folds_delays_as_the_list_based_mean_and_max(preset, prediction):
+    # summarize folds the batch rows in one pass; it must give the floats
+    # that a list of the total delays gave, to the last bit.
+    spec = load_preset(preset, disable_prediction=not prediction)
+    log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
+    report = summarize(log, spec.engine.block_interval)
+    batches = split_rows(log)[0]
+    delays = [b.total_delay_ms for b in batches]
+    assert repr(report.total_delay_mean_ms) == repr(reduce(add, delays, 0) / len(delays))
+    assert repr(report.total_delay_max_ms) == repr(max(delays))
+    assert report.records_processed == sum(b.records for b in batches)
+
+
 def test_delay_cells_are_fmt_of_each_value(tmp_path):
     # write_metrics reuses the processing delay's string for a total equal
     # to it, and caches the strings of processing delays and of no-wait
     # etas by value. Rows an engine run does not produce: equal values of
     # different types and signs, integer-valued and huge floats, NaN, and
     # unequal pairs.
-    delays = [  # (sched, proc, total, interval)
-        (0.0, 0.0, -0.0, 600),
-        (-0.0, -0.0, 0.0, 600),
-        (0.0, 1250, 1250.0, 600),
-        (0.0, 1250.0, 1250, 600),
-        (0.0, 7.0, 7.0, 600),
-        (0.0, 12.375, 12.375, 600),
-        (0.0, 1e16, 1e16, 600),
-        (0.0, 10**16, 1e16, 600),
-        (0.0, 2.5e300, 2.5e300, 600),
-        (0.0, math.nan, math.nan, 600),
-        (250.5, 999.25, 1249.75, 600),
-        (1e16, 1.5, 1e16 + 2.0, 600),
-        (0.5, 7, 7.5, 600),
+    delays = [  # (sched, proc, interval)
+        (0.0, -0.0, 600),
+        (-0.0, -0.0, 600),
+        (0.0, 1250, 600),
+        (0.0, 1250.0, 600),
+        (0.0, 7.0, 600),
+        (0.0, 12.375, 600),
+        (0.0, 1e16, 600),
+        (0.0, 10**16, 600),
+        (0.0, 2.5e300, 600),
+        (0.0, math.nan, 600),
+        (250.5, 999.25, 600),
+        (1e16, 1.5, 600),
+        (0.5, 7, 600),
         # Waited so little behind a long batch that total == proc: the
         # sched cell is not the no-wait "0", and the eta is not cached.
-        (2**-40, 1e6, 1e6 + 2**-40, 600),
+        (2**-40, 1e6, 600),
         # A no-wait eta equal to an earlier processing delay (12.375).
-        (0.0, 24.75, 24.75, 2),
+        (0.0, 24.75, 2),
     ]
     # 300 distinct processing delays with long reprs, each twice in a row
     # and the cycle three times, and their no-wait etas at three intervals:
     # more than FMT_CACHE_SIZE values, so the cache empties mid-file.
     for i in range(1800):
         k = (i // 2) % 300
-        delays.append((0.0, 100 + k / 7, 100 + k / 7, 600 + k % 3))
+        delays.append((0.0, 100 + k / 7, 600 + k % 3))
     log = engine.MetricsLog()
-    for i, (sched, proc, total, interval) in enumerate(delays):
-        log.rows.append(engine.BatchRow(1000.5 * i, i, interval, 3 * i, i, sched, proc, total))
+    for i, (sched, proc, interval) in enumerate(delays):
+        log.rows.append(engine.BatchRow(1000.5 * i, interval, 3 * i, i, sched, proc))
     assert log.rows[13].total_delay_ms == log.rows[13].proc_delay_ms
     assert len({(b.proc_delay_ms, b.eta) for b in log.rows[15:]}) > harness.FMT_CACHE_SIZE
     write_metrics(log, tmp_path, summarize(log, 200))
@@ -291,9 +310,9 @@ def test_delay_cells_are_fmt_of_each_value(tmp_path):
     metrics = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
     series = (tmp_path / "series_delay.csv").read_text().splitlines()[1:]
     assert len(metrics) == len(series) == len(log.rows)
-    for row, m, d in zip(log.rows, metrics, series):
+    for batch_id, (row, m, d) in enumerate(zip(log.rows, metrics, series)):
         assert m.split(",") == [
-            fmt(row.time_ms), str(row.batch_id), str(row.interval_ms), str(row.records),
+            fmt(row.time_ms), str(batch_id), str(row.interval_ms), str(row.records),
             str(row.blocks), fmt(row.sched_delay_ms), fmt(row.proc_delay_ms),
             fmt(row.total_delay_ms), fmt(row.eta)] + [""] * 6
         assert d.split(",") == [fmt(row.time_ms), fmt(row.total_delay_ms),
@@ -690,6 +709,42 @@ def test_cli_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, name
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out / name}: ")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", OUTPUT_NAMES)
+def test_cli_failed_write_exits_1_and_keeps_the_old_outputs(tmp_path, capsys, monkeypatch,
+                                                            name):
+    # The other files were replaced, the failing one was left part written,
+    # and the error named only the --out directory.
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_conf(tmp_path)), "--out", str(out)]) == 0
+    old = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    class NoSpace(io.FileIO):
+        def write(self, data):
+            if self.path.name == name:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(data)
+
+    # _OutputFile.write's super().write is NoSpace.write, as a disk's
+    # error would come from io.FileIO.write.
+    class Full(harness._OutputFile, NoSpace):
+        pass
+
+    monkeypatch.setattr(harness, "_OutputFile", Full)
+    conf = write_conf(tmp_path, MINI + "engine.jitter = 0.05\n", "other.conf")
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out / name}: [Errno {errno.ENOSPC}] ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+    # The same run writes all six files once the disk has room.
+    monkeypatch.undo()
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    new = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(new) == sorted(old) and new["metrics.csv"] != old["metrics.csv"]
 
 
 @pytest.mark.parametrize("what, content, message", [
