@@ -12,43 +12,20 @@ tick only logs S and the rates.
 Every event source is a clock inside ``run``, and there is no event heap:
 the window close and the control tick are two times, the trace end is
 ``duration``, the batch timer is the next fire time, and the worker is the
-running job as ``(done_at, rank, batch, started_at)``. Each iteration takes
-the earliest of the five by ``(time, rank)``, with comparisons. A window
-close reports the window's records to the tracker and logs the
-``WindowRow`` the tracker returns, which holds its fit's forecast; a tick
-reads S and the rates and logs a ``ControlRow``; a completion logs the
-batch's row and may start the next queued batch; a fire seals a batch,
-queues it and starts it if the worker is idle. Every source has at most one
-pending event and a rank of its own, so ``(time, rank)`` orders any two
-pending events and no tie is left to break. Before a fire, a window close,
-a tick or the trace end, a block clock seals every block that ends by its
-time, so at equal timestamps a block always comes first; a completion reads
-no block. At the trace end the blocks sealed since the last fire count as
-one more batch, which never runs. ``run`` builds the tracker, monitor,
-controller, RNG and log itself, so every call returns a fresh, equal log.
+running job. Each iteration takes the earliest of the five by ``(time,
+rank)``. A window close reports the window's records to the tracker and
+logs the ``WindowRow`` it returns; a tick reads S and the rates and logs a
+``ControlRow``; a completion logs the batch's ``BatchRow`` and may start the
+next queued batch; a fire seals a batch, queues it and starts it if the
+worker is idle. Every source has at most one pending event and a rank of
+its own, so no tie is left to break. Before a fire, a window close, a tick
+or the trace end, every block that ends by its time is sealed, so at equal
+timestamps a block always comes first; a completion reads no block.
 
-The receiver's counts are filled ``FILL_BLOCKS`` blocks at a time: one
-``block_integrals`` call for the chunk's expected counts, jitter drawn in
-block order, one rounding per block, and running sums of records and of
-non-empty blocks, built by ``itertools.accumulate``. An event then seals
-``int(fire_at // block)`` blocks by reading those sums, so a batch's counts
-and a window's total are differences of two running totals. The tracker
-gets one report per window, its total, when the window closes.
-A fire queues its batch as a ``(records, blocks, generated_at,
-interval_used)`` tuple, and a completion logs one ``BatchRow``. The log
-keeps every row to the end of the run, so rows are most of a run's peak
-memory, and a batch row stores only the six values the log does not
-determine otherwise (see ``BatchRow``). One worker runs the batches in
-FIFO order, so a batch's id is the count of batches completed before it:
-the row stores no id, and ``harness.write_metrics`` numbers the batch rows
-as it writes them. Rows are slotted dataclasses, not frozen ones: a frozen
-dataclass's ``__init__`` sets each field through ``object.__setattr__``,
-which makes a row about five times as slow to build. Nothing changes a row
-after it is built.
-
-Every configured time (ms) must be at most ``MAX_TIME_MS`` = 2**53: up to
-there a float holds every integer exactly, so each time converts to a float
-without rounding or overflow.
+The rows here, in ``fuzzy`` and in ``tracker``, and ``grey.GreyModel``, are
+slotted dataclasses, not frozen ones: a frozen ``__init__`` sets each field
+through ``object.__setattr__``, which is several times as slow (PR 4).
+Nothing changes one after it is built.
 """
 
 from __future__ import annotations
@@ -84,8 +61,7 @@ _TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start
 # the controller runs before the timer fires, so every consumer sees the
 # freshest state a coinciding producer left behind. A job that takes no time
 # completes after the other events of the instant it started in
-# (INSTANT_JOB_COMPLETE), and the trace end comes last. run() keeps one
-# clock per source and compares their (time, rank) pairs.
+# (INSTANT_JOB_COMPLETE), and the trace end comes last.
 (JOB_COMPLETE, RATE_WINDOW_CLOSE, CONTROL_TICK, BATCH_TIMER_FIRE,
  INSTANT_JOB_COMPLETE, TRACE_END) = range(6)
 
@@ -112,6 +88,10 @@ class JobCostModel:
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """One run's settings. Every time is in ms and at most ``MAX_TIME_MS`` =
+    2**53, up to which a float holds every integer exactly, so each time
+    converts to a float without rounding."""
+
     controller: ControllerConfig
     cost_model: JobCostModel
     duration: int
@@ -157,27 +137,18 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class BatchRow:
-    """Metrics row emitted when a batch completes.
+    """Metrics row emitted when a batch completes: the completion time, the
+    interval used, the record and non-empty block counts, and the scheduling
+    and processing delays. The log keeps every row to the end of the run, so
+    what follows from these is derived, not stored (PR 20):
 
-    Six values are stored: the completion time, the interval used, the
-    record and non-empty block counts, and the scheduling and processing
-    delays. Everything else about the batch follows from them or from the
-    log, so it is derived rather than kept for the whole run:
-
-    - ``total_delay_ms`` is ``sched_delay_ms + proc_delay_ms``, the
-      engine's own expression. A batch that started at its own fire, most
-      batches when the worker keeps up, holds the constant 0.0 as
-      ``sched_delay_ms``, and 0.0 + proc is proc bit for bit, since proc is
-      never -0.0.
-    - ``eta``, the batch's workload sample, is the total over the interval
-      used.
-    - The batch id is the row's place among the log's batch rows: one
-      worker runs batches FIFO, so it is the count completed before it.
-
-    Storing the total and the id cost a float for each batch that waited,
-    an int for each id above 256, and 16 bytes of slots per row. ``run``,
-    ``harness.summarize`` and ``harness.write_metrics`` add the two delays
-    inline in their per-batch loops; the properties are for other readers.
+    - ``total_delay_ms`` is ``sched_delay_ms + proc_delay_ms``, the engine's
+      own expression. A batch that started at its own fire holds the
+      constant 0.0 as its sched, and 0.0 + proc is proc bit for bit, since
+      proc is never -0.0.
+    - ``eta``, the batch's workload sample, is the total over the interval.
+    - The batch id is the count of batches completed before it, since one
+      worker runs them FIFO; ``harness.write_metrics`` writes it.
     """
 
     time_ms: float
@@ -200,6 +171,10 @@ class BatchRow:
 
 @dataclass
 class MetricsLog:
+    """One run's log: batch and control rows in time order, window rows, the
+    records generated, sealed in blocks and sealed in batches (the trace
+    end's unrun batch included), and the batches completed."""
+
     rows: list = field(default_factory=list)
     windows: list = field(default_factory=list)
     total_generated: int = 0

@@ -6,35 +6,13 @@ workload deviation D = S - 1. ``compute_traffic_change`` and
 values are the ones logged, and ``infer`` takes only inputs in that range.
 ``infer`` fuzzifies them over five triangular labels, runs them through the
 constant 5x5 rule table ``DEFAULT_RULES``, and defuzzifies to an integer
-adjustment level in {-2..+2}. A level is one block: level k moves the batch
-interval by k block intervals.
+adjustment level in {-2..+2}. Level k moves the batch interval by k block
+intervals.
 
-On each control tick the engine reads the smoothed workload S (which gives
-D), then the last window's rate and its one-step forecast (which give C),
-and passes them to ``FuzzyController.control_step``. The controller only
-decides: it returns the tick's ``ControlRow``, the metrics row itself, and
-the engine logs it and applies its interval. ``ControllerConfig`` holds the
-interval range and the control period; the block interval is
-``EngineConfig``'s, and whether C uses the forecast is ``TrackerConfig``'s.
-
-The labels are the ints 0..4 (NB..PB), and they index ``DEFAULT_RULES``
-directly. ``_memberships`` is the one definition of the degrees: only the
-two labels whose centres bracket its input (the centres are exactly one
-HALF_WIDTH apart as floats too, and float subtraction is monotone, so every
-other label's degree is <= 0), each snapped to 12 decimals, in label order.
-``infer`` is a floating-point filter with an exact fallback (Shewchuk,
-"Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
-Predicates", 1997): it takes the mean of the unsnapped degrees, with no list
-and no ``round``, and only a mean within ``TIE_GUARD`` (1e-9) of a
-half-integer goes to ``_infer_snapped``, the snapped degrees and the rule
-walk; its docstring gives the error bound. None of the 4,332 controlled
-ticks of the presets and the benchmark workloads comes within the guard,
-and on CPython 3.11 (a 2-vCPU VM) the snapped evaluation takes about 6.5 us
-a call, the fast path 1.7 us. The clamps are comparisons that return what
-``min``/``max`` would: on CPython 3.11 a clamp costs ~0.5 us as two builtin
-calls and ~0.07 us as comparisons.
-``ControlRow`` is slotted, not frozen, since a frozen ``__init__`` sets each
-field through ``object.__setattr__``.
+On each control tick the engine passes S, the last window's rate and its
+one-step forecast to ``FuzzyController.control_step``. The controller only
+decides: it returns the tick's ``ControlRow``, and the engine logs it and
+applies its interval.
 """
 
 from __future__ import annotations
@@ -50,10 +28,11 @@ from .errors import DomainError
 log = logging.getLogger(__name__)
 
 
-# The fuzzy labels are the ints 0..4, NB, NS, ZO, PS and PB: triangular
-# memberships centred every HALF_WIDTH, shoulders saturated. With centres
-# spaced exactly one HALF_WIDTH apart the degrees of any input in [_LO, _HI]
-# sum to 1 and at most two labels are active.
+# The fuzzy labels are the ints 0..4, NB, NS, ZO, PS and PB, which index
+# DEFAULT_RULES directly: triangular memberships centred every HALF_WIDTH,
+# shoulders saturated. With centres spaced exactly one HALF_WIDTH apart the
+# degrees of any input in [_LO, _HI] sum to 1 and at most two labels are
+# active.
 CENTERS = (-0.2, -0.1, 0.0, 0.1, 0.2)
 HALF_WIDTH = 0.1
 _LO, _HI = CENTERS[0], CENTERS[-1]
@@ -64,16 +43,20 @@ TIE_GUARD = 1e-9  # infer's mean this near a half-integer takes the snapped path
 
 
 def clamp(x: float) -> float:
-    """min(_HI, max(_LO, x)) as comparisons: NaN gives _LO, -0.0 stays."""
+    """min(_HI, max(_LO, x)) as comparisons, a fraction of the cost of the
+    two builtin calls (PR 11): NaN gives _LO, -0.0 stays."""
     x = x if x > _LO else _LO
     return x if x < _HI else _HI
 
 
 def _memberships(x: float) -> list[tuple[int, float]]:
     """(label, degree) of x's nonzero memberships in label order, for x in
-    [-0.2, 0.2]."""
+    [-0.2, 0.2], each degree snapped to 12 decimals: the one definition of
+    the degrees."""
     out = []
-    # CENTERS[hi - 1] <= x < CENTERS[hi]: only these two labels can be active.
+    # CENTERS[hi - 1] <= x < CENTERS[hi]: only these two labels can be active,
+    # since the centres are one HALF_WIDTH apart as floats too and float
+    # subtraction is monotone.
     # Below x, x - centre >= 0 stands for its abs (-0.0 gives the same degree);
     # above x, centre - x is abs(x - centre) exactly: subtraction is symmetric.
     hi = bisect_right(CENTERS, x)
@@ -106,6 +89,10 @@ MAX_LEVEL = 2
 
 @dataclass(frozen=True)
 class ControllerConfig:
+    """The interval range and the control period, in ms. The block interval
+    is ``EngineConfig``'s, and whether C uses the forecast is
+    ``TrackerConfig``'s."""
+
     min_interval: int
     max_interval: int
     control_period: int = 10_000
@@ -154,14 +141,18 @@ def _infer_snapped(c: float, d: float) -> int:
 
 def infer(c: float, d: float) -> int:
     """The level ``_infer_snapped(c, d)`` defines, for C and D in [-0.2, 0.2]
-    (as the compute_* functions return), from the unsnapped degrees of the
-    two bracketing labels per input. The two means differ by under 2e-11: a
-    snapped degree is within 5e-13 of its unsnapped value (one that rounds
-    to 0 weighs no more than that), ``min`` is 1-Lipschitz, every rule level
-    is at most 2 in magnitude, and the denominator is >= 0.5, since each
-    input's largest degree is at least 0.5. So outside TIE_GUARD of a
-    half-integer both means round to the same level; inside it
-    ``_infer_snapped`` decides."""
+    (as the compute_* functions return), by a floating-point filter with an
+    exact fallback (Shewchuk, "Adaptive Precision Floating-Point Arithmetic
+    and Fast Robust Geometric Predicates", 1997): the mean of the unsnapped
+    degrees of the two bracketing labels per input, with no list and no
+    ``round``, which is several times as fast as the snapped path (PR 19).
+
+    The two means differ by under 2e-11: a snapped degree is within 5e-13
+    of its unsnapped value (one that rounds to 0 weighs no more than that),
+    ``min`` is 1-Lipschitz, every rule level is at most 2 in magnitude, and
+    the denominator is >= 0.5, since each input's largest degree is at least
+    0.5. So outside TIE_GUARD of a half-integer both means round to the same
+    level; inside it ``_infer_snapped`` decides."""
     # Labels i and i + 1 bracket c, j and j + 1 bracket d; c = 0.2 takes 3
     # and 4, where label 3's degree is exactly 0. Each degree is in [0, 1],
     # and one of 0 adds a strength of 0.
@@ -222,11 +213,7 @@ class ControlRow:
 
 
 class FuzzyController:
-    """Periodic control step: decides an interval from S and the rates.
-
-    The engine reads S and (q_now, q_next) once per tick and passes them in;
-    the controller only decides, and the engine stages the row's interval.
-    """
+    """Periodic control step: decides an interval from S and the rates."""
 
     def __init__(self, config: ControllerConfig, block_interval: int):
         self.config = config
@@ -234,6 +221,9 @@ class FuzzyController:
 
     def control_step(self, now: float, interval: int, s: float, q_now: Optional[float],
                      q_next: Optional[float]) -> ControlRow:
+        """The row of the tick at ``now``: C from the rates (0 while q_next is
+        None), D from S, the level by ``infer`` and the interval by
+        ``adjust_interval``."""
         if q_next is None:
             log.debug("tracker not ready at t=%s, workload-only control", now)
             c = 0.0

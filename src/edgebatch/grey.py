@@ -4,15 +4,6 @@ Fits the grey difference equation x0(t) + alpha * z(t) = mu on the
 accumulated series and extrapolates it a few steps ahead. Designed for
 very short training windows (five points is the usual case here).
 
-The tracker fits once per closed rate window and takes one forecast per
-fit. ``fit`` makes one pass over the observations: it checks each one,
-accumulates it and adds its background value to the four normal-equation
-sums, keeping only the last running sum, so it builds no list of the
-accumulated series or of the background values. ``predict`` differences two
-evaluations of the time response of the accumulated series.
-``GreyModel`` is slotted, not frozen, since a frozen ``__init__`` sets each
-field through ``object.__setattr__``.
-
 Float sums here, in the workload monitor and in the run summary are left
 folds, one rounding per term in order: from Python 3.12 on, ``sum`` of
 floats is compensated and gives other last bits, which would make the
@@ -90,10 +81,11 @@ def fit(series: Sequence[float]) -> GreyModel:
         _check_finite(vals)
         shift = 1.0 - lowest
         vals = [v + shift for v in vals]
-    # Without a shift every observation is checked here, in the one pass that
-    # accumulates it; with one, this catches a shifted value that overflows
-    # or cancels to zero. The pass keeps the last running sum only: each
-    # background value z = (acc[i] + acc[i - 1]) / 2 pairs with y = vals[i].
+    # One pass accumulates each observation and adds its background value
+    # z = (acc[i] + acc[i - 1]) / 2, paired with y = vals[i], to the four
+    # normal-equation sums, keeping only the last running sum. Without a
+    # shift it checks every observation too; with one, it catches a shifted
+    # value that overflows or cancels to zero.
     inf = math.inf
     first = prev = vals[0]
     if not 0.0 < first < inf:

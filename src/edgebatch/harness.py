@@ -6,13 +6,6 @@ Outputs land in --out, the EDGEBATCH_OUT directory, or ./out: metrics.csv
 plot-ready series files. They are written all or nothing: each under a
 temporary name in the same directory, renamed over the old file only once
 every write has succeeded.
-
-Most of the output time is float ``repr``, so ``write_metrics`` formats
-each repeated batch delay once: a dict local to one call maps each
-processing delay, and the eta of each batch that did not wait
-(``sched_delay_ms == 0``), to its ``_fmt`` string. It empties at
-``FMT_CACHE_SIZE`` (256) entries, which keeps it a small part of the run's
-peak memory; the ``write_metrics`` docstring gives the measurements.
 """
 
 from __future__ import annotations
@@ -61,10 +54,9 @@ OUTPUT_FILES = ("metrics.csv", "series_interval.csv", "series_workload.csv",
 STABLE_TICKS = 20  # control ticks the interval must hold within one block
 FMT_CACHE_SIZE = 256  # write_metrics' cache of delay strings empties at this size
 # The most rows a run may log, as build_run_spec bounds them. The log keeps
-# every row to the end of the run: 170-195 bytes a row are held when run
-# returns, and execute's peak is 230-295 bytes a row (tracemalloc on the
-# exp3, day and day-vanilla presets), so this is about 2.9 GB; the
-# benchmark workloads' bound is 75,600 and exp3's 30,150.
+# every row to the end of the run, so this bounds its memory to a few GB
+# (PR 20 gives the bytes a row holds); a larger run could end in a
+# MemoryError or the OOM killer.
 MAX_RUN_ROWS = 10_000_000
 
 
@@ -246,8 +238,7 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
         **args[EngineConfig],
     )
     # Every interval and window is a block multiple, so a run logs at most one
-    # batch and one window per block, and one row per control tick; beyond
-    # MAX_RUN_ROWS it would end in a MemoryError or the OOM killer.
+    # batch and one window per block, and one row per control tick.
     rows = (2 * (engine.duration // engine.block_interval)
             + engine.duration // engine.controller.control_period)
     if rows > MAX_RUN_ROWS:
@@ -414,28 +405,19 @@ def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -
     The files are written in one pass over ``log.rows`` and one over
     ``log.windows``: each value is formatted once, for metrics.csv and its
     series file alike, and each line goes straight to its file, so no output
-    is held in memory. Batch rows store no id: the one worker runs batches
-    FIFO, so the id written is the count of batch rows before it. A batch
-    whose total delay equals its processing delay, as for every batch that
-    did not wait, writes the processing delay's string for both: equal
-    floats, 0.0 and -0.0, and an int and an equal float all give one
-    ``_fmt`` string. The total is summed here, as the row's property would.
+    is held in memory. The batch id written is the count of batch rows before
+    it (see ``BatchRow``).
 
-    The same rule lets one dict, local to this call, map each value to its
-    ``_fmt`` string, so a repeated value is formatted once and every hit is
-    exact (a NaN equals no other value). The dict holds each batch's
-    processing delay and the eta of each batch that did not wait,
-    ``sched_delay_ms == 0`` (not total == proc: a batch that waited a tiny
-    time behind a very long one can have both). That eta is proc /
-    interval, so it repeats as proc does: on the benchmark's day-adaptive-2h
-    workload about 7,000 batches hold about 1,950 distinct processing
-    delays, nearly all with reprs of 16 characters or more. The dict
-    empties at ``FMT_CACHE_SIZE`` (256) entries. Keeping every value raised
-    the benchmark's peak memory by 24% there (11% on sine-fine-2h), and
-    1024 entries by 5%. This call sets the peak on the day workloads, and
-    256 entries are 1.7% of it on day-adaptive-2h and 0.5% on
-    day-vanilla-2h, against a one-entry dict. Time stamps and a waited
-    batch's sched, total and eta are unique, so they stay out of the dict.
+    Float ``repr`` is most of the output time, so a repeated value is
+    formatted once: a dict local to this call maps each batch's processing
+    delay, and the eta (proc / interval) of each batch that did not wait
+    (``sched_delay_ms == 0``), to its ``_fmt`` string. Equal floats, 0.0 and
+    -0.0, and an int and an equal float give one ``_fmt`` string, so every
+    hit is exact, and a batch whose total equals its processing delay writes
+    that string for both. Time stamps and a waited batch's sched, total and
+    eta are unique, so they stay out of the dict. It empties at
+    ``FMT_CACHE_SIZE`` entries, which keeps it a small share of the run's
+    peak memory (PRs 18 and 20 give the measurements).
 
     Each file is written as ``.<name>.tmp`` in out_dir and renamed to its
     name only once all six are written and closed, so a failed write leaves

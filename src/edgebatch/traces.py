@@ -7,28 +7,12 @@ quantize arrivals per block without numerical drift.
 Three classes cover the four trace shapes. ``PiecewiseConstantTrace`` holds
 the constant and step traces, which ``constant`` and ``step`` build over
 [0, MAX_TIME_MS), and the count-mode CSV trace; ``SinusoidRate`` is the
-sinusoid, built directly since it needs no builder function, and
-``PiecewiseLinearTrace`` the rate-mode CSV trace. A constant or
-step trace gives the same floats as its closed form: with non-negative
+sinusoid, and ``PiecewiseLinearTrace`` the rate-mode CSV trace. A constant
+or step trace gives the same floats as its closed form: with non-negative
 terms, ``(0.0 + before * (lo - t0)) + after * (t1 - lo)`` adds the same
 values as ``before * (lo - t0) + after * (t1 - lo)``, and ``0.0 + x`` is x.
-
-The engine asks for a run of equal blocks at once: ``block_integrals(start,
-block, n)`` returns the same n floats, bit for bit, as ``integral`` block by
-block, which is what the default does. An override may only change how the
-floats are reached, never which floats come out, because the engine rounds
-each block's expected count and a last-bit difference could flip a record.
-
-Cost per call: the sinusoid is O(1). The piecewise traces bisect to the
-first segment a window touches, so ``rate`` is O(log n) and ``integral`` is
-O(log n + k) for n breakpoints and k segments overlapping the window; the
-terms are summed in segment order, as a full scan would sum them. A constant
-or step trace has at most three breakpoints, so each call is O(1) there.
-``block_integrals`` costs n ``integral`` calls by default, which only the
-rate-mode CSV trace takes. The piecewise-constant trace overrides it with
-O(log n) work per run of blocks inside one segment plus one ``integral``
-call per block on a segment edge; the sinusoid with one ``cos`` per block
-edge, n + 1 in all instead of 2n.
+The piecewise traces bisect to the first segment a window touches and sum
+the terms in segment order, as a full scan would.
 """
 
 from __future__ import annotations
@@ -78,7 +62,10 @@ class RateFunction:
 
     def block_integrals(self, start: int, block: int, n: int) -> list[float]:
         """``integral`` over each of the n blocks of ``block`` ms from
-        ``start`` on (all ints, block > 0), as exactly the same floats."""
+        ``start`` on (all ints, block > 0), as exactly the same floats: the
+        engine rounds each block's expected count, so a last-bit difference
+        could flip a record. An override may only change how the floats are
+        reached."""
         integral = self.integral
         return [integral(a, a + block) for a in range(start, start + n * block, block)]
 

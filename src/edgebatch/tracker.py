@@ -1,30 +1,18 @@
-"""Traffic tracker: resamples receiver reports into fixed windows and keeps a
-grey model trained on the trailing windows for short-term rate prediction.
+"""Traffic tracker: resamples receiver reports into fixed windows and keeps
+the one-step GM(1,1) forecast of the trailing windows' rates.
 
-A receiver report is two ints passed straight to ``report_info``: a time in
-ms and the records received from then on, counted into the window holding
-that time. The engine makes one report per window, when the window closes:
-its start and the records of every block in it. Any number of reports may
-go into one open window.
+The engine makes one ``report_info`` call per window, when the window
+closes: its start and the records of every block in it. Any number of
+reports may go into one open window.
 
 The tracker keeps only what a fit reads: the rates of the last
 ``train_num`` closed windows. ``close_windows_upto`` returns one
-``WindowRow`` per window it closes, which carries the forecast rule. With
-prediction on it fits after every window, and the forecast is the GM(1,1)
-forecast, or None while there is no model. With it off nothing reads a fit,
-so none is made: the forecast is None until ``train_num`` windows have
-closed, and the measured rate from then on.
-The fit keeps no model, only its one-step forecast: ``_fit`` evaluates it
-once per window close, the window's row reads it there, and
-``predict_rate`` serves it to the control ticks until the next close. So
-the benchmark's ``tracker.forecasts_per_fit`` (``predict_rate`` calls over
-``grey.fit`` calls) counts ticks per fit: about 1.0 on sine-fine-2h. Fewer than
-``train_num`` windows, a series GM(1,1) cannot fit, or a forecast that
-overflows or is not finite leave no forecast (None), until a later window
-close fits again. ``WindowRow`` is slotted, not frozen, since a frozen
-``__init__`` sets each field through ``object.__setattr__``. The forecast's
-clamp at 0 is a comparison, not ``max``: a builtin call costs about seven
-times as much on CPython 3.11, and it runs on every fit.
+``WindowRow`` per window it closes, with its forecast. With prediction on
+it fits after every window close and keeps no model, only its one-step
+forecast, which the window's row and the control ticks until the next close
+read. With prediction off nothing reads a fit, so none is made: the forecast
+is None until ``train_num`` windows have closed, and the measured rate from
+then on.
 """
 
 from __future__ import annotations
@@ -54,6 +42,9 @@ class WindowRow:
 
 @dataclass(frozen=True)
 class TrackerConfig:
+    """The window length in ms, the windows per fit, and whether a control
+    tick's q_next is the forecast (else the measured rate)."""
+
     resample_interval: int = 30_000
     train_num: int = 5
     prediction_enabled: bool = True

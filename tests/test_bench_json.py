@@ -94,3 +94,16 @@ def test_missing_seed_skips_the_workload(tmp_path, capsys):
     w = json.loads(out.read_text())["workloads"]
     assert list(w) == ["sine-fine-2h"]
     assert w["sine-fine-2h"]["outputs_identical"] is False
+
+
+@pytest.mark.parametrize("seeds", ["5110-5101", "5101", "5101-5101", "x"])
+def test_fewer_than_two_seeds_exit_2_with_one_line(tmp_path, capsys, seeds):
+    # Quartiles need two values: a reversed range names no seed at all.
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_json.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                         "--seeds", seeds, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seeds" in err and "Traceback" not in err
+    assert not out.exists()

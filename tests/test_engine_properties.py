@@ -28,13 +28,14 @@ checks the floats of a batch that did not wait.
 import dataclasses
 import heapq
 import itertools
+import math
 import tempfile
 from collections import deque
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from edgebatch import traces
@@ -472,3 +473,60 @@ def test_vanilla_run_is_monotone_in_each_cost_term(drawn, term, raise_by):
     for a, b in zip(fast, slow):
         assert (b.interval_ms, b.records, b.blocks) == (a.interval_ms, a.records, a.blocks)
         assert b.time_ms >= a.time_ms
+
+
+# -- closed form ----------------------------------------------------------------
+
+
+def lindley_rows(config, rate):
+    """The batch rows of a vanilla run of config on a constant trace of rate,
+    jitter off, as (time, interval, records, blocks, sched, proc): Lindley's
+    recursion for one FIFO server (Lindley, 1952), in absolute time. Batch k
+    is sealed at its fire k * I, starts at max(k * I, the completion of
+    batch k - 1), the fire on a tie, and completes one cost later. Every
+    block holds the same records, so every batch has the same cost."""
+    block, interval = config.block_interval, config.initial_interval
+    per_block = math.floor(rate * block / 1000.0 + 0.5)
+    records, blocks = interval // block * per_block, interval // block if per_block else 0
+    model = config.cost_model
+    cost = model.fixed_overhead + model.per_record_cost * records + model.per_block_cost * blocks
+    rows, done = [], None
+    for fire in range(interval, config.duration + 1, interval):
+        start = fire if done is None or done <= fire else done
+        done = start + cost
+        if done > config.duration:  # completes after the trace end: not logged
+            break
+        sched = 0.0 if start == fire else start - float(fire)
+        rows.append((done, interval, records, blocks, sched, done - start))
+    return rows
+
+
+@st.composite
+def vanilla_constant_runs(draw):
+    """A vanilla config with jitter off, and a constant rate. The fixed cost
+    is drawn up to twice the interval, so that in some runs the worker falls
+    behind, and equal to it now and then, so that a batch completes on the
+    next fire."""
+    config, _ = draw(engine_runs(jitter=False))
+    interval = float(config.initial_interval)
+    fixed = draw(st.one_of(st.just(interval), st.integers(0, 2 * int(interval)).map(float),
+                           st.floats(0.0, 2.0 * interval)))
+    model = JobCostModel(fixed, draw(st.sampled_from([0.0, 0.01, 0.25])),
+                         draw(st.sampled_from([0.0, 8.0])))
+    config = dataclasses.replace(config, mode=VANILLA, cost_model=model)
+    return config, draw(st.one_of(RATES, st.floats(0.0, 5000.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vanilla_constant_runs())
+def test_vanilla_constant_run_follows_lindleys_recursion(drawn):
+    config, rate = drawn
+    log = MicrobatchEngine(config, traces.constant(rate)).run()
+    got = [(b.time_ms, b.interval_ms, b.records, b.blocks, b.sched_delay_ms, b.proc_delay_ms)
+           for b in split_rows(log)[0]]
+    want = lindley_rows(config, rate)
+    event("no batch" if not want else "a batch waited" if any(row[4] for row in want)
+          else "no batch waited")
+    assert got == want
+    assert repr(got) == repr(want)  # the same types and signs too
+    assert log.batch_count == len(want)

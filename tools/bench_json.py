@@ -37,11 +37,14 @@ from pathlib import Path
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'5101-5110' or '1,2,7' or a mix: '1-3,9'."""
+    """'5101-5110' or '1,2,7' or a mix: '1-3,9'. Quartiles need at least two
+    seeds, so fewer, as from a reversed range, are rejected."""
     seeds: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} names {len(seeds)} seed(s), not 2 or more")
     return seeds
 
 
@@ -114,7 +117,9 @@ def summarise_workload(parent: list[dict], change: list[dict], metrics: list[dic
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    # No usage on an error, so that the error is one stderr line.
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0],
+                                     usage=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
     parser.add_argument("--seeds", type=parse_seeds, required=True,
