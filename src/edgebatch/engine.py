@@ -222,7 +222,7 @@ class MicrobatchEngine:
         pending = None
         job = None
         queue: deque[tuple[int, int, int, int]] = deque()
-        batch_records = completed = 0
+        completed = 0
         while True:
             # The next event is the earliest of the five clocks by (time, rank).
             if window <= tick:
@@ -267,9 +267,8 @@ class MicrobatchEngine:
                 if kind == BATCH_TIMER_FIRE:
                     # Group every unsealed block into the next batch.
                     sealed_blocks = nonempty[k - first]
-                    batch_size = sealed_records - batched_records
-                    queue.append((batch_size, sealed_blocks - batched_blocks, now, interval))
-                    batch_records += batch_size
+                    queue.append((sealed_records - batched_records,
+                                  sealed_blocks - batched_blocks, now, interval))
                     batched_records, batched_blocks = sealed_records, sealed_blocks
                     if pending is not None:
                         interval, pending = pending, None
@@ -279,7 +278,7 @@ class MicrobatchEngine:
                     # The window closing is the one that ends now: every block
                     # sealed since the last close started in it, since windows
                     # are block multiples.
-                    tracker.report_info(now - w, sealed_records - reported_records)
+                    tracker.report_info(sealed_records - reported_records)
                     reported_records = sealed_records
                     windows += tracker.close_windows_upto(now)
                     window = now + w
@@ -305,10 +304,9 @@ class MicrobatchEngine:
                 job = (done_at, JOB_COMPLETE if done_at > now else INSTANT_JOB_COMPLETE,
                        batch, now)
         # Whatever the receiver still holds is sealed as one last batch, which
-        # never runs because simulated time stops here, so the ledger balances.
-        batch_records += sealed_records - batched_records
+        # never runs because simulated time stops here, so batches hold every record.
         metrics.total_generated = metrics.total_block_records = sealed_records
-        metrics.total_batch_records = batch_records
+        metrics.total_batch_records = sealed_records
         metrics.batch_count = completed
         return metrics
 

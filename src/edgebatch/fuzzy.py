@@ -36,8 +36,7 @@ log = logging.getLogger(__name__)
 CENTERS = (-0.2, -0.1, 0.0, 0.1, 0.2)
 HALF_WIDTH = 0.1
 _LO, _HI = CENTERS[0], CENTERS[-1]
-_TOP = len(CENTERS) - 1
-_LOWER_CENTERS = CENTERS[:-1]  # infer's lower bracketing label: bisect in these
+_LOWER_CENTERS = CENTERS[:-1]  # the lower bracketing label: bisect in these
 
 TIE_GUARD = 1e-9  # infer's mean this near a half-integer takes the snapped path
 
@@ -54,22 +53,22 @@ def _memberships(x: float) -> list[tuple[int, float]]:
     [-0.2, 0.2], each degree snapped to 12 decimals: the one definition of
     the degrees."""
     out = []
-    # CENTERS[hi - 1] <= x < CENTERS[hi]: only these two labels can be active,
+    # Labels i and i + 1 bracket x, as in infer: only these two can be active,
     # since the centres are one HALF_WIDTH apart as floats too and float
-    # subtraction is monotone.
+    # subtraction is monotone. x = 0.2 takes 3 and 4, where label 3's degree
+    # is exactly 0.
     # Below x, x - centre >= 0 stands for its abs (-0.0 gives the same degree);
     # above x, centre - x is abs(x - centre) exactly: subtraction is symmetric.
-    hi = bisect_right(CENTERS, x)
+    i = bisect_right(_LOWER_CENTERS, x) - 1
     # Snap representation noise so boundary inputs (e.g. exactly half way
     # between centres) fire with their exact intended degrees. Rounding never
     # makes a degree <= 0 positive, so skip those.
-    degree = 1.0 - (x - CENTERS[hi - 1]) / HALF_WIDTH
+    degree = 1.0 - (x - CENTERS[i]) / HALF_WIDTH
     if degree > 0.0 and (degree := round(degree, 12)) > 0.0:
-        out.append((hi - 1, degree))
-    if hi <= _TOP:
-        degree = 1.0 - (CENTERS[hi] - x) / HALF_WIDTH
-        if degree > 0.0 and (degree := round(degree, 12)) > 0.0:
-            out.append((hi, degree))
+        out.append((i, degree))
+    degree = 1.0 - (CENTERS[i + 1] - x) / HALF_WIDTH
+    if degree > 0.0 and (degree := round(degree, 12)) > 0.0:
+        out.append((i + 1, degree))
     return out
 
 
@@ -153,9 +152,8 @@ def infer(c: float, d: float) -> int:
     the denominator is >= 0.5, since each input's largest degree is at least
     0.5. So outside TIE_GUARD of a half-integer both means round to the same
     level; inside it ``_infer_snapped`` decides."""
-    # Labels i and i + 1 bracket c, j and j + 1 bracket d; c = 0.2 takes 3
-    # and 4, where label 3's degree is exactly 0. Each degree is in [0, 1],
-    # and one of 0 adds a strength of 0.
+    # Labels i and i + 1 bracket c, j and j + 1 bracket d, as in _memberships.
+    # Each degree is in [0, 1], and one of 0 adds a strength of 0.
     i = bisect_right(_LOWER_CENTERS, c) - 1
     j = bisect_right(_LOWER_CENTERS, d) - 1
     c_lo = 1.0 - (c - CENTERS[i]) / HALF_WIDTH

@@ -152,6 +152,14 @@ class RunSpec:
     label: str = "run"
 
 
+def run_size(engine: EngineConfig) -> tuple[int, int]:
+    """(blocks, rows): the blocks a run seals, and the most rows it can log:
+    every interval and window is a block multiple, so one batch and one
+    window per block, and one row per control tick."""
+    blocks = engine.duration // engine.block_interval
+    return blocks, 2 * blocks + engine.duration // engine.controller.control_period
+
+
 # The config schema: key -> (the config class or trace builder it sets, the
 # parameter, the parser). An omitted key leaves its parameter's default, and
 # a key whose parameter has no default is required. trace.kind's value is
@@ -237,10 +245,7 @@ def build_run_spec(cfg: dict[str, str], base_dir: Path | None = None) -> RunSpec
         tracker=TrackerConfig(**args[TrackerConfig]),
         **args[EngineConfig],
     )
-    # Every interval and window is a block multiple, so a run logs at most one
-    # batch and one window per block, and one row per control tick.
-    rows = (2 * (engine.duration // engine.block_interval)
-            + engine.duration // engine.controller.control_period)
+    _, rows = run_size(engine)
     if rows > MAX_RUN_ROWS:
         raise DomainError(f"engine.duration {engine.duration} ms allows up to {rows} rows, "
                           f"more than MAX_RUN_ROWS = {MAX_RUN_ROWS}")
@@ -537,22 +542,27 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser. No parser prints its usage, so an argument error is
+    one stderr line; each subparser then needs a prog to name itself."""
     parser = argparse.ArgumentParser(
-        prog="edgebatch",
+        prog="edgebatch", usage=argparse.SUPPRESS,
         description="Micro-batch streaming simulator with adaptive interval control",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a config file")
+    def add(name: str, text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=text, prog=f"edgebatch {name}", usage=argparse.SUPPRESS)
+
+    p_run = add("run", "run a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
 
-    p_preset = sub.add_parser("preset", help="run a packaged experiment preset")
+    p_preset = add("preset", "run a packaged experiment preset")
     p_preset.add_argument("name", choices=PRESETS)
     p_preset.add_argument("--disable-prediction", action="store_true")
     p_preset.add_argument("--out", default=None)
 
-    p_val = sub.add_parser("validate", help="check a config file and exit")
+    p_val = add("validate", "check a config file and exit")
     p_val.add_argument("--config", required=True)
     return parser
 
@@ -567,8 +577,9 @@ def main(argv=None) -> int:
             execute(spec, args.out)
         else:
             spec = load_run_spec(args.config)
-            print(f"{args.config}: ok ({spec.label}, {spec.engine.mode}, "
-                  f"duration {spec.engine.duration} ms)")
+            blocks, rows = run_size(spec.engine)
+            print(f"{args.config}: ok ({spec.label}, {spec.engine.mode}, duration "
+                  f"{spec.engine.duration} ms, {blocks} blocks, at most {rows} rows)")
     except (UsageError, TraceParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """Traffic tracker: resamples receiver reports into fixed windows and keeps
 the one-step GM(1,1) forecast of the trailing windows' rates.
 
-The engine makes one ``report_info`` call per window, when the window
-closes: its start and the records of every block in it. Any number of
-reports may go into one open window.
+Reports go into the one open window. The engine makes one ``report_info``
+call per window, with the records sealed since the last close, then calls
+``close_windows_upto`` with the window's end.
 
 The tracker keeps only what a fit reads: the rates of the last
 ``train_num`` closed windows. ``close_windows_upto`` returns one
@@ -59,44 +59,35 @@ class TrackerConfig:
 
 
 class TrafficTracker:
-    """Accumulates reports per window, closes windows as time advances."""
+    """Counts the open window's records, closes windows as time advances."""
 
     def __init__(self, config: TrackerConfig):
         self.config = config
         # The last fit's one-step forecast, clamped to >= 0; None without one.
         self._forecast: Optional[float] = None
-        self._open_counts: dict[int, int] = {}
+        self._open_count = 0  # records reported since the last close
         # Rates of the last train_num closed windows, oldest first.
         self._rates: deque[float] = deque(maxlen=self.config.train_num)
         self._next_close_index = 0
 
-    def report_info(self, timestamp: int, record_count: int) -> None:
-        """Attribute record_count records, received from timestamp ms on, to
-        the window containing timestamp; both must be >= 0."""
-        if timestamp < 0:
-            raise DomainError(f"timestamp must be >= 0, got {timestamp}")
-        if record_count < 0:
-            raise DomainError(f"record_count must be >= 0, got {record_count}")
-        index = timestamp // self.config.resample_interval
-        if index < self._next_close_index:
-            log.warning("dropping report at t=%d for already closed window %d",
-                        timestamp, index)
-            return
-        self._open_counts[index] = self._open_counts.get(index, 0) + record_count
+    def report_info(self, record_count: int) -> None:
+        """Add record_count records to the open window."""
+        self._open_count += record_count
 
     def close_windows_upto(self, now: int) -> list[WindowRow]:
         """Close every window whose end is <= now, fitting after each while
         prediction is on; returns their rows oldest first.
 
-        Windows with no reports close with rate 0 so the resampled history
-        stays contiguous.
+        The open window takes the records reported since the last close, and
+        any later window closes with 0, so the resampled history stays
+        contiguous.
         """
         w = self.config.resample_interval
         prediction_enabled = self.config.prediction_enabled
         index = self._next_close_index
         closed: list[WindowRow] = []
         while (index + 1) * w <= now:
-            rate = self._open_counts.pop(index, 0) * 1000.0 / w
+            rate, self._open_count = self._open_count * 1000.0 / w, 0
             self._rates.append(rate)
             self._next_close_index = index + 1
             if prediction_enabled:

@@ -248,7 +248,7 @@ class HeapReference:
             at, rank, _, payload = heapq.heappop(self.heap)
             block = cfg.block_interval
             while (self.sealed + 1) * block <= at:
-                self.tracker.report_info(self.sealed * block, self.counts[self.sealed])
+                self.tracker.report_info(self.counts[self.sealed])
                 self.log.total_generated += self.counts[self.sealed]
                 self.sealed += 1
             handlers[rank](at, payload)

@@ -376,6 +376,34 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_cli_validate_reports_blocks_and_row_bound(capsys):
+    conf = Path(harness.__file__).parent / "presets" / "exp1.conf"
+    assert main(["validate", "--config", str(conf)]) == 0
+    # 300 s of 200 ms blocks, and a tick every 10 s: 2 * 1500 + 30 rows.
+    assert capsys.readouterr().out == (f"{conf}: ok (exp1, adaptive, duration 300000 ms, "
+                                       "1500 blocks, at most 3030 rows)\n")
+    spec = load_preset("exp1")
+    assert harness.run_size(spec.engine) == (1500, 3030)
+    log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
+    assert len(log.rows) + len(log.windows) <= 3030
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "c", "--bogus"], ["run"],
+                                  ["preset", "nope"],
+                                  ["validate", "--config", "c", "--out", "o"], [], ["bogus"]],
+                         ids=["unknown-flag", "no-config", "unknown-preset",
+                              "validate-out", "no-command", "unknown-command"])
+def test_cli_argument_errors_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("edgebatch")
+    assert "usage:" not in captured.err
+
+
 def test_readme_config_example_validates(tmp_path, capsys):
     # The documented example must name only keys the parser accepts.
     conf = tmp_path / "readme.conf"

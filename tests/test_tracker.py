@@ -14,11 +14,22 @@ def make_tracker(**kw):
     return TrafficTracker(TrackerConfig(**kw))
 
 
+def close_each(tracker, counts):
+    """Report each count into its own window and close that window, from the
+    first window on; returns the closed rows."""
+    w = tracker.config.resample_interval
+    closed = []
+    for k, count in enumerate(counts):
+        tracker.report_info(count)
+        closed += tracker.close_windows_upto((k + 1) * w)
+    return closed
+
+
 def test_reports_average_into_window_rate():
     tracker = make_tracker()
-    # 30 reports of 100 records spread over one 30 s window.
-    for k in range(30):
-        tracker.report_info(k * 1000, 100)
+    # 30 reports of 100 records into one 30 s window.
+    for _ in range(30):
+        tracker.report_info(100)
     closed = tracker.close_windows_upto(30_000)
     assert len(closed) == 1
     assert closed[0].window_start_ms == 0
@@ -27,32 +38,29 @@ def test_reports_average_into_window_rate():
 
 def test_empty_windows_close_with_zero_rate():
     tracker = make_tracker()
-    tracker.report_info(65_000, 300)
+    tracker.report_info(300)
+    # The open window takes the count, and the windows after it close empty.
     closed = tracker.close_windows_upto(90_000)
-    assert [row.rate_measured for row in closed] == pytest.approx([0.0, 0.0, 10.0])
+    assert [row.rate_measured for row in closed] == [10.0, 0.0, 0.0]
     assert [row.window_start_ms for row in closed] == [0, 30_000, 60_000]
+    assert tracker.close_windows_upto(120_000) == [WindowRow(90_000, 0.0, None)]
 
 
 def test_open_window_never_included():
     tracker = make_tracker(prediction_enabled=False)
-    tracker.report_info(10_000, 50)
+    tracker.report_info(50)
     assert tracker.close_windows_upto(29_999) == []
     assert tracker.control_rates() == (None, None)
     closed = tracker.close_windows_upto(30_000)
     rate = 50 * 1000.0 / 30_000
     assert closed == [WindowRow(0, rate, None)]
-    tracker.report_info(40_000, 70)  # into the open window
+    tracker.report_info(70)  # after the close: into the next window, still open
     assert tracker.control_rates() == (rate, rate)
     assert tracker.close_windows_upto(59_999) == []
     assert tracker.control_rates() == (rate, rate)
-
-
-def test_report_to_closed_window_is_dropped():
-    tracker = make_tracker()
-    tracker.close_windows_upto(30_000)
-    tracker.report_info(1000, 999)
-    tracker.close_windows_upto(60_000)
-    assert tracker.control_rates() == (0.0, None)
+    rate = 70 * 1000.0 / 30_000
+    assert tracker.close_windows_upto(60_000) == [WindowRow(30_000, rate, None)]
+    assert tracker.control_rates() == (rate, rate)
 
 
 def test_train_needs_enough_windows():
@@ -64,9 +72,7 @@ def test_train_needs_enough_windows():
 
 def test_train_and_predict_constant_rate():
     tracker = make_tracker()
-    for k in range(150):
-        tracker.report_info(k * 1000, 100)
-    closed = tracker.close_windows_upto(150_000)
+    closed = close_each(tracker, [3000] * 5)  # 100 records/s
     model = grey.fit([row.rate_measured for row in closed])
     assert abs(model.alpha) < grey.EPS_ALPHA
     assert tracker.predict_rate() == pytest.approx(100.0)
@@ -77,36 +83,36 @@ def test_prediction_clamped_non_negative():
     tracker = make_tracker()
     # Window rates [1000, 1000, 1000, 1000, 5000]: on this burst GM(1,1)
     # forecasts about -6970 for the next window.
-    counts = [30_000, 30_000, 30_000, 30_000, 150_000]
-    for k, count in enumerate(counts):
-        tracker.report_info(k * 30_000, count)
-    closed = tracker.close_windows_upto(150_000)
+    closed = close_each(tracker, [30_000, 30_000, 30_000, 30_000, 150_000])
     model = grey.fit([row.rate_measured for row in closed])
     assert grey.predict(model, model.train_len + 1) < 0.0
     assert tracker.predict_rate() == closed[-1].rate_predicted_next == 0.0
 
 
 def test_record_conservation():
+    # As the engine does: close every window that ends by a report's time,
+    # then report into the open window, the one that holds that time.
     tracker = make_tracker()
-    total = 0
-    for k in range(200):
-        count = (k * 37) % 250
-        total += count
-        tracker.report_info(k * 700, count)
-    closed = tracker.close_windows_upto(140_000)
-    assert [row.window_start_ms for row in closed] == [k * 30_000 for k in range(4)]
     w = tracker.config.resample_interval  # every window's length
+    counts = [(k * 37) % 250 for k in range(200)]
+    closed = []
+    for k, count in enumerate(counts):
+        closed += tracker.close_windows_upto(k * 700)
+        tracker.report_info(count)
+    closed += tracker.close_windows_upto(140_000)
+    assert [row.window_start_ms for row in closed] == [k * 30_000 for k in range(4)]
+    for row in closed:
+        in_window = sum(count for k, count in enumerate(counts)
+                        if row.window_start_ms <= k * 700 < row.window_start_ms + w)
+        assert row.rate_measured == in_window * 1000.0 / w
     closed_sum = sum(row.rate_measured * w / 1000.0 for row in closed)
-    open_sum = sum(tracker._open_counts.values())
-    assert math.isclose(closed_sum + open_sum, total, rel_tol=1e-9)
+    assert math.isclose(closed_sum + tracker._open_count, sum(counts), rel_tol=1e-9)
 
 
 def test_train_fits_the_last_train_num_windows():
     tracker = make_tracker(train_num=5)
-    for k in range(50):
-        tracker.report_info(k * 30_000, 3000 + 7 * k * k)  # distinct rates
-    closed = tracker.close_windows_upto(30_000 * 50)
-    assert len(closed) == 50  # every window closed now is returned
+    closed = close_each(tracker, [3000 + 7 * k * k for k in range(50)])  # distinct rates
+    assert len(closed) == 50
     rates = [row.rate_measured for row in closed]
     assert len(set(rates)) == 50
     # A fit after every window: each row holds the forecast of its own tail.
@@ -125,26 +131,16 @@ def test_config_validation():
         TrackerConfig(train_num=3)
 
 
-def test_report_validation():
-    tracker = make_tracker()
-    with pytest.raises(DomainError, match="timestamp"):
-        tracker.report_info(-1, 10)
-    with pytest.raises(DomainError, match="record_count"):
-        tracker.report_info(0, -5)
-    tracker.report_info(0, 0)
-    tracker.close_windows_upto(30_000)
-    assert tracker.control_rates() == (0.0, None)
-
-
 def test_control_rates_rule():
     on, off = make_tracker(), make_tracker(prediction_enabled=False)
+    # Five 30 s windows with 100 + k records in the k-th second.
+    counts = [sum(range(100 + 30 * j, 130 + 30 * j)) for j in range(5)]
     for tracker in (on, off):
         assert tracker.control_rates() == (None, None)  # no window closed yet
-        for k in range(150):
-            tracker.report_info(k * 1000, 100 + k)
         # Four windows: no model yet, so no forecast with prediction off too.
-        closed = tracker.close_windows_upto(120_000)
+        closed = close_each(tracker, counts[:4])
         assert [row.rate_predicted_next for row in closed] == [None] * 4
+        tracker.report_info(counts[4])
     q_now = closed[-1].rate_measured
     assert on.control_rates() == (q_now, None)
     assert off.control_rates() == (q_now, q_now)
@@ -162,15 +158,13 @@ def test_failed_fit_leaves_no_model_until_a_fit_succeeds():
     # equations are singular and the tail is not flat, so GM(1,1) cannot fit
     # them, while the fits before succeed.
     tracker = make_tracker()
-    for k, count in enumerate([150] * 4 + [30_000_000_000, 150, 300, 150, 150]):
-        tracker.report_info(k * 30_000, count)
-    *_, fitted, failed = tracker.close_windows_upto(270_000)
+    *_, fitted, failed = close_each(tracker, [150] * 4 + [30_000_000_000, 150, 300, 150, 150])
     assert fitted.rate_predicted_next is not None
     # The failed fit drops the forecast the fit before it made.
     assert failed.rate_predicted_next is None
     assert tracker.predict_rate() is None
     assert tracker.control_rates() == (5.0, None)
-    tracker.report_info(270_000, 150)
+    tracker.report_info(150)
     [row] = tracker.close_windows_upto(300_000)  # the next window close fits again
     assert row.rate_predicted_next is not None
     assert tracker.control_rates() == (5.0, row.rate_predicted_next)
@@ -201,7 +195,7 @@ def test_every_forecast_is_finite_and_non_negative(series):
     train_num, counts = series
     tracker = make_tracker(resample_interval=1000, train_num=train_num)
     for k, count in enumerate(counts):
-        tracker.report_info(k * 1000, count)
+        tracker.report_info(count)
         [row] = tracker.close_windows_upto((k + 1) * 1000)
         forecast = tracker.predict_rate()
         assert row.rate_predicted_next == forecast
