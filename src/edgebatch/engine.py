@@ -280,7 +280,7 @@ class MicrobatchEngine:
                     # are block multiples.
                     tracker.report_info(sealed_records - reported_records)
                     reported_records = sealed_records
-                    windows += tracker.close_windows_upto(now)
+                    windows.append(tracker.close_windows_upto(now))
                     window = now + w
                 elif kind == CONTROL_TICK:
                     s = monitor.update_estimate()
@@ -314,12 +314,9 @@ class MicrobatchEngine:
         """Record counts of blocks first .. first + n - 1: each block's
         expected count, scaled by its jitter factor, rounded half up. The
         jitter RNG is drawn once per block, in block order; the expression
-        is ``uniform(-1.0, 1.0)``'s own, ``-1.0 + 2.0 * random()``."""
+        is ``uniform(-1.0, 1.0)``'s own, ``-1.0 + 2.0 * random()``. Jitter 0
+        gives the factor 1.0 exactly, as 0.0 * x is +-0.0."""
         block, jitter = self.config.block_interval, self.config.jitter
         expected = self.trace.block_integrals(first * block, block, n)
-        floor = math.floor
-        if jitter > 0.0:
-            random_ = rng.random
-            return [floor(e * (1.0 + jitter * (-1.0 + 2.0 * random_())) + 0.5)
-                    for e in expected]
-        return [floor(e + 0.5) for e in expected]
+        floor, random_ = math.floor, rng.random
+        return [floor(e * (1.0 + jitter * (-1.0 + 2.0 * random_())) + 0.5) for e in expected]

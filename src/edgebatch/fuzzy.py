@@ -48,28 +48,27 @@ def clamp(x: float) -> float:
     return x if x < _HI else _HI
 
 
-def _memberships(x: float) -> list[tuple[int, float]]:
-    """(label, degree) of x's nonzero memberships in label order, for x in
-    [-0.2, 0.2], each degree snapped to 12 decimals: the one definition of
-    the degrees."""
-    out = []
-    # Labels i and i + 1 bracket x, as in infer: only these two can be active,
-    # since the centres are one HALF_WIDTH apart as floats too and float
-    # subtraction is monotone. x = 0.2 takes 3 and 4, where label 3's degree
-    # is exactly 0.
+def _bracket(x: float) -> tuple[int, float, float]:
+    """(i, degree of label i, degree of label i + 1), unsnapped, for x in
+    [-0.2, 0.2]: the one definition of the degrees."""
+    # Labels i and i + 1 bracket x: only these two can be active, since the
+    # centres are one HALF_WIDTH apart as floats too and float subtraction is
+    # monotone. x = 0.2 takes 3 and 4, where label 3's degree is exactly 0.
     # Below x, x - centre >= 0 stands for its abs (-0.0 gives the same degree);
     # above x, centre - x is abs(x - centre) exactly: subtraction is symmetric.
     i = bisect_right(_LOWER_CENTERS, x) - 1
+    return i, 1.0 - (x - CENTERS[i]) / HALF_WIDTH, 1.0 - (CENTERS[i + 1] - x) / HALF_WIDTH
+
+
+def _memberships(x: float) -> list[tuple[int, float]]:
+    """(label, degree) of x's nonzero memberships in label order, for x in
+    [-0.2, 0.2], each degree of ``_bracket`` snapped to 12 decimals."""
+    i, lo, hi = _bracket(x)
     # Snap representation noise so boundary inputs (e.g. exactly half way
     # between centres) fire with their exact intended degrees. Rounding never
     # makes a degree <= 0 positive, so skip those.
-    degree = 1.0 - (x - CENTERS[i]) / HALF_WIDTH
-    if degree > 0.0 and (degree := round(degree, 12)) > 0.0:
-        out.append((i, degree))
-    degree = 1.0 - (CENTERS[i + 1] - x) / HALF_WIDTH
-    if degree > 0.0 and (degree := round(degree, 12)) > 0.0:
-        out.append((i + 1, degree))
-    return out
+    return [(label, snapped) for label, degree in ((i, lo), (i + 1, hi))
+            if degree > 0.0 and (snapped := round(degree, 12)) > 0.0]
 
 
 # Rows indexed by the workload label D (NB..PB top to bottom), columns by the
@@ -152,14 +151,10 @@ def infer(c: float, d: float) -> int:
     the denominator is >= 0.5, since each input's largest degree is at least
     0.5. So outside TIE_GUARD of a half-integer both means round to the same
     level; inside it ``_infer_snapped`` decides."""
-    # Labels i and i + 1 bracket c, j and j + 1 bracket d, as in _memberships.
-    # Each degree is in [0, 1], and one of 0 adds a strength of 0.
-    i = bisect_right(_LOWER_CENTERS, c) - 1
-    j = bisect_right(_LOWER_CENTERS, d) - 1
-    c_lo = 1.0 - (c - CENTERS[i]) / HALF_WIDTH
-    c_hi = 1.0 - (CENTERS[i + 1] - c) / HALF_WIDTH
-    d_lo = 1.0 - (d - CENTERS[j]) / HALF_WIDTH
-    d_hi = 1.0 - (CENTERS[j + 1] - d) / HALF_WIDTH
+    # Labels i and i + 1 bracket c, j and j + 1 bracket d. Each degree is in
+    # [0, 1], and one of 0 adds a strength of 0.
+    i, c_lo, c_hi = _bracket(c)
+    j, d_lo, d_hi = _bracket(d)
     # The four strengths, min(degree of C, degree of D), as comparisons.
     lo_lo = c_lo if c_lo < d_lo else d_lo
     hi_lo = c_hi if c_hi < d_lo else d_lo

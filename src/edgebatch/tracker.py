@@ -1,18 +1,18 @@
 """Traffic tracker: resamples receiver reports into fixed windows and keeps
 the one-step GM(1,1) forecast of the trailing windows' rates.
 
-Reports go into the one open window. The engine makes one ``report_info``
-call per window, with the records sealed since the last close, then calls
-``close_windows_upto`` with the window's end.
+The engine owns the window clock. It makes one ``report_info`` call per
+window, with the records sealed since the last close, then calls
+``close_windows_upto`` with the window's end, so every report goes into the
+one open window.
 
 The tracker keeps only what a fit reads: the rates of the last
-``train_num`` closed windows. ``close_windows_upto`` returns one
-``WindowRow`` per window it closes, with its forecast. With prediction on
-it fits after every window close and keeps no model, only its one-step
-forecast, which the window's row and the control ticks until the next close
-read. With prediction off nothing reads a fit, so none is made: the forecast
-is None until ``train_num`` windows have closed, and the measured rate from
-then on.
+``train_num`` closed windows. ``close_windows_upto`` returns the closed
+window's ``WindowRow``, with its forecast. With prediction on it fits after
+every window close and keeps no model, only its one-step forecast, which the
+window's row and the control ticks until the next close read. With
+prediction off nothing reads a fit, so none is made: the forecast is None
+until ``train_num`` windows have closed, and the measured rate from then on.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class TrackerConfig:
 
 
 class TrafficTracker:
-    """Counts the open window's records, closes windows as time advances."""
+    """Counts the open window's records and closes the window the engine names."""
 
     def __init__(self, config: TrackerConfig):
         self.config = config
@@ -68,43 +68,32 @@ class TrafficTracker:
         self._open_count = 0  # records reported since the last close
         # Rates of the last train_num closed windows, oldest first.
         self._rates: deque[float] = deque(maxlen=self.config.train_num)
-        self._next_close_index = 0
 
     def report_info(self, record_count: int) -> None:
         """Add record_count records to the open window."""
         self._open_count += record_count
 
-    def close_windows_upto(self, now: int) -> list[WindowRow]:
-        """Close every window whose end is <= now, fitting after each while
-        prediction is on; returns their rows oldest first.
-
-        The open window takes the records reported since the last close, and
-        any later window closes with 0, so the resampled history stays
-        contiguous.
-        """
+    def close_windows_upto(self, now: int) -> WindowRow:
+        """Close the open window, which must end at now, fitting while
+        prediction is on; returns its row. The window takes the records
+        reported since the last close."""
         w = self.config.resample_interval
-        prediction_enabled = self.config.prediction_enabled
-        index = self._next_close_index
-        closed: list[WindowRow] = []
-        while (index + 1) * w <= now:
-            rate, self._open_count = self._open_count * 1000.0 / w, 0
-            self._rates.append(rate)
-            self._next_close_index = index + 1
-            if prediction_enabled:
-                self._fit()
-                predicted = self._forecast
-            else:
-                predicted = rate if len(self._rates) == self.config.train_num else None
-            closed.append(WindowRow(index * w, rate, predicted))
-            index += 1
-        return closed
+        rate, self._open_count = self._open_count * 1000.0 / w, 0
+        self._rates.append(rate)
+        if self.config.prediction_enabled:
+            self._fit(now)
+            predicted = self._forecast
+        else:
+            predicted = rate if len(self._rates) == self.config.train_num else None
+        return WindowRow(now - w, rate, predicted)
 
-    def _fit(self) -> None:
+    def _fit(self, now: int) -> None:
         """Fit GM(1,1) on the last train_num window rates and keep its one-step
         forecast, clamped to >= 0; keep None while fewer than train_num windows
         have closed, when GM(1,1) cannot fit them (``FitError``) or when the
         forecast overflows or is not finite. The controller then runs on the
-        workload alone until a later fit succeeds."""
+        workload alone until a later fit succeeds. now, the closed window's
+        end, names the windows in the debug line."""
         self._forecast = None
         if len(self._rates) < self.config.train_num:
             return
@@ -114,8 +103,7 @@ class TrafficTracker:
             if not math.isfinite(rate):
                 raise OverflowError(f"forecast {rate!r} is not finite")
         except (FitError, OverflowError) as exc:
-            log.debug("no grey model for the windows up to %d ms: %s",
-                      self._next_close_index * self.config.resample_interval, exc)
+            log.debug("no grey model for the windows up to %d ms: %s", now, exc)
             return
         self._forecast = rate if rate > 0.0 else 0.0  # max(0.0, rate)
 

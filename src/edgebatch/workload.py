@@ -1,19 +1,17 @@
 """The exponentially smoothed workload estimate.
 
 Each completed batch yields a workload sample eta = total delay / interval
-used, computed by the engine when the batch completes. The monitor buffers
-samples between control ticks and folds their mean into a single smoothed
-estimate S, a float; S < 1 means the system keeps up, S > 1 means batches
-take longer than the interval that produced them. Every control tick reads
-S through ``update_estimate``.
+used, computed by the engine when the batch completes. The monitor adds each
+sample to a running sum and count as it comes, and folds their mean into a
+single smoothed estimate S, a float; S < 1 means the system keeps up, S > 1
+means batches take longer than the interval that produced them. Every
+control tick reads S through ``update_estimate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .errors import DomainError
 
@@ -32,26 +30,25 @@ class MonitorConfig:
 
 
 class WorkloadMonitor:
-    """Buffers per-batch workload samples and smooths them on demand."""
+    """Tallies per-batch workload samples and smooths them on demand."""
 
     def __init__(self, config: MonitorConfig):
         self.config = config
-        self._pending: list[float] = []
+        self._sum = self._count = 0  # samples since the last update, a left fold
         self.value = self.config.initial_estimate  # S
 
     def on_batch_completed(self, eta: float) -> None:
-        """Buffer one batch's workload sample; it must be > 0."""
+        """Add one batch's workload sample to the tally; it must be > 0."""
         if not eta > 0:
             raise DomainError(f"workload sample must be > 0, got {eta!r}")
-        self._pending.append(eta)
+        self._sum += eta
+        self._count += 1
 
     def update_estimate(self) -> float:
-        """Fold the pending samples' mean into S and return S; S is unchanged
-        if no sample arrived since the last call."""
-        pending = self._pending
-        if pending:
+        """Fold the mean of the samples since the last call into S and return
+        S; S is unchanged if no sample arrived."""
+        if self._count:
             a = self.config.smoothing_coefficient
-            mean_eta = reduce(add, pending, 0) / len(pending)  # a left fold, see edgebatch.grey
-            self.value = a * mean_eta + (1.0 - a) * self.value
-            pending.clear()
+            self.value = a * (self._sum / self._count) + (1.0 - a) * self.value
+            self._sum = self._count = 0
         return self.value

@@ -282,13 +282,13 @@ def test_retrain_replaces_cached_forecast():
     closed = []
     for k, count in enumerate([3000, 3300, 3600, 4200, 4500]):
         tracker.report_info(count)
-        closed += tracker.close_windows_upto((k + 1) * 30_000)  # the fifth close fits
+        closed.append(tracker.close_windows_upto((k + 1) * 30_000))  # the fifth close fits
     rates = [row.rate_measured for row in closed]
     before = tracker.predict_rate()
     assert before == max(0.0, grey.predict(grey.fit(rates), len(rates) + 1))
     assert tracker.predict_rate() == before  # served again, same fit
     tracker.report_info(1500)  # a sharp drop in the next window
-    [row] = tracker.close_windows_upto(180_000)
+    row = tracker.close_windows_upto(180_000)
     rates = rates[1:] + [row.rate_measured]
     after = tracker.predict_rate()
     assert after == max(0.0, grey.predict(grey.fit(rates), len(rates) + 1))
@@ -302,7 +302,8 @@ def test_predict_rate_clamps_like_max(monkeypatch, forecast):
     tracker = TrafficTracker(TrackerConfig())
     for k in range(5):
         tracker.report_info(3000)
-        tracker.close_windows_upto((k + 1) * 30_000)
+        row = tracker.close_windows_upto((k + 1) * 30_000)
+    assert repr(row.rate_predicted_next) == repr(tracker.predict_rate())
     if math.isfinite(forecast):
         assert repr(tracker.predict_rate()) == repr(max(0.0, forecast))
     else:  # a forecast that is not finite leaves no model

@@ -295,7 +295,7 @@ class HeapReference:
         self.maybe_start_job(now)
 
     def window_close(self, now, _):
-        self.log.windows += self.tracker.close_windows_upto(now)
+        self.log.windows.append(self.tracker.close_windows_upto(now))
         if now + self.config.tracker.resample_interval <= self.config.duration:
             self.schedule(now + self.config.tracker.resample_interval, RATE_WINDOW_CLOSE)
 

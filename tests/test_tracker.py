@@ -15,13 +15,13 @@ def make_tracker(**kw):
 
 
 def close_each(tracker, counts):
-    """Report each count into its own window and close that window, from the
-    first window on; returns the closed rows."""
+    """Report each count into its own window and close that window at its
+    end, from the first window on; returns the closed rows."""
     w = tracker.config.resample_interval
     closed = []
     for k, count in enumerate(counts):
         tracker.report_info(count)
-        closed += tracker.close_windows_upto((k + 1) * w)
+        closed.append(tracker.close_windows_upto((k + 1) * w))
     return closed
 
 
@@ -30,42 +30,36 @@ def test_reports_average_into_window_rate():
     # 30 reports of 100 records into one 30 s window.
     for _ in range(30):
         tracker.report_info(100)
-    closed = tracker.close_windows_upto(30_000)
-    assert len(closed) == 1
-    assert closed[0].window_start_ms == 0
-    assert closed[0].rate_measured == pytest.approx(100.0)
+    row = tracker.close_windows_upto(30_000)
+    assert row.window_start_ms == 0
+    assert row.rate_measured == pytest.approx(100.0)
 
 
 def test_empty_windows_close_with_zero_rate():
     tracker = make_tracker()
-    tracker.report_info(300)
-    # The open window takes the count, and the windows after it close empty.
-    closed = tracker.close_windows_upto(90_000)
+    # A window with no reports closes at rate 0.0: each close resets the count.
+    closed = close_each(tracker, [300, 0, 0])
     assert [row.rate_measured for row in closed] == [10.0, 0.0, 0.0]
     assert [row.window_start_ms for row in closed] == [0, 30_000, 60_000]
-    assert tracker.close_windows_upto(120_000) == [WindowRow(90_000, 0.0, None)]
+    assert tracker.close_windows_upto(120_000) == WindowRow(90_000, 0.0, None)
 
 
 def test_open_window_never_included():
     tracker = make_tracker(prediction_enabled=False)
     tracker.report_info(50)
-    assert tracker.close_windows_upto(29_999) == []
     assert tracker.control_rates() == (None, None)
-    closed = tracker.close_windows_upto(30_000)
     rate = 50 * 1000.0 / 30_000
-    assert closed == [WindowRow(0, rate, None)]
+    assert tracker.close_windows_upto(30_000) == WindowRow(0, rate, None)
     tracker.report_info(70)  # after the close: into the next window, still open
     assert tracker.control_rates() == (rate, rate)
-    assert tracker.close_windows_upto(59_999) == []
-    assert tracker.control_rates() == (rate, rate)
     rate = 70 * 1000.0 / 30_000
-    assert tracker.close_windows_upto(60_000) == [WindowRow(30_000, rate, None)]
+    assert tracker.close_windows_upto(60_000) == WindowRow(30_000, rate, None)
     assert tracker.control_rates() == (rate, rate)
 
 
 def test_train_needs_enough_windows():
     tracker = make_tracker(train_num=5)
-    closed = tracker.close_windows_upto(120_000)  # 4 windows
+    closed = [tracker.close_windows_upto(end) for end in (30_000, 60_000, 90_000, 120_000)]
     assert [row.rate_predicted_next for row in closed] == [None] * 4
     assert tracker.predict_rate() is None
 
@@ -90,23 +84,24 @@ def test_prediction_clamped_non_negative():
 
 
 def test_record_conservation():
-    # As the engine does: close every window that ends by a report's time,
-    # then report into the open window, the one that holds that time.
+    # As the engine does: close each window at its end, once every report
+    # before that end is in, so a report goes into the window that holds it.
     tracker = make_tracker()
     w = tracker.config.resample_interval  # every window's length
-    counts = [(k * 37) % 250 for k in range(200)]
+    counts = [(k * 37) % 250 for k in range(200)]  # reported at k * 700 ms
     closed = []
     for k, count in enumerate(counts):
-        closed += tracker.close_windows_upto(k * 700)
+        while (len(closed) + 1) * w <= k * 700:
+            closed.append(tracker.close_windows_upto((len(closed) + 1) * w))
         tracker.report_info(count)
-    closed += tracker.close_windows_upto(140_000)
-    assert [row.window_start_ms for row in closed] == [k * 30_000 for k in range(4)]
+    closed.append(tracker.close_windows_upto(5 * w))  # the last report's window
+    assert [row.window_start_ms for row in closed] == [k * 30_000 for k in range(5)]
     for row in closed:
         in_window = sum(count for k, count in enumerate(counts)
                         if row.window_start_ms <= k * 700 < row.window_start_ms + w)
         assert row.rate_measured == in_window * 1000.0 / w
     closed_sum = sum(row.rate_measured * w / 1000.0 for row in closed)
-    assert math.isclose(closed_sum + tracker._open_count, sum(counts), rel_tol=1e-9)
+    assert math.isclose(closed_sum, sum(counts), rel_tol=1e-9)
 
 
 def test_train_fits_the_last_train_num_windows():
@@ -144,8 +139,8 @@ def test_control_rates_rule():
     q_now = closed[-1].rate_measured
     assert on.control_rates() == (q_now, None)
     assert off.control_rates() == (q_now, q_now)
-    [row_on] = on.close_windows_upto(150_000)
-    [row_off] = off.close_windows_upto(150_000)
+    row_on = on.close_windows_upto(150_000)
+    row_off = off.close_windows_upto(150_000)
     q_now = row_on.rate_measured
     assert row_on.rate_predicted_next == on.predict_rate() != q_now
     assert row_off.rate_predicted_next == q_now
@@ -165,7 +160,7 @@ def test_failed_fit_leaves_no_model_until_a_fit_succeeds():
     assert tracker.predict_rate() is None
     assert tracker.control_rates() == (5.0, None)
     tracker.report_info(150)
-    [row] = tracker.close_windows_upto(300_000)  # the next window close fits again
+    row = tracker.close_windows_upto(300_000)  # the next window close fits again
     assert row.rate_predicted_next is not None
     assert tracker.control_rates() == (5.0, row.rate_predicted_next)
 
@@ -196,7 +191,7 @@ def test_every_forecast_is_finite_and_non_negative(series):
     tracker = make_tracker(resample_interval=1000, train_num=train_num)
     for k, count in enumerate(counts):
         tracker.report_info(count)
-        [row] = tracker.close_windows_upto((k + 1) * 1000)
+        row = tracker.close_windows_upto((k + 1) * 1000)
         forecast = tracker.predict_rate()
         assert row.rate_predicted_next == forecast
         if forecast is not None:

@@ -16,7 +16,7 @@ def test_update_uses_mean_of_pending_and_clears_buffer():
     for eta in (0.5, 1.0, 1.5):
         mon.on_batch_completed(eta)
     assert mon.update_estimate() == pytest.approx(0.3 * 1.0 + 0.7 * 1.0)
-    # The buffer was cleared: the next update folds in only the new sample.
+    # The tally was reset: the next update folds in only the new sample.
     mon.on_batch_completed(3.0)
     assert mon.update_estimate() == pytest.approx(0.3 * 3.0 + 0.7 * 1.0)
 
