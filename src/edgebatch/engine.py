@@ -34,6 +34,7 @@ import logging
 import math
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
@@ -50,6 +51,7 @@ ADAPTIVE = "adaptive"
 VANILLA = "vanilla"
 
 FILL_BLOCKS = 256  # blocks whose counts run() computes per trace call
+ROW_CHUNK = 256  # rows run() hands to its flush at a time
 # The times MAX_TIME_MS bounds, as attribute paths from EngineConfig.
 _TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start",
                 "controller.min_interval", "controller.max_interval",
@@ -139,8 +141,8 @@ class EngineConfig:
 class BatchRow:
     """Metrics row emitted when a batch completes: the completion time, the
     interval used, the record and non-empty block counts, and the scheduling
-    and processing delays. The log keeps every row to the end of the run, so
-    what follows from these is derived, not stored (PR 20):
+    and processing delays. A run that collects its rows keeps every one to
+    the end, so what follows from these is derived, not stored:
 
     - ``total_delay_ms`` is ``sched_delay_ms + proc_delay_ms``, the engine's
       own expression. A batch that started at its own fire holds the
@@ -148,7 +150,7 @@ class BatchRow:
       proc is never -0.0.
     - ``eta``, the batch's workload sample, is the total over the interval.
     - The batch id is the count of batches completed before it, since one
-      worker runs them FIFO; ``harness.write_metrics`` writes it.
+      worker runs them FIFO; ``harness``' row writer writes it.
     """
 
     time_ms: float
@@ -173,7 +175,8 @@ class BatchRow:
 class MetricsLog:
     """One run's log: batch and control rows in time order, window rows, the
     records generated, sealed in blocks and sealed in batches (the trace
-    end's unrun batch included), and the batches completed."""
+    end's unrun batch included), and the batches completed. A run with a
+    ``flush`` hands its rows on and leaves ``rows`` empty."""
 
     rows: list = field(default_factory=list)
     windows: list = field(default_factory=list)
@@ -185,14 +188,22 @@ class MetricsLog:
 
 class MicrobatchEngine:
     """Engine for one config and trace: each run() builds its own tracker,
-    monitor, controller, RNG and metrics log, so runs are equal."""
+    monitor, controller, RNG and metrics log, so runs are equal. ``flush``,
+    if given, is called with the run's rows, in time order, as they come."""
 
-    def __init__(self, config: EngineConfig, trace: RateFunction):
+    def __init__(self, config: EngineConfig, trace: RateFunction,
+                 flush: Callable[[list], object] | None = None):
         self.config = config
         self.trace = trace
+        self.flush = flush
 
     def run(self) -> MetricsLog:
-        """Run the trace to its end and return the metrics log."""
+        """Run the trace to its end and return the metrics log. Without a
+        ``flush`` the log keeps every row. With one, each time the row list
+        holds ``ROW_CHUNK`` rows it is handed to ``flush`` and then emptied,
+        and at the trace end it is handed on once more, whatever it holds, so
+        the log comes back with no rows; a ``flush`` that raises ends the
+        run. The window rows and the record totals are kept either way."""
         cfg = self.config
         block = cfg.block_interval
         tracker = TrafficTracker(cfg.tracker)
@@ -203,6 +214,8 @@ class MicrobatchEngine:
         cost = cfg.cost_model.cost
         on_batch_completed = monitor.on_batch_completed
         rows, windows = metrics.rows, metrics.windows
+        flush = self.flush
+        chunk = ROW_CHUNK if flush is not None else 0  # 0: never a length after an append
         # The window, tick and trace-end clocks.
         w, period = cfg.tracker.resample_interval, cfg.controller.control_period
         window, tick, end = w, period, cfg.duration
@@ -248,6 +261,9 @@ class MicrobatchEngine:
                     sched = started_at - float(generated_at)
                     total = sched + proc
                 rows.append(BatchRow(now, used, batch_size, batch_blocks, sched, proc))
+                if len(rows) == chunk:
+                    flush(rows)
+                    rows.clear()
                 if total > 0:
                     on_batch_completed(total / float(used))  # the row's eta
                 else:
@@ -295,6 +311,9 @@ class MicrobatchEngine:
                     else:
                         row = ControlRow(now, interval, s, q_now, q_next, None, None, None)
                     rows.append(row)
+                    if len(rows) == chunk:
+                        flush(rows)
+                        rows.clear()
                     tick = now + period
                 else:
                     break
@@ -308,6 +327,9 @@ class MicrobatchEngine:
         metrics.total_generated = metrics.total_block_records = sealed_records
         metrics.total_batch_records = sealed_records
         metrics.batch_count = completed
+        if flush is not None:
+            flush(rows)
+            rows.clear()
         return metrics
 
     def _block_counts(self, first: int, n: int, rng: random.Random) -> list[int]:

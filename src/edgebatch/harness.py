@@ -3,9 +3,10 @@
 Config files are flat ``section.key = value`` lines with ``#`` comments.
 Outputs land in --out, the EDGEBATCH_OUT directory, or ./out: metrics.csv
 (one row per batch completion and per control tick), summary.json, and four
-plot-ready series files. They are written all or nothing: each under a
-temporary name in the same directory, renamed over the old file only once
-every write has succeeded.
+plot-ready series files. They are opened before the run, which writes its
+rows to them as it goes, and written all or nothing: each under a temporary
+name in the same directory, renamed over the old file only once every write
+has succeeded.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
@@ -48,14 +51,16 @@ METRICS_COLUMNS = (
     "workload_S", "rate_measured", "rate_predicted", "C", "D", "fuzzy_level",
 )
 
+# The four files of the rows, then the two written after the run.
 OUTPUT_FILES = ("metrics.csv", "series_interval.csv", "series_workload.csv",
-                "series_rate.csv", "series_delay.csv", "summary.json")
+                "series_delay.csv", "series_rate.csv", "summary.json")
 
 STABLE_TICKS = 20  # control ticks the interval must hold within one block
-FMT_CACHE_SIZE = 256  # write_metrics' cache of delay strings empties at this size
-# The most rows a run may log, as build_run_spec bounds them. The log keeps
-# every row to the end of the run, so this bounds its memory to a few GB
-# (PR 20 gives the bytes a row holds); a larger run could end in a
+FMT_CACHE_SIZE = 256  # the row writer's cache of delay strings empties at this size
+# The most rows a run may log, as build_run_spec bounds them. ``execute``
+# writes the batch rows as the run goes but keeps its control and window rows
+# to the end, and a log collected for ``write_metrics`` keeps every row, so
+# this bounds their memory to a few GB; a larger run could end in a
 # MemoryError or the OOM killer.
 MAX_RUN_ROWS = 10_000_000
 
@@ -329,44 +334,66 @@ def overload_recovery(ticks) -> Optional[float]:
     return worst
 
 
-def summarize(log: MetricsLog, block_interval: int) -> SummaryReport:
-    """The run's summary.json. The batch rows are folded in the one pass
-    that collects the ticks: a list of their total delays would hold one
-    new float per batch, and set the run's peak memory."""
-    ticks = []
-    batches = records = 0
-    delay_sum, delay_max = 0, None  # as reduce(add, delays, 0) and max(delays)
-    for row in log.rows:
-        if type(row) is BatchRow:
-            delay = row.sched_delay_ms + row.proc_delay_ms  # total_delay_ms
-            delay_sum += delay
-            if not batches or delay > delay_max:
-                delay_max = delay
-            batches += 1
-            records += row.records
+class _Tally:
+    """``summarize``'s fold over a run's rows, called with them in time
+    order, a list at a time: it keeps the control rows and folds the batch
+    rows' count, records, delay sum and delay max, so it holds nothing per
+    batch."""
+
+    def __init__(self):
+        self.ticks = []
+        self.batches = self.records = 0
+        self.delay_sum, self.delay_max = 0, None  # as reduce(add, delays, 0) and max(delays)
+
+    def __call__(self, rows: list) -> None:
+        ticks = self.ticks
+        batches, records = self.batches, self.records
+        delay_sum, delay_max = self.delay_sum, self.delay_max
+        for row in rows:
+            if type(row) is BatchRow:
+                delay = row.sched_delay_ms + row.proc_delay_ms  # total_delay_ms
+                delay_sum += delay
+                if not batches or delay > delay_max:
+                    delay_max = delay
+                batches += 1
+                records += row.records
+            else:
+                ticks.append(row)
+        self.batches, self.records = batches, records
+        self.delay_sum, self.delay_max = delay_sum, delay_max
+
+    def report(self, windows: list, block_interval: int) -> SummaryReport:
+        """summary.json's report from the rows folded so far and the run's
+        window rows."""
+        ticks, batches = self.ticks, self.batches
+        errs = prediction_error_pairs(windows)
+        conv = convergence_time(ticks, block_interval)
+
+        if conv is not None:
+            steady = [t.workload_s for t in ticks if t.time_ms >= conv]
         else:
-            ticks.append(row)
+            steady = [t.workload_s for t in ticks[len(ticks) // 2:]]
+        # Float means are left folds, as in grey.fit.
 
-    errs = prediction_error_pairs(log.windows)
-    conv = convergence_time(ticks, block_interval)
+        return SummaryReport(
+            prediction_error_mean=reduce(add, errs, 0) / len(errs) if errs else None,
+            prediction_error_max=max(errs) if errs else None,
+            convergence_time_ms=conv,
+            steady_workload_mean=reduce(add, steady, 0) / len(steady) if steady else None,
+            steady_workload_max=max(steady) if steady else None,
+            total_delay_mean_ms=self.delay_sum / batches if batches else None,
+            total_delay_max_ms=self.delay_max,
+            overload_recovery_ms=overload_recovery(ticks),
+            records_processed=self.records,
+        )
 
-    if conv is not None:
-        steady = [t.workload_s for t in ticks if t.time_ms >= conv]
-    else:
-        steady = [t.workload_s for t in ticks[len(ticks) // 2:]]
-    # Float means are left folds, as in grey.fit.
 
-    return SummaryReport(
-        prediction_error_mean=reduce(add, errs, 0) / len(errs) if errs else None,
-        prediction_error_max=max(errs) if errs else None,
-        convergence_time_ms=conv,
-        steady_workload_mean=reduce(add, steady, 0) / len(steady) if steady else None,
-        steady_workload_max=max(steady) if steady else None,
-        total_delay_mean_ms=delay_sum / batches if batches else None,
-        total_delay_max_ms=delay_max,
-        overload_recovery_ms=overload_recovery(ticks),
-        records_processed=records,
-    )
+def summarize(log: MetricsLog, block_interval: int) -> SummaryReport:
+    """The run's summary.json: ``log.rows`` folded by ``_Tally``, as
+    ``execute`` folds each row when the run hands it on, and ``log.windows``."""
+    tally = _Tally()
+    tally(log.rows)
+    return tally.report(log.windows, block_interval)
 
 
 # -- serialization ----------------------------------------------------------
@@ -406,15 +433,65 @@ def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -
     """Write metrics.csv, summary.json, and the series files; returns out_dir.
 
     ``report`` is summary.json's ``summarize(log, block_interval)``, with the
-    block interval from the run's ``EngineConfig``, as ``execute`` passes it.
-    The files are written in one pass over ``log.rows`` and one over
-    ``log.windows``: each value is formatted once, for metrics.csv and its
-    series file alike, and each line goes straight to its file, so no output
-    is held in memory. The batch id written is the count of batch rows before
-    it (see ``BatchRow``).
+    block interval from the run's ``EngineConfig``. The files are those
+    ``execute`` writes for the run: ``log.rows`` go through the row writer
+    it hands the engine, in one call, then ``log.windows`` and ``report``
+    fill series_rate.csv and summary.json. They are written all or nothing
+    (see ``_outputs``): an output that cannot be opened, or is a directory,
+    raises an ``OSError``, and a failed write an ``OutputError``; each names
+    the output file.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with _outputs(out) as files:
+        _row_writer(*files[:4])(log.rows)
+        _write_windows_and_summary(*files[4:], log.windows, report)
+    return out
+
+
+@contextmanager
+def _outputs(out: Path):
+    """The files of ``OUTPUT_FILES``, opened in out under temporary names,
+    ``.<name>.tmp``, and given as text files in that order. If an output is
+    a directory, none is opened. Each file's buffered writer writes to it
+    once per buffer it fills, not once per line. On a clean exit every file
+    is closed and then renamed to its name, so a failed write leaves the old
+    outputs as they were; no temporary file is left either way."""
+    outputs = [(out / f".{name}.tmp", out / name) for name in OUTPUT_FILES]
+    try:
+        with ExitStack() as stack:
+            for _, path in outputs:
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            yield [stack.enter_context(_open_output(*names)) for names in outputs]
+        for temp, path in outputs:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in outputs:
+            temp.unlink(missing_ok=True)
+
+
+def _open_output(temp: Path, path: Path) -> io.TextIOWrapper:
+    """Output path, open as UTF-8 text under its temporary name temp."""
+    raw = _OutputFile(temp, path)
+    # The buffer size open() picks: the file system's block size, often
+    # half of io.DEFAULT_BUFFER_SIZE. Six buffers are part of the peak.
+    size = os.fstat(raw.fileno()).st_blksize
+    buffer = io.BufferedWriter(raw, size if size > 1 else io.DEFAULT_BUFFER_SIZE)
+    return io.TextIOWrapper(buffer, encoding="utf-8")
+
+
+def _row_writer(metrics, interval, workload, delay) -> Callable[[list], None]:
+    """The writer of a run's rows to metrics.csv, series_interval.csv,
+    series_workload.csv and series_delay.csv, open as these four files: it
+    writes each header now, and each call writes the rows it is given, which
+    follow the rows of earlier calls in time order. Each value is formatted
+    once, for metrics.csv and its series file alike, and each line goes
+    straight to its file. The batch id written is the count of batch rows
+    before it (see ``BatchRow``).
 
     Float ``repr`` is most of the output time, so a repeated value is
-    formatted once: a dict local to this call maps each batch's processing
+    formatted once: a dict of this writer's maps each batch's processing
     delay, and the eta (proc / interval) of each batch that did not wait
     (``sched_delay_ms == 0``), to its ``_fmt`` string. Equal floats, 0.0 and
     -0.0, and an int and an equal float give one ``_fmt`` string, so every
@@ -422,48 +499,13 @@ def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -
     that string for both. Time stamps and a waited batch's sched, total and
     eta are unique, so they stay out of the dict. It empties at
     ``FMT_CACHE_SIZE`` entries, which keeps it a small share of the run's
-    peak memory (PRs 18 and 20 give the measurements).
-
-    Each file is written as ``.<name>.tmp`` in out_dir and renamed to its
-    name only once all six are written and closed, so a failed write leaves
-    the old outputs as they were, and no temporary file is left either way.
-    An output that cannot be opened, or is a directory, raises an
-    ``OSError``, and a failed write an ``OutputError``; each names the
-    output file.
+    peak memory.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = [(out / f".{name}.tmp", out / name) for name in OUTPUT_FILES]
-    try:
-        _write_outputs(log, report, outputs)
-        for _, path in outputs:
-            if path.is_dir():  # fail before any rename, not after some
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for temp, path in outputs:
-            os.replace(temp, path)
-    finally:
-        for temp, _ in outputs:
-            temp.unlink(missing_ok=True)
-    return out
-
-
-def _write_outputs(log: MetricsLog, report: SummaryReport, outputs) -> None:
-    """Write the files of ``write_metrics`` under their temporary names:
-    ``outputs`` holds a (temporary name, output) pair for each of
-    ``OUTPUT_FILES``, in that order."""
-
-    def new(i: int) -> io.TextIOWrapper:
-        raw = _OutputFile(*outputs[i])
-        # The buffer size open() picks: the file system's block size, often
-        # half of io.DEFAULT_BUFFER_SIZE. Six buffers are part of the peak.
-        size = os.fstat(raw.fileno()).st_blksize
-        buffer = io.BufferedWriter(raw, size if size > 1 else io.DEFAULT_BUFFER_SIZE)
-        return io.TextIOWrapper(buffer, encoding="utf-8")
-
     fmt = _fmt
     zero = fmt(0.0)  # the sched cell of a batch that did not wait
     cache: dict = {}  # value -> fmt(value), for the delays that repeat
     cached = cache.get
+    batch_id = 0
 
     def remember(value) -> str:  # on a miss, and for None, whose "" is falsy
         if len(cache) == FMT_CACHE_SIZE:
@@ -471,15 +513,14 @@ def _write_outputs(log: MetricsLog, report: SummaryReport, outputs) -> None:
         text = cache[value] = fmt(value)
         return text
 
-    with (new(0) as metrics, new(1) as interval, new(2) as workload, new(3) as rate,
-          new(4) as delay, new(5) as summary):
-        metrics.write(",".join(METRICS_COLUMNS) + "\n")
-        interval.write("time_ms,interval_ms\n")
-        workload.write("time_ms,workload_S\n")
-        rate.write("window_start_ms,rate_measured,rate_predicted_next\n")
-        delay.write("time_ms,total_delay_ms,proc_delay_ms,sched_delay_ms\n")
-        batch_id = 0
-        for row in log.rows:
+    metrics.write(",".join(METRICS_COLUMNS) + "\n")
+    interval.write("time_ms,interval_ms\n")
+    workload.write("time_ms,workload_S\n")
+    delay.write("time_ms,total_delay_ms,proc_delay_ms,sched_delay_ms\n")
+
+    def write(rows: list) -> None:
+        nonlocal batch_id
+        for row in rows:
             t = fmt(row.time_ms)
             if type(row) is BatchRow:
                 p = row.proc_delay_ms
@@ -503,10 +544,18 @@ def _write_outputs(log: MetricsLog, report: SummaryReport, outputs) -> None:
                               f"{fmt(row.workload_deviation)},{fmt(row.fuzzy_level)}\n")
                 interval.write(f"{t},{row.interval_ms}\n")
                 workload.write(f"{t},{s}\n")
-        for w in log.windows:
-            rate.write(f"{w.window_start_ms},{fmt(w.rate_measured)},"
-                       f"{fmt(w.rate_predicted_next)}\n")
-        summary.write(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
+
+    return write
+
+
+def _write_windows_and_summary(rate, summary, windows: list, report: SummaryReport) -> None:
+    """Write series_rate.csv from the window rows and summary.json from the
+    report, to these two files."""
+    fmt = _fmt
+    rate.write("window_start_ms,rate_measured,rate_predicted_next\n")
+    for w in windows:
+        rate.write(f"{w.window_start_ms},{fmt(w.rate_measured)},{fmt(w.rate_predicted_next)}\n")
+    summary.write(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
 
 
 # -- CLI --------------------------------------------------------------------
@@ -518,15 +567,25 @@ def default_out_dir() -> Path:
 
 def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
     out = Path(out_dir) if out_dir is not None else default_out_dir()
-    # Before the run, so an output path that cannot be a directory fails fast.
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot write output directory {out}: {exc}") from exc
-    log = MicrobatchEngine(spec.engine, spec.trace).run()
-    report = summarize(log, spec.engine.block_interval)
+    # The six files are open before the run, so an output that cannot be
+    # opened fails before any simulated time passes. The rows go to them,
+    # and to summarize's fold, as the run hands them on.
+    tally = _Tally()
     try:
-        write_metrics(log, out, report)
+        with _outputs(out) as files:
+            write_rows = _row_writer(*files[:4])
+
+            def flush(rows: list) -> None:
+                write_rows(rows)
+                tally(rows)
+
+            log = MicrobatchEngine(spec.engine, spec.trace, flush).run()
+            report = tally.report(log.windows, spec.engine.block_interval)
+            _write_windows_and_summary(*files[4:], log.windows, report)
     except OutputError:
         raise
     except OSError as exc:  # an output that cannot be opened, or renamed over

@@ -47,10 +47,11 @@ from edgebatch.engine import (
     JobCostModel,
     MetricsLog,
     MicrobatchEngine,
+    ROW_CHUNK,
 )
 from edgebatch.fuzzy import ControllerConfig, ControlRow, FuzzyController
 from edgebatch.grey import MIN_TRAIN_LEN
-from edgebatch.harness import METRICS_COLUMNS, summarize, write_metrics
+from edgebatch.harness import METRICS_COLUMNS, RunSpec, execute, summarize, write_metrics
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 from edgebatch.workload import WorkloadMonitor
 
@@ -406,6 +407,26 @@ def written_files(config, trace):
         files = {path.name: path.read_bytes() for path in Path(out).iterdir()}
     assert len(files) == 6
     return files
+
+
+@RELATION
+@given(ANY_RUN)
+# A tick and a window every block, over 900 blocks: most drawn runs make
+# fewer rows than one chunk holds.
+@example((dataclasses.replace(HOLD_AFTER_STAGE[0], duration=90_000), HOLD_AFTER_STAGE[1]))
+def test_streamed_run_writes_the_files_of_the_collected_log(drawn):
+    # execute hands the engine a flush that writes each chunk of rows as the
+    # run goes; its six files must be write_metrics' over the whole log.
+    config, trace = drawn
+    chunks = []
+    log = MicrobatchEngine(config, trace, lambda rows: chunks.append(list(rows))).run()
+    assert log.rows == []
+    assert all(len(chunk) == ROW_CHUNK for chunk in chunks[:-1])
+    assert len(chunks[-1]) < ROW_CHUNK
+    with tempfile.TemporaryDirectory() as out:
+        execute(RunSpec(config, trace), out)
+        files = {path.name: path.read_bytes() for path in Path(out).iterdir()}
+    assert files == written_files(config, trace)
 
 
 @RELATION

@@ -1,10 +1,12 @@
 import errno
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -739,16 +741,57 @@ def test_cli_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, name
     assert len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("name", OUTPUT_NAMES)
-def test_cli_failed_write_exits_1_and_keeps_the_old_outputs(tmp_path, capsys, monkeypatch,
-                                                            name):
-    # The other files were replaced, the failing one was left part written,
-    # and the error named only the --out directory.
-    out = tmp_path / "o"
-    assert main(["run", "--config", str(write_conf(tmp_path)), "--out", str(out)]) == 0
-    old = {p.name: p.read_bytes() for p in out.iterdir()}
-    capsys.readouterr()
+def spy_on_run(monkeypatch) -> list:
+    """Replace MicrobatchEngine.run by a spy; returns the list of what each
+    call did: ("ok", log) or ("raised", exception)."""
+    calls = []
+    run = engine.MicrobatchEngine.run
 
+    def spy(self):
+        try:
+            log = run(self)
+        except Exception as exc:
+            calls.append(("raised", exc))
+            raise
+        calls.append(("ok", log))
+        return log
+
+    monkeypatch.setattr(engine.MicrobatchEngine, "run", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["metrics.csv", "summary.json"])
+@pytest.mark.parametrize("case", ["directory", "denied"])
+def test_cli_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch, case, name):
+    # The six files were opened, and a directory found, only after the run.
+    out = tmp_path / "o"
+    out.mkdir()
+    if case == "directory":
+        (out / name).mkdir()
+    else:
+        class NoAccess(io.FileIO):
+            def __init__(self, file, mode):
+                if Path(file).name == f".{name}.tmp":
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+                super().__init__(file, mode)
+
+        # _OutputFile's super().__init__ is NoAccess.__init__.
+        class Denied(harness._OutputFile, NoAccess):
+            pass
+
+        monkeypatch.setattr(harness, "_OutputFile", Denied)
+    calls = spy_on_run(monkeypatch)
+    assert main(["run", "--config", str(write_conf(tmp_path)), "--out", str(out)]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out / name}: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert [p.name for p in out.iterdir()] == ([name] if case == "directory" else [])
+
+
+def fill_disk(monkeypatch, name):
+    """Make every write to output file name fail with ENOSPC."""
     class NoSpace(io.FileIO):
         def write(self, data):
             if self.path.name == name:
@@ -761,6 +804,19 @@ def test_cli_failed_write_exits_1_and_keeps_the_old_outputs(tmp_path, capsys, mo
         pass
 
     monkeypatch.setattr(harness, "_OutputFile", Full)
+
+
+@pytest.mark.parametrize("name", OUTPUT_NAMES)
+def test_cli_failed_write_exits_1_and_keeps_the_old_outputs(tmp_path, capsys, monkeypatch,
+                                                            name):
+    # The other files were replaced, the failing one was left part written,
+    # and the error named only the --out directory.
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_conf(tmp_path)), "--out", str(out)]) == 0
+    old = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    fill_disk(monkeypatch, name)
     conf = write_conf(tmp_path, MINI + "engine.jitter = 0.05\n", "other.conf")
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -773,6 +829,66 @@ def test_cli_failed_write_exits_1_and_keeps_the_old_outputs(tmp_path, capsys, mo
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
     new = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(new) == sorted(old) and new["metrics.csv"] != old["metrics.csv"]
+
+
+# 1,200 ticks and over 600 batches: each of the four row files outgrows its
+# text and file buffers, so a full disk fails a write during the run.
+LONG = (MINI.replace("engine.duration = 120000", "engine.duration = 1200000")
+        + "controller.control_period = 1000\n")
+
+
+@pytest.mark.parametrize("name", ["metrics.csv", "series_interval.csv",
+                                  "series_workload.csv", "series_delay.csv"])
+def test_cli_write_failing_during_the_run_exits_1_and_closes_every_file(
+        tmp_path, capsys, monkeypatch, name):
+    out = tmp_path / "o"
+    conf = write_conf(tmp_path, LONG)
+    spec = harness.load_run_spec(conf)
+    assert len(engine.MicrobatchEngine(spec.engine, spec.trace).run().rows) > 4 * engine.ROW_CHUNK
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    old = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    fill_disk(monkeypatch, name)
+    calls = spy_on_run(monkeypatch)
+    other = write_conf(tmp_path, LONG + "engine.jitter = 0.05\n", "other.conf")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["run", "--config", str(other), "--out", str(out)]) == 1
+        gc.collect()
+    assert [w.message for w in caught if w.category is ResourceWarning] == []
+    # The write failed inside the run, which the error ended.
+    assert [(what, type(exc), exc.filename) for what, exc in calls] == [
+        ("raised", harness.OutputError, str(out / name))]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out / name}: [Errno {errno.ENOSPC}] ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
+
+# -- streaming ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_spec, rows", [
+    (lambda: load_preset("exp1"), 210),
+    (lambda: build_run_spec(mini_cfg(**{"engine.duration": 363_000})), 256),
+    (lambda: build_run_spec(mini_cfg(**{"engine.duration": 717_000})), 512),
+], ids=["fewer-than-a-chunk", "one-chunk", "two-chunks"])
+def test_streamed_run_hands_on_every_row_a_chunk_at_a_time(make_spec, rows):
+    spec = make_spec()
+    collected = engine.MicrobatchEngine(spec.engine, spec.trace).run()
+    assert len(collected.rows) == rows
+    chunks = []
+    log = engine.MicrobatchEngine(spec.engine, spec.trace,
+                                  lambda chunk: chunks.append(list(chunk))).run()
+    # Full chunks, then whatever the trace end leaves, if only an empty list.
+    full, rest = divmod(rows, engine.ROW_CHUNK)
+    assert [len(c) for c in chunks] == [engine.ROW_CHUNK] * full + [rest]
+    assert [row for chunk in chunks for row in chunk] == collected.rows
+    assert log.rows == [] and log.windows == collected.windows
+    assert (log.total_generated, log.total_block_records, log.total_batch_records,
+            log.batch_count) == (collected.total_generated, collected.total_block_records,
+                                 collected.total_batch_records, collected.batch_count)
 
 
 @pytest.mark.parametrize("what, content, message", [
