@@ -90,9 +90,9 @@ class JobCostModel:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """One run's settings. Every time is in ms and at most ``MAX_TIME_MS`` =
-    2**53, up to which a float holds every integer exactly, so each time
-    converts to a float without rounding."""
+    """One run's settings. Every time is an int, in ms, and at most
+    ``MAX_TIME_MS`` = 2**53, up to which a float holds every integer exactly,
+    so each time converts to a float without rounding."""
 
     controller: ControllerConfig
     cost_model: JobCostModel
@@ -118,6 +118,9 @@ class EngineConfig:
         if self.mode not in (ADAPTIVE, VANILLA):
             raise DomainError(f"mode must be '{ADAPTIVE}' or '{VANILLA}', got {self.mode!r}")
         times = attrgetter(*_TIME_FIELDS)(self)
+        for name, t in zip(_TIME_FIELDS, times):
+            if not isinstance(t, int):
+                raise DomainError(f"{name} must be an int, got {t!r}")
         if max(times) > MAX_TIME_MS:
             name = _TIME_FIELDS[times.index(max(times))]
             raise DomainError(f"{name} must be at most MAX_TIME_MS = 2**53 ms")
@@ -173,13 +176,13 @@ class BatchRow:
 
 @dataclass
 class MetricsLog:
-    """One run's log: batch and control rows in time order, window rows, the
-    records generated, sealed in blocks and sealed in batches (the trace
-    end's unrun batch included), and the batches completed. A run with a
-    ``flush`` hands its rows on and leaves ``rows`` empty."""
+    """One run's log: its batch, control and window rows in the order the run
+    logged them, the records generated, sealed in blocks and sealed in
+    batches (the trace end's unrun batch included), and the batches
+    completed. A run with a ``flush`` hands its rows on and leaves ``rows``
+    empty, so it keeps no row beyond the current chunk."""
 
     rows: list = field(default_factory=list)
-    windows: list = field(default_factory=list)
     total_generated: int = 0
     total_block_records: int = 0
     total_batch_records: int = 0
@@ -198,12 +201,13 @@ class MicrobatchEngine:
         self.flush = flush
 
     def run(self) -> MetricsLog:
-        """Run the trace to its end and return the metrics log. Without a
-        ``flush`` the log keeps every row. With one, each time the row list
-        holds ``ROW_CHUNK`` rows it is handed to ``flush`` and then emptied,
-        and at the trace end it is handed on once more, whatever it holds, so
-        the log comes back with no rows; a ``flush`` that raises ends the
-        run. The window rows and the record totals are kept either way."""
+        """Run the trace to its end and return the metrics log. Batch,
+        control and window rows go to one row list, in the order they are
+        logged. Without a ``flush`` the log keeps every row. With one, each
+        time the list holds ``ROW_CHUNK`` rows it is handed to ``flush`` and
+        then emptied, and at the trace end it is handed on once more,
+        whatever it holds, so the log comes back with no rows; a ``flush``
+        that raises ends the run. The record totals are kept either way."""
         cfg = self.config
         block = cfg.block_interval
         tracker = TrafficTracker(cfg.tracker)
@@ -213,7 +217,7 @@ class MicrobatchEngine:
         metrics = MetricsLog()
         cost = cfg.cost_model.cost
         on_batch_completed = monitor.on_batch_completed
-        rows, windows = metrics.rows, metrics.windows
+        rows = metrics.rows
         flush = self.flush
         chunk = ROW_CHUNK if flush is not None else 0  # 0: never a length after an append
         # The window, tick and trace-end clocks.
@@ -296,7 +300,10 @@ class MicrobatchEngine:
                     # are block multiples.
                     tracker.report_info(sealed_records - reported_records)
                     reported_records = sealed_records
-                    windows.append(tracker.close_windows_upto(now))
+                    rows.append(tracker.close_windows_upto(now))
+                    if len(rows) == chunk:
+                        flush(rows)
+                        rows.clear()
                     window = now + w
                 elif kind == CONTROL_TICK:
                     s = monitor.update_estimate()

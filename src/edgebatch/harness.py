@@ -2,11 +2,13 @@
 
 Config files are flat ``section.key = value`` lines with ``#`` comments.
 Outputs land in --out, the EDGEBATCH_OUT directory, or ./out: metrics.csv
-(one row per batch completion and per control tick), summary.json, and four
-plot-ready series files. They are opened before the run, which writes its
-rows to them as it goes, and written all or nothing: each under a temporary
-name in the same directory, renamed over the old file only once every write
-has succeeded.
+(one row per batch completion and per control tick), four plot-ready series
+files and summary.json. They are opened before the run, which writes its
+rows to the first five as it goes and keeps only the summary's running
+totals and three columns per control tick; summary.json is written after it.
+Every file is written all or nothing: each under a temporary name in the
+same directory, renamed over the old file only once every write has
+succeeded.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import json
 import os
 import sys
+from array import array
 from collections.abc import Callable
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -40,7 +43,7 @@ from .engine import (
 )
 from .errors import DomainError, EdgeBatchError, TraceParseError
 from .fuzzy import ControllerConfig
-from .tracker import TrackerConfig
+from .tracker import TrackerConfig, WindowRow
 from .workload import MonitorConfig
 
 PRESETS = ("exp1", "exp2", "exp3", "day", "day-vanilla")
@@ -51,17 +54,17 @@ METRICS_COLUMNS = (
     "workload_S", "rate_measured", "rate_predicted", "C", "D", "fuzzy_level",
 )
 
-# The four files of the rows, then the two written after the run.
+# The five files of the rows, then summary.json, written after the run.
 OUTPUT_FILES = ("metrics.csv", "series_interval.csv", "series_workload.csv",
                 "series_delay.csv", "series_rate.csv", "summary.json")
 
 STABLE_TICKS = 20  # control ticks the interval must hold within one block
 FMT_CACHE_SIZE = 256  # the row writer's cache of delay strings empties at this size
 # The most rows a run may log, as build_run_spec bounds them. ``execute``
-# writes the batch rows as the run goes but keeps its control and window rows
-# to the end, and a log collected for ``write_metrics`` keeps every row, so
-# this bounds their memory to a few GB; a larger run could end in a
-# MemoryError or the OOM killer.
+# writes every row as the run goes and keeps three numbers per control tick,
+# but a log collected for ``write_metrics`` keeps every row, so this bounds
+# its memory to a few GB; a larger run could end in a MemoryError or the OOM
+# killer.
 MAX_RUN_ROWS = 10_000_000
 
 
@@ -297,58 +300,64 @@ class SummaryReport:
     records_processed: int
 
 
-def prediction_error_pairs(windows) -> list[float]:
-    """Relative one-step errors: forecast made at window k vs window k+1."""
-    errs = []
-    for prev, cur in zip(windows, windows[1:]):
-        pred = prev.rate_predicted_next
-        if pred is None or cur.rate_measured <= 0:
-            continue
-        errs.append(abs(pred - cur.rate_measured) / cur.rate_measured)
-    return errs
+def prediction_error(forecast: Optional[float], measured: float) -> Optional[float]:
+    """The relative one-step error of a window's forecast of the next
+    window's rate, measured: None with no forecast or no records measured."""
+    if forecast is None or measured <= 0:
+        return None
+    return abs(forecast - measured) / measured
 
 
-def convergence_time(ticks, block_interval: int) -> Optional[float]:
-    """First tick from which the interval holds within one block for
-    STABLE_TICKS consecutive ticks."""
-    for i in range(len(ticks) - STABLE_TICKS + 1):
-        base = ticks[i].interval_ms
-        window = ticks[i:i + STABLE_TICKS]
-        if all(abs(t.interval_ms - base) <= block_interval for t in window):
-            return ticks[i].time_ms
+def convergence_time(times, intervals, block_interval: int) -> Optional[int]:
+    """First tick time from which the interval holds within one block for
+    STABLE_TICKS consecutive ticks, from the ticks' times and intervals."""
+    for i in range(len(intervals) - STABLE_TICKS + 1):
+        base, held = intervals[i], intervals[i:i + STABLE_TICKS]
+        if max(held) - base <= block_interval and base - min(held) <= block_interval:
+            return times[i]
     return None
 
 
-def overload_recovery(ticks) -> Optional[float]:
-    """Longest time S spent above 1 before dropping back below, or None."""
+def overload_recovery(times, loads) -> Optional[int]:
+    """Longest time S spent above 1 before dropping back below, or None,
+    from the ticks' times and S."""
     worst = None
     start = None
-    for t in ticks:
+    for t, s in zip(times, loads):
         if start is None:
-            if t.workload_s > 1.0:
-                start = t.time_ms
-        elif t.workload_s < 1.0:
-            span = t.time_ms - start
+            if s > 1.0:
+                start = t
+        elif s < 1.0:
+            span = t - start
             worst = span if worst is None else max(worst, span)
             start = None
     return worst
 
 
 class _Tally:
-    """``summarize``'s fold over a run's rows, called with them in time
-    order, a list at a time: it keeps the control rows and folds the batch
-    rows' count, records, delay sum and delay max, so it holds nothing per
-    batch."""
+    """``summarize``'s fold over a run's rows, called with them in the order
+    the run logs them, a list at a time. It keeps three columns per control
+    row: the time and interval as ints and S as a float. It folds the batch
+    rows' count, records, delay sum and delay max, and each window row's
+    ``prediction_error`` against the forecast of the window before it into
+    a sum, count and max. So it holds no row, and nothing per batch or
+    window."""
 
     def __init__(self):
-        self.ticks = []
+        self.times, self.intervals, self.loads = array("q"), array("q"), array("d")
         self.batches = self.records = 0
         self.delay_sum, self.delay_max = 0, None  # as reduce(add, delays, 0) and max(delays)
+        self.forecast = None  # the last window's forecast of the next
+        self.error_sum = self.error_count = 0  # as reduce(add, errors, 0) and len(errors)
+        self.error_max = None
 
     def __call__(self, rows: list) -> None:
-        ticks = self.ticks
+        tick_time, tick_interval = self.times.append, self.intervals.append
+        tick_load = self.loads.append
         batches, records = self.batches, self.records
         delay_sum, delay_max = self.delay_sum, self.delay_max
+        forecast, error_max = self.forecast, self.error_max
+        error_sum, error_count = self.error_sum, self.error_count
         for row in rows:
             if type(row) is BatchRow:
                 delay = row.sched_delay_ms + row.proc_delay_ms  # total_delay_ms
@@ -357,43 +366,50 @@ class _Tally:
                     delay_max = delay
                 batches += 1
                 records += row.records
+            elif type(row) is WindowRow:
+                error = prediction_error(forecast, row.rate_measured)
+                if error is not None:
+                    error_sum += error
+                    if not error_count or error > error_max:
+                        error_max = error
+                    error_count += 1
+                forecast = row.rate_predicted_next
             else:
-                ticks.append(row)
+                tick_time(row.time_ms)
+                tick_interval(row.interval_ms)
+                tick_load(row.workload_s)
         self.batches, self.records = batches, records
         self.delay_sum, self.delay_max = delay_sum, delay_max
+        self.forecast, self.error_max = forecast, error_max
+        self.error_sum, self.error_count = error_sum, error_count
 
-    def report(self, windows: list, block_interval: int) -> SummaryReport:
-        """summary.json's report from the rows folded so far and the run's
-        window rows."""
-        ticks, batches = self.ticks, self.batches
-        errs = prediction_error_pairs(windows)
-        conv = convergence_time(ticks, block_interval)
-
-        if conv is not None:
-            steady = [t.workload_s for t in ticks if t.time_ms >= conv]
-        else:
-            steady = [t.workload_s for t in ticks[len(ticks) // 2:]]
+    def report(self, block_interval: int) -> SummaryReport:
+        """summary.json's report from the rows folded so far."""
+        times, loads, batches = self.times, self.loads, self.batches
+        conv = convergence_time(times, self.intervals, block_interval)
+        steady = loads[times.index(conv) if conv is not None else len(loads) // 2:]
         # Float means are left folds, as in grey.fit.
 
         return SummaryReport(
-            prediction_error_mean=reduce(add, errs, 0) / len(errs) if errs else None,
-            prediction_error_max=max(errs) if errs else None,
+            prediction_error_mean=(self.error_sum / self.error_count
+                                   if self.error_count else None),
+            prediction_error_max=self.error_max,
             convergence_time_ms=conv,
             steady_workload_mean=reduce(add, steady, 0) / len(steady) if steady else None,
             steady_workload_max=max(steady) if steady else None,
             total_delay_mean_ms=self.delay_sum / batches if batches else None,
             total_delay_max_ms=self.delay_max,
-            overload_recovery_ms=overload_recovery(ticks),
+            overload_recovery_ms=overload_recovery(times, loads),
             records_processed=self.records,
         )
 
 
 def summarize(log: MetricsLog, block_interval: int) -> SummaryReport:
     """The run's summary.json: ``log.rows`` folded by ``_Tally``, as
-    ``execute`` folds each row when the run hands it on, and ``log.windows``."""
+    ``execute`` folds each row when the run hands it on."""
     tally = _Tally()
     tally(log.rows)
-    return tally.report(log.windows, block_interval)
+    return tally.report(block_interval)
 
 
 # -- serialization ----------------------------------------------------------
@@ -435,17 +451,16 @@ def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -
     ``report`` is summary.json's ``summarize(log, block_interval)``, with the
     block interval from the run's ``EngineConfig``. The files are those
     ``execute`` writes for the run: ``log.rows`` go through the row writer
-    it hands the engine, in one call, then ``log.windows`` and ``report``
-    fill series_rate.csv and summary.json. They are written all or nothing
-    (see ``_outputs``): an output that cannot be opened, or is a directory,
-    raises an ``OSError``, and a failed write an ``OutputError``; each names
-    the output file.
+    it hands the engine, in one call, then ``report`` fills summary.json.
+    They are written all or nothing (see ``_outputs``): an output that cannot
+    be opened, or is a directory, raises an ``OSError``, and a failed write
+    an ``OutputError``; each names the output file.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _outputs(out) as files:
-        _row_writer(*files[:4])(log.rows)
-        _write_windows_and_summary(*files[4:], log.windows, report)
+        _row_writer(*files[:5])(log.rows)
+        _write_summary(files[5], report)
     return out
 
 
@@ -481,14 +496,15 @@ def _open_output(temp: Path, path: Path) -> io.TextIOWrapper:
     return io.TextIOWrapper(buffer, encoding="utf-8")
 
 
-def _row_writer(metrics, interval, workload, delay) -> Callable[[list], None]:
+def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], None]:
     """The writer of a run's rows to metrics.csv, series_interval.csv,
-    series_workload.csv and series_delay.csv, open as these four files: it
-    writes each header now, and each call writes the rows it is given, which
-    follow the rows of earlier calls in time order. Each value is formatted
-    once, for metrics.csv and its series file alike, and each line goes
-    straight to its file. The batch id written is the count of batch rows
-    before it (see ``BatchRow``).
+    series_workload.csv, series_delay.csv and series_rate.csv, open as these
+    five files: it writes each header now, and each call writes the rows it
+    is given, which follow the rows of earlier calls in the run's order. A
+    batch or control row goes to metrics.csv and its series file, each value
+    formatted once for both, and a window row to series_rate.csv; each line
+    goes straight to its file. The batch id written is the count of batch
+    rows before it (see ``BatchRow``).
 
     Float ``repr`` is most of the output time, so a repeated value is
     formatted once: a dict of this writer's maps each batch's processing
@@ -517,12 +533,13 @@ def _row_writer(metrics, interval, workload, delay) -> Callable[[list], None]:
     interval.write("time_ms,interval_ms\n")
     workload.write("time_ms,workload_S\n")
     delay.write("time_ms,total_delay_ms,proc_delay_ms,sched_delay_ms\n")
+    rate.write("window_start_ms,rate_measured,rate_predicted_next\n")
 
     def write(rows: list) -> None:
         nonlocal batch_id
         for row in rows:
-            t = fmt(row.time_ms)
             if type(row) is BatchRow:
+                t = fmt(row.time_ms)
                 p = row.proc_delay_ms
                 total = row.sched_delay_ms + p
                 proc = cached(p) or remember(p)
@@ -537,7 +554,11 @@ def _row_writer(metrics, interval, workload, delay) -> Callable[[list], None]:
                               f"{row.blocks},{sched},{proc},{total},{eta},,,,,,\n")
                 delay.write(f"{t},{total},{proc},{sched}\n")
                 batch_id += 1
+            elif type(row) is WindowRow:  # a window row has no time_ms
+                rate.write(f"{row.window_start_ms},{fmt(row.rate_measured)},"
+                           f"{fmt(row.rate_predicted_next)}\n")
             else:
+                t = fmt(row.time_ms)
                 s = fmt(row.workload_s)
                 metrics.write(f"{t},,{row.interval_ms},,,,,,,{s},{fmt(row.rate_measured)},"
                               f"{fmt(row.rate_predicted)},{fmt(row.traffic_change)},"
@@ -548,13 +569,8 @@ def _row_writer(metrics, interval, workload, delay) -> Callable[[list], None]:
     return write
 
 
-def _write_windows_and_summary(rate, summary, windows: list, report: SummaryReport) -> None:
-    """Write series_rate.csv from the window rows and summary.json from the
-    report, to these two files."""
-    fmt = _fmt
-    rate.write("window_start_ms,rate_measured,rate_predicted_next\n")
-    for w in windows:
-        rate.write(f"{w.window_start_ms},{fmt(w.rate_measured)},{fmt(w.rate_predicted_next)}\n")
+def _write_summary(summary, report: SummaryReport) -> None:
+    """Write summary.json from the report to this file."""
     summary.write(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
 
 
@@ -572,20 +588,20 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
     except OSError as exc:
         raise UsageError(f"cannot write output directory {out}: {exc}") from exc
     # The six files are open before the run, so an output that cannot be
-    # opened fails before any simulated time passes. The rows go to them,
-    # and to summarize's fold, as the run hands them on.
+    # opened fails before any simulated time passes. The rows go to the
+    # first five, and to summarize's fold, as the run hands them on.
     tally = _Tally()
     try:
         with _outputs(out) as files:
-            write_rows = _row_writer(*files[:4])
+            write_rows = _row_writer(*files[:5])
 
             def flush(rows: list) -> None:
                 write_rows(rows)
                 tally(rows)
 
             log = MicrobatchEngine(spec.engine, spec.trace, flush).run()
-            report = tally.report(log.windows, spec.engine.block_interval)
-            _write_windows_and_summary(*files[4:], log.windows, report)
+            report = tally.report(spec.engine.block_interval)
+            _write_summary(files[5], report)
     except OutputError:
         raise
     except OSError as exc:  # an output that cannot be opened, or renamed over

@@ -27,6 +27,8 @@ class MonitorConfig:
             raise DomainError(f"smoothing_coefficient must be in (0, 1), got {a!r}")
         if not (math.isfinite(self.initial_estimate) and self.initial_estimate > 0):
             raise DomainError(f"initial_estimate must be positive, got {self.initial_estimate!r}")
+        # S is a float from the first tick on (see harness._Tally).
+        object.__setattr__(self, "initial_estimate", float(self.initial_estimate))
 
 
 class WorkloadMonitor:

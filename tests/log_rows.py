@@ -5,14 +5,17 @@ import math
 import random
 
 from edgebatch.engine import BatchRow
+from edgebatch.tracker import WindowRow
 
 
 def split_rows(log):
-    """(batch rows, control-tick rows) of log, each in time order."""
-    batches, ticks = [], []
+    """(batch rows, control-tick rows, window rows) of log, each in time
+    order."""
+    batches, ticks, windows = [], [], []
     for row in log.rows:
-        (batches if type(row) is BatchRow else ticks).append(row)
-    return batches, ticks
+        kind = type(row)
+        (batches if kind is BatchRow else windows if kind is WindowRow else ticks).append(row)
+    return batches, ticks, windows
 
 
 def per_block_counts(config, trace):

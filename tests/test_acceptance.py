@@ -123,7 +123,10 @@ def test_criterion_02_offline_day_trace_error():
 
 def test_criterion_03_online_sinusoid_error(exp3):
     _, log = exp3
-    errs = harness.prediction_error_pairs(log.windows)
+    windows = split_rows(log)[2]
+    errs = [err for prev, cur in zip(windows, windows[1:])
+            if (err := harness.prediction_error(prev.rate_predicted_next,
+                                                cur.rate_measured)) is not None]
     assert len(errs) >= 50
     assert mean(errs) <= 0.05, mean(errs)
     assert max(errs) <= 0.10, max(errs)
@@ -136,8 +139,9 @@ def test_criterion_03_online_sinusoid_error(exp3):
 
 def test_criterion_04_exp1_convergence(exp1):
     spec, log = exp1
-    _, ticks = split_rows(log)
-    conv = harness.convergence_time(ticks, spec.engine.block_interval)
+    ticks = split_rows(log)[1]
+    conv = harness.convergence_time([t.time_ms for t in ticks], [t.interval_ms for t in ticks],
+                                    spec.engine.block_interval)
     limit = spec.engine.control_start + 60_000
     assert conv is not None and conv <= limit, (conv, limit)
 
@@ -158,7 +162,8 @@ def test_criterion_05_exp2_step_response(exp2):
     spec, log = exp2
     step_at = 150_000  # trace.switch in the exp2 preset
     post = [t for t in split_rows(log)[1] if t.time_ms >= step_at]
-    restab = harness.convergence_time(post, spec.engine.block_interval)
+    restab = harness.convergence_time([t.time_ms for t in post], [t.interval_ms for t in post],
+                                      spec.engine.block_interval)
     assert restab is not None and restab - step_at <= 150_000, restab
 
     s_max = max(t.workload_s for t in post)
@@ -211,7 +216,7 @@ def overload_episode_lengths(ticks):
 
 def test_criterion_07_overload_suppression(exp3):
     spec, log = exp3
-    batches, ticks = split_rows(log)
+    batches, ticks, _ = split_rows(log)
     episodes = overload_episode_lengths(ticks)
     assert all(n <= 10 for n in episodes), episodes
 
@@ -282,7 +287,7 @@ def test_criterion_09_day_latency_and_restraint(day):
 
     # High-rate segment: the contiguous run of measurement windows at >= 80%
     # of the peak window rate that contains the peak window itself.
-    wrates = [(w.window_start_ms, w.rate_measured) for w in log_a.windows]
+    wrates = [(w.window_start_ms, w.rate_measured) for w in split_rows(log_a)[2]]
     w_max = max(r for _, r in wrates)
     i_max = max(range(len(wrates)), key=lambda i: wrates[i][1])
     lo = i_max

@@ -49,7 +49,7 @@ def test_cost_model_validation():
 
 def test_blocks_per_batch_and_quantization():
     log = run(make_config(initial_interval=1600), traces.constant(1000.0))
-    batches, _ = split_rows(log)
+    batches = split_rows(log)[0]
     assert batches
     for row in batches:
         assert row.blocks == 8
@@ -75,7 +75,7 @@ def test_batch_row_splits_delays(monkeypatch):
     log = run(make_config(cost_model=JobCostModel(1500.0, 0.0, 0.0), initial_interval=1000,
                           duration=5000),
               traces.constant(1000.0))
-    batches, _ = split_rows(log)
+    batches = split_rows(log)[0]
     assert batches == [
         BatchRow(2500.0, 1000, 1000, 5, 0.0, 1500.0),
         BatchRow(4000.0, 1000, 1000, 5, 500.0, 1500.0),
@@ -104,7 +104,7 @@ def test_batch_row_stores_six_values():
 
 def test_zero_rate_batches_cost_fixed_overhead():
     log = run(make_config(), traces.constant(0.0))
-    batches, _ = split_rows(log)
+    batches = split_rows(log)[0]
     assert batches
     for row in batches:
         assert row.records == 0
@@ -133,14 +133,13 @@ def test_rerun_is_identical():
     first = run(cfg, trace)
     second = run(cfg, trace)
     assert first.rows == second.rows
-    assert first.windows == second.windows
+    assert split_rows(first)[2]  # the rows hold the windows too
     # One instance run twice, with jitter on, also returns equal logs.
     engine = MicrobatchEngine(make_config(mode=ADAPTIVE, duration=200_000, jitter=0.05, seed=3),
                               trace)
     first, second = engine.run(), engine.run()
     assert first is not second
     assert first.rows == second.rows
-    assert first.windows == second.windows
     assert (first.total_generated, first.total_batch_records, first.batch_count) == \
         (second.total_generated, second.total_batch_records, second.batch_count)
 
@@ -157,7 +156,7 @@ def test_jitter_changes_with_seed_but_not_rerun():
 def test_control_rows_present_and_gated():
     log = run(make_config(mode=ADAPTIVE, duration=100_000, control_start=30_000),
               traces.constant(1000.0))
-    _, ticks = split_rows(log)
+    ticks = split_rows(log)[1]
     assert [t.time_ms for t in ticks] == [10_000 * k for k in range(1, 11)]
     for t in ticks:
         if t.time_ms < 30_000:
@@ -191,7 +190,7 @@ def test_set_interval_takes_effect_next_fire():
                       monitor=MonitorConfig(initial_estimate=0.1),
                       controller=ControllerConfig(min_interval=1800, max_interval=6000,
                                                   control_period=3000))
-    batches, ticks = split_rows(run(cfg, traces.constant(1000.0)))
+    batches, ticks, _ = split_rows(run(cfg, traces.constant(1000.0)))
     staging = next(t for t in ticks if t.time_ms == 3000)
     assert (staging.workload_deviation, staging.traffic_change) == (-0.2, 0.0)
     assert (staging.fuzzy_level, staging.interval_ms) == (-1, 1800)
@@ -207,7 +206,7 @@ def test_adaptive_constant_rate_interval_settles():
         cost_model=JobCostModel(896.0, 0.33, 8.0),
     )
     log = run(cfg, traces.constant(1000.0))
-    _, ticks = split_rows(log)
+    ticks = split_rows(log)[1]
     late = [t.interval_ms for t in ticks if t.time_ms >= 150_000]
     assert len(set(late)) <= 2  # settles instead of hunting
     final_s = ticks[-1].workload_s
@@ -215,13 +214,13 @@ def test_adaptive_constant_rate_interval_settles():
 
 
 def test_window_rows_measured_rates():
-    log = run(make_config(duration=180_000), traces.constant(1000.0))
-    assert [w.window_start_ms for w in log.windows] == \
+    windows = split_rows(run(make_config(duration=180_000), traces.constant(1000.0)))[2]
+    assert [w.window_start_ms for w in windows] == \
         [0, 30_000, 60_000, 90_000, 120_000, 150_000]
-    for w in log.windows:
+    for w in windows:
         assert w.rate_measured == pytest.approx(1000.0)
     # Forecasts appear once the fifth window has trained the model.
-    assert [w.rate_predicted_next is not None for w in log.windows] == \
+    assert [w.rate_predicted_next is not None for w in windows] == \
         [False, False, False, False, True, True]
 
 
@@ -234,6 +233,11 @@ def test_config_validation():
         make_config(controller=ControllerConfig(4000, 2000))
     with pytest.raises(DomainError):
         make_config(jitter=1.5)
+    # Times are ints: the summary keeps tick times and intervals as ints.
+    with pytest.raises(DomainError, match="duration must be an int, got 120000.0"):
+        make_config(duration=120_000.0)
+    with pytest.raises(DomainError, match="control_period must be an int"):
+        make_config(controller=ControllerConfig(400, 6000, control_period=10_000.0))
 
 
 # Every interval the engine times, given its value in ms, as make_config

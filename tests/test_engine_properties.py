@@ -16,9 +16,9 @@ The engine has no event heap: its five event sources are clocks compared
 by (time, rank). Each run is also checked against a reference loop that puts
 all five (job completions, window closes, control ticks, timer fires and the
 trace end) on one heap, ordered by time, rank and sequence number, and feeds the
-tracker one block at a time from the per-block receiver. Its rows, windows,
-batch count and record totals must equal the engine's, field for field, and
-its batch rows by repr too. The reference numbers batches when it seals
+tracker one block at a time from the per-block receiver. Its rows (batch,
+control and window rows, in one list), batch count and record totals must
+equal the engine's, field for field, and its batch rows by repr too. The reference numbers batches when it seals
 them and checks that each completes after exactly that many others, so
 the count of completed batches that ``write_metrics`` writes as the id is
 the seal-time id. It computes every delay by the general rule, so it also
@@ -184,11 +184,12 @@ def check_against_per_block_receiver(config, trace, log):
         assert (b.records, b.blocks) == (sum(sealed), sum(c > 0 for c in sealed))
         fired += b.interval_ms
     per_window = config.tracker.resample_interval // block
-    for k, w in enumerate(log.windows):
+    windows = split_rows(log)[2]
+    for k, w in enumerate(windows):
         assert w.window_start_ms == k * config.tracker.resample_interval
         window = counts[k * per_window:(k + 1) * per_window]
         assert w.rate_measured == sum(window) * 1000.0 / config.tracker.resample_interval
-    assert len(log.windows) == config.duration // config.tracker.resample_interval
+    assert len(windows) == config.duration // config.tracker.resample_interval
 
 
 # Event ranks of the reference loop: at equal times the lower rank runs first.
@@ -296,7 +297,7 @@ class HeapReference:
         self.maybe_start_job(now)
 
     def window_close(self, now, _):
-        self.log.windows.append(self.tracker.close_windows_upto(now))
+        self.log.rows.append(self.tracker.close_windows_upto(now))
         if now + self.config.tracker.resample_interval <= self.config.duration:
             self.schedule(now + self.config.tracker.resample_interval, RATE_WINDOW_CLOSE)
 
@@ -325,7 +326,6 @@ def check_against_heap_reference(config, trace, log):
     assert log.rows == ref.rows
     # By repr too, which tells +0.0 from -0.0 and an int from a float.
     assert repr(split_rows(log)[0]) == repr(split_rows(ref)[0])
-    assert log.windows == ref.windows
     assert log.batch_count == ref.batch_count
     assert (log.total_generated, log.total_batch_records) == \
         (ref.total_generated, ref.total_batch_records)
@@ -337,7 +337,7 @@ def check_invariants(config, trace):
     check_against_per_block_receiver(config, trace, log)
     check_against_heap_reference(config, trace, log)
 
-    batches, ticks = split_rows(log)
+    batches, ticks, _ = split_rows(log)
     assert sum(b.records for b in batches) <= log.total_generated
     for b in batches:
         assert b.sched_delay_ms >= 0 and b.proc_delay_ms >= 0
@@ -454,7 +454,7 @@ def test_prediction_without_a_model_changes_no_decision(drawn):
     on = dataclasses.replace(config, tracker=tracker)
     off = dataclasses.replace(on, tracker=dataclasses.replace(tracker,
                                                               prediction_enabled=False))
-    (batches_on, ticks_on), (batches_off, ticks_off) = (
+    (batches_on, ticks_on, _), (batches_off, ticks_off, _) = (
         split_rows(MicrobatchEngine(c, trace).run()) for c in (on, off))
     assert all(t.rate_predicted is None for t in ticks_on)
     assert repr(batches_on) == repr(batches_off)  # equal, floats to the last bit

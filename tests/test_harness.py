@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import gc
 import io
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from functools import reduce
 from operator import add
@@ -185,7 +187,8 @@ def test_metrics_csv_shape(tmp_path):
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header == list(METRICS_COLUMNS)
-    assert len(lines) == 1 + len(log.rows)
+    batches, ticks, _ = split_rows(log)
+    assert len(lines) == 1 + len(batches) + len(ticks)
     batch_rows = tick_rows = 0
     for line in lines[1:]:
         fields = dict(zip(header, line.split(",")))
@@ -198,7 +201,6 @@ def test_metrics_csv_shape(tmp_path):
             tick_rows += 1
             assert fields["workload_S"]
             assert fields["records"] == ""
-    batches, ticks = split_rows(log)
     assert batch_rows == len(batches)
     assert tick_rows == len(ticks)
 
@@ -206,11 +208,11 @@ def test_metrics_csv_shape(tmp_path):
 def test_series_files_row_counts(tmp_path):
     log = run_mini()
     write_metrics(log, tmp_path, summarize(log, MINI_BLOCK))
-    batches, ticks = split_rows(log)
+    batches, ticks, windows = split_rows(log)
     counts = {
         "series_interval.csv": len(ticks),
         "series_workload.csv": len(ticks),
-        "series_rate.csv": len(log.windows),
+        "series_rate.csv": len(windows),
         "series_delay.csv": len(batches),
     }
     for name, expected in counts.items():
@@ -236,7 +238,6 @@ def test_summary_json_matches_recomputation(tmp_path):
     log = run_mini()
     write_metrics(log, tmp_path, summarize(log, MINI_BLOCK))
     stored = json.loads((tmp_path / "summary.json").read_text())
-    import dataclasses
     assert stored == dataclasses.asdict(summarize(log, MINI_BLOCK))
 
     header, *rows = (tmp_path / "metrics.csv").read_text().splitlines()
@@ -387,7 +388,7 @@ def test_cli_validate_reports_blocks_and_row_bound(capsys):
     spec = load_preset("exp1")
     assert harness.run_size(spec.engine) == (1500, 3030)
     log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-    assert len(log.rows) + len(log.windows) <= 3030
+    assert len(log.rows) <= 3030
 
 
 @pytest.mark.parametrize("argv", [["run", "--config", "c", "--bogus"], ["run"],
@@ -831,14 +832,16 @@ def test_cli_failed_write_exits_1_and_keeps_the_old_outputs(tmp_path, capsys, mo
     assert sorted(new) == sorted(old) and new["metrics.csv"] != old["metrics.csv"]
 
 
-# 1,200 ticks and over 600 batches: each of the four row files outgrows its
-# text and file buffers, so a full disk fails a write during the run.
+# 1,200 ticks, 1,200 windows and over 600 batches: each of the five row files
+# outgrows its text and file buffers, so a full disk fails a write during the
+# run.
 LONG = (MINI.replace("engine.duration = 120000", "engine.duration = 1200000")
-        + "controller.control_period = 1000\n")
+        + "controller.control_period = 1000\ntracker.resample_interval = 1000\n")
 
 
 @pytest.mark.parametrize("name", ["metrics.csv", "series_interval.csv",
-                                  "series_workload.csv", "series_delay.csv"])
+                                  "series_workload.csv", "series_delay.csv",
+                                  "series_rate.csv"])
 def test_cli_write_failing_during_the_run_exits_1_and_closes_every_file(
         tmp_path, capsys, monkeypatch, name):
     out = tmp_path / "o"
@@ -870,9 +873,9 @@ def test_cli_write_failing_during_the_run_exits_1_and_closes_every_file(
 
 
 @pytest.mark.parametrize("make_spec, rows", [
-    (lambda: load_preset("exp1"), 210),
-    (lambda: build_run_spec(mini_cfg(**{"engine.duration": 363_000})), 256),
-    (lambda: build_run_spec(mini_cfg(**{"engine.duration": 717_000})), 512),
+    (lambda: load_preset("exp1"), 220),
+    (lambda: build_run_spec(mini_cfg(**{"engine.duration": 349_000})), 256),
+    (lambda: build_run_spec(mini_cfg(**{"engine.duration": 686_000})), 512),
 ], ids=["fewer-than-a-chunk", "one-chunk", "two-chunks"])
 def test_streamed_run_hands_on_every_row_a_chunk_at_a_time(make_spec, rows):
     spec = make_spec()
@@ -885,10 +888,42 @@ def test_streamed_run_hands_on_every_row_a_chunk_at_a_time(make_spec, rows):
     full, rest = divmod(rows, engine.ROW_CHUNK)
     assert [len(c) for c in chunks] == [engine.ROW_CHUNK] * full + [rest]
     assert [row for chunk in chunks for row in chunk] == collected.rows
-    assert log.rows == [] and log.windows == collected.windows
+    assert log.rows == []
+    windows = split_rows(collected)[2]  # the stream holds the window rows too
+    assert len(windows) == spec.engine.duration // spec.engine.tracker.resample_interval
     assert (log.total_generated, log.total_block_records, log.total_batch_records,
             log.batch_count) == (collected.total_generated, collected.total_block_records,
                                  collected.total_batch_records, collected.batch_count)
+
+
+# A streamed run keeps three numbers per control tick, 24 bytes, and no row
+# beyond the current chunk, so its peak grows by about that much per tick;
+# a ControlRow kept whole, with its floats, is about ten times as much. The
+# bound leaves room for the arrays' over-allocation and for other Pythons.
+TICK_BYTES_BOUND = 64
+
+
+def test_streamed_run_memory_grows_by_a_few_bytes_per_tick(tmp_path):
+    # exp3 with a tick and a window every 2 s. Both runs are long enough
+    # that the chunk, the delay cache and the file buffers are full, so only
+    # what the run keeps per tick or per window differs between the peaks.
+    def peak(duration):
+        spec = load_preset("exp3")
+        engine_cfg = dataclasses.replace(
+            spec.engine, duration=duration,
+            controller=dataclasses.replace(spec.engine.controller, control_period=2000),
+            tracker=dataclasses.replace(spec.engine.tracker, resample_interval=2000))
+        spec = dataclasses.replace(spec, engine=engine_cfg)
+        tracemalloc.start()
+        try:
+            harness.execute(spec, tmp_path / str(duration))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(1_200_000), peak(3_600_000)
+    ticks = (3_600_000 - 1_200_000) // 2000
+    assert long - short < TICK_BYTES_BOUND * ticks, ((long - short) / ticks, short, long)
 
 
 @pytest.mark.parametrize("what, content, message", [

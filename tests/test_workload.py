@@ -33,6 +33,12 @@ def test_initial_estimate_default():
     assert mon.value == 1.0
 
 
+def test_initial_estimate_is_a_float():
+    # S is a float from the first tick on, so the summary's column of S
+    # holds it exactly.
+    assert repr(WorkloadMonitor(MonitorConfig(initial_estimate=2)).update_estimate()) == "2.0"
+
+
 def test_rejects_zero_total_delay():
     mon = WorkloadMonitor(MonitorConfig())
     for eta in (0.0, -0.5, float("nan")):
