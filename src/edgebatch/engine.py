@@ -144,8 +144,8 @@ class EngineConfig:
 class BatchRow:
     """Metrics row emitted when a batch completes: the completion time, the
     interval used, the record and non-empty block counts, and the scheduling
-    and processing delays. A run that collects its rows keeps every one to
-    the end, so what follows from these is derived, not stored:
+    and processing delays. Only these are stored; what follows from them is
+    derived:
 
     - ``total_delay_ms`` is ``sched_delay_ms + proc_delay_ms``, the engine's
       own expression. A batch that started at its own fire holds the
@@ -176,13 +176,10 @@ class BatchRow:
 
 @dataclass
 class MetricsLog:
-    """One run's log: its batch, control and window rows in the order the run
-    logged them, the records generated, sealed in blocks and sealed in
-    batches (the trace end's unrun batch included), and the batches
-    completed. A run with a ``flush`` hands its rows on and leaves ``rows``
-    empty, so it keeps no row beyond the current chunk."""
+    """One run's totals: the records generated, sealed in blocks and sealed
+    in batches (the trace end's unrun batch included), and the batches
+    completed. Its rows go to the engine's ``flush``."""
 
-    rows: list = field(default_factory=list)
     total_generated: int = 0
     total_block_records: int = 0
     total_batch_records: int = 0
@@ -191,23 +188,21 @@ class MetricsLog:
 
 class MicrobatchEngine:
     """Engine for one config and trace: each run() builds its own tracker,
-    monitor, controller, RNG and metrics log, so runs are equal. ``flush``,
-    if given, is called with the run's rows, in time order, as they come."""
+    monitor, controller, RNG and metrics log, so runs are equal. ``flush``
+    is called with the run's rows, in time order, as they come."""
 
     def __init__(self, config: EngineConfig, trace: RateFunction,
-                 flush: Callable[[list], object] | None = None):
+                 flush: Callable[[list], object]):
         self.config = config
         self.trace = trace
         self.flush = flush
 
     def run(self) -> MetricsLog:
-        """Run the trace to its end and return the metrics log. Batch,
-        control and window rows go to one row list, in the order they are
-        logged. Without a ``flush`` the log keeps every row. With one, each
-        time the list holds ``ROW_CHUNK`` rows it is handed to ``flush`` and
-        then emptied, and at the trace end it is handed on once more,
-        whatever it holds, so the log comes back with no rows; a ``flush``
-        that raises ends the run. The record totals are kept either way."""
+        """Run the trace to its end and return its totals. Batch, control and
+        window rows go to one row list, in the order they are logged; each
+        time it holds ``ROW_CHUNK`` rows it is handed to ``flush`` and then
+        emptied. At the trace end it is handed on once more with the fewer
+        rows left, possibly none; a ``flush`` that raises ends the run."""
         cfg = self.config
         block = cfg.block_interval
         tracker = TrafficTracker(cfg.tracker)
@@ -217,9 +212,8 @@ class MicrobatchEngine:
         metrics = MetricsLog()
         cost = cfg.cost_model.cost
         on_batch_completed = monitor.on_batch_completed
-        rows = metrics.rows
+        rows: list = []
         flush = self.flush
-        chunk = ROW_CHUNK if flush is not None else 0  # 0: never a length after an append
         # The window, tick and trace-end clocks.
         w, period = cfg.tracker.resample_interval, cfg.controller.control_period
         window, tick, end = w, period, cfg.duration
@@ -241,6 +235,11 @@ class MicrobatchEngine:
         queue: deque[tuple[int, int, int, int]] = deque()
         completed = 0
         while True:
+            # An iteration logs at most one row, so the list never passes
+            # ROW_CHUNK.
+            if len(rows) == ROW_CHUNK:
+                flush(rows)
+                rows.clear()
             # The next event is the earliest of the five clocks by (time, rank).
             if window <= tick:
                 now, kind = window, RATE_WINDOW_CLOSE
@@ -265,9 +264,6 @@ class MicrobatchEngine:
                     sched = started_at - float(generated_at)
                     total = sched + proc
                 rows.append(BatchRow(now, used, batch_size, batch_blocks, sched, proc))
-                if len(rows) == chunk:
-                    flush(rows)
-                    rows.clear()
                 if total > 0:
                     on_batch_completed(total / float(used))  # the row's eta
                 else:
@@ -301,9 +297,6 @@ class MicrobatchEngine:
                     tracker.report_info(sealed_records - reported_records)
                     reported_records = sealed_records
                     rows.append(tracker.close_windows_upto(now))
-                    if len(rows) == chunk:
-                        flush(rows)
-                        rows.clear()
                     window = now + w
                 elif kind == CONTROL_TICK:
                     s = monitor.update_estimate()
@@ -318,9 +311,6 @@ class MicrobatchEngine:
                     else:
                         row = ControlRow(now, interval, s, q_now, q_next, None, None, None)
                     rows.append(row)
-                    if len(rows) == chunk:
-                        flush(rows)
-                        rows.clear()
                     tick = now + period
                 else:
                     break
@@ -334,9 +324,7 @@ class MicrobatchEngine:
         metrics.total_generated = metrics.total_block_records = sealed_records
         metrics.total_batch_records = sealed_records
         metrics.batch_count = completed
-        if flush is not None:
-            flush(rows)
-            rows.clear()
+        flush(rows)
         return metrics
 
     def _block_counts(self, first: int, n: int, rng: random.Random) -> list[int]:

@@ -38,7 +38,6 @@ from .engine import (
     BatchRow,
     EngineConfig,
     JobCostModel,
-    MetricsLog,
     MicrobatchEngine,
 )
 from .errors import DomainError, EdgeBatchError, TraceParseError
@@ -61,10 +60,9 @@ OUTPUT_FILES = ("metrics.csv", "series_interval.csv", "series_workload.csv",
 STABLE_TICKS = 20  # control ticks the interval must hold within one block
 FMT_CACHE_SIZE = 256  # the row writer's cache of delay strings empties at this size
 # The most rows a run may log, as build_run_spec bounds them. ``execute``
-# writes every row as the run goes and keeps three numbers per control tick,
-# but a log collected for ``write_metrics`` keeps every row, so this bounds
-# its memory to a few GB; a larger run could end in a MemoryError or the OOM
-# killer.
+# writes every row as the run goes, so this bounds the run's time and
+# ``_Tally``'s three columns per control tick: 24 bytes a tick, about 240 MB
+# when almost every row is a tick.
 MAX_RUN_ROWS = 10_000_000
 
 
@@ -404,11 +402,11 @@ class _Tally:
         )
 
 
-def summarize(log: MetricsLog, block_interval: int) -> SummaryReport:
-    """The run's summary.json: ``log.rows`` folded by ``_Tally``, as
-    ``execute`` folds each row when the run hands it on."""
+def summarize(rows: list, block_interval: int) -> SummaryReport:
+    """summary.json's report of a run's rows, in the order the run logged
+    them: the rows folded by ``_Tally`` in one call."""
     tally = _Tally()
-    tally(log.rows)
+    tally(rows)
     return tally.report(block_interval)
 
 
@@ -445,21 +443,21 @@ class _OutputFile(io.FileIO):
             raise OutputError(exc.errno, exc.strerror, str(self.path)) from exc
 
 
-def write_metrics(log: MetricsLog, out_dir: str | Path, report: SummaryReport) -> Path:
+def write_metrics(rows: list, out_dir: str | Path, report: SummaryReport) -> Path:
     """Write metrics.csv, summary.json, and the series files; returns out_dir.
 
-    ``report`` is summary.json's ``summarize(log, block_interval)``, with the
-    block interval from the run's ``EngineConfig``. The files are those
-    ``execute`` writes for the run: ``log.rows`` go through the row writer
-    it hands the engine, in one call, then ``report`` fills summary.json.
-    They are written all or nothing (see ``_outputs``): an output that cannot
-    be opened, or is a directory, raises an ``OSError``, and a failed write
-    an ``OutputError``; each names the output file.
+    ``rows`` are a run's rows in the order it logged them, and ``report`` is
+    their ``summarize(rows, block_interval)``. The rows go through
+    ``_row_writer`` in one call, then ``report`` fills summary.json, so the
+    files are those ``execute`` writes for the run. They are written all or
+    nothing (see ``_outputs``): an output that cannot be opened, or is a
+    directory, raises an ``OSError``, and a failed write an ``OutputError``;
+    each names the output file.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _outputs(out) as files:
-        _row_writer(*files[:5])(log.rows)
+        _row_writer(*files[:5])(rows)
         _write_summary(files[5], report)
     return out
 
@@ -589,7 +587,7 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
         raise UsageError(f"cannot write output directory {out}: {exc}") from exc
     # The six files are open before the run, so an output that cannot be
     # opened fails before any simulated time passes. The rows go to the
-    # first five, and to summarize's fold, as the run hands them on.
+    # first five, and to the summary's fold, as the run hands them on.
     tally = _Tally()
     try:
         with _outputs(out) as files:

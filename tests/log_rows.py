@@ -1,18 +1,35 @@
-"""Test helpers: a MetricsLog's rows split by kind, and a run's block
-counts computed one block at a time, independently of the engine."""
+"""Test helpers: a run's rows collected from its flush and split by kind,
+and a run's block counts computed one block at a time, independently of the
+engine."""
 
 import math
 import random
 
-from edgebatch.engine import BatchRow
+from edgebatch.engine import ROW_CHUNK, BatchRow, MicrobatchEngine
 from edgebatch.tracker import WindowRow
 
 
-def split_rows(log):
-    """(batch rows, control-tick rows, window rows) of log, each in time
-    order."""
+def collect(config, trace):
+    """(log, rows) of one run: the engine's totals and every row it handed
+    its flush, in order. It checks the one flush rule on the way: every
+    chunk but the last holds exactly ``ROW_CHUNK`` rows, and the last fewer."""
+    rows, sizes = [], []
+
+    def flush(chunk):
+        sizes.append(len(chunk))
+        rows.extend(chunk)
+
+    log = MicrobatchEngine(config, trace, flush).run()
+    assert sizes[:-1] == [ROW_CHUNK] * (len(sizes) - 1), sizes
+    assert sizes[-1] < ROW_CHUNK, sizes
+    return log, rows
+
+
+def split_rows(rows):
+    """(batch rows, control-tick rows, window rows) of a run's rows, each in
+    time order."""
     batches, ticks, windows = [], [], []
-    for row in log.rows:
+    for row in rows:
         kind = type(row)
         (batches if kind is BatchRow else windows if kind is WindowRow else ticks).append(row)
     return batches, ticks, windows

@@ -14,15 +14,16 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from edgebatch import engine, fuzzy, grey, harness, traces
+from edgebatch import fuzzy, grey, harness, traces
 from edgebatch.engine import VANILLA
 
-from log_rows import per_block_counts, split_rows
+from log_rows import collect, per_block_counts, split_rows
 
 
 def run_preset(name, **kw):
+    """(spec, log, rows) of the preset's run."""
     spec = harness.load_preset(name, **kw)
-    return spec, engine.MicrobatchEngine(spec.engine, spec.trace).run()
+    return spec, *collect(spec.engine, spec.trace)
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +123,8 @@ def test_criterion_02_offline_day_trace_error():
 
 
 def test_criterion_03_online_sinusoid_error(exp3):
-    _, log = exp3
-    windows = split_rows(log)[2]
+    _, _, rows = exp3
+    windows = split_rows(rows)[2]
     errs = [err for prev, cur in zip(windows, windows[1:])
             if (err := harness.prediction_error(prev.rate_predicted_next,
                                                 cur.rate_measured)) is not None]
@@ -138,8 +139,8 @@ def test_criterion_03_online_sinusoid_error(exp3):
 
 
 def test_criterion_04_exp1_convergence(exp1):
-    spec, log = exp1
-    ticks = split_rows(log)[1]
+    spec, _, rows = exp1
+    ticks = split_rows(rows)[1]
     conv = harness.convergence_time([t.time_ms for t in ticks], [t.interval_ms for t in ticks],
                                     spec.engine.block_interval)
     limit = spec.engine.control_start + 60_000
@@ -159,9 +160,9 @@ def test_criterion_04_exp1_convergence(exp1):
 
 
 def test_criterion_05_exp2_step_response(exp2):
-    spec, log = exp2
+    spec, _, rows = exp2
     step_at = 150_000  # trace.switch in the exp2 preset
-    post = [t for t in split_rows(log)[1] if t.time_ms >= step_at]
+    post = [t for t in split_rows(rows)[1] if t.time_ms >= step_at]
     restab = harness.convergence_time([t.time_ms for t in post], [t.interval_ms for t in post],
                                       spec.engine.block_interval)
     assert restab is not None and restab - step_at <= 150_000, restab
@@ -188,10 +189,10 @@ def interval_churn(ticks):
 
 
 def test_criterion_06_prediction_reduces_churn(exp3, exp3_nopred):
-    _, log_on = exp3
-    _, log_off = exp3_nopred
-    churn_on = interval_churn(split_rows(log_on)[1])
-    churn_off = interval_churn(split_rows(log_off)[1])
+    _, _, rows_on = exp3
+    _, _, rows_off = exp3_nopred
+    churn_on = interval_churn(split_rows(rows_on)[1])
+    churn_off = interval_churn(split_rows(rows_off)[1])
     assert churn_on <= churn_off, (churn_on, churn_off)
     print(f"criterion 6: PASS (mean |interval change| {churn_on:.1f} ms with "
           f"prediction vs {churn_off:.1f} ms without)")
@@ -215,8 +216,8 @@ def overload_episode_lengths(ticks):
 
 
 def test_criterion_07_overload_suppression(exp3):
-    spec, log = exp3
-    batches, ticks, _ = split_rows(log)
+    spec, _, rows = exp3
+    batches, ticks, _ = split_rows(rows)
     episodes = overload_episode_lengths(ticks)
     assert all(n <= 10 for n in episodes), episodes
 
@@ -241,14 +242,14 @@ def longest_strict_growth(svals):
 
 
 def test_criterion_08_vanilla_accumulation(day, day_vanilla):
-    _, log_v = day_vanilla
-    sv = [t.workload_s for t in split_rows(log_v)[1]]
+    _, _, rows_v = day_vanilla
+    sv = [t.workload_s for t in split_rows(rows_v)[1]]
     onset = next(i for i, s in enumerate(sv) if s > 1.0)
     assert all(b > a for a, b in zip(sv[onset:], sv[onset + 1:]))
     assert sv[-1] > 5.0, sv[-1]
 
-    _, log_a = day
-    sa = [t.workload_s for t in split_rows(log_a)[1]]
+    _, _, rows_a = day
+    sa = [t.workload_s for t in split_rows(rows_a)[1]]
     s_avg = mean(sa)
     growth = longest_strict_growth(sa)
     assert s_avg < 1.1, s_avg
@@ -262,7 +263,7 @@ def test_criterion_08_vanilla_accumulation(day, day_vanilla):
 
 
 def test_criterion_09_day_latency_and_restraint(day):
-    spec, log_a = day
+    spec, _, rows_a = day
     cost = spec.engine.cost_model
     block = spec.engine.block_interval
 
@@ -277,17 +278,17 @@ def test_criterion_09_day_latency_and_restraint(day):
 
     vanilla_cfg = dataclasses.replace(spec.engine, mode=VANILLA,
                                       initial_interval=safe)
-    log_v = engine.MicrobatchEngine(vanilla_cfg, spec.trace).run()
+    _, rows_v = collect(vanilla_cfg, spec.trace)
 
     third = spec.engine.duration // 3
-    low_a = mean([b.total_delay_ms for b in split_rows(log_a)[0] if b.time_ms < third])
-    low_v = mean([b.total_delay_ms for b in split_rows(log_v)[0] if b.time_ms < third])
+    low_a = mean([b.total_delay_ms for b in split_rows(rows_a)[0] if b.time_ms < third])
+    low_v = mean([b.total_delay_ms for b in split_rows(rows_v)[0] if b.time_ms < third])
     ratio = low_a / low_v
     assert ratio <= 0.65, ratio
 
     # High-rate segment: the contiguous run of measurement windows at >= 80%
     # of the peak window rate that contains the peak window itself.
-    wrates = [(w.window_start_ms, w.rate_measured) for w in split_rows(log_a)[2]]
+    wrates = [(w.window_start_ms, w.rate_measured) for w in split_rows(rows_a)[2]]
     w_max = max(r for _, r in wrates)
     i_max = max(range(len(wrates)), key=lambda i: wrates[i][1])
     lo = i_max
@@ -299,7 +300,7 @@ def test_criterion_09_day_latency_and_restraint(day):
     seg0 = wrates[lo][0]
     seg1 = wrates[hi][0] + spec.engine.tracker.resample_interval
 
-    seg_ticks = [t for t in split_rows(log_a)[1] if seg0 <= t.time_ms < seg1]
+    seg_ticks = [t for t in split_rows(rows_a)[1] if seg0 <= t.time_ms < seg1]
     assert seg_ticks
     r_seg = max(r for t, r in wrates if seg0 <= t < seg1)
     optimal = block
@@ -323,17 +324,17 @@ def test_criterion_10_determinism_and_conservation(tmp_path, exp1, exp2, exp3,
     # The generated total is checked against the per-block receiver, which
     # integrates the trace one block at a time, not against the engine's
     # own running sums.
-    for name, (spec, log) in {"exp1": exp1, "exp2": exp2, "exp3": exp3,
-                              "exp3-nopred": exp3_nopred, "day": day,
-                              "day-vanilla": day_vanilla}.items():
+    for name, (spec, log, _) in {"exp1": exp1, "exp2": exp2, "exp3": exp3,
+                                 "exp3-nopred": exp3_nopred, "day": day,
+                                 "day-vanilla": day_vanilla}.items():
         generated = sum(per_block_counts(spec.engine, spec.trace))
         assert log.total_generated == generated == log.total_batch_records, name
 
     spec = harness.load_preset("exp1")
     for sub in ("a", "b"):
-        log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-        harness.write_metrics(log, tmp_path / sub,
-                              harness.summarize(log, spec.engine.block_interval))
+        _, rows = collect(spec.engine, spec.trace)
+        harness.write_metrics(rows, tmp_path / sub,
+                              harness.summarize(rows, spec.engine.block_interval))
     first = (tmp_path / "a" / "metrics.csv").read_bytes()
     second = (tmp_path / "b" / "metrics.csv").read_bytes()
     assert first == second

@@ -18,10 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgebatch import fuzzy, grey, harness
-from edgebatch.engine import ADAPTIVE, MicrobatchEngine
+from edgebatch.engine import ADAPTIVE
 from edgebatch.errors import DomainError, FitError
-from edgebatch.fuzzy import ControllerConfig, ControlRow, _memberships, adjust_interval, clamp
+from edgebatch.fuzzy import ControllerConfig, _memberships, adjust_interval, clamp
 from edgebatch.tracker import TrackerConfig, TrafficTracker
+
+from log_rows import collect, split_rows
 
 ORACLE = settings(max_examples=400, deadline=None)
 
@@ -150,8 +152,7 @@ def test_adjust_interval_matches_min_max(lo, hi):
 @pytest.mark.parametrize("preset", harness.PRESETS)
 def test_logged_level_is_infer_of_logged_c_and_d(preset, prediction):
     spec = harness.load_preset(preset, disable_prediction=not prediction)
-    log = MicrobatchEngine(spec.engine, spec.trace).run()
-    ticks = [row for row in log.rows if type(row) is ControlRow]
+    ticks = split_rows(collect(spec.engine, spec.trace)[1])[1]
     controlled = [t for t in ticks if t.fuzzy_level is not None]
     assert bool(controlled) == (spec.engine.mode == ADAPTIVE)
     for t in ticks:

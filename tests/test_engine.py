@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import accumulate
 
 import pytest
@@ -11,6 +12,7 @@ from edgebatch.engine import (
     ControlRow,
     EngineConfig,
     JobCostModel,
+    MetricsLog,
     MicrobatchEngine,
 )
 from edgebatch.errors import DomainError
@@ -18,11 +20,7 @@ from edgebatch.fuzzy import ControllerConfig
 from edgebatch.tracker import TrackerConfig
 from edgebatch.workload import MonitorConfig, WorkloadMonitor
 
-from log_rows import per_block_counts, split_rows
-
-
-def run(config, trace):
-    return MicrobatchEngine(config, trace).run()
+from log_rows import collect, per_block_counts, split_rows
 
 
 def make_config(**kw):
@@ -48,8 +46,8 @@ def test_cost_model_validation():
 
 
 def test_blocks_per_batch_and_quantization():
-    log = run(make_config(initial_interval=1600), traces.constant(1000.0))
-    batches = split_rows(log)[0]
+    _, rows = collect(make_config(initial_interval=1600), traces.constant(1000.0))
+    batches = split_rows(rows)[0]
     assert batches
     for row in batches:
         assert row.blocks == 8
@@ -58,9 +56,9 @@ def test_blocks_per_batch_and_quantization():
 
 
 def test_steady_state_delays():
-    log = run(make_config(), traces.constant(1000.0))
+    _, rows = collect(make_config(), traces.constant(1000.0))
     # cost = 100 + 0.4*2000 + 10*10 = 1000 ms against a 2000 ms interval
-    tail = split_rows(log)[0][3:]
+    tail = split_rows(rows)[0][3:]
     for row in tail:
         assert row.sched_delay_ms == pytest.approx(0.0)
         assert row.proc_delay_ms == pytest.approx(1000.0)
@@ -72,10 +70,10 @@ def test_batch_row_splits_delays(monkeypatch):
     samples = []
     monkeypatch.setattr(WorkloadMonitor, "on_batch_completed",
                         lambda monitor, eta: samples.append(eta))
-    log = run(make_config(cost_model=JobCostModel(1500.0, 0.0, 0.0), initial_interval=1000,
-                          duration=5000),
-              traces.constant(1000.0))
-    batches = split_rows(log)[0]
+    _, rows = collect(make_config(cost_model=JobCostModel(1500.0, 0.0, 0.0),
+                                  initial_interval=1000, duration=5000),
+                      traces.constant(1000.0))
+    batches = split_rows(rows)[0]
     assert batches == [
         BatchRow(2500.0, 1000, 1000, 5, 0.0, 1500.0),
         BatchRow(4000.0, 1000, 1000, 5, 500.0, 1500.0),
@@ -102,9 +100,17 @@ def test_batch_row_stores_six_values():
                                   "sched_delay_ms", "proc_delay_ms")
 
 
+def test_engine_needs_a_flush_and_its_log_holds_only_totals():
+    # A run hands every row to its flush; no path keeps them.
+    with pytest.raises(TypeError):
+        MicrobatchEngine(make_config(), traces.constant(1000.0))
+    assert [f.name for f in dataclasses.fields(MetricsLog)] == [
+        "total_generated", "total_block_records", "total_batch_records", "batch_count"]
+
+
 def test_zero_rate_batches_cost_fixed_overhead():
-    log = run(make_config(), traces.constant(0.0))
-    batches = split_rows(log)[0]
+    log, rows = collect(make_config(), traces.constant(0.0))
+    batches = split_rows(rows)[0]
     assert batches
     for row in batches:
         assert row.records == 0
@@ -116,47 +122,49 @@ def test_zero_rate_batches_cost_fixed_overhead():
 
 def test_record_conservation_exact():
     cfg, trace = make_config(duration=300_000), traces.SinusoidRate(900.0, 400.0, 60_000)
-    log = run(cfg, trace)
+    log, _ = collect(cfg, trace)
     assert log.total_generated == log.total_batch_records == sum(per_block_counts(cfg, trace))
 
 
 def test_conservation_includes_unbatched_tail():
     # Duration not aligned with the interval leaves blocks in the queue.
     cfg, trace = make_config(duration=119_000), traces.constant(500.0)
-    log = run(cfg, trace)
+    log, _ = collect(cfg, trace)
     assert log.total_generated == log.total_batch_records == sum(per_block_counts(cfg, trace))
 
 
 def test_rerun_is_identical():
     cfg = make_config(mode=ADAPTIVE, duration=200_000)
     trace = traces.SinusoidRate(1000.0, 250.0, 120_000)
-    first = run(cfg, trace)
-    second = run(cfg, trace)
-    assert first.rows == second.rows
+    first, second = collect(cfg, trace)[1], collect(cfg, trace)[1]
+    assert first == second
     assert split_rows(first)[2]  # the rows hold the windows too
     # One instance run twice, with jitter on, also returns equal logs.
+    rows = []
     engine = MicrobatchEngine(make_config(mode=ADAPTIVE, duration=200_000, jitter=0.05, seed=3),
-                              trace)
-    first, second = engine.run(), engine.run()
+                              trace, rows.extend)
+    first = engine.run()
+    n = len(rows)
+    second = engine.run()
     assert first is not second
-    assert first.rows == second.rows
+    assert rows[:n] == rows[n:]
     assert (first.total_generated, first.total_batch_records, first.batch_count) == \
         (second.total_generated, second.total_batch_records, second.batch_count)
 
 
 def test_jitter_changes_with_seed_but_not_rerun():
     trace = traces.constant(1000.0)
-    a = run(make_config(jitter=0.05, seed=7), trace)
-    b = run(make_config(jitter=0.05, seed=7), trace)
-    c = run(make_config(jitter=0.05, seed=8), trace)
-    assert a.rows == b.rows
-    assert a.rows != c.rows
+    a = collect(make_config(jitter=0.05, seed=7), trace)[1]
+    b = collect(make_config(jitter=0.05, seed=7), trace)[1]
+    c = collect(make_config(jitter=0.05, seed=8), trace)[1]
+    assert a == b
+    assert a != c
 
 
 def test_control_rows_present_and_gated():
-    log = run(make_config(mode=ADAPTIVE, duration=100_000, control_start=30_000),
-              traces.constant(1000.0))
-    ticks = split_rows(log)[1]
+    _, rows = collect(make_config(mode=ADAPTIVE, duration=100_000, control_start=30_000),
+                      traces.constant(1000.0))
+    ticks = split_rows(rows)[1]
     assert [t.time_ms for t in ticks] == [10_000 * k for k in range(1, 11)]
     for t in ticks:
         if t.time_ms < 30_000:
@@ -167,16 +175,16 @@ def test_control_rows_present_and_gated():
 
 
 def test_vanilla_mode_never_adjusts():
-    log = run(make_config(duration=240_000), traces.step(500.0, 4000.0, 60_000))
-    for t in split_rows(log)[1]:
+    _, rows = collect(make_config(duration=240_000), traces.step(500.0, 4000.0, 60_000))
+    for t in split_rows(rows)[1]:
         assert t.interval_ms == 2000
         assert t.fuzzy_level is None
 
 
 def test_vanilla_overload_grows_monotonically():
-    log = run(make_config(duration=240_000), traces.step(500.0, 4000.0, 60_000))
+    _, rows = collect(make_config(duration=240_000), traces.step(500.0, 4000.0, 60_000))
     # cost at 4000 rec/s: 100 + 0.4*8000 + 100 = 3400 ms > 2000 ms interval
-    late = [t.workload_s for t in split_rows(log)[1] if t.time_ms >= 90_000]
+    late = [t.workload_s for t in split_rows(rows)[1] if t.time_ms >= 90_000]
     assert all(b > a for a, b in zip(late, late[1:]))
     assert late[-1] > 1.5
 
@@ -190,7 +198,7 @@ def test_set_interval_takes_effect_next_fire():
                       monitor=MonitorConfig(initial_estimate=0.1),
                       controller=ControllerConfig(min_interval=1800, max_interval=6000,
                                                   control_period=3000))
-    batches, ticks, _ = split_rows(run(cfg, traces.constant(1000.0)))
+    batches, ticks, _ = split_rows(collect(cfg, traces.constant(1000.0))[1])
     staging = next(t for t in ticks if t.time_ms == 3000)
     assert (staging.workload_deviation, staging.traffic_change) == (-0.2, 0.0)
     assert (staging.fuzzy_level, staging.interval_ms) == (-1, 1800)
@@ -205,8 +213,8 @@ def test_adaptive_constant_rate_interval_settles():
         duration=300_000,
         cost_model=JobCostModel(896.0, 0.33, 8.0),
     )
-    log = run(cfg, traces.constant(1000.0))
-    ticks = split_rows(log)[1]
+    _, rows = collect(cfg, traces.constant(1000.0))
+    ticks = split_rows(rows)[1]
     late = [t.interval_ms for t in ticks if t.time_ms >= 150_000]
     assert len(set(late)) <= 2  # settles instead of hunting
     final_s = ticks[-1].workload_s
@@ -214,7 +222,7 @@ def test_adaptive_constant_rate_interval_settles():
 
 
 def test_window_rows_measured_rates():
-    windows = split_rows(run(make_config(duration=180_000), traces.constant(1000.0)))[2]
+    windows = split_rows(collect(make_config(duration=180_000), traces.constant(1000.0))[1])[2]
     assert [w.window_start_ms for w in windows] == \
         [0, 30_000, 60_000, 90_000, 120_000, 150_000]
     for w in windows:

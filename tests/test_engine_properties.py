@@ -46,8 +46,6 @@ from edgebatch.engine import (
     EngineConfig,
     JobCostModel,
     MetricsLog,
-    MicrobatchEngine,
-    ROW_CHUNK,
 )
 from edgebatch.fuzzy import ControllerConfig, ControlRow, FuzzyController
 from edgebatch.grey import MIN_TRAIN_LEN
@@ -55,7 +53,7 @@ from edgebatch.harness import METRICS_COLUMNS, RunSpec, execute, summarize, writ
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 from edgebatch.workload import WorkloadMonitor
 
-from log_rows import per_block_counts, split_rows
+from log_rows import collect, per_block_counts, split_rows
 
 RATES = st.integers(0, 5000).map(float)
 # Stretches of zero rate make empty batches, which cost nothing when the
@@ -172,19 +170,19 @@ def engine_runs(draw, jitter: bool):
     return config, trace
 
 
-def check_against_per_block_receiver(config, trace, log):
+def check_against_per_block_receiver(config, trace, log, rows):
     counts = per_block_counts(config, trace)
     block = config.block_interval
     assert log.total_generated == sum(counts)
     # Batch k holds the blocks that ended after the timer fire that sealed
     # batch k - 1 and by its own; each fire is the last plus the interval used.
     fired = 0
-    for b in split_rows(log)[0]:
+    for b in split_rows(rows)[0]:
         sealed = counts[fired // block:(fired + b.interval_ms) // block]
         assert (b.records, b.blocks) == (sum(sealed), sum(c > 0 for c in sealed))
         fired += b.interval_ms
     per_window = config.tracker.resample_interval // block
-    windows = split_rows(log)[2]
+    windows = split_rows(rows)[2]
     for k, w in enumerate(windows):
         assert w.window_start_ms == k * config.tracker.resample_interval
         window = counts[k * per_window:(k + 1) * per_window]
@@ -212,7 +210,8 @@ class HeapReference:
     fire and job completion included, fed by the per-block receiver: every
     block that ends by an event is sealed, and reported to the tracker on
     its own, before the event runs. Batch ids are assigned at seal time and
-    every batch's delays take the general arithmetic."""
+    every batch's delays take the general arithmetic. ``run`` returns the
+    totals and the rows, as ``log_rows.collect`` does."""
 
     def __init__(self, config, trace):
         self.config = config
@@ -223,6 +222,7 @@ class HeapReference:
         if config.mode == ADAPTIVE:
             self.controller = FuzzyController(config.controller, config.block_interval)
         self.log = MetricsLog()
+        self.rows = []
         self.heap = []
         self.sequence = itertools.count()
         self.interval = config.initial_interval
@@ -254,7 +254,7 @@ class HeapReference:
                 self.log.total_generated += self.counts[self.sealed]
                 self.sealed += 1
             handlers[rank](at, payload)
-        return self.log
+        return self.log, self.rows
 
     def seal(self, now, interval_used):
         blocks = self.counts[self.batched:self.sealed]
@@ -289,15 +289,15 @@ class HeapReference:
         sched = started_at - float(batch.generated_at)
         proc = now - started_at
         total = sched + proc
-        self.log.rows.append(BatchRow(now, batch.interval_used, batch.records, batch.blocks,
-                                      sched, proc))
+        self.rows.append(BatchRow(now, batch.interval_used, batch.records, batch.blocks,
+                                  sched, proc))
         self.log.batch_count += 1
         if total > 0:
             self.monitor.on_batch_completed(total / float(batch.interval_used))
         self.maybe_start_job(now)
 
     def window_close(self, now, _):
-        self.log.rows.append(self.tracker.close_windows_upto(now))
+        self.rows.append(self.tracker.close_windows_upto(now))
         if now + self.config.tracker.resample_interval <= self.config.duration:
             self.schedule(now + self.config.tracker.resample_interval, RATE_WINDOW_CLOSE)
 
@@ -311,7 +311,7 @@ class HeapReference:
                 self.pending_interval = row.interval_ms
         else:
             row = ControlRow(now, self.interval, s, q_now, q_next, None, None, None)
-        self.log.rows.append(row)
+        self.rows.append(row)
         if now + cfg.controller.control_period <= cfg.duration:
             self.schedule(now + cfg.controller.control_period, CONTROL_TICK)
 
@@ -321,23 +321,23 @@ class HeapReference:
         self.ended = True
 
 
-def check_against_heap_reference(config, trace, log):
-    ref = HeapReference(config, trace).run()
-    assert log.rows == ref.rows
+def check_against_heap_reference(config, trace, log, rows):
+    ref, ref_rows = HeapReference(config, trace).run()
+    assert rows == ref_rows
     # By repr too, which tells +0.0 from -0.0 and an int from a float.
-    assert repr(split_rows(log)[0]) == repr(split_rows(ref)[0])
+    assert repr(split_rows(rows)[0]) == repr(split_rows(ref_rows)[0])
     assert log.batch_count == ref.batch_count
     assert (log.total_generated, log.total_batch_records) == \
         (ref.total_generated, ref.total_batch_records)
 
 
 def check_invariants(config, trace):
-    log = MicrobatchEngine(config, trace).run()
+    log, rows = collect(config, trace)
     assert log.total_generated == log.total_batch_records
-    check_against_per_block_receiver(config, trace, log)
-    check_against_heap_reference(config, trace, log)
+    check_against_per_block_receiver(config, trace, log, rows)
+    check_against_heap_reference(config, trace, log, rows)
 
-    batches, ticks, _ = split_rows(log)
+    batches, ticks, _ = split_rows(rows)
     assert sum(b.records for b in batches) <= log.total_generated
     for b in batches:
         assert b.sched_delay_ms >= 0 and b.proc_delay_ms >= 0
@@ -349,7 +349,7 @@ def check_invariants(config, trace):
         assert b.eta == b.total_delay_ms / float(b.interval_ms)
 
     with tempfile.TemporaryDirectory() as out:
-        write_metrics(log, out, summarize(log, config.block_interval))
+        write_metrics(rows, out, summarize(rows, config.block_interval))
         lines = (Path(out) / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(METRICS_COLUMNS)
     cells = [line.split(",") for line in lines[1:]]
@@ -401,9 +401,9 @@ ANY_RUN = st.booleans().flatmap(engine_runs)  # jitter off and on
 
 def written_files(config, trace):
     """The bytes of every file a run of config writes, by name."""
-    log = MicrobatchEngine(config, trace).run()
+    _, rows = collect(config, trace)
     with tempfile.TemporaryDirectory() as out:
-        write_metrics(log, out, summarize(log, config.block_interval))
+        write_metrics(rows, out, summarize(rows, config.block_interval))
         files = {path.name: path.read_bytes() for path in Path(out).iterdir()}
     assert len(files) == 6
     return files
@@ -416,13 +416,8 @@ def written_files(config, trace):
 @example((dataclasses.replace(HOLD_AFTER_STAGE[0], duration=90_000), HOLD_AFTER_STAGE[1]))
 def test_streamed_run_writes_the_files_of_the_collected_log(drawn):
     # execute hands the engine a flush that writes each chunk of rows as the
-    # run goes; its six files must be write_metrics' over the whole log.
+    # run goes; its six files must be write_metrics' over all the run's rows.
     config, trace = drawn
-    chunks = []
-    log = MicrobatchEngine(config, trace, lambda rows: chunks.append(list(rows))).run()
-    assert log.rows == []
-    assert all(len(chunk) == ROW_CHUNK for chunk in chunks[:-1])
-    assert len(chunks[-1]) < ROW_CHUNK
     with tempfile.TemporaryDirectory() as out:
         execute(RunSpec(config, trace), out)
         files = {path.name: path.read_bytes() for path in Path(out).iterdir()}
@@ -455,7 +450,7 @@ def test_prediction_without_a_model_changes_no_decision(drawn):
     off = dataclasses.replace(on, tracker=dataclasses.replace(tracker,
                                                               prediction_enabled=False))
     (batches_on, ticks_on, _), (batches_off, ticks_off, _) = (
-        split_rows(MicrobatchEngine(c, trace).run()) for c in (on, off))
+        split_rows(collect(c, trace)[1]) for c in (on, off))
     assert all(t.rate_predicted is None for t in ticks_on)
     assert repr(batches_on) == repr(batches_off)  # equal, floats to the last bit
     assert ([(t.time_ms, t.interval_ms, t.fuzzy_level) for t in ticks_on]
@@ -489,7 +484,7 @@ def test_vanilla_run_is_monotone_in_each_cost_term(drawn, term, raise_by):
     model = cheap.cost_model
     costly = dataclasses.replace(cheap, cost_model=dataclasses.replace(
         model, **{term: getattr(model, term) + raise_by}))
-    fast, slow = (split_rows(MicrobatchEngine(c, trace).run())[0] for c in (cheap, costly))
+    fast, slow = (split_rows(collect(c, trace)[1])[0] for c in (cheap, costly))
     assert len(slow) <= len(fast)
     for a, b in zip(fast, slow):
         assert (b.interval_ms, b.records, b.blocks) == (a.interval_ms, a.records, a.blocks)
@@ -542,9 +537,9 @@ def vanilla_constant_runs(draw):
 @given(vanilla_constant_runs())
 def test_vanilla_constant_run_follows_lindleys_recursion(drawn):
     config, rate = drawn
-    log = MicrobatchEngine(config, traces.constant(rate)).run()
+    log, rows = collect(config, traces.constant(rate))
     got = [(b.time_ms, b.interval_ms, b.records, b.blocks, b.sched_delay_ms, b.proc_delay_ms)
-           for b in split_rows(log)[0]]
+           for b in split_rows(rows)[0]]
     want = lindley_rows(config, rate)
     event("no batch" if not want else "a batch waited" if any(row[4] for row in want)
           else "no batch waited")

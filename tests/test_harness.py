@@ -29,7 +29,7 @@ from edgebatch.harness import (
     write_metrics,
 )
 
-from log_rows import per_block_counts, split_rows
+from log_rows import collect, per_block_counts, split_rows
 
 MINI = """\
 run.label = mini
@@ -53,8 +53,9 @@ def mini_cfg(**extra):
 
 
 def run_mini(**extra):
+    """The rows of MINI's run, with extra keys set."""
     spec = build_run_spec(mini_cfg(**extra))
-    return engine.MicrobatchEngine(spec.engine, spec.trace).run()
+    return collect(spec.engine, spec.trace)[1]
 
 
 MINI_BLOCK = 200  # MINI's engine.block_interval, EngineConfig's default
@@ -182,12 +183,12 @@ def test_unknown_preset_rejected():
 
 
 def test_metrics_csv_shape(tmp_path):
-    log = run_mini()
-    write_metrics(log, tmp_path, summarize(log, MINI_BLOCK))
+    rows = run_mini()
+    write_metrics(rows, tmp_path, summarize(rows, MINI_BLOCK))
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header == list(METRICS_COLUMNS)
-    batches, ticks, _ = split_rows(log)
+    batches, ticks, _ = split_rows(rows)
     assert len(lines) == 1 + len(batches) + len(ticks)
     batch_rows = tick_rows = 0
     for line in lines[1:]:
@@ -206,9 +207,9 @@ def test_metrics_csv_shape(tmp_path):
 
 
 def test_series_files_row_counts(tmp_path):
-    log = run_mini()
-    write_metrics(log, tmp_path, summarize(log, MINI_BLOCK))
-    batches, ticks, windows = split_rows(log)
+    rows = run_mini()
+    write_metrics(rows, tmp_path, summarize(rows, MINI_BLOCK))
+    batches, ticks, windows = split_rows(rows)
     counts = {
         "series_interval.csv": len(ticks),
         "series_workload.csv": len(ticks),
@@ -227,31 +228,31 @@ OUTPUT_NAMES = ("metrics.csv", "summary.json", "series_interval.csv",
 def test_rerun_outputs_byte_identical(tmp_path):
     spec = build_run_spec(mini_cfg())
     for sub in ("a", "b"):
-        log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-        write_metrics(log, tmp_path / sub, summarize(log, spec.engine.block_interval))
+        _, rows = collect(spec.engine, spec.trace)
+        write_metrics(rows, tmp_path / sub, summarize(rows, spec.engine.block_interval))
     for name in OUTPUT_NAMES:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
 
 
 def test_summary_json_matches_recomputation(tmp_path):
-    log = run_mini()
-    write_metrics(log, tmp_path, summarize(log, MINI_BLOCK))
+    rows = run_mini()
+    write_metrics(rows, tmp_path, summarize(rows, MINI_BLOCK))
     stored = json.loads((tmp_path / "summary.json").read_text())
-    assert stored == dataclasses.asdict(summarize(log, MINI_BLOCK))
+    assert stored == dataclasses.asdict(summarize(rows, MINI_BLOCK))
 
-    header, *rows = (tmp_path / "metrics.csv").read_text().splitlines()
+    header, *lines = (tmp_path / "metrics.csv").read_text().splitlines()
     cols = header.split(",")
-    records = sum(int(dict(zip(cols, r.split(",")))["records"] or 0)
-                  for r in rows)
+    records = sum(int(dict(zip(cols, line.split(",")))["records"] or 0)
+                  for line in lines)
     assert records == stored["records_processed"]
 
 
 def test_summary_conservation_against_log():
     spec = build_run_spec(mini_cfg())
-    log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-    report = summarize(log, spec.engine.block_interval)
-    assert report.records_processed == sum(b.records for b in split_rows(log)[0])
+    log, rows = collect(spec.engine, spec.trace)
+    report = summarize(rows, spec.engine.block_interval)
+    assert report.records_processed == sum(b.records for b in split_rows(rows)[0])
     generated = sum(per_block_counts(spec.engine, spec.trace))
     assert log.total_generated == log.total_batch_records == generated
 
@@ -262,9 +263,9 @@ def test_summarize_folds_delays_as_the_list_based_mean_and_max(preset, predictio
     # summarize folds the batch rows in one pass; it must give the floats
     # that a list of the total delays gave, to the last bit.
     spec = load_preset(preset, disable_prediction=not prediction)
-    log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-    report = summarize(log, spec.engine.block_interval)
-    batches = split_rows(log)[0]
+    _, rows = collect(spec.engine, spec.trace)
+    report = summarize(rows, spec.engine.block_interval)
+    batches = split_rows(rows)[0]
     delays = [b.total_delay_ms for b in batches]
     assert repr(report.total_delay_mean_ms) == repr(reduce(add, delays, 0) / len(delays))
     assert repr(report.total_delay_max_ms) == repr(max(delays))
@@ -303,17 +304,16 @@ def test_delay_cells_are_fmt_of_each_value(tmp_path):
     for i in range(1800):
         k = (i // 2) % 300
         delays.append((0.0, 100 + k / 7, 600 + k % 3))
-    log = engine.MetricsLog()
-    for i, (sched, proc, interval) in enumerate(delays):
-        log.rows.append(engine.BatchRow(1000.5 * i, interval, 3 * i, i, sched, proc))
-    assert log.rows[13].total_delay_ms == log.rows[13].proc_delay_ms
-    assert len({(b.proc_delay_ms, b.eta) for b in log.rows[15:]}) > harness.FMT_CACHE_SIZE
-    write_metrics(log, tmp_path, summarize(log, 200))
+    rows = [engine.BatchRow(1000.5 * i, interval, 3 * i, i, sched, proc)
+            for i, (sched, proc, interval) in enumerate(delays)]
+    assert rows[13].total_delay_ms == rows[13].proc_delay_ms
+    assert len({(b.proc_delay_ms, b.eta) for b in rows[15:]}) > harness.FMT_CACHE_SIZE
+    write_metrics(rows, tmp_path, summarize(rows, 200))
     fmt = harness._fmt
     metrics = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
     series = (tmp_path / "series_delay.csv").read_text().splitlines()[1:]
-    assert len(metrics) == len(series) == len(log.rows)
-    for batch_id, (row, m, d) in enumerate(zip(log.rows, metrics, series)):
+    assert len(metrics) == len(series) == len(rows)
+    for batch_id, (row, m, d) in enumerate(zip(rows, metrics, series)):
         assert m.split(",") == [
             fmt(row.time_ms), str(batch_id), str(row.interval_ms), str(row.records),
             str(row.blocks), fmt(row.sched_delay_ms), fmt(row.proc_delay_ms),
@@ -337,7 +337,7 @@ def write_conf(tmp_path, text=MINI, name="run.conf"):
 def cached_values(conf) -> set:
     """The values write_metrics' delay cache may hold for conf's run."""
     spec = harness.load_run_spec(conf)
-    batches = split_rows(engine.MicrobatchEngine(spec.engine, spec.trace).run())[0]
+    batches = split_rows(collect(spec.engine, spec.trace)[1])[0]
     return ({b.proc_delay_ms for b in batches}
             | {b.eta for b in batches if b.sched_delay_ms == 0})
 
@@ -387,8 +387,7 @@ def test_cli_validate_reports_blocks_and_row_bound(capsys):
                                        "1500 blocks, at most 3030 rows)\n")
     spec = load_preset("exp1")
     assert harness.run_size(spec.engine) == (1500, 3030)
-    log = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-    assert len(log.rows) <= 3030
+    assert len(collect(spec.engine, spec.trace)[1]) <= 3030
 
 
 @pytest.mark.parametrize("argv", [["run", "--config", "c", "--bogus"], ["run"],
@@ -847,7 +846,7 @@ def test_cli_write_failing_during_the_run_exits_1_and_closes_every_file(
     out = tmp_path / "o"
     conf = write_conf(tmp_path, LONG)
     spec = harness.load_run_spec(conf)
-    assert len(engine.MicrobatchEngine(spec.engine, spec.trace).run().rows) > 4 * engine.ROW_CHUNK
+    assert len(collect(spec.engine, spec.trace)[1]) > 4 * engine.ROW_CHUNK
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
     old = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
@@ -879,21 +878,19 @@ def test_cli_write_failing_during_the_run_exits_1_and_closes_every_file(
 ], ids=["fewer-than-a-chunk", "one-chunk", "two-chunks"])
 def test_streamed_run_hands_on_every_row_a_chunk_at_a_time(make_spec, rows):
     spec = make_spec()
-    collected = engine.MicrobatchEngine(spec.engine, spec.trace).run()
-    assert len(collected.rows) == rows
     chunks = []
     log = engine.MicrobatchEngine(spec.engine, spec.trace,
                                   lambda chunk: chunks.append(list(chunk))).run()
     # Full chunks, then whatever the trace end leaves, if only an empty list.
     full, rest = divmod(rows, engine.ROW_CHUNK)
     assert [len(c) for c in chunks] == [engine.ROW_CHUNK] * full + [rest]
-    assert [row for chunk in chunks for row in chunk] == collected.rows
-    assert log.rows == []
-    windows = split_rows(collected)[2]  # the stream holds the window rows too
+    streamed = [row for chunk in chunks for row in chunk]
+    assert streamed == collect(spec.engine, spec.trace)[1]
+    batches, _, windows = split_rows(streamed)  # the stream holds the window rows too
     assert len(windows) == spec.engine.duration // spec.engine.tracker.resample_interval
-    assert (log.total_generated, log.total_block_records, log.total_batch_records,
-            log.batch_count) == (collected.total_generated, collected.total_block_records,
-                                 collected.total_batch_records, collected.batch_count)
+    assert log.batch_count == len(batches)
+    assert log.total_generated == log.total_block_records == log.total_batch_records == \
+        sum(per_block_counts(spec.engine, spec.trace))
 
 
 # A streamed run keeps three numbers per control tick, 24 bytes, and no row

@@ -17,7 +17,7 @@ from operator import add
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgebatch.engine import BatchRow, MetricsLog
+from edgebatch.engine import BatchRow
 from edgebatch.fuzzy import ControlRow
 from edgebatch.harness import STABLE_TICKS, SummaryReport, _Tally, summarize
 from edgebatch.tracker import WindowRow
@@ -64,7 +64,7 @@ def overload_recovery(ticks):
 
 def reference_report(rows, block_interval):
     """The report computed from the run's row lists."""
-    batches, ticks, windows = split_rows(MetricsLog(rows=rows))
+    batches, ticks, windows = split_rows(rows)
     errs = prediction_error_pairs(windows)
     conv = convergence_time(ticks, block_interval)
     if conv is not None:
@@ -153,7 +153,7 @@ WINDOWS = [WindowRow(0, 1000.0, None), WindowRow(30_000, 1100.0, 1200.0),
 @example(WINDOWS, [2, 2])
 def test_folded_report_matches_the_row_lists(rows, sizes):
     want = summary_json(reference_report(rows, BLOCK))
-    assert summary_json(summarize(MetricsLog(rows=list(rows)), BLOCK)) == want
+    assert summary_json(summarize(rows, BLOCK)) == want
     tally = _Tally()
     for chunk in cut(rows, sizes):
         tally(chunk)
