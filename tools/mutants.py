@@ -1,15 +1,17 @@
 """Re-run the mutant table: every recorded mutant must still be killed.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 A mutant is one exact edit of a program file: an old text, which must occur
 exactly once in the file, and its replacement. For each mutant in the table
-(or each one named) the tool copies `src/` and `tests/` of this checkout to
-a temporary directory, applies the edit there, and runs the mutant's test
-files with `pytest -x`. The mutant is killed if a test fails (pytest exit
-1) or the tests run past `TIMEOUT_S`, as when a clock stops advancing; it
-survives if every test passes. Any other pytest exit, as from a test file
-that does not exist, is an error.
+the tool copies `src/` and `tests/` of this checkout to a temporary
+directory and runs the mutant's test files there with `pytest -x`, first
+without the edit, where they must pass, and then with it. The mutant is
+killed if a test then fails (pytest exit 1) or the tests run past
+`TIMEOUT_S`, as when a clock stops advancing; it survives if every test
+passes. Tests that fail in the copy before the edit, as those that read a
+file outside `src/` and `tests/`, could prove no kill, so that is an error,
+as is any other pytest exit, as from a test file that does not exist.
 
 It prints one line per mutant and exits 0 if every mutant was killed, and 1
 on a survivor, an error, or an old text that does not occur exactly once,
@@ -19,7 +21,6 @@ Standard library and pytest only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -78,49 +79,55 @@ MUTANTS = (
 )
 
 
-def run_mutant(mutant: Mutant, root: Path = ROOT) -> str:
+def run_mutant(mutant: Mutant) -> str:
     """The mutant's verdict: 'killed', 'survived', 'stale: ...' or 'error: ...'."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
-            shutil.copytree(root / part, work / part,
+            shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         target = work / mutant.path
         text = target.read_text() if target.is_file() else ""
         if text.count(mutant.old) != 1:
             return f"stale: the old text occurs {text.count(mutant.old)} times in {mutant.path}"
-        target.write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 *mutant.tests],
-                cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return "killed"
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   *mutant.tests]
+        unmutated = _pytest(command, work, env)
+        if unmutated is None or unmutated.returncode != 0:
+            return f"error: tests fail unmutated, {_outcome(unmutated)}"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        result = _pytest(command, work, env)
+    if result is None:
+        return "killed"
     if result.returncode in (0, 1):
         return ("survived", "killed")[result.returncode]
-    return f"error: pytest exit {result.returncode}: {result.stdout.strip()[-200:]}"
+    return f"error: {_outcome(result)}"
 
 
-def main(argv=None, table: tuple[Mutant, ...] = MUTANTS) -> int:
-    # No usage on an error, so that the error is one stderr line.
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0],
-                                     usage=argparse.SUPPRESS)
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in table}
-    unknown = [name for name in args.names if name not in by_name]
-    if unknown:
-        print(f"error: unknown mutants {unknown}", file=sys.stderr)
-        return 1
+def _pytest(command: list[str], work: Path, env: dict) -> subprocess.CompletedProcess | None:
+    """The finished pytest run, or None if it ran past TIMEOUT_S."""
+    try:
+        return subprocess.run(command, cwd=work, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def _outcome(result: subprocess.CompletedProcess | None) -> str:
+    if result is None:
+        return f"past {TIMEOUT_S} s"
+    return f"pytest exit {result.returncode}: {result.stdout.strip()[-200:]}"
+
+
+def main(table: tuple[Mutant, ...] = MUTANTS) -> int:
     failed = 0
-    for mutant in [by_name[name] for name in args.names] or table:
+    for mutant in table:
         verdict = run_mutant(mutant)
         failed += verdict != "killed"
         print(f"{verdict:8} {mutant.name}: {mutant.fault} ({', '.join(mutant.tests)})",
               flush=True)
-    print(f"{failed} of {len(args.names) or len(table)} mutants not killed")
+    print(f"{failed} of {len(table)} mutants not killed")
     return 1 if failed else 0
 
 
