@@ -5,7 +5,7 @@ Outputs land in --out, the EDGEBATCH_OUT directory, or ./out: metrics.csv
 (one row per batch completion and per control tick), four plot-ready series
 files and summary.json. They are opened before the run, which writes its
 rows to the first five as it goes and keeps only the summary's running
-totals and three columns per control tick; summary.json is written after it.
+folds, nothing per row; summary.json is written after it.
 Every file is written all or nothing: each under a temporary name in the
 same directory, renamed over the old file only once every write has
 succeeded.
@@ -21,7 +21,7 @@ import io
 import json
 import os
 import sys
-from array import array
+from collections import deque
 from collections.abc import Callable
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -41,7 +41,7 @@ from .engine import (
     MicrobatchEngine,
 )
 from .errors import DomainError, EdgeBatchError, TraceParseError
-from .fuzzy import ControllerConfig
+from .fuzzy import ControllerConfig, ControlRow
 from .tracker import TrackerConfig, WindowRow
 from .workload import MonitorConfig
 
@@ -59,10 +59,10 @@ OUTPUT_FILES = ("metrics.csv", "series_interval.csv", "series_workload.csv",
 
 STABLE_TICKS = 20  # control ticks the interval must hold within one block
 FMT_CACHE_SIZE = 256  # the row writer's cache of delay strings empties at this size
+TEXT_CHUNK = 1024  # characters an output file's text layer holds before encoding them
 # The most rows a run may log, as build_run_spec bounds them. ``execute``
-# writes every row as the run goes, so this bounds the run's time and
-# ``_Tally``'s three columns per control tick: 24 bytes a tick, about 240 MB
-# when almost every row is a tick.
+# writes every row and folds it into the summary as the run goes, keeping
+# nothing per row, so this bounds only the run's time.
 MAX_RUN_ROWS = 10_000_000
 
 
@@ -306,56 +306,42 @@ def prediction_error(forecast: Optional[float], measured: float) -> Optional[flo
     return abs(forecast - measured) / measured
 
 
-def convergence_time(times, intervals, block_interval: int) -> Optional[int]:
-    """First tick time from which the interval holds within one block for
-    STABLE_TICKS consecutive ticks, from the ticks' times and intervals."""
-    for i in range(len(intervals) - STABLE_TICKS + 1):
-        base, held = intervals[i], intervals[i:i + STABLE_TICKS]
-        if max(held) - base <= block_interval and base - min(held) <= block_interval:
-            return times[i]
-    return None
-
-
-def overload_recovery(times, loads) -> Optional[int]:
-    """Longest time S spent above 1 before dropping back below, or None,
-    from the ticks' times and S."""
-    worst = None
-    start = None
-    for t, s in zip(times, loads):
-        if start is None:
-            if s > 1.0:
-                start = t
-        elif s < 1.0:
-            span = t - start
-            worst = span if worst is None else max(worst, span)
-            start = None
-    return worst
-
-
 class _Tally:
     """``summarize``'s fold over a run's rows, called with them in the order
-    the run logs them, a list at a time. It keeps three columns per control
-    row: the time and interval as ints and S as a float. It folds the batch
-    rows' count, records, delay sum and delay max, and each window row's
+    the run logs them, a list at a time, for a run that logs ``ticks``
+    control rows (``duration // control_period``). It folds the batch rows'
+    count, records, delay sum and delay max, and each window row's
     ``prediction_error`` against the forecast of the window before it into
-    a sum, count and max. So it holds no row, and nothing per batch or
-    window."""
+    a sum, count and max. Of the control rows it folds S into the steady
+    sum, count and max: from tick ``ticks // 2`` on until the interval
+    converges, that is first holds within one block of a tick's interval
+    for ``STABLE_TICKS`` ticks, and then afresh from that tick on. It keeps
+    the last ``STABLE_TICKS`` ticks only until then, and of S above 1 the
+    open span's start and the longest span closed. So it holds no row, and
+    nothing per batch, window or tick."""
 
-    def __init__(self):
-        self.times, self.intervals, self.loads = array("q"), array("q"), array("d")
+    def __init__(self, ticks: int, block_interval: int):
+        self.skip, self.block_interval = ticks // 2, block_interval  # skip: ticks before the half
         self.batches = self.records = 0
         self.delay_sum, self.delay_max = 0, None  # as reduce(add, delays, 0) and max(delays)
         self.forecast = None  # the last window's forecast of the next
         self.error_sum = self.error_count = 0  # as reduce(add, errors, 0) and len(errors)
         self.error_max = None
+        self.steady_sum = self.steady_count = 0  # as reduce(add, steady, 0) and len(steady)
+        self.steady_max = None
+        self.conv = None  # the time of the tick the interval converged from
+        self.recent = deque(maxlen=STABLE_TICKS)  # (time, interval, S), until conv
+        self.overload_start = self.recovery = None  # the open span's start, the longest span
 
     def __call__(self, rows: list) -> None:
-        tick_time, tick_interval = self.times.append, self.intervals.append
-        tick_load = self.loads.append
         batches, records = self.batches, self.records
         delay_sum, delay_max = self.delay_sum, self.delay_max
         forecast, error_max = self.forecast, self.error_max
         error_sum, error_count = self.error_sum, self.error_count
+        skip, block, conv = self.skip, self.block_interval, self.conv
+        steady_sum, steady_count, steady_max = self.steady_sum, self.steady_count, self.steady_max
+        recent = self.recent
+        overload_start, recovery = self.overload_start, self.recovery
         for row in rows:
             if type(row) is BatchRow:
                 delay = row.sched_delay_ms + row.proc_delay_ms  # total_delay_ms
@@ -373,31 +359,55 @@ class _Tally:
                     error_count += 1
                 forecast = row.rate_predicted_next
             else:
-                tick_time(row.time_ms)
-                tick_interval(row.interval_ms)
-                tick_load(row.workload_s)
+                t, s = row.time_ms, row.workload_s
+                if overload_start is None:
+                    if s > 1.0:
+                        overload_start = t
+                elif s < 1.0:
+                    span = t - overload_start
+                    if recovery is None or span > recovery:
+                        recovery = span
+                    overload_start = None
+                if conv is None:
+                    recent.append((t, row.interval_ms, s))
+                    if len(recent) == recent.maxlen:
+                        base = recent[0][1]
+                        if all(-block <= held - base <= block for _, held, _ in recent):
+                            conv = recent[0][0]
+                            loads = [load for _, _, load in recent]
+                            steady_sum, steady_count = reduce(add, loads, 0), len(loads)
+                            steady_max = max(loads)
+                            recent.clear()
+                            continue
+                    if skip:
+                        skip -= 1
+                        continue
+                steady_sum += s
+                if not steady_count or s > steady_max:
+                    steady_max = s
+                steady_count += 1
         self.batches, self.records = batches, records
         self.delay_sum, self.delay_max = delay_sum, delay_max
         self.forecast, self.error_max = forecast, error_max
         self.error_sum, self.error_count = error_sum, error_count
+        self.skip, self.conv = skip, conv
+        self.steady_sum, self.steady_count, self.steady_max = steady_sum, steady_count, steady_max
+        self.overload_start, self.recovery = overload_start, recovery
 
-    def report(self, block_interval: int) -> SummaryReport:
+    def report(self) -> SummaryReport:
         """summary.json's report from the rows folded so far."""
-        times, loads, batches = self.times, self.loads, self.batches
-        conv = convergence_time(times, self.intervals, block_interval)
-        steady = loads[times.index(conv) if conv is not None else len(loads) // 2:]
+        batches, steady = self.batches, self.steady_count
         # Float means are left folds, as in grey.fit.
-
         return SummaryReport(
             prediction_error_mean=(self.error_sum / self.error_count
                                    if self.error_count else None),
             prediction_error_max=self.error_max,
-            convergence_time_ms=conv,
-            steady_workload_mean=reduce(add, steady, 0) / len(steady) if steady else None,
-            steady_workload_max=max(steady) if steady else None,
+            convergence_time_ms=self.conv,
+            steady_workload_mean=self.steady_sum / steady if steady else None,
+            steady_workload_max=self.steady_max,
             total_delay_mean_ms=self.delay_sum / batches if batches else None,
             total_delay_max_ms=self.delay_max,
-            overload_recovery_ms=overload_recovery(times, loads),
+            overload_recovery_ms=self.recovery,
             records_processed=self.records,
         )
 
@@ -405,9 +415,9 @@ class _Tally:
 def summarize(rows: list, block_interval: int) -> SummaryReport:
     """summary.json's report of a run's rows, in the order the run logged
     them: the rows folded by ``_Tally`` in one call."""
-    tally = _Tally()
+    tally = _Tally(sum(type(row) is ControlRow for row in rows), block_interval)
     tally(rows)
-    return tally.report(block_interval)
+    return tally.report()
 
 
 # -- serialization ----------------------------------------------------------
@@ -491,7 +501,13 @@ def _open_output(temp: Path, path: Path) -> io.TextIOWrapper:
     # half of io.DEFAULT_BUFFER_SIZE. Six buffers are part of the peak.
     size = os.fstat(raw.fileno()).st_blksize
     buffer = io.BufferedWriter(raw, size if size > 1 else io.DEFAULT_BUFFER_SIZE)
-    return io.TextIOWrapper(buffer, encoding="utf-8")
+    text = io.TextIOWrapper(buffer, encoding="utf-8")
+    # The text layer keeps its pending lines as separate str objects, about
+    # 88 bytes for a 13-32 character series line, until they reach its
+    # chunk size in characters, 8192 by default: five files' worth was a
+    # large part of the peak. CPython 3.10-3.13 let it be set.
+    text._CHUNK_SIZE = TEXT_CHUNK
+    return text
 
 
 def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], None]:
@@ -588,7 +604,8 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
     # The six files are open before the run, so an output that cannot be
     # opened fails before any simulated time passes. The rows go to the
     # first five, and to the summary's fold, as the run hands them on.
-    tally = _Tally()
+    tally = _Tally(spec.engine.duration // spec.engine.controller.control_period,
+                   spec.engine.block_interval)
     try:
         with _outputs(out) as files:
             write_rows = _row_writer(*files[:5])
@@ -598,7 +615,7 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
                 tally(rows)
 
             log = MicrobatchEngine(spec.engine, spec.trace, flush).run()
-            report = tally.report(spec.engine.block_interval)
+            report = tally.report()
             _write_summary(files[5], report)
     except OutputError:
         raise

@@ -188,6 +188,8 @@ def check_against_per_block_receiver(config, trace, log, rows):
         window = counts[k * per_window:(k + 1) * per_window]
         assert w.rate_measured == sum(window) * 1000.0 / config.tracker.resample_interval
     assert len(windows) == config.duration // config.tracker.resample_interval
+    # The summary's fold takes the steady ticks from this count on.
+    assert len(split_rows(rows)[1]) == config.duration // config.controller.control_period
 
 
 # Event ranks of the reference loop: at equal times the lower rank runs first.

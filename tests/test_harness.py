@@ -893,17 +893,20 @@ def test_streamed_run_hands_on_every_row_a_chunk_at_a_time(make_spec, rows):
         sum(per_block_counts(spec.engine, spec.trace))
 
 
-# A streamed run keeps three numbers per control tick, 24 bytes, and no row
-# beyond the current chunk, so its peak grows by about that much per tick;
-# a ControlRow kept whole, with its floats, is about ten times as much. The
-# bound leaves room for the arrays' over-allocation and for other Pythons.
-TICK_BYTES_BOUND = 64
+# A streamed run keeps nothing per control tick and no row beyond the
+# current chunk: its summary is folded as the rows come. So its peak does
+# not grow with the run; the bound is below the 8 bytes a tick that even
+# one float per tick would add.
+TICK_BYTES_BOUND = 4
 
 
 def test_streamed_run_memory_grows_by_a_few_bytes_per_tick(tmp_path):
     # exp3 with a tick and a window every 2 s. Both runs are long enough
     # that the chunk, the delay cache and the file buffers are full, so only
     # what the run keeps per tick or per window differs between the peaks.
+    # They are also long enough that what it keeps would set both peaks:
+    # a shorter run's peak comes early in it, and a float kept per tick
+    # shows in the peak only after about 2,400 s.
     def peak(duration):
         spec = load_preset("exp3")
         engine_cfg = dataclasses.replace(
@@ -918,9 +921,28 @@ def test_streamed_run_memory_grows_by_a_few_bytes_per_tick(tmp_path):
         finally:
             tracemalloc.stop()
 
-    short, long = peak(1_200_000), peak(3_600_000)
-    ticks = (3_600_000 - 1_200_000) // 2000
+    short, long = peak(3_600_000), peak(7_200_000)
+    ticks = (7_200_000 - 3_600_000) // 2000
     assert long - short < TICK_BYTES_BOUND * ticks, ((long - short) / ticks, short, long)
+
+
+# The most bytes that writing many short lines to an output file may add to
+# the traced peak, once it is open: the text layer's pending lines, up to
+# TEXT_CHUNK characters, and its encoder's work. Python 3.10-3.13 give
+# 4.4-4.9 kB with 1024 characters and 33-36 kB with the 8192 default.
+PENDING_BYTES_BOUND = 12_000
+
+
+def test_an_output_file_holds_few_pending_lines(tmp_path):
+    with harness._open_output(tmp_path / ".s.tmp", tmp_path / "s") as out:
+        tracemalloc.start()
+        try:
+            for k in range(3000):  # a series file's lines
+                out.write(f"{2000 * k},{1.0 + k / 7}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < PENDING_BYTES_BOUND, peak
 
 
 @pytest.mark.parametrize("what, content, message", [

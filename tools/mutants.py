@@ -5,13 +5,14 @@
 A mutant is one exact edit of a program file: an old text, which must occur
 exactly once in the file, and its replacement. For each mutant in the table
 the tool copies `src/` and `tests/` of this checkout to a temporary
-directory and runs the mutant's test files there with `pytest -x`, first
-without the edit, where they must pass, and then with it. The mutant is
-killed if a test then fails (pytest exit 1) or the tests run past
-`TIMEOUT_S`, as when a clock stops advancing; it survives if every test
-passes. Tests that fail in the copy before the edit, as those that read a
-file outside `src/` and `tests/`, could prove no kill, so that is an error,
-as is any other pytest exit, as from a test file that does not exist.
+directory and runs the mutant's tests, test files or node ids, there with
+`pytest -x`, first without the edit, where they must pass, and then with
+it. The mutant is killed if a test then fails (pytest exit 1) or the tests
+run past `TIMEOUT_S`, as when a clock stops advancing; it survives if every
+test passes. Tests that fail in the copy before the edit, as those that
+read a file outside `src/` and `tests/`, could prove no kill, so that is an
+error, as is any other pytest exit, as from a test file that does not
+exist.
 
 It prints one line per mutant and exits 0 if every mutant was killed, and 1
 on a survivor, an error, or an old text that does not occur exactly once,
@@ -45,7 +46,29 @@ class Mutant(NamedTuple):
 
 
 ENGINE = "src/edgebatch/engine.py"
+HARNESS = "src/edgebatch/harness.py"
+SUMMARY_ORACLE = "tests/test_summary_oracle.py::test_folded_report_matches_the_row_lists"
 MUTANTS = (
+    Mutant("summary-half-one-late", "the unconverged steady ticks start one tick late",
+           HARNESS,
+           "self.skip, self.block_interval = ticks // 2, block_interval",
+           "self.skip, self.block_interval = ticks // 2 + 1, block_interval",
+           (SUMMARY_ORACLE,)),
+    Mutant("summary-window-one-short", "convergence needs STABLE_TICKS - 1 ticks",
+           HARNESS,
+           "deque(maxlen=STABLE_TICKS)",
+           "deque(maxlen=STABLE_TICKS - 1)",
+           (SUMMARY_ORACLE,)),
+    Mutant("summary-overload-never-closes", "an overload span stays open once S is back below 1",
+           HARNESS,
+           "                        recovery = span\n                    overload_start = None\n",
+           "                        recovery = span\n",
+           (SUMMARY_ORACLE,)),
+    Mutant("text-chunk-default", "output files keep up to 8192 characters of pending lines",
+           HARNESS,
+           "TEXT_CHUNK = 1024",
+           "TEXT_CHUNK = 8192",
+           ("tests/test_harness.py::test_an_output_file_holds_few_pending_lines",)),
     Mutant("engine-chunk-not-cleared", "a flushed chunk stays in the row list",
            ENGINE,
            "                flush(rows)\n                rows.clear()\n",
