@@ -306,42 +306,36 @@ def prediction_error(forecast: Optional[float], measured: float) -> Optional[flo
     return abs(forecast - measured) / measured
 
 
-class _Tally:
-    """``summarize``'s fold over a run's rows, called with them in the order
-    the run logs them, a list at a time, for a run that logs ``ticks``
-    control rows (``duration // control_period``). It folds the batch rows'
-    count, records, delay sum and delay max, and each window row's
-    ``prediction_error`` against the forecast of the window before it into
-    a sum, count and max. Of the control rows it folds S into the steady
-    sum, count and max: from tick ``ticks // 2`` on until the interval
-    converges, that is first holds within one block of a tick's interval
-    for ``STABLE_TICKS`` ticks, and then afresh from that tick on. It keeps
-    the last ``STABLE_TICKS`` ticks only until then, and of S above 1 the
-    open span's start and the longest span closed. So it holds no row, and
-    nothing per batch, window or tick."""
+def _tally(ticks: int, block_interval: int) -> tuple[Callable[[list], None],
+                                                     Callable[[], SummaryReport]]:
+    """``summarize``'s fold over a run's rows, and its report: the fold is
+    called with the rows in the order the run logs them, a list at a time,
+    for a run that logs ``ticks`` control rows (``duration //
+    control_period``). It folds the batch rows' count, records, delay sum
+    and delay max, and each window row's ``prediction_error`` against the
+    forecast of the window before it into a sum, count and max. Of the
+    control rows it folds S into the steady sum, count and max: from tick
+    ``ticks // 2`` on until the interval converges, that is first holds
+    within one block of a tick's interval for ``STABLE_TICKS`` ticks, and
+    then afresh from that tick on. It keeps the last ``STABLE_TICKS`` ticks
+    only until then, and of S above 1 the open span's start and the longest
+    span closed. So it holds no row, and nothing per batch, window or tick."""
+    skip, block = ticks // 2, block_interval  # skip: ticks before the half
+    batches = records = 0
+    delay_sum, delay_max = 0, None  # as reduce(add, delays, 0) and max(delays)
+    forecast = None  # the last window's forecast of the next
+    error_sum = error_count = 0  # as reduce(add, errors, 0) and len(errors)
+    error_max = None
+    steady_sum = steady_count = 0  # as reduce(add, steady, 0) and len(steady)
+    steady_max = None
+    conv = None  # the time of the tick the interval converged from
+    recent = deque(maxlen=STABLE_TICKS)  # (time, interval, S), until conv
+    overload_start = recovery = None  # the open span's start, the longest span
 
-    def __init__(self, ticks: int, block_interval: int):
-        self.skip, self.block_interval = ticks // 2, block_interval  # skip: ticks before the half
-        self.batches = self.records = 0
-        self.delay_sum, self.delay_max = 0, None  # as reduce(add, delays, 0) and max(delays)
-        self.forecast = None  # the last window's forecast of the next
-        self.error_sum = self.error_count = 0  # as reduce(add, errors, 0) and len(errors)
-        self.error_max = None
-        self.steady_sum = self.steady_count = 0  # as reduce(add, steady, 0) and len(steady)
-        self.steady_max = None
-        self.conv = None  # the time of the tick the interval converged from
-        self.recent = deque(maxlen=STABLE_TICKS)  # (time, interval, S), until conv
-        self.overload_start = self.recovery = None  # the open span's start, the longest span
-
-    def __call__(self, rows: list) -> None:
-        batches, records = self.batches, self.records
-        delay_sum, delay_max = self.delay_sum, self.delay_max
-        forecast, error_max = self.forecast, self.error_max
-        error_sum, error_count = self.error_sum, self.error_count
-        skip, block, conv = self.skip, self.block_interval, self.conv
-        steady_sum, steady_count, steady_max = self.steady_sum, self.steady_count, self.steady_max
-        recent = self.recent
-        overload_start, recovery = self.overload_start, self.recovery
+    def fold(rows: list) -> None:
+        nonlocal batches, records, delay_sum, delay_max, forecast, error_sum, error_count
+        nonlocal error_max, skip, conv, steady_sum, steady_count, steady_max
+        nonlocal overload_start, recovery
         for row in rows:
             if type(row) is BatchRow:
                 delay = row.sched_delay_ms + row.proc_delay_ms  # total_delay_ms
@@ -386,38 +380,31 @@ class _Tally:
                 if not steady_count or s > steady_max:
                     steady_max = s
                 steady_count += 1
-        self.batches, self.records = batches, records
-        self.delay_sum, self.delay_max = delay_sum, delay_max
-        self.forecast, self.error_max = forecast, error_max
-        self.error_sum, self.error_count = error_sum, error_count
-        self.skip, self.conv = skip, conv
-        self.steady_sum, self.steady_count, self.steady_max = steady_sum, steady_count, steady_max
-        self.overload_start, self.recovery = overload_start, recovery
 
-    def report(self) -> SummaryReport:
+    def report() -> SummaryReport:
         """summary.json's report from the rows folded so far."""
-        batches, steady = self.batches, self.steady_count
         # Float means are left folds, as in grey.fit.
         return SummaryReport(
-            prediction_error_mean=(self.error_sum / self.error_count
-                                   if self.error_count else None),
-            prediction_error_max=self.error_max,
-            convergence_time_ms=self.conv,
-            steady_workload_mean=self.steady_sum / steady if steady else None,
-            steady_workload_max=self.steady_max,
-            total_delay_mean_ms=self.delay_sum / batches if batches else None,
-            total_delay_max_ms=self.delay_max,
-            overload_recovery_ms=self.recovery,
-            records_processed=self.records,
+            prediction_error_mean=error_sum / error_count if error_count else None,
+            prediction_error_max=error_max,
+            convergence_time_ms=conv,
+            steady_workload_mean=steady_sum / steady_count if steady_count else None,
+            steady_workload_max=steady_max,
+            total_delay_mean_ms=delay_sum / batches if batches else None,
+            total_delay_max_ms=delay_max,
+            overload_recovery_ms=recovery,
+            records_processed=records,
         )
+
+    return fold, report
 
 
 def summarize(rows: list, block_interval: int) -> SummaryReport:
     """summary.json's report of a run's rows, in the order the run logged
-    them: the rows folded by ``_Tally`` in one call."""
-    tally = _Tally(sum(type(row) is ControlRow for row in rows), block_interval)
-    tally(rows)
-    return tally.report()
+    them: the rows folded by ``_tally``'s fold in one call."""
+    fold, report = _tally(sum(type(row) is ControlRow for row in rows), block_interval)
+    fold(rows)
+    return report()
 
 
 # -- serialization ----------------------------------------------------------
@@ -453,12 +440,12 @@ class _OutputFile(io.FileIO):
             raise OutputError(exc.errno, exc.strerror, str(self.path)) from exc
 
 
-def write_metrics(rows: list, out_dir: str | Path, report: SummaryReport) -> Path:
+def write_metrics(rows: list, out_dir: str | Path, block_interval: int) -> Path:
     """Write metrics.csv, summary.json, and the series files; returns out_dir.
 
-    ``rows`` are a run's rows in the order it logged them, and ``report`` is
-    their ``summarize(rows, block_interval)``. The rows go through
-    ``_row_writer`` in one call, then ``report`` fills summary.json, so the
+    ``rows`` are a run's rows in the order it logged them, with the run's
+    ``block_interval``. The rows go through ``_row_writer`` in one call, and
+    their ``summarize(rows, block_interval)`` fills summary.json, so the
     files are those ``execute`` writes for the run. They are written all or
     nothing (see ``_outputs``): an output that cannot be opened, or is a
     directory, raises an ``OSError``, and a failed write an ``OutputError``;
@@ -468,7 +455,7 @@ def write_metrics(rows: list, out_dir: str | Path, report: SummaryReport) -> Pat
     out.mkdir(parents=True, exist_ok=True)
     with _outputs(out) as files:
         _row_writer(*files[:5])(rows)
-        _write_summary(files[5], report)
+        _write_summary(files[5], summarize(rows, block_interval))
     return out
 
 
@@ -604,8 +591,8 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
     # The six files are open before the run, so an output that cannot be
     # opened fails before any simulated time passes. The rows go to the
     # first five, and to the summary's fold, as the run hands them on.
-    tally = _Tally(spec.engine.duration // spec.engine.controller.control_period,
-                   spec.engine.block_interval)
+    tally, tally_report = _tally(spec.engine.duration // spec.engine.controller.control_period,
+                                 spec.engine.block_interval)
     try:
         with _outputs(out) as files:
             write_rows = _row_writer(*files[:5])
@@ -615,7 +602,7 @@ def execute(spec: RunSpec, out_dir: str | Path | None) -> SummaryReport:
                 tally(rows)
 
             log = MicrobatchEngine(spec.engine, spec.trace, flush).run()
-            report = tally.report()
+            report = tally_report()
             _write_summary(files[5], report)
     except OutputError:
         raise

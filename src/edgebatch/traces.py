@@ -79,7 +79,6 @@ class SinusoidRate(RateFunction):
     base: float
     amplitude: float
     period_ms: float
-    kind = "sinusoid"
 
     def __post_init__(self):
         _check_finite(self.base, self.amplitude, self.period_ms)
@@ -122,7 +121,6 @@ class PiecewiseConstantTrace(RateFunction):
 
     breakpoints: tuple[float, ...]  # non-decreasing segment edges in ms, one more than rates
     rates: tuple[float, ...]
-    kind = "trace_counts"
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.rates) + 1:
@@ -180,7 +178,6 @@ class PiecewiseLinearTrace(RateFunction):
     """Rate-sample trace: linear between samples, flat beyond the ends."""
 
     points: tuple[tuple[float, float], ...]  # (t_ms, rate), t_ms non-decreasing
-    kind = "trace_rates"
 
     def rate(self, t_ms: float) -> float:
         pts = self.points

@@ -27,7 +27,7 @@ class MonitorConfig:
             raise DomainError(f"smoothing_coefficient must be in (0, 1), got {a!r}")
         if not (math.isfinite(self.initial_estimate) and self.initial_estimate > 0):
             raise DomainError(f"initial_estimate must be positive, got {self.initial_estimate!r}")
-        # S is a float from the first tick on (see harness._Tally).
+        # S is a float from the first tick on (see harness._tally).
         object.__setattr__(self, "initial_estimate", float(self.initial_estimate))
 
 

@@ -11,13 +11,13 @@ import random
 import statistics
 from itertools import accumulate
 
-import numpy as np
 import pytest
 
 from edgebatch import fuzzy, grey, harness, traces
 from edgebatch.engine import VANILLA
 
 from log_rows import collect, per_block_counts, split_rows
+from test_grey import oracle_fit
 
 
 def run_preset(name, **kw):
@@ -68,20 +68,12 @@ def mean(xs):
 def convergence_time(ticks, block_interval):
     """The convergence time summary.json gives for these control rows: the
     harness' own fold over them."""
-    tally = harness._Tally(len(ticks), block_interval)
-    tally(ticks)
-    return tally.report().convergence_time_ms
+    fold, report = harness._tally(len(ticks), block_interval)
+    fold(ticks)
+    return report().convergence_time_ms
 
 
 # -- criterion 1: forecaster matches an independent least-squares oracle ------
-
-
-def oracle_fit(series):
-    x1 = np.cumsum(series)
-    z = (x1[1:] + x1[:-1]) / 2.0
-    b_mat = np.column_stack([-z, np.ones(len(z))])
-    sol, *_ = np.linalg.lstsq(b_mat, np.asarray(series[1:]), rcond=None)
-    return float(sol[0]), float(sol[1])
 
 
 def test_criterion_01_grey_fit_matches_oracle():
@@ -339,8 +331,7 @@ def test_criterion_10_determinism_and_conservation(tmp_path, exp1, exp2, exp3,
     spec = harness.load_preset("exp1")
     for sub in ("a", "b"):
         _, rows = collect(spec.engine, spec.trace)
-        harness.write_metrics(rows, tmp_path / sub,
-                              harness.summarize(rows, spec.engine.block_interval))
+        harness.write_metrics(rows, tmp_path / sub, spec.engine.block_interval)
     first = (tmp_path / "a" / "metrics.csv").read_bytes()
     second = (tmp_path / "b" / "metrics.csv").read_bytes()
     assert first == second

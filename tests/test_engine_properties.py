@@ -49,7 +49,7 @@ from edgebatch.engine import (
 )
 from edgebatch.fuzzy import ControllerConfig, ControlRow, FuzzyController
 from edgebatch.grey import MIN_TRAIN_LEN
-from edgebatch.harness import METRICS_COLUMNS, RunSpec, execute, summarize, write_metrics
+from edgebatch.harness import METRICS_COLUMNS, RunSpec, execute, write_metrics
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 from edgebatch.workload import WorkloadMonitor
 
@@ -351,7 +351,7 @@ def check_invariants(config, trace):
         assert b.eta == b.total_delay_ms / float(b.interval_ms)
 
     with tempfile.TemporaryDirectory() as out:
-        write_metrics(rows, out, summarize(rows, config.block_interval))
+        write_metrics(rows, out, config.block_interval)
         lines = (Path(out) / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(METRICS_COLUMNS)
     cells = [line.split(",") for line in lines[1:]]
@@ -405,7 +405,7 @@ def written_files(config, trace):
     """The bytes of every file a run of config writes, by name."""
     _, rows = collect(config, trace)
     with tempfile.TemporaryDirectory() as out:
-        write_metrics(rows, out, summarize(rows, config.block_interval))
+        write_metrics(rows, out, config.block_interval)
         files = {path.name: path.read_bytes() for path in Path(out).iterdir()}
     assert len(files) == 6
     return files

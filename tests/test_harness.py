@@ -184,7 +184,7 @@ def test_unknown_preset_rejected():
 
 def test_metrics_csv_shape(tmp_path):
     rows = run_mini()
-    write_metrics(rows, tmp_path, summarize(rows, MINI_BLOCK))
+    write_metrics(rows, tmp_path, MINI_BLOCK)
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header == list(METRICS_COLUMNS)
@@ -208,7 +208,7 @@ def test_metrics_csv_shape(tmp_path):
 
 def test_series_files_row_counts(tmp_path):
     rows = run_mini()
-    write_metrics(rows, tmp_path, summarize(rows, MINI_BLOCK))
+    write_metrics(rows, tmp_path, MINI_BLOCK)
     batches, ticks, windows = split_rows(rows)
     counts = {
         "series_interval.csv": len(ticks),
@@ -229,7 +229,7 @@ def test_rerun_outputs_byte_identical(tmp_path):
     spec = build_run_spec(mini_cfg())
     for sub in ("a", "b"):
         _, rows = collect(spec.engine, spec.trace)
-        write_metrics(rows, tmp_path / sub, summarize(rows, spec.engine.block_interval))
+        write_metrics(rows, tmp_path / sub, spec.engine.block_interval)
     for name in OUTPUT_NAMES:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
@@ -237,7 +237,7 @@ def test_rerun_outputs_byte_identical(tmp_path):
 
 def test_summary_json_matches_recomputation(tmp_path):
     rows = run_mini()
-    write_metrics(rows, tmp_path, summarize(rows, MINI_BLOCK))
+    write_metrics(rows, tmp_path, MINI_BLOCK)
     stored = json.loads((tmp_path / "summary.json").read_text())
     assert stored == dataclasses.asdict(summarize(rows, MINI_BLOCK))
 
@@ -308,7 +308,7 @@ def test_delay_cells_are_fmt_of_each_value(tmp_path):
             for i, (sched, proc, interval) in enumerate(delays)]
     assert rows[13].total_delay_ms == rows[13].proc_delay_ms
     assert len({(b.proc_delay_ms, b.eta) for b in rows[15:]}) > harness.FMT_CACHE_SIZE
-    write_metrics(rows, tmp_path, summarize(rows, 200))
+    write_metrics(rows, tmp_path, 200)
     fmt = harness._fmt
     metrics = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
     series = (tmp_path / "series_delay.csv").read_text().splitlines()[1:]
@@ -907,20 +907,26 @@ def test_streamed_run_memory_grows_by_a_few_bytes_per_tick(tmp_path):
     # They are also long enough that what it keeps would set both peaks:
     # a shorter run's peak comes early in it, and a float kept per tick
     # shows in the peak only after about 2,400 s.
-    def peak(duration):
+    def run(duration):
         spec = load_preset("exp3")
         engine_cfg = dataclasses.replace(
             spec.engine, duration=duration,
             controller=dataclasses.replace(spec.engine.controller, control_period=2000),
             tracker=dataclasses.replace(spec.engine.tracker, resample_interval=2000))
-        spec = dataclasses.replace(spec, engine=engine_cfg)
+        harness.execute(dataclasses.replace(spec, engine=engine_cfg), tmp_path / str(duration))
+
+    def peak(duration):
         tracemalloc.start()
         try:
-            harness.execute(spec, tmp_path / str(duration))
+            run(duration)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    # The first run in a process allocates what later runs reuse, which
+    # would raise the short run's peak alone and hide a small leak when
+    # this test runs by itself; an untraced run comes first.
+    run(3_600_000)
     short, long = peak(3_600_000), peak(7_200_000)
     ticks = (7_200_000 - 3_600_000) // 2000
     assert long - short < TICK_BYTES_BOUND * ticks, ((long - short) / ticks, short, long)

@@ -1,11 +1,11 @@
 """summary.json's report, folded as the run goes, against the row lists.
 
-``harness._Tally`` folds every row as it comes, given the count of control
-rows the run logs, and keeps nothing per row. The functions below are the
-summary rules as they read a run's whole row lists, kept here as the
-reference: the report from the fold, given the rows in chunks of any size,
-must serialize to the same summary.json as the one from the lists, ints as
-ints and floats to the last bit.
+The fold that ``harness._tally`` returns takes every row as it comes,
+given the count of control rows the run logs, and keeps nothing per row.
+The functions below are the summary rules as they read a run's whole row
+lists, kept here as the reference: the report from the fold, given the rows
+in chunks of any size, must serialize to the same summary.json as the one
+from the lists, ints as ints and floats to the last bit.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from edgebatch.engine import BatchRow
 from edgebatch.fuzzy import ControlRow
-from edgebatch.harness import STABLE_TICKS, SummaryReport, _Tally, summarize
+from edgebatch.harness import STABLE_TICKS, SummaryReport, _tally, summarize
 from edgebatch.tracker import WindowRow
 
 from log_rows import split_rows
@@ -153,10 +153,10 @@ WINDOWS = [WindowRow(0, 1000.0, None), WindowRow(30_000, 1100.0, 1200.0),
 def test_folded_report_matches_the_row_lists(rows, sizes):
     want = summary_json(reference_report(rows, BLOCK))
     assert summary_json(summarize(rows, BLOCK)) == want
-    tally = _Tally(len(split_rows(rows)[1]), BLOCK)
+    fold, report = _tally(len(split_rows(rows)[1]), BLOCK)
     for chunk in cut(rows, sizes):
-        tally(chunk)
-    assert summary_json(tally.report()) == want
+        fold(chunk)
+    assert summary_json(report()) == want
 
 
 def test_examples_cover_the_edge_cases():
@@ -168,8 +168,8 @@ def test_examples_cover_the_edge_cases():
     # over from 210 s to 270 s.
     report = reference_report(AT_ONE, BLOCK)
     assert (report.convergence_time_ms, report.overload_recovery_ms) == (30_000, 90_000)
-    tally = _Tally(len(AT_ONE), BLOCK)
-    tally(AT_ONE)
-    assert '"convergence_time_ms": 30000,' in summary_json(tally.report())
+    fold, tally_report = _tally(len(AT_ONE), BLOCK)
+    fold(AT_ONE)
+    assert '"convergence_time_ms": 30000,' in summary_json(tally_report())
     # The zero-rate window and the windows after a missing forecast add no error.
     assert prediction_error_pairs(WINDOWS) == [50 / 950, (1e300 - 800.0) / 800.0]

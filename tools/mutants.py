@@ -7,7 +7,7 @@ exactly once in the file, and its replacement. For each mutant in the table
 the tool copies `src/` and `tests/` of this checkout to a temporary
 directory and runs the mutant's tests, test files or node ids, there with
 `pytest -x`, first without the edit, where they must pass, and then with
-it. The mutant is killed if a test then fails (pytest exit 1) or the tests
+it. Mutants that name the same tests share one run without the edit. The mutant is killed if a test then fails (pytest exit 1) or the tests
 run past `TIMEOUT_S`, as when a clock stops advancing; it survives if every
 test passes. Tests that fail in the copy before the edit, as those that
 read a file outside `src/` and `tests/`, could prove no kill, so that is an
@@ -51,8 +51,8 @@ SUMMARY_ORACLE = "tests/test_summary_oracle.py::test_folded_report_matches_the_r
 MUTANTS = (
     Mutant("summary-half-one-late", "the unconverged steady ticks start one tick late",
            HARNESS,
-           "self.skip, self.block_interval = ticks // 2, block_interval",
-           "self.skip, self.block_interval = ticks // 2 + 1, block_interval",
+           "skip, block = ticks // 2, block_interval",
+           "skip, block = ticks // 2 + 1, block_interval",
            (SUMMARY_ORACLE,)),
     Mutant("summary-window-one-short", "convergence needs STABLE_TICKS - 1 ticks",
            HARNESS,
@@ -64,6 +64,22 @@ MUTANTS = (
            "                        recovery = span\n                    overload_start = None\n",
            "                        recovery = span\n",
            (SUMMARY_ORACLE,)),
+    Mutant("summary-delay-max-first", "the delay max is the first batch's delay",
+           HARNESS,
+           "if not batches or delay > delay_max:",
+           "if not batches:",
+           (SUMMARY_ORACLE,)),
+    Mutant("write-metrics-summary-of-nothing", "write_metrics' summary.json reports no rows",
+           HARNESS,
+           "_write_summary(files[5], summarize(rows, block_interval))",
+           "_write_summary(files[5], summarize([], block_interval))",
+           ("tests/test_harness.py::test_summary_json_matches_recomputation",)),
+    Mutant("summary-keeps-every-tick", "the summary's fold keeps a value per control tick",
+           HARNESS,
+           "                t, s = row.time_ms, row.workload_s\n",
+           "                t, s = row.time_ms, row.workload_s\n"
+           "                fold.__dict__.setdefault(\"kept\", []).append(row.interval_ms)\n",
+           ("tests/test_harness.py::test_streamed_run_memory_grows_by_a_few_bytes_per_tick",)),
     Mutant("text-chunk-default", "output files keep up to 8192 characters of pending lines",
            HARNESS,
            "TEXT_CHUNK = 1024",
@@ -102,8 +118,9 @@ MUTANTS = (
 )
 
 
-def run_mutant(mutant: Mutant) -> str:
-    """The mutant's verdict: 'killed', 'survived', 'stale: ...' or 'error: ...'."""
+def run_mutant(mutant: Mutant, baselines: dict) -> str:
+    """The mutant's verdict: 'killed', 'survived', 'stale: ...' or 'error: ...'.
+    ``baselines`` maps each tests tuple already run unmutated to its run."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
@@ -116,7 +133,9 @@ def run_mutant(mutant: Mutant) -> str:
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                    *mutant.tests]
-        unmutated = _pytest(command, work, env)
+        if mutant.tests not in baselines:
+            baselines[mutant.tests] = _pytest(command, work, env)
+        unmutated = baselines[mutant.tests]
         if unmutated is None or unmutated.returncode != 0:
             return f"error: tests fail unmutated, {_outcome(unmutated)}"
         target.write_text(text.replace(mutant.old, mutant.new))
@@ -144,9 +163,9 @@ def _outcome(result: subprocess.CompletedProcess | None) -> str:
 
 
 def main(table: tuple[Mutant, ...] = MUTANTS) -> int:
-    failed = 0
+    failed, baselines = 0, {}
     for mutant in table:
-        verdict = run_mutant(mutant)
+        verdict = run_mutant(mutant, baselines)
         failed += verdict != "killed"
         print(f"{verdict:8} {mutant.name}: {mutant.fault} ({', '.join(mutant.tests)})",
               flush=True)
