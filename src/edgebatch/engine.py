@@ -226,14 +226,19 @@ class MicrobatchEngine:
         batched_records = batched_blocks = reported_records = 0
         # The timer clock: the next fire, the interval that ends at it and the
         # one a tick staged for the fire after it (None for no change); the
-        # worker clock: the running job as (done_at, rank, batch, started_at),
-        # or None when the worker is idle. A batch is a tuple (records,
-        # blocks, generated_at, interval_used).
+        # worker clock: the running job as (done_at, rank, records, blocks,
+        # generated_at, interval_used, started_at), or None when the worker
+        # is idle. The queue holds the batches that wait for the worker as
+        # three ints each, no tuple: records, non-empty blocks and interval
+        # used. A batch's seal time is not kept: each fire comes one interval
+        # used after the one before it, from 0, so taken_at, the seal time of
+        # the batch taken last, grows by each batch's interval as it is taken.
         fire = interval = cfg.initial_interval
         pending = None
         job = None
-        queue: deque[tuple[int, int, int, int]] = deque()
-        completed = 0
+        queue: deque[int] = deque()
+        push, pop = queue.append, queue.popleft
+        taken_at = completed = 0
         while True:
             # An iteration logs at most one row, so the list never passes
             # ROW_CHUNK.
@@ -250,7 +255,7 @@ class MicrobatchEngine:
             if fire < now or fire == now and kind > BATCH_TIMER_FIRE:
                 now, kind = fire, BATCH_TIMER_FIRE
             if job is not None and (job[0] < now or job[0] == now and job[1] < kind):
-                now, _, (batch_size, batch_blocks, generated_at, used), started_at = job
+                now, _, batch_size, batch_blocks, generated_at, used, started_at = job
                 job = None
                 proc = now - started_at
                 if started_at == generated_at:
@@ -283,8 +288,9 @@ class MicrobatchEngine:
                 if kind == BATCH_TIMER_FIRE:
                     # Group every unsealed block into the next batch.
                     sealed_blocks = nonempty[k - first]
-                    queue.append((sealed_records - batched_records,
-                                  sealed_blocks - batched_blocks, now, interval))
+                    push(sealed_records - batched_records)
+                    push(sealed_blocks - batched_blocks)
+                    push(interval)  # the one that ends now, before a staged one
                     batched_records, batched_blocks = sealed_records, sealed_blocks
                     if pending is not None:
                         interval, pending = pending, None
@@ -315,10 +321,11 @@ class MicrobatchEngine:
                 else:
                     break
             if job is None and queue:
-                batch = queue.popleft()
-                done_at = now + cost(batch[0], batch[1])
+                batch_size, batch_blocks, used = pop(), pop(), pop()
+                taken_at += used
+                done_at = now + cost(batch_size, batch_blocks)
                 job = (done_at, JOB_COMPLETE if done_at > now else INSTANT_JOB_COMPLETE,
-                       batch, now)
+                       batch_size, batch_blocks, taken_at, used, now)
         # Whatever the receiver still holds is sealed as one last batch, which
         # never runs because simulated time stops here, so batches hold every record.
         metrics.total_generated = metrics.total_block_records = sealed_records

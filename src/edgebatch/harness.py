@@ -62,7 +62,8 @@ FMT_CACHE_SIZE = 256  # the row writer's cache of delay strings empties at this 
 TEXT_CHUNK = 1024  # characters an output file's text layer holds before encoding them
 # The most rows a run may log, as build_run_spec bounds them. ``execute``
 # writes every row and folds it into the summary as the run goes, keeping
-# nothing per row, so this bounds only the run's time.
+# nothing per row, so this bounds the run's time, and its memory through
+# the engine's backlog: at most one queued batch per block.
 MAX_RUN_ROWS = 10_000_000
 
 

@@ -153,12 +153,14 @@ def test_rerun_is_identical():
 
 
 def test_jitter_changes_with_seed_but_not_rerun():
-    trace = traces.constant(1000.0)
-    a = collect(make_config(jitter=0.05, seed=7), trace)[1]
+    trace, cfg = traces.constant(1000.0), make_config(jitter=0.05, seed=7)
+    log, a = collect(cfg, trace)
     b = collect(make_config(jitter=0.05, seed=7), trace)[1]
     c = collect(make_config(jitter=0.05, seed=8), trace)[1]
     assert a == b
     assert a != c
+    # The per-block reference draws each factor from uniform(-1.0, 1.0).
+    assert log.total_generated == sum(per_block_counts(cfg, trace))
 
 
 def test_control_rows_present_and_gated():

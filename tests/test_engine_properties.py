@@ -379,12 +379,22 @@ HOLD_AFTER_STAGE = (
     traces.constant(15.0),
 )
 
+# The same run overloaded: each batch takes 1.5 s, and the controller
+# lengthens the interval a block at a time. From 5,300 ms to 5,500 ms two
+# batches wait, of 1,100 ms and 1,200 ms, so a batch's seal time must come
+# from the intervals of the batches before it, not from the current one.
+BACKLOG_ACROSS_A_CHANGE = (
+    dataclasses.replace(HOLD_AFTER_STAGE[0], cost_model=JobCostModel(1500.0, 0.0, 0.0)),
+    HOLD_AFTER_STAGE[1],
+)
+
 
 @pytest.mark.parametrize("jitter", [False, True], ids=["jitter-off", "jitter-on"])
 def test_engine_invariants_hold_over_random_configs(jitter):
     @settings(max_examples=250, deadline=None)
     @given(engine_runs(jitter))
     @example(HOLD_AFTER_STAGE)
+    @example(BACKLOG_ACROSS_A_CHANGE)
     def check(drawn):
         check_invariants(*drawn)
 

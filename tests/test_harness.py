@@ -893,6 +893,16 @@ def test_streamed_run_hands_on_every_row_a_chunk_at_a_time(make_spec, rows):
         sum(per_block_counts(spec.engine, spec.trace))
 
 
+def traced_peak(run, *args) -> int:
+    """The traced memory peak, in bytes, of ``run(*args)``."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # A streamed run keeps nothing per control tick and no row beyond the
 # current chunk: its summary is folded as the rows come. So its peak does
 # not grow with the run; the bound is below the 8 bytes a tick that even
@@ -915,21 +925,45 @@ def test_streamed_run_memory_grows_by_a_few_bytes_per_tick(tmp_path):
             tracker=dataclasses.replace(spec.engine.tracker, resample_interval=2000))
         harness.execute(dataclasses.replace(spec, engine=engine_cfg), tmp_path / str(duration))
 
-    def peak(duration):
-        tracemalloc.start()
-        try:
-            run(duration)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     # The first run in a process allocates what later runs reuse, which
     # would raise the short run's peak alone and hide a small leak when
     # this test runs by itself; an untraced run comes first.
     run(3_600_000)
-    short, long = peak(3_600_000), peak(7_200_000)
+    short, long = traced_peak(run, 3_600_000), traced_peak(run, 7_200_000)
     ticks = (7_200_000 - 3_600_000) // 2000
     assert long - short < TICK_BYTES_BOUND * ticks, ((long - short) / ticks, short, long)
+
+
+# A batch waiting for the worker is three ints in the engine's queue: three
+# 8-byte slots and the one int object of its record count, about 56 bytes
+# (Python 3.10-3.13 measure 52-56). The bound is below what one more int
+# object kept per batch would add, and well below the 134-142 bytes of a
+# 4-tuple per batch.
+QUEUED_BATCH_BYTES_BOUND = 80
+
+
+def test_a_backlog_grows_by_a_few_bytes_per_queued_batch(tmp_path):
+    # Vanilla, a fire every 200 ms and 400 ms per batch: the queue grows by
+    # one batch every 400 ms, so each run's peak is at its end. Both backlogs
+    # exceed 2,000 batches: CPython keeps up to 2,000 freed tuples of a size
+    # for reuse, which tracemalloc does not see, so a smaller backlog would
+    # hide most of what a tuple per batch costs.
+    def run(seconds):
+        cfg = mini_cfg(**{"engine.mode": "vanilla", "engine.initial_interval": 200,
+                          "engine.duration": seconds * 1000, "cost.fixed_overhead": 400,
+                          "cost.per_record": 0, "cost.per_block": 0, "trace.rate": 5000})
+        harness.execute(build_run_spec(cfg), tmp_path / str(seconds))
+
+    def backlog(seconds):  # the batches sealed, less those done and the running one
+        done = len((tmp_path / str(seconds) / "series_delay.csv").read_text().splitlines()) - 1
+        return seconds * 1000 // 200 - done - 1
+
+    run(1200)  # untraced, as in the per-tick test above
+    short, long = traced_peak(run, 1200), traced_peak(run, 2400)
+    assert (backlog(1200), backlog(2400)) == (3000, 6000)
+    batches = 6000 - 3000
+    assert long - short < QUEUED_BATCH_BYTES_BOUND * batches, \
+        ((long - short) / batches, short, long)
 
 
 # The most bytes that writing many short lines to an output file may add to

@@ -48,6 +48,8 @@ class Mutant(NamedTuple):
 ENGINE = "src/edgebatch/engine.py"
 HARNESS = "src/edgebatch/harness.py"
 SUMMARY_ORACLE = "tests/test_summary_oracle.py::test_folded_report_matches_the_row_lists"
+ENGINE_PROPERTIES = ("tests/test_engine_properties.py::"
+                     "test_engine_invariants_hold_over_random_configs")
 MUTANTS = (
     Mutant("summary-half-one-late", "the unconverged steady ticks start one tick late",
            HARNESS,
@@ -100,6 +102,48 @@ MUTANTS = (
            "            if len(rows) == ROW_CHUNK:\n",
            "            if len(rows) == ROW_CHUNK + 1:\n",
            ("tests/test_engine.py",)),
+    Mutant("queue-interval-after-swap", "a batch queues the interval staged for the next fire",
+           ENGINE,
+           "                    push(interval)  # the one that ends now, before a staged one\n"
+           "                    batched_records, batched_blocks = sealed_records, sealed_blocks\n"
+           "                    if pending is not None:\n"
+           "                        interval, pending = pending, None\n",
+           "                    batched_records, batched_blocks = sealed_records, sealed_blocks\n"
+           "                    if pending is not None:\n"
+           "                        interval, pending = pending, None\n"
+           "                    push(interval)\n",
+           ("tests/test_engine.py::test_set_interval_takes_effect_next_fire",)),
+    Mutant("queue-seal-time-from-initial", "seal times count from the first fire, not from 0",
+           ENGINE,
+           "taken_at = completed = 0",
+           "taken_at, completed = cfg.initial_interval, 0",
+           (ENGINE_PROPERTIES,)),
+    Mutant("queue-seal-time-from-current", "seal times counted back by the current interval",
+           ENGINE,
+           "                taken_at += used\n",
+           "                taken_at = fire - interval - interval * (len(queue) // 3)\n",
+           (ENGINE_PROPERTIES,)),
+    Mutant("queue-pops-swapped", "a batch's records and blocks are taken in swapped order",
+           ENGINE,
+           "batch_size, batch_blocks, used = pop(), pop(), pop()",
+           "batch_blocks, batch_size, used = pop(), pop(), pop()",
+           (ENGINE_PROPERTIES,)),
+    Mutant("engine-keeps-every-seal-time", "the engine keeps each fire's time for the whole run",
+           ENGINE,
+           "                    push(interval)  # the one that ends now, before a staged one\n",
+           "                    push(interval)  # the one that ends now, before a staged one\n"
+           "                    self.__dict__.setdefault(\"sealed_at\", []).append(now)\n",
+           ("tests/test_harness.py::test_a_backlog_grows_by_a_few_bytes_per_queued_batch",)),
+    Mutant("jitter-one-sided", "a jitter factor in [1, 1 + jitter]",
+           ENGINE,
+           "jitter * (-1.0 + 2.0 * random_())",
+           "jitter * random_()",
+           ("tests/test_engine.py::test_jitter_changes_with_seed_but_not_rerun",)),
+    Mutant("window-row-at-its-end", "a window row's start is the window's end",
+           "src/edgebatch/tracker.py",
+           "WindowRow(now - w, rate, predicted)",
+           "WindowRow(now, rate, predicted)",
+           ("tests/test_tracker.py::test_reports_average_into_window_rate",)),
     Mutant("tracker-close-keeps-count", "a window close does not reset the open count",
            "src/edgebatch/tracker.py",
            "rate, self._open_count = self._open_count * 1000.0 / w, 0",
