@@ -284,6 +284,7 @@ class MicrobatchEngine:
                     counts = self._block_counts(first, min(FILL_BLOCKS, n_blocks - first), rng)
                     records = list(accumulate(counts, initial=records[-1]))
                     nonempty = list(accumulate(map(bool, counts), initial=nonempty[-1]))
+                    del counts  # not held until the next refill
                 sealed_records = records[k - first]
                 if kind == BATCH_TIMER_FIRE:
                     # Group every unsealed block into the next batch.

@@ -517,13 +517,18 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
     that string for both. Time stamps and a waited batch's sched, total and
     eta are unique, so they stay out of the dict. It empties at
     ``FMT_CACHE_SIZE`` entries, which keeps it a small share of the run's
-    peak memory.
+    peak memory. A control tick's two rates are the objects of the window
+    row logged before it, so a tick's rate or forecast that *is* that row's
+    reuses the row's string; any other value is formatted.
     """
     fmt = _fmt
     zero = fmt(0.0)  # the sched cell of a batch that did not wait
     cache: dict = {}  # value -> fmt(value), for the delays that repeat
     cached = cache.get
     batch_id = 0
+    # The last window row's rates and their strings, None and "" before one.
+    measured = predicted = None
+    measured_text = predicted_text = ""
 
     def remember(value) -> str:  # on a miss, and for None, whose "" is falsy
         if len(cache) == FMT_CACHE_SIZE:
@@ -538,7 +543,7 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
     rate.write("window_start_ms,rate_measured,rate_predicted_next\n")
 
     def write(rows: list) -> None:
-        nonlocal batch_id
+        nonlocal batch_id, measured, predicted, measured_text, predicted_text
         for row in rows:
             if type(row) is BatchRow:
                 t = fmt(row.time_ms)
@@ -557,14 +562,18 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
                 delay.write(f"{t},{total},{proc},{sched}\n")
                 batch_id += 1
             elif type(row) is WindowRow:  # a window row has no time_ms
-                rate.write(f"{row.window_start_ms},{fmt(row.rate_measured)},"
-                           f"{fmt(row.rate_predicted_next)}\n")
+                measured, predicted = row.rate_measured, row.rate_predicted_next
+                measured_text, predicted_text = fmt(measured), fmt(predicted)
+                rate.write(f"{row.window_start_ms},{measured_text},{predicted_text}\n")
             else:
                 t = fmt(row.time_ms)
                 s = fmt(row.workload_s)
-                metrics.write(f"{t},,{row.interval_ms},,,,,,,{s},{fmt(row.rate_measured)},"
-                              f"{fmt(row.rate_predicted)},{fmt(row.traffic_change)},"
-                              f"{fmt(row.workload_deviation)},{fmt(row.fuzzy_level)}\n")
+                q_now, q_next = row.rate_measured, row.rate_predicted
+                q_now = measured_text if q_now is measured else fmt(q_now)
+                q_next = predicted_text if q_next is predicted else fmt(q_next)
+                metrics.write(f"{t},,{row.interval_ms},,,,,,,{s},{q_now},{q_next},"
+                              f"{fmt(row.traffic_change)},{fmt(row.workload_deviation)},"
+                              f"{fmt(row.fuzzy_level)}\n")
                 interval.write(f"{t},{row.interval_ms}\n")
                 workload.write(f"{t},{s}\n")
 

@@ -17,6 +17,7 @@ import pytest
 
 from edgebatch import engine, grey, harness
 from edgebatch.errors import DomainError
+from edgebatch.fuzzy import ControlRow
 from edgebatch.harness import (
     METRICS_COLUMNS,
     PRESETS,
@@ -28,6 +29,7 @@ from edgebatch.harness import (
     summarize,
     write_metrics,
 )
+from edgebatch.tracker import WindowRow
 
 from log_rows import collect, per_block_counts, split_rows
 
@@ -323,6 +325,47 @@ def test_delay_cells_are_fmt_of_each_value(tmp_path):
     sched, proc, eta = map(METRICS_COLUMNS.index, ("sched_delay_ms", "proc_delay_ms", "eta"))
     assert metrics[13].split(",")[sched] == fmt(2**-40) != "0"
     assert metrics[14].split(",")[eta] == metrics[5].split(",")[proc] == "12.375"
+
+
+def test_tick_rate_cells_are_fmt_of_each_value():
+    # The row writer reuses a window row's rate strings for a tick whose rate
+    # is the same object. An engine run always hands a tick those objects;
+    # these rows do not, and their writer state crosses a chunk.
+    third, forecast, r = 1000 / 3, 0.1 + 0.2, 2 / 3
+    rows = [
+        ControlRow(2000, 600, 0.5, 12.5, 1e16, None, None, None),  # before any window
+        ControlRow(4000, 600, 0.75, None, None, None, None, None),
+        WindowRow(0, third, forecast),
+        ControlRow(6000, 800, 0.875, third, forecast, 0.25, -0.125, 1),  # the same objects
+        ControlRow(8000, 800, 1.0, float(repr(third)), float(repr(forecast)), 0.0, 0.0, 0),
+        ControlRow(10000, 800, 1.5, forecast, third, 2.5, 0.5, -1),  # swapped
+        ControlRow(12000, 800, 1.25, 250.0, 7.0, -0.5, 0.25, 2),
+        WindowRow(6000, 250.0, None),  # the last row of the first chunk
+        ControlRow(14000, 1000, 0.5, 250.0, None, None, None, None),  # a None forecast
+        ControlRow(16000, 1000, 0.5, 250, third, 0.0, -0.5, -2),
+        WindowRow(12000, r, None),  # prediction off: q_next is q_now
+        ControlRow(18000, 1000, 0.5, r, r, 0.0, -0.5, -2),
+        ControlRow(20000, 1000, 0.5, third, third, 0.0, -0.5, -2),
+    ]
+    files = [io.StringIO() for _ in range(5)]
+    write = harness._row_writer(*files)
+    write(rows[:8])
+    write(rows[8:])
+    metrics, interval, workload, _, rate = (f.getvalue().splitlines()[1:] for f in files)
+    ticks = [row for row in rows if type(row) is ControlRow]
+    windows = [row for row in rows if type(row) is WindowRow]
+    assert len(metrics) == len(interval) == len(workload) == len(ticks)
+    fmt = harness._fmt
+    for row, m, i, w in zip(ticks, metrics, interval, workload):
+        t, s = fmt(row.time_ms), fmt(row.workload_s)
+        assert m.split(",") == [t, "", str(row.interval_ms)] + [""] * 6 + [
+            s, fmt(row.rate_measured), fmt(row.rate_predicted), fmt(row.traffic_change),
+            fmt(row.workload_deviation), fmt(row.fuzzy_level)]
+        assert i.split(",") == [t, str(row.interval_ms)]
+        assert w.split(",") == [t, s]
+    assert [line.split(",") for line in rate] == [
+        [str(row.window_start_ms), fmt(row.rate_measured), fmt(row.rate_predicted_next)]
+        for row in windows]
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -50,6 +50,7 @@ HARNESS = "src/edgebatch/harness.py"
 SUMMARY_ORACLE = "tests/test_summary_oracle.py::test_folded_report_matches_the_row_lists"
 ENGINE_PROPERTIES = ("tests/test_engine_properties.py::"
                      "test_engine_invariants_hold_over_random_configs")
+TICK_RATE_CELLS = "tests/test_harness.py::test_tick_rate_cells_are_fmt_of_each_value"
 MUTANTS = (
     Mutant("summary-half-one-late", "the unconverged steady ticks start one tick late",
            HARNESS,
@@ -87,6 +88,16 @@ MUTANTS = (
            "TEXT_CHUNK = 1024",
            "TEXT_CHUNK = 8192",
            ("tests/test_harness.py::test_an_output_file_holds_few_pending_lines",)),
+    Mutant("tick-rate-reused-unchecked", "a tick writes the last window's rate for its own",
+           HARNESS,
+           "q_now = measured_text if q_now is measured else fmt(q_now)",
+           "q_now = measured_text",
+           (TICK_RATE_CELLS,)),
+    Mutant("tick-forecast-reused-unchecked", "a tick writes the last window's forecast for its own",
+           HARNESS,
+           "q_next = predicted_text if q_next is predicted else fmt(q_next)",
+           "q_next = predicted_text",
+           (TICK_RATE_CELLS,)),
     Mutant("engine-chunk-not-cleared", "a flushed chunk stays in the row list",
            ENGINE,
            "                flush(rows)\n                rows.clear()\n",
