@@ -51,7 +51,7 @@ ADAPTIVE = "adaptive"
 VANILLA = "vanilla"
 
 FILL_BLOCKS = 256  # blocks whose counts run() computes per trace call
-ROW_CHUNK = 256  # rows run() hands to its flush at a time
+ROW_CHUNK = 64  # rows run() hands to its flush at a time
 # The times MAX_TIME_MS bounds, as attribute paths from EngineConfig.
 _TIME_FIELDS = ("duration", "block_interval", "initial_interval", "control_start",
                 "controller.min_interval", "controller.max_interval",

@@ -4,8 +4,8 @@ Config files are flat ``section.key = value`` lines with ``#`` comments.
 Outputs land in --out, the EDGEBATCH_OUT directory, or ./out: metrics.csv
 (one row per batch completion and per control tick), four plot-ready series
 files and summary.json. They are opened before the run, which writes its
-rows to the first five as it goes and keeps only the summary's running
-folds, nothing per row; summary.json is written after it.
+rows to the first five a chunk at a time and keeps only the summary's
+running folds, nothing per row; summary.json is written after it.
 Every file is written all or nothing: each under a temporary name in the
 same directory, renamed over the old file only once every write has
 succeeded.
@@ -34,6 +34,7 @@ from typing import Optional
 from . import traces
 from .engine import (
     ADAPTIVE,
+    ROW_CHUNK,
     VANILLA,
     BatchRow,
     EngineConfig,
@@ -59,7 +60,6 @@ OUTPUT_FILES = ("metrics.csv", "series_interval.csv", "series_workload.csv",
 
 STABLE_TICKS = 20  # control ticks the interval must hold within one block
 FMT_CACHE_SIZE = 256  # the row writer's cache of delay strings empties at this size
-TEXT_CHUNK = 1024  # characters an output file's text layer holds before encoding them
 # The most rows a run may log, as build_run_spec bounds them. ``execute``
 # writes every row and folds it into the summary as the run goes, keeping
 # nothing per row, so this bounds the run's time, and its memory through
@@ -424,8 +424,8 @@ def _fmt(value) -> str:
 class _OutputFile(io.FileIO):
     """An output file written under a temporary name: a failed open raises
     an OSError of its kind, and a failed write an ``OutputError``, each
-    naming the output. Its buffered writer writes here once per buffer it
-    fills, not once per line."""
+    naming the output. A write writes every byte it is given, as many raw
+    writes as that takes: its text layer ignores a short write's count."""
 
     def __init__(self, temp: Path, path: Path):
         self.path = path
@@ -435,27 +435,32 @@ class _OutputFile(io.FileIO):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
     def write(self, data):
+        view = memoryview(data)
         try:
-            return super().write(data)
+            while view:
+                view = view[super().write(view):]
         except OSError as exc:
             raise OutputError(exc.errno, exc.strerror, str(self.path)) from exc
+        return len(data)
 
 
 def write_metrics(rows: list, out_dir: str | Path, block_interval: int) -> Path:
     """Write metrics.csv, summary.json, and the series files; returns out_dir.
 
     ``rows`` are a run's rows in the order it logged them, with the run's
-    ``block_interval``. The rows go through ``_row_writer`` in one call, and
-    their ``summarize(rows, block_interval)`` fills summary.json, so the
-    files are those ``execute`` writes for the run. They are written all or
-    nothing (see ``_outputs``): an output that cannot be opened, or is a
-    directory, raises an ``OSError``, and a failed write an ``OutputError``;
-    each names the output file.
+    ``block_interval``. The rows go through ``_row_writer`` ``ROW_CHUNK``
+    at a time, as in ``execute``, and their ``summarize(rows,
+    block_interval)`` fills summary.json, so the files are those ``execute``
+    writes for the run. They are written all or nothing (see ``_outputs``):
+    an output that cannot be opened, or is a directory, raises an
+    ``OSError``, and a failed write an ``OutputError``; each names the file.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _outputs(out) as files:
-        _row_writer(*files[:5])(rows)
+        write_rows = _row_writer(*files[:5])
+        for start in range(0, len(rows), ROW_CHUNK):
+            write_rows(rows[start:start + ROW_CHUNK])
         _write_summary(files[5], summarize(rows, block_interval))
     return out
 
@@ -464,10 +469,10 @@ def write_metrics(rows: list, out_dir: str | Path, block_interval: int) -> Path:
 def _outputs(out: Path):
     """The files of ``OUTPUT_FILES``, opened in out under temporary names,
     ``.<name>.tmp``, and given as text files in that order. If an output is
-    a directory, none is opened. Each file's buffered writer writes to it
-    once per buffer it fills, not once per line. On a clean exit every file
-    is closed and then renamed to its name, so a failed write leaves the old
-    outputs as they were; no temporary file is left either way."""
+    a directory, none is opened. What is written to a file reaches it at
+    once (see ``_open_output``). On a clean exit every file is closed and
+    then renamed to its name, so a failed write leaves the old outputs as
+    they were; no temporary file is left either way."""
     outputs = [(out / f".{name}.tmp", out / name) for name in OUTPUT_FILES]
     try:
         with ExitStack() as stack:
@@ -483,19 +488,10 @@ def _outputs(out: Path):
 
 
 def _open_output(temp: Path, path: Path) -> io.TextIOWrapper:
-    """Output path, open as UTF-8 text under its temporary name temp."""
-    raw = _OutputFile(temp, path)
-    # The buffer size open() picks: the file system's block size, often
-    # half of io.DEFAULT_BUFFER_SIZE. Six buffers are part of the peak.
-    size = os.fstat(raw.fileno()).st_blksize
-    buffer = io.BufferedWriter(raw, size if size > 1 else io.DEFAULT_BUFFER_SIZE)
-    text = io.TextIOWrapper(buffer, encoding="utf-8")
-    # The text layer keeps its pending lines as separate str objects, about
-    # 88 bytes for a 13-32 character series line, until they reach its
-    # chunk size in characters, 8192 by default: five files' worth was a
-    # large part of the peak. CPython 3.10-3.13 let it be set.
-    text._CHUNK_SIZE = TEXT_CHUNK
-    return text
+    """Output path, open as UTF-8 text under its temporary name temp. Each
+    write goes straight to the file: the row writer writes a chunk's lines
+    at once, so a buffer would only add to the run's peak memory."""
+    return io.TextIOWrapper(_OutputFile(temp, path), encoding="utf-8", write_through=True)
 
 
 def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], None]:
@@ -504,9 +500,9 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
     five files: it writes each header now, and each call writes the rows it
     is given, which follow the rows of earlier calls in the run's order. A
     batch or control row goes to metrics.csv and its series file, each value
-    formatted once for both, and a window row to series_rate.csv; each line
-    goes straight to its file. The batch id written is the count of batch
-    rows before it (see ``BatchRow``).
+    formatted once for both, and a window row to series_rate.csv. A call
+    writes each file its lines as one string, if it has any. The batch id
+    written is the count of batch rows before it (see ``BatchRow``).
 
     Float ``repr`` is most of the output time, so a repeated value is
     formatted once: a dict of this writer's maps each batch's processing
@@ -519,7 +515,8 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
     ``FMT_CACHE_SIZE`` entries, which keeps it a small share of the run's
     peak memory. A control tick's two rates are the objects of the window
     row logged before it, so a tick's rate or forecast that *is* that row's
-    reuses the row's string; any other value is formatted.
+    reuses the row's string. With prediction off a tick's forecast *is* its
+    rate and reuses the rate's string; any other value is formatted.
     """
     fmt = _fmt
     zero = fmt(0.0)  # the sched cell of a batch that did not wait
@@ -544,6 +541,8 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
 
     def write(rows: list) -> None:
         nonlocal batch_id, measured, predicted, measured_text, predicted_text
+        lines = ([], [], [], [], [])  # each file's lines of this call
+        to_metrics, to_interval, to_workload, to_delay, to_rate = (part.append for part in lines)
         for row in rows:
             if type(row) is BatchRow:
                 t = fmt(row.time_ms)
@@ -557,25 +556,29 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
                     sched, eta = fmt(row.sched_delay_ms), fmt(total / float(row.interval_ms))
                 # A batch that did not wait: equal values format alike.
                 total = proc if total == p else fmt(total)
-                metrics.write(f"{t},{batch_id},{row.interval_ms},{row.records},"
-                              f"{row.blocks},{sched},{proc},{total},{eta},,,,,,\n")
-                delay.write(f"{t},{total},{proc},{sched}\n")
+                to_metrics(f"{t},{batch_id},{row.interval_ms},{row.records},"
+                           f"{row.blocks},{sched},{proc},{total},{eta},,,,,,\n")
+                to_delay(f"{t},{total},{proc},{sched}\n")
                 batch_id += 1
             elif type(row) is WindowRow:  # a window row has no time_ms
                 measured, predicted = row.rate_measured, row.rate_predicted_next
                 measured_text, predicted_text = fmt(measured), fmt(predicted)
-                rate.write(f"{row.window_start_ms},{measured_text},{predicted_text}\n")
+                to_rate(f"{row.window_start_ms},{measured_text},{predicted_text}\n")
             else:
                 t = fmt(row.time_ms)
                 s = fmt(row.workload_s)
                 q_now, q_next = row.rate_measured, row.rate_predicted
+                same = q_next is q_now  # as with prediction off
                 q_now = measured_text if q_now is measured else fmt(q_now)
-                q_next = predicted_text if q_next is predicted else fmt(q_next)
-                metrics.write(f"{t},,{row.interval_ms},,,,,,,{s},{q_now},{q_next},"
-                              f"{fmt(row.traffic_change)},{fmt(row.workload_deviation)},"
-                              f"{fmt(row.fuzzy_level)}\n")
-                interval.write(f"{t},{row.interval_ms}\n")
-                workload.write(f"{t},{s}\n")
+                q_next = predicted_text if q_next is predicted else q_now if same else fmt(q_next)
+                to_metrics(f"{t},,{row.interval_ms},,,,,,,{s},{q_now},{q_next},"
+                           f"{fmt(row.traffic_change)},{fmt(row.workload_deviation)},"
+                           f"{fmt(row.fuzzy_level)}\n")
+                to_interval(f"{t},{row.interval_ms}\n")
+                to_workload(f"{t},{s}\n")
+        for file, part in zip((metrics, interval, workload, delay, rate), lines):
+            if part:
+                file.write("".join(part))
 
     return write
 

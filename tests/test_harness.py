@@ -327,11 +327,12 @@ def test_delay_cells_are_fmt_of_each_value(tmp_path):
     assert metrics[14].split(",")[eta] == metrics[5].split(",")[proc] == "12.375"
 
 
-def test_tick_rate_cells_are_fmt_of_each_value():
+def test_tick_rate_cells_are_fmt_of_each_value(monkeypatch):
     # The row writer reuses a window row's rate strings for a tick whose rate
-    # is the same object. An engine run always hands a tick those objects;
-    # these rows do not, and their writer state crosses a chunk.
-    third, forecast, r = 1000 / 3, 0.1 + 0.2, 2 / 3
+    # is the same object, and a tick's rate string for a forecast that is
+    # its rate. An engine run always hands a tick those objects; these rows
+    # do not, and their writer state crosses a chunk.
+    third, forecast, r, alone = 1000 / 3, 0.1 + 0.2, 2 / 3, 1e6 / 7
     rows = [
         ControlRow(2000, 600, 0.5, 12.5, 1e16, None, None, None),  # before any window
         ControlRow(4000, 600, 0.75, None, None, None, None, None),
@@ -346,16 +347,27 @@ def test_tick_rate_cells_are_fmt_of_each_value():
         WindowRow(12000, r, None),  # prediction off: q_next is q_now
         ControlRow(18000, 1000, 0.5, r, r, 0.0, -0.5, -2),
         ControlRow(20000, 1000, 0.5, third, third, 0.0, -0.5, -2),
+        ControlRow(22000, 1000, 0.5, alone, alone, 0.0, -0.5, -2),  # in no window row
+        ControlRow(24000, 1000, 0.5, 3 / 7, float(repr(3 / 7)), 0.0, -0.5, -2),  # equal
     ]
+    fmt, formatted = harness._fmt, []
+
+    def fmt_spy(value):
+        formatted.append(value)
+        return fmt(value)
+
     files = [io.StringIO() for _ in range(5)]
-    write = harness._row_writer(*files)
-    write(rows[:8])
-    write(rows[8:])
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_fmt", fmt_spy)
+        write = harness._row_writer(*files)
+        write(rows[:8])
+        write(rows[8:])
+    # The tick's forecast reused its rate's string.
+    assert [value for value in formatted if value is alone] == [alone]
     metrics, interval, workload, _, rate = (f.getvalue().splitlines()[1:] for f in files)
     ticks = [row for row in rows if type(row) is ControlRow]
     windows = [row for row in rows if type(row) is WindowRow]
     assert len(metrics) == len(interval) == len(workload) == len(ticks)
-    fmt = harness._fmt
     for row, m, i, w in zip(ticks, metrics, interval, workload):
         t, s = fmt(row.time_ms), fmt(row.workload_s)
         assert m.split(",") == [t, "", str(row.interval_ms)] + [""] * 6 + [
@@ -833,12 +845,17 @@ def test_cli_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatc
     assert [p.name for p in out.iterdir()] == ([name] if case == "directory" else [])
 
 
-def fill_disk(monkeypatch, name):
-    """Make every write to output file name fail with ENOSPC."""
+def fill_disk(monkeypatch, name, room=0):
+    """Make every raw write to output file name fail with ENOSPC, once its
+    first ``room`` raw writes are done."""
     class NoSpace(io.FileIO):
+        done = 0
+
         def write(self, data):
             if self.path.name == name:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                if self.done == room:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.done += 1
             return super().write(data)
 
     # _OutputFile.write's super().write is NoSpace.write, as a disk's
@@ -860,8 +877,12 @@ def test_cli_failed_write_exits_1_and_keeps_the_old_outputs(tmp_path, capsys, mo
     capsys.readouterr()
 
     fill_disk(monkeypatch, name)
+    calls = spy_on_run(monkeypatch)
     conf = write_conf(tmp_path, MINI + "engine.jitter = 0.05\n", "other.conf")
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 1
+    # A row file's header is written before the run, so its failed write
+    # ends the command before the run starts; summary.json is written after.
+    assert [what for what, _ in calls] == (["ok"] if name == "summary.json" else [])
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out / name}: [Errno {errno.ENOSPC}] ")
@@ -874,16 +895,18 @@ def test_cli_failed_write_exits_1_and_keeps_the_old_outputs(tmp_path, capsys, mo
     assert sorted(new) == sorted(old) and new["metrics.csv"] != old["metrics.csv"]
 
 
-# 1,200 ticks, 1,200 windows and over 600 batches: each of the five row files
-# outgrows its text and file buffers, so a full disk fails a write during the
-# run.
+ROW_FILES = ("metrics.csv", "series_interval.csv", "series_workload.csv",
+             "series_delay.csv", "series_rate.csv")
+
+
+# 1,200 ticks, 1,200 windows and over 600 batches: many chunks, each written
+# to every row file it has lines for, so each file's writes after its header
+# come during the run.
 LONG = (MINI.replace("engine.duration = 120000", "engine.duration = 1200000")
         + "controller.control_period = 1000\ntracker.resample_interval = 1000\n")
 
 
-@pytest.mark.parametrize("name", ["metrics.csv", "series_interval.csv",
-                                  "series_workload.csv", "series_delay.csv",
-                                  "series_rate.csv"])
+@pytest.mark.parametrize("name", ROW_FILES)
 def test_cli_write_failing_during_the_run_exits_1_and_closes_every_file(
         tmp_path, capsys, monkeypatch, name):
     out = tmp_path / "o"
@@ -893,7 +916,7 @@ def test_cli_write_failing_during_the_run_exits_1_and_closes_every_file(
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
     old = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
-    fill_disk(monkeypatch, name)
+    fill_disk(monkeypatch, name, room=1)  # the header's write succeeds
     calls = spy_on_run(monkeypatch)
     other = write_conf(tmp_path, LONG + "engine.jitter = 0.05\n", "other.conf")
     with warnings.catch_warnings(record=True) as caught:
@@ -914,13 +937,15 @@ def test_cli_write_failing_during_the_run_exits_1_and_closes_every_file(
 # -- streaming ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make_spec, rows", [
-    (lambda: load_preset("exp1"), 220),
-    (lambda: build_run_spec(mini_cfg(**{"engine.duration": 349_000})), 256),
-    (lambda: build_run_spec(mini_cfg(**{"engine.duration": 686_000})), 512),
+# Runs of one row less than a 64-row chunk, of one chunk and of two.
+@pytest.mark.parametrize("extra, rows", [
+    ({"engine.duration": 93_000}, 63),
+    ({"engine.duration": 94_000}, 64),
+    ({"engine.duration": 165_000, "tracker.resample_interval": 10_000}, 128),
 ], ids=["fewer-than-a-chunk", "one-chunk", "two-chunks"])
-def test_streamed_run_hands_on_every_row_a_chunk_at_a_time(make_spec, rows):
-    spec = make_spec()
+def test_streamed_run_hands_on_every_row_a_chunk_at_a_time(extra, rows):
+    assert engine.ROW_CHUNK == 64
+    spec = build_run_spec(mini_cfg(**extra))
     chunks = []
     log = engine.MicrobatchEngine(spec.engine, spec.trace,
                                   lambda chunk: chunks.append(list(chunk))).run()
@@ -1010,9 +1035,10 @@ def test_a_backlog_grows_by_a_few_bytes_per_queued_batch(tmp_path):
 
 
 # The most bytes that writing many short lines to an output file may add to
-# the traced peak, once it is open: the text layer's pending lines, up to
-# TEXT_CHUNK characters, and its encoder's work. Python 3.10-3.13 give
-# 4.4-4.9 kB with 1024 characters and 33-36 kB with the 8192 default.
+# the traced peak, once it is open. Each write goes straight to the file, so
+# no line is left pending: Python 3.11 gives 0.7 kB. A text layer that is not
+# written through keeps its pending lines up to its chunk size, 8192
+# characters by default: 33-36 kB on Python 3.10-3.13.
 PENDING_BYTES_BOUND = 12_000
 
 
@@ -1026,6 +1052,51 @@ def test_an_output_file_holds_few_pending_lines(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak < PENDING_BYTES_BOUND, peak
+
+
+def test_short_raw_writes_give_the_same_outputs(tmp_path, monkeypatch):
+    # A raw write may write fewer bytes than it is given, and the text layer
+    # ignores the count it returns: _OutputFile.write must write the rest.
+    spec = harness.load_run_spec(write_conf(tmp_path))
+    harness.execute(spec, tmp_path / "whole")
+
+    class Trickle(io.FileIO):
+        def write(self, data):
+            return super().write(data[:7])
+
+    # _OutputFile.write's super().write is Trickle.write.
+    class Short(harness._OutputFile, Trickle):
+        pass
+
+    monkeypatch.setattr(harness, "_OutputFile", Short)
+    harness.execute(spec, tmp_path / "short")
+    for name in harness.OUTPUT_FILES:
+        whole = (tmp_path / "whole" / name).read_bytes()
+        assert len(whole) > 7 and (tmp_path / "short" / name).read_bytes() == whole, name
+
+
+def test_each_row_file_gets_one_write_per_flush(tmp_path, monkeypatch):
+    # The row writer joins a chunk's lines for each file, and no buffer
+    # splits or merges them: a row file gets its header and at most one
+    # raw write for each chunk the run hands on.
+    writes = dict.fromkeys(harness.OUTPUT_FILES, 0)
+
+    class Counted(io.FileIO):
+        def write(self, data):
+            writes[self.path.name] += 1
+            return super().write(data)
+
+    class Counting(harness._OutputFile, Counted):
+        pass
+
+    monkeypatch.setattr(harness, "_OutputFile", Counting)
+    spec = harness.load_run_spec(write_conf(tmp_path))
+    rows = collect(spec.engine, spec.trace)[1]
+    flushes = len(rows) // engine.ROW_CHUNK + 1  # the full chunks, then the rest
+    assert split_rows(rows)[2] and len(rows) > engine.ROW_CHUNK
+    harness.execute(spec, tmp_path / "o")
+    assert all(1 < writes[name] <= 1 + flushes for name in ROW_FILES), (writes, flushes)
+    assert writes["summary.json"] == 1
 
 
 @pytest.mark.parametrize("what, content, message", [

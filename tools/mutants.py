@@ -83,11 +83,21 @@ MUTANTS = (
            "                t, s = row.time_ms, row.workload_s\n"
            "                fold.__dict__.setdefault(\"kept\", []).append(row.interval_ms)\n",
            ("tests/test_harness.py::test_streamed_run_memory_grows_by_a_few_bytes_per_tick",)),
-    Mutant("text-chunk-default", "output files keep up to 8192 characters of pending lines",
+    Mutant("output-not-written-through", "output files keep up to 8192 characters of pending lines",
            HARNESS,
-           "TEXT_CHUNK = 1024",
-           "TEXT_CHUNK = 8192",
+           'encoding="utf-8", write_through=True)',
+           'encoding="utf-8", write_through=False)',
            ("tests/test_harness.py::test_an_output_file_holds_few_pending_lines",)),
+    Mutant("output-single-raw-write", "a short raw write loses the rest of its bytes",
+           HARNESS,
+           "            while view:\n                view = view[super().write(view):]\n",
+           "            super().write(view)\n",
+           ("tests/test_harness.py::test_short_raw_writes_give_the_same_outputs",)),
+    Mutant("row-writer-writes-per-line", "the row writer writes each line on its own",
+           HARNESS,
+           "(part.append for part in lines)",
+           "(metrics.write, interval.write, workload.write, delay.write, rate.write)",
+           ("tests/test_harness.py::test_each_row_file_gets_one_write_per_flush",)),
     Mutant("tick-rate-reused-unchecked", "a tick writes the last window's rate for its own",
            HARNESS,
            "q_now = measured_text if q_now is measured else fmt(q_now)",
@@ -95,8 +105,13 @@ MUTANTS = (
            (TICK_RATE_CELLS,)),
     Mutant("tick-forecast-reused-unchecked", "a tick writes the last window's forecast for its own",
            HARNESS,
-           "q_next = predicted_text if q_next is predicted else fmt(q_next)",
-           "q_next = predicted_text",
+           "q_next = predicted_text if q_next is predicted else",
+           "q_next = predicted_text if True else",
+           (TICK_RATE_CELLS,)),
+    Mutant("tick-forecast-is-rate-unchecked", "a tick writes its rate for its forecast",
+           HARNESS,
+           "same = q_next is q_now",
+           "same = True",
            (TICK_RATE_CELLS,)),
     Mutant("engine-chunk-not-cleared", "a flushed chunk stays in the row list",
            ENGINE,
