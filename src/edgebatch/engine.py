@@ -217,12 +217,16 @@ class MicrobatchEngine:
         # The window, tick and trace-end clocks.
         w, period = cfg.tracker.resample_interval, cfg.controller.control_period
         window, tick, end = w, period, cfg.duration
-        # The block clock. Counts of blocks first .. first + len(records) - 2
-        # are filled in; records[j] and nonempty[j] are the running totals
-        # over blocks 0 .. first + j - 1. batched_* are the same totals at
-        # the last batch seal, and reported_records at the last window close.
+        # The block clock. Counts of blocks first .. first + len(records) - 2,
+        # one fill, are filled in; records[j] is the running record total over
+        # blocks 0 .. first + j - 1. nonempty[j] counts the fill's non-empty
+        # blocks before block first + j, from 0, so each is at most
+        # FILL_BLOCKS and a cached small int; base holds the non-empty blocks
+        # before the fill, which a fire adds back. batched_* are the run's
+        # totals at the last batch seal, and reported_records at the last
+        # window close.
         n_blocks = cfg.duration // block
-        first, records, nonempty = 0, [0], [0]
+        first, records, nonempty, base = 0, [0], [0], 0
         batched_records = batched_blocks = reported_records = 0
         # The timer clock: the next fire, the interval that ends at it and the
         # one a tick staged for the fire after it (None for no change); the
@@ -281,14 +285,16 @@ class MicrobatchEngine:
                 k = int(now // block)
                 while k - first >= len(records):
                     first += len(records) - 1
+                    last, base = records[-1], base + nonempty[-1]
+                    del records, nonempty  # not alive beside the next fill's totals
                     counts = self._block_counts(first, min(FILL_BLOCKS, n_blocks - first), rng)
-                    records = list(accumulate(counts, initial=records[-1]))
-                    nonempty = list(accumulate(map(bool, counts), initial=nonempty[-1]))
+                    records = list(accumulate(counts, initial=last))
+                    nonempty = list(accumulate(map(bool, counts), initial=0))
                     del counts  # not held until the next refill
                 sealed_records = records[k - first]
                 if kind == BATCH_TIMER_FIRE:
                     # Group every unsealed block into the next batch.
-                    sealed_blocks = nonempty[k - first]
+                    sealed_blocks = base + nonempty[k - first]
                     push(sealed_records - batched_records)
                     push(sealed_blocks - batched_blocks)
                     push(interval)  # the one that ends now, before a staged one

@@ -501,8 +501,10 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
     is given, which follow the rows of earlier calls in the run's order. A
     batch or control row goes to metrics.csv and its series file, each value
     formatted once for both, and a window row to series_rate.csv. A call
-    writes each file its lines as one string, if it has any. The batch id
-    written is the count of batch rows before it (see ``BatchRow``).
+    writes each file its lines as one string, if it has any, and frees the
+    file's lines before it writes that string: no file's lines are alive
+    while its text is encoded and written. The batch id written is the
+    count of batch rows before it (see ``BatchRow``).
 
     Float ``repr`` is most of the output time, so a repeated value is
     formatted once: a dict of this writer's maps each batch's processing
@@ -578,7 +580,9 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
                 to_workload(f"{t},{s}\n")
         for file, part in zip((metrics, interval, workload, delay, rate), lines):
             if part:
-                file.write("".join(part))
+                text = "".join(part)
+                part.clear()  # not alive while the text is encoded and written
+                file.write(text)
 
     return write
 

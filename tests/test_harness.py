@@ -1034,6 +1034,73 @@ def test_a_backlog_grows_by_a_few_bytes_per_queued_batch(tmp_path):
         ((long - short) / batches, short, long)
 
 
+# The engine's traced peak per block of a fill, over a run of 20 fills at
+# 1,000 records per block, when its rows go nowhere. Each block's running
+# record total is then an int object of its own, 28 bytes, and one fill's
+# totals are alive at a time: Python 3.11 gives 158 bytes. A fill's totals
+# kept alive while the next fill is counted give 199, and with non-empty
+# block totals counted from block 0 as well, each above 256 an int object
+# of its own, 231.
+FILL_BLOCK_BYTES_BOUND = 178
+
+
+def test_the_engine_holds_one_fill_of_block_totals():
+    fills = 20
+    cfg = mini_cfg(**{"engine.mode": "vanilla", "engine.initial_interval": 1000,
+                      "engine.duration": fills * engine.FILL_BLOCKS * MINI_BLOCK,
+                      "cost.fixed_overhead": 10, "cost.per_record": 0, "cost.per_block": 0,
+                      "trace.rate": 5000, "controller.prediction": "off"})
+    spec = build_run_spec(cfg)
+
+    def run():
+        engine.MicrobatchEngine(spec.engine, spec.trace, lambda rows: None).run()
+
+    run()  # untraced, as in the per-tick test above
+    peak = traced_peak(run)
+    assert peak < FILL_BLOCK_BYTES_BOUND * engine.FILL_BLOCKS, peak / engine.FILL_BLOCKS
+
+
+def line_list_bytes(text: str) -> int:
+    """About what a list of text's lines takes, the lines included."""
+    lines = text.splitlines(keepends=True)
+    return sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+
+
+def test_the_row_writer_frees_a_files_lines_before_writing_it():
+    # Each write reads the bytes traced since the call began. What may be
+    # alive then is the text being written, the texts this probe keeps and
+    # the lines of the files still to be written; a file's own lines kept
+    # alive beside its text add about their own size again. The second call
+    # writes the rows of the first, so no cache entry is added during it.
+    rows = [engine.BatchRow(1000.5 * i, 600, 3 * i, i, 0.0 if i % 2 else 12.5, 100 + i / 7)
+            for i in range(engine.ROW_CHUNK)]
+    writes = []  # (file, text, bytes traced at its write)
+    start = 0  # the traced bytes when the call began
+
+    class Probe:
+        def __init__(self, name):
+            self.name = name
+
+        def write(self, text):
+            writes.append((self.name, text, tracemalloc.get_traced_memory()[0] - start))
+
+    write = harness._row_writer(*map(Probe, ROW_FILES))
+    write(rows)
+    writes.clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write(rows)
+    finally:
+        tracemalloc.stop()
+    assert [name for name, _, _ in writes] == ["metrics.csv", "series_delay.csv"]
+    for k, (name, text, traced) in enumerate(writes):
+        kept = sum(sys.getsizeof(earlier) for _, earlier, _ in writes[:k + 1])
+        pending = sum(line_list_bytes(later) for _, later, _ in writes[k + 1:])
+        own = line_list_bytes(text)
+        assert traced - kept - pending < own / 2, (name, traced, kept, pending, own)
+
+
 # The most bytes that writing many short lines to an output file may add to
 # the traced peak, once it is open. Each write goes straight to the file, so
 # no line is left pending: Python 3.11 gives 0.7 kB. A text layer that is not

@@ -4,13 +4,14 @@
 
 A mutant is one exact edit of a program file: an old text, which must occur
 exactly once in the file, and its replacement. For each mutant in the table
-the tool copies `src/` and `tests/` of this checkout to a temporary
-directory and runs the mutant's tests, test files or node ids, there with
-`pytest -x`, first without the edit, where they must pass, and then with
-it. Mutants that name the same tests share one run without the edit. The mutant is killed if a test then fails (pytest exit 1) or the tests
-run past `TIMEOUT_S`, as when a clock stops advancing; it survives if every
-test passes. Tests that fail in the copy before the edit, as those that
-read a file outside `src/` and `tests/`, could prove no kill, so that is an
+the tool copies `src/`, `tests/` and `perfbench/` of this checkout to a
+temporary directory and runs the mutant's tests, test files or node ids,
+there with `pytest -x`, first without the edit, where they must pass, and
+then with it. Mutants that name the same tests share one run without the
+edit. The mutant is killed if a test then fails (pytest exit 1) or the
+tests run past `TIMEOUT_S`, as when a clock stops advancing; it survives if
+every test passes. Tests that fail in the copy before the edit, as those
+that read a file outside these three, could prove no kill, so that is an
 error, as is any other pytest exit, as from a test file that does not
 exist.
 
@@ -98,6 +99,11 @@ MUTANTS = (
            "(part.append for part in lines)",
            "(metrics.write, interval.write, workload.write, delay.write, rate.write)",
            ("tests/test_harness.py::test_each_row_file_gets_one_write_per_flush",)),
+    Mutant("fmt-cache-never-hits", "every repeated delay is formatted afresh",
+           HARNESS,
+           "    cached = cache.get\n",
+           "    cached = {}.get\n",
+           ("tests/test_fmt_counts.py",)),
     Mutant("tick-rate-reused-unchecked", "a tick writes the last window's rate for its own",
            HARNESS,
            "q_now = measured_text if q_now is measured else fmt(q_now)",
@@ -160,6 +166,16 @@ MUTANTS = (
            "                    push(interval)  # the one that ends now, before a staged one\n"
            "                    self.__dict__.setdefault(\"sealed_at\", []).append(now)\n",
            ("tests/test_harness.py::test_a_backlog_grows_by_a_few_bytes_per_queued_batch",)),
+    Mutant("refill-keeps-old-totals", "a fill's totals stay alive while the next is counted",
+           ENGINE,
+           "                    del records, nonempty  # not alive beside the next fill's totals\n",
+           "",
+           ("tests/test_harness.py::test_the_engine_holds_one_fill_of_block_totals",)),
+    Mutant("row-writer-keeps-lines", "a file's lines stay alive while its joined text is written",
+           HARNESS,
+           "                part.clear()  # not alive while the text is encoded and written\n",
+           "",
+           ("tests/test_harness.py::test_the_row_writer_frees_a_files_lines_before_writing_it",)),
     Mutant("jitter-one-sided", "a jitter factor in [1, 1 + jitter]",
            ENGINE,
            "jitter * (-1.0 + 2.0 * random_())",
@@ -193,7 +209,7 @@ def run_mutant(mutant: Mutant, baselines: dict) -> str:
     ``baselines`` maps each tests tuple already run unmutated to its run."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         target = work / mutant.path
