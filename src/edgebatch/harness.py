@@ -4,8 +4,9 @@ Config files are flat ``section.key = value`` lines with ``#`` comments.
 Outputs land in --out, the EDGEBATCH_OUT directory, or ./out: metrics.csv
 (one row per batch completion and per control tick), four plot-ready series
 files and summary.json. They are opened before the run, which writes its
-rows to the first five a chunk at a time and keeps only the summary's
-running folds, nothing per row; summary.json is written after it.
+rows to the first five a chunk at a time, one write of each file's lines
+per chunk with no buffer or text layer between, and keeps only the
+summary's running folds, nothing per row; summary.json is written after it.
 Every file is written all or nothing: each under a temporary name in the
 same directory, renamed over the old file only once every write has
 succeeded.
@@ -34,7 +35,6 @@ from typing import Optional
 from . import traces
 from .engine import (
     ADAPTIVE,
-    ROW_CHUNK,
     VANILLA,
     BatchRow,
     EngineConfig,
@@ -424,8 +424,9 @@ def _fmt(value) -> str:
 class _OutputFile(io.FileIO):
     """An output file written under a temporary name: a failed open raises
     an OSError of its kind, and a failed write an ``OutputError``, each
-    naming the output. A write writes every byte it is given, as many raw
-    writes as that takes: its text layer ignores a short write's count."""
+    naming the output. A write takes text and writes all of its UTF-8
+    bytes at once, in as many raw writes as a short write makes it take;
+    nothing is buffered, and each line ends in "\\n" on every platform."""
 
     def __init__(self, temp: Path, path: Path):
         self.path = path
@@ -434,33 +435,32 @@ class _OutputFile(io.FileIO):
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
-    def write(self, data):
-        view = memoryview(data)
+    def write(self, text: str) -> int:
+        view = memoryview(text.encode())
         try:
             while view:
                 view = view[super().write(view):]
         except OSError as exc:
             raise OutputError(exc.errno, exc.strerror, str(self.path)) from exc
-        return len(data)
+        return len(text)
 
 
 def write_metrics(rows: list, out_dir: str | Path, block_interval: int) -> Path:
     """Write metrics.csv, summary.json, and the series files; returns out_dir.
 
     ``rows`` are a run's rows in the order it logged them, with the run's
-    ``block_interval``. The rows go through ``_row_writer`` ``ROW_CHUNK``
-    at a time, as in ``execute``, and their ``summarize(rows,
-    block_interval)`` fills summary.json, so the files are those ``execute``
-    writes for the run. They are written all or nothing (see ``_outputs``):
-    an output that cannot be opened, or is a directory, raises an
-    ``OSError``, and a failed write an ``OutputError``; each names the file.
+    ``block_interval``. The rows go through one ``_row_writer`` call, and
+    their ``summarize(rows, block_interval)`` fills summary.json. A writer's
+    output does not depend on how its rows are split into calls, so the
+    files are those ``execute`` writes for the run a chunk at a time. They
+    are written all or nothing (see ``_outputs``): an output that cannot be
+    opened, or is a directory, raises an ``OSError``, and a failed write an
+    ``OutputError``; each names the file.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _outputs(out) as files:
-        write_rows = _row_writer(*files[:5])
-        for start in range(0, len(rows), ROW_CHUNK):
-            write_rows(rows[start:start + ROW_CHUNK])
+        _row_writer(*files[:5])(rows)
         _write_summary(files[5], summarize(rows, block_interval))
     return out
 
@@ -468,30 +468,22 @@ def write_metrics(rows: list, out_dir: str | Path, block_interval: int) -> Path:
 @contextmanager
 def _outputs(out: Path):
     """The files of ``OUTPUT_FILES``, opened in out under temporary names,
-    ``.<name>.tmp``, and given as text files in that order. If an output is
-    a directory, none is opened. What is written to a file reaches it at
-    once (see ``_open_output``). On a clean exit every file is closed and
-    then renamed to its name, so a failed write leaves the old outputs as
-    they were; no temporary file is left either way."""
+    ``.<name>.tmp``, and given as ``_OutputFile``s in that order. If an
+    output is a directory, none is opened. On a clean exit every file is
+    closed and then renamed to its name, so a failed write leaves the old
+    outputs as they were; no temporary file is left either way."""
     outputs = [(out / f".{name}.tmp", out / name) for name in OUTPUT_FILES]
     try:
         with ExitStack() as stack:
             for _, path in outputs:
                 if path.is_dir():
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-            yield [stack.enter_context(_open_output(*names)) for names in outputs]
+            yield [stack.enter_context(_OutputFile(*names)) for names in outputs]
         for temp, path in outputs:
             os.replace(temp, path)
     finally:
         for temp, _ in outputs:
             temp.unlink(missing_ok=True)
-
-
-def _open_output(temp: Path, path: Path) -> io.TextIOWrapper:
-    """Output path, open as UTF-8 text under its temporary name temp. Each
-    write goes straight to the file: the row writer writes a chunk's lines
-    at once, so a buffer would only add to the run's peak memory."""
-    return io.TextIOWrapper(_OutputFile(temp, path), encoding="utf-8", write_through=True)
 
 
 def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], None]:
@@ -517,8 +509,7 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
     ``FMT_CACHE_SIZE`` entries, which keeps it a small share of the run's
     peak memory. A control tick's two rates are the objects of the window
     row logged before it, so a tick's rate or forecast that *is* that row's
-    reuses the row's string. With prediction off a tick's forecast *is* its
-    rate and reuses the rate's string; any other value is formatted.
+    reuses the row's string; any other value is formatted.
     """
     fmt = _fmt
     zero = fmt(0.0)  # the sched cell of a batch that did not wait
@@ -570,9 +561,8 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
                 t = fmt(row.time_ms)
                 s = fmt(row.workload_s)
                 q_now, q_next = row.rate_measured, row.rate_predicted
-                same = q_next is q_now  # as with prediction off
                 q_now = measured_text if q_now is measured else fmt(q_now)
-                q_next = predicted_text if q_next is predicted else q_now if same else fmt(q_next)
+                q_next = predicted_text if q_next is predicted else fmt(q_next)
                 to_metrics(f"{t},,{row.interval_ms},,,,,,,{s},{q_now},{q_next},"
                            f"{fmt(row.traffic_change)},{fmt(row.workload_deviation)},"
                            f"{fmt(row.fuzzy_level)}\n")

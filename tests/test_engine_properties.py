@@ -428,7 +428,8 @@ def written_files(config, trace):
 @example((dataclasses.replace(HOLD_AFTER_STAGE[0], duration=90_000), HOLD_AFTER_STAGE[1]))
 def test_streamed_run_writes_the_files_of_the_collected_log(drawn):
     # execute hands the engine a flush that writes each chunk of rows as the
-    # run goes; its six files must be write_metrics' over all the run's rows.
+    # run goes; its six files must be write_metrics', which writes all the
+    # run's rows in one call.
     config, trace = drawn
     with tempfile.TemporaryDirectory() as out:
         execute(RunSpec(config, trace), out)

@@ -327,11 +327,10 @@ def test_delay_cells_are_fmt_of_each_value(tmp_path):
     assert metrics[14].split(",")[eta] == metrics[5].split(",")[proc] == "12.375"
 
 
-def test_tick_rate_cells_are_fmt_of_each_value(monkeypatch):
+def test_tick_rate_cells_are_fmt_of_each_value():
     # The row writer reuses a window row's rate strings for a tick whose rate
-    # is the same object, and a tick's rate string for a forecast that is
-    # its rate. An engine run always hands a tick those objects; these rows
-    # do not, and their writer state crosses a chunk.
+    # is the same object. An engine run always hands a tick those objects;
+    # these rows do not, and their writer state crosses a chunk.
     third, forecast, r, alone = 1000 / 3, 0.1 + 0.2, 2 / 3, 1e6 / 7
     rows = [
         ControlRow(2000, 600, 0.5, 12.5, 1e16, None, None, None),  # before any window
@@ -350,20 +349,11 @@ def test_tick_rate_cells_are_fmt_of_each_value(monkeypatch):
         ControlRow(22000, 1000, 0.5, alone, alone, 0.0, -0.5, -2),  # in no window row
         ControlRow(24000, 1000, 0.5, 3 / 7, float(repr(3 / 7)), 0.0, -0.5, -2),  # equal
     ]
-    fmt, formatted = harness._fmt, []
-
-    def fmt_spy(value):
-        formatted.append(value)
-        return fmt(value)
-
+    fmt = harness._fmt
     files = [io.StringIO() for _ in range(5)]
-    with monkeypatch.context() as patch:
-        patch.setattr(harness, "_fmt", fmt_spy)
-        write = harness._row_writer(*files)
-        write(rows[:8])
-        write(rows[8:])
-    # The tick's forecast reused its rate's string.
-    assert [value for value in formatted if value is alone] == [alone]
+    write = harness._row_writer(*files)
+    write(rows[:8])
+    write(rows[8:])
     metrics, interval, workload, _, rate = (f.getvalue().splitlines()[1:] for f in files)
     ticks = [row for row in rows if type(row) is ControlRow]
     windows = [row for row in rows if type(row) is WindowRow]
@@ -651,10 +641,6 @@ def test_cli_run_zero_cost_writes_nothing_to_stderr(tmp_path):
     assert result.stderr == ""
 
 
-OUTPUT_FILES = ["metrics.csv", "series_delay.csv", "series_interval.csv", "series_rate.csv",
-                "series_workload.csv", "summary.json"]
-
-
 GREY_TRACE = "timestamp_s,value\n0,30000000000\n30,150\n60,300\n90,150\n120,150\n150,150\n"
 # GREY_TRACE in count mode, 30 s rows: window rates [1e9, 5, 10, 5, 5] leave
 # the GM(1,1) normal equations singular with a tail that is not flat, so the
@@ -692,7 +678,7 @@ def test_cli_run_survives_a_window_series_grey_cannot_fit(tmp_path, capsys, text
     out = tmp_path / "out"
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    assert sorted(p.name for p in out.iterdir()) == OUTPUT_FILES
+    assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_NAMES)
     forecasts = [line.split(",")[2] for line in
                  (out / "series_rate.csv").read_text().splitlines()[1:]]
     assert forecasts[:failed + 1] == [""] * (failed + 1) and forecasts[failed + 1] != ""
@@ -1101,20 +1087,23 @@ def test_the_row_writer_frees_a_files_lines_before_writing_it():
         assert traced - kept - pending < own / 2, (name, traced, kept, pending, own)
 
 
-# The most bytes that writing many short lines to an output file may add to
-# the traced peak, once it is open. Each write goes straight to the file, so
-# no line is left pending: Python 3.11 gives 0.7 kB. A text layer that is not
-# written through keeps its pending lines up to its chunk size, 8192
-# characters by default: 33-36 kB on Python 3.10-3.13.
+# The most bytes that writing many short lines to the six output files may
+# add to the traced peak, once they are open. Each write encodes its text and
+# writes it to the file at once, with no text layer or buffer, so no line is
+# left pending: Python 3.11 gives 0.8 kB. A text layer that is not written
+# through keeps a file's pending lines up to its chunk size, 8192 characters
+# by default: the six files opened with ``open`` give 51 kB on Python 3.11.
 PENDING_BYTES_BOUND = 12_000
 
 
 def test_an_output_file_holds_few_pending_lines(tmp_path):
-    with harness._open_output(tmp_path / ".s.tmp", tmp_path / "s") as out:
+    with harness._outputs(tmp_path) as files:
         tracemalloc.start()
         try:
             for k in range(3000):  # a series file's lines
-                out.write(f"{2000 * k},{1.0 + k / 7}\n")
+                line = f"{2000 * k},{1.0 + k / 7}\n"
+                for out in files:
+                    out.write(line)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1122,8 +1111,8 @@ def test_an_output_file_holds_few_pending_lines(tmp_path):
 
 
 def test_short_raw_writes_give_the_same_outputs(tmp_path, monkeypatch):
-    # A raw write may write fewer bytes than it is given, and the text layer
-    # ignores the count it returns: _OutputFile.write must write the rest.
+    # A raw write may write fewer bytes than it is given: _OutputFile.write,
+    # which returns the length of its text, must write the rest.
     spec = harness.load_run_spec(write_conf(tmp_path))
     harness.execute(spec, tmp_path / "whole")
 

@@ -84,10 +84,10 @@ MUTANTS = (
            "                t, s = row.time_ms, row.workload_s\n"
            "                fold.__dict__.setdefault(\"kept\", []).append(row.interval_ms)\n",
            ("tests/test_harness.py::test_streamed_run_memory_grows_by_a_few_bytes_per_tick",)),
-    Mutant("output-not-written-through", "output files keep up to 8192 characters of pending lines",
+    Mutant("output-buffered-text-layer", "output files open through a buffered text layer",
            HARNESS,
-           'encoding="utf-8", write_through=True)',
-           'encoding="utf-8", write_through=False)',
+           "stack.enter_context(_OutputFile(*names))",
+           'stack.enter_context(open(names[0], "w"))',
            ("tests/test_harness.py::test_an_output_file_holds_few_pending_lines",)),
     Mutant("output-single-raw-write", "a short raw write loses the rest of its bytes",
            HARNESS,
@@ -113,11 +113,6 @@ MUTANTS = (
            HARNESS,
            "q_next = predicted_text if q_next is predicted else",
            "q_next = predicted_text if True else",
-           (TICK_RATE_CELLS,)),
-    Mutant("tick-forecast-is-rate-unchecked", "a tick writes its rate for its forecast",
-           HARNESS,
-           "same = q_next is q_now",
-           "same = True",
            (TICK_RATE_CELLS,)),
     Mutant("engine-chunk-not-cleared", "a flushed chunk stays in the row list",
            ENGINE,
