@@ -7,7 +7,9 @@ values are the ones logged, and ``infer`` takes only inputs in that range.
 ``infer`` fuzzifies them over five triangular labels, runs them through the
 constant 5x5 rule table ``DEFAULT_RULES``, and defuzzifies to an integer
 adjustment level in {-2..+2}. Level k moves the batch interval by k block
-intervals.
+intervals. The rule-weighted mean is written once, in ``_mean``: ``infer``
+takes it of the unsnapped degrees, and within TIE_GUARD of a half-integer of
+the ``_snap``ped degrees, which decide there.
 
 On each control tick the engine passes S, the last window's rate and its
 one-step forecast to ``FuzzyController.control_step``. The controller only
@@ -38,7 +40,7 @@ HALF_WIDTH = 0.1
 _LO, _HI = CENTERS[0], CENTERS[-1]
 _LOWER_CENTERS = CENTERS[:-1]  # the lower bracketing label: bisect in these
 
-TIE_GUARD = 1e-9  # infer's mean this near a half-integer takes the snapped path
+TIE_GUARD = 1e-9  # infer's mean this near a half-integer is taken on snapped degrees
 
 
 def clamp(x: float) -> float:
@@ -58,17 +60,6 @@ def _bracket(x: float) -> tuple[int, float, float]:
     # above x, centre - x is abs(x - centre) exactly: subtraction is symmetric.
     i = bisect_right(_LOWER_CENTERS, x) - 1
     return i, 1.0 - (x - CENTERS[i]) / HALF_WIDTH, 1.0 - (CENTERS[i + 1] - x) / HALF_WIDTH
-
-
-def _memberships(x: float) -> list[tuple[int, float]]:
-    """(label, degree) of x's nonzero memberships in label order, for x in
-    [-0.2, 0.2], each degree of ``_bracket`` snapped to 12 decimals."""
-    i, lo, hi = _bracket(x)
-    # Snap representation noise so boundary inputs (e.g. exactly half way
-    # between centres) fire with their exact intended degrees. Rounding never
-    # makes a degree <= 0 positive, so skip those.
-    return [(label, snapped) for label, degree in ((i, lo), (i + 1, hi))
-            if degree > 0.0 and (snapped := round(degree, 12)) > 0.0]
 
 
 # Rows indexed by the workload label D (NB..PB top to bottom), columns by the
@@ -122,55 +113,54 @@ def _round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def _infer_snapped(c: float, d: float) -> int:
-    """The defined level: min-conjunction inference over DEFAULT_RULES on the
-    snapped degrees of ``_memberships``, in label order, defuzzified by
-    weighted mean and rounded half away from zero."""
-    d_degrees = _memberships(d)
-    num = 0.0
-    den = 0.0
-    for c_label, wc in _memberships(c):
-        for d_label, wd in d_degrees:
-            strength = wd if wd < wc else wc  # min(wc, wd)
-            num += strength * DEFAULT_RULES[d_label][c_label]
-            den += strength
-    return _round_half_away(num / den)
+def _snap(degree: float) -> float:
+    """A degree of ``_bracket`` snapped to 12 decimals, so that boundary inputs
+    (e.g. exactly half way between centres) fire with their exact intended
+    degrees; one <= 0 gives 0.0, as rounding never makes it positive."""
+    return round(degree, 12) if degree > 0.0 else 0.0
+
+
+def _mean(i: int, c_lo: float, c_hi: float, j: int, d_lo: float, d_hi: float) -> float:
+    """The min-conjunction inference over DEFAULT_RULES, defuzzified by
+    weighted mean, of C's degrees of labels i and i + 1 and D's of labels j
+    and j + 1, each in [0, 1]: a degree of 0 adds a strength of 0. Terms are
+    summed in label order, C's label first."""
+    # The four strengths, min(degree of C, degree of D), as comparisons.
+    lo_lo = c_lo if c_lo < d_lo else d_lo
+    lo_hi = c_lo if c_lo < d_hi else d_hi
+    hi_lo = c_hi if c_hi < d_lo else d_lo
+    hi_hi = c_hi if c_hi < d_hi else d_hi
+    rules_lo, rules_hi = DEFAULT_RULES[j], DEFAULT_RULES[j + 1]
+    return ((lo_lo * rules_lo[i] + lo_hi * rules_hi[i]
+             + hi_lo * rules_lo[i + 1] + hi_hi * rules_hi[i + 1])
+            / (lo_lo + lo_hi + hi_lo + hi_hi))
 
 
 def infer(c: float, d: float) -> int:
-    """The level ``_infer_snapped(c, d)`` defines, for C and D in [-0.2, 0.2]
-    (as the compute_* functions return), by a floating-point filter with an
-    exact fallback (Shewchuk, "Adaptive Precision Floating-Point Arithmetic
-    and Fast Robust Geometric Predicates", 1997): the mean of the unsnapped
-    degrees of the two bracketing labels per input, with no list and no
-    ``round``, which is several times as fast as the snapped path (PR 19).
+    """The level of C and D in [-0.2, 0.2] (as the compute_* functions
+    return): ``_mean`` of their ``_snap``ped degrees, rounded half away from
+    zero. It is computed by a floating-point filter with an exact fallback
+    (Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast Robust
+    Geometric Predicates", 1997): ``_mean`` of the unsnapped degrees decides
+    the level, with no ``round``, unless it lies within TIE_GUARD of a
+    half-integer, where the snapped mean decides.
 
     The two means differ by under 2e-11: a snapped degree is within 5e-13
     of its unsnapped value (one that rounds to 0 weighs no more than that),
     ``min`` is 1-Lipschitz, every rule level is at most 2 in magnitude, and
     the denominator is >= 0.5, since each input's largest degree is at least
     0.5. So outside TIE_GUARD of a half-integer both means round to the same
-    level; inside it ``_infer_snapped`` decides."""
-    # Labels i and i + 1 bracket c, j and j + 1 bracket d. Each degree is in
-    # [0, 1], and one of 0 adds a strength of 0.
+    level."""
+    # Labels i and i + 1 bracket c, j and j + 1 bracket d.
     i, c_lo, c_hi = _bracket(c)
     j, d_lo, d_hi = _bracket(d)
-    # The four strengths, min(degree of C, degree of D), as comparisons.
-    lo_lo = c_lo if c_lo < d_lo else d_lo
-    hi_lo = c_hi if c_hi < d_lo else d_lo
-    lo_hi = c_lo if c_lo < d_hi else d_hi
-    hi_hi = c_hi if c_hi < d_hi else d_hi
-    rules_lo, rules_hi = DEFAULT_RULES[j], DEFAULT_RULES[j + 1]
-    mean = ((lo_lo * rules_lo[i] + hi_lo * rules_lo[i + 1]
-             + lo_hi * rules_hi[i] + hi_hi * rules_hi[i + 1])
-            / (lo_lo + hi_lo + lo_hi + hi_hi))
-    # mean is in [-2, 2], so t > 0 and int(t) is floor(t): off a tie, the
+    # The mean is in [-2, 2], so t > 0 and int(t) is floor(t): off a tie, the
     # nearest level is int(t) - 2. Adding 2.5 rounds by under 1e-15.
-    t = mean + 2.5
+    t = _mean(i, c_lo, c_hi, j, d_lo, d_hi) + 2.5
     level = int(t)
     if TIE_GUARD < t - level < 1.0 - TIE_GUARD:
         return level - 2
-    return _infer_snapped(c, d)
+    return _round_half_away(_mean(i, _snap(c_lo), _snap(c_hi), j, _snap(d_lo), _snap(d_hi)))
 
 
 def adjust_interval(current: int, level: int, block_interval: int,

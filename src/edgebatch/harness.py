@@ -541,12 +541,12 @@ def _row_writer(metrics, interval, workload, delay, rate) -> Callable[[list], No
                 t = fmt(row.time_ms)
                 p = row.proc_delay_ms
                 total = row.sched_delay_ms + p
+                eta = total / float(row.interval_ms)
                 proc = cached(p) or remember(p)
                 if row.sched_delay_ms == 0:  # eta = proc / interval repeats
-                    eta = total / float(row.interval_ms)
                     sched, eta = zero, cached(eta) or remember(eta)
                 else:
-                    sched, eta = fmt(row.sched_delay_ms), fmt(total / float(row.interval_ms))
+                    sched, eta = fmt(row.sched_delay_ms), fmt(eta)
                 # A batch that did not wait: equal values format alike.
                 total = proc if total == p else fmt(total)
                 to_metrics(f"{t},{batch_id},{row.interval_ms},{row.records},"

@@ -345,7 +345,9 @@ def test_criterion_10_determinism_and_conservation(tmp_path, exp1, exp2, exp3,
 
 def test_criterion_11_fuzzy_layer_suite():
     for i in range(-250, 251):
-        degrees = dict(fuzzy._memberships(fuzzy.clamp(i / 1000.0)))
+        label, lo, hi = fuzzy._bracket(fuzzy.clamp(i / 1000.0))
+        degrees = {k: w for k, w in ((label, fuzzy._snap(lo)), (label + 1, fuzzy._snap(hi)))
+                   if w > 0.0}
         assert abs(sum(degrees.values()) - 1.0) <= 1e-9, i / 1000.0
         assert len(degrees) <= 2
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from edgebatch import fuzzy, grey, harness
 from edgebatch.engine import ADAPTIVE
 from edgebatch.errors import DomainError, FitError
-from edgebatch.fuzzy import ControllerConfig, _memberships, adjust_interval, clamp
+from edgebatch.fuzzy import ControllerConfig, _bracket, _snap, adjust_interval, clamp
 from edgebatch.tracker import TrackerConfig, TrafficTracker
 
 from log_rows import collect, split_rows
@@ -52,10 +52,14 @@ def oracle_fuzzify(x):
 
 
 def oracle_infer(c, d):
+    return oracle_level(oracle_fuzzify(c), oracle_fuzzify(d))
+
+
+def oracle_level(c_degrees, d_degrees):
     num = 0.0
     den = 0.0
-    for c_label, wc in oracle_fuzzify(c).items():
-        for d_label, wd in oracle_fuzzify(d).items():
+    for c_label, wc in c_degrees.items():
+        for d_label, wd in d_degrees.items():
             strength = min(wc, wd)
             num += strength * fuzzy.DEFAULT_RULES[d_label][c_label]
             den += strength
@@ -65,7 +69,7 @@ def oracle_infer(c, d):
 # Label centres, the midpoints between them, the clamp edges and values past
 # them, NaN and -0.0, a 0.001 grid (where inexact degrees make the sum order
 # matter at .5 ties) and arbitrary floats.
-GRID = [k / 20 for k in range(-4, 5)]  # the centres and their midpoints
+GRID = [k / 1000 for k in range(-200, 201)]  # the 0.001 grid, centres and midpoints too
 SPECIAL = [k / 20 for k in range(-6, 7)] + [-math.inf, math.inf, math.nan, -0.0]
 INPUTS = st.one_of(st.sampled_from(SPECIAL),
                    st.integers(-250, 250).map(lambda k: k / 1000),
@@ -75,10 +79,11 @@ INPUTS = st.one_of(st.sampled_from(SPECIAL),
 @ORACLE
 @given(INPUTS)
 def test_fuzzify_matches_oracle(x):
-    # C and D are clamped once, before infer reads their memberships.
-    got = _memberships(clamp(x))
-    assert dict(got) == oracle_fuzzify(x)
-    assert got == sorted(got)  # label order, the order infer sums in
+    # C and D are clamped once, before infer reads their memberships; at a
+    # tie it reads the snapped degrees, of which the zeros add nothing.
+    i, lo, hi = _bracket(clamp(x))
+    got = {label: w for label, w in ((i, _snap(lo)), (i + 1, _snap(hi))) if w > 0.0}
+    assert got == oracle_fuzzify(x)
 
 
 @ORACLE
@@ -90,9 +95,11 @@ def test_infer_matches_oracle(c, d):
 
 
 def test_infer_matches_oracle_on_the_grid_and_random_pairs():
-    for c in GRID:
-        for d in GRID:
-            assert fuzzy.infer(c, d) == oracle_infer(c, d), (c, d)
+    # Every pair of the grid, 160,801, of which 604 reach the tie path.
+    degrees = [oracle_fuzzify(x) for x in GRID]
+    for c, c_degrees in zip(GRID, degrees):
+        for d, d_degrees in zip(GRID, degrees):
+            assert fuzzy.infer(c, d) == oracle_level(c_degrees, d_degrees), (c, d)
     rng = random.Random(20261018)
     for _ in range(20_000):
         c, d = (rng.uniform(-0.25, 0.25) if rng.random() < 0.5
@@ -100,8 +107,8 @@ def test_infer_matches_oracle_on_the_grid_and_random_pairs():
         assert fuzzy.infer(clamp(c), clamp(d)) == oracle_infer(c, d), (c, d)
 
 
-# infer's fast mean of the unsnapped degrees decides a level only away from
-# a half-integer; at a half-way tie the snapped evaluation decides it.
+# infer's mean of the unsnapped degrees decides a level only away from a
+# half-integer; at a half-way tie the mean of the snapped degrees decides it.
 # C = 0.15 is PS and PB at 0.5 each, whose rules at D = 0 (ZO) give 0 and 1:
 # mean 0.5. (0.0, -0.15) gives -1 and 0 the same way: mean -0.5.
 # (-0.193, -0.157) is the oracle example that ties at -1.5, and (0.175,
@@ -111,15 +118,15 @@ def test_infer_matches_oracle_on_the_grid_and_random_pairs():
                                        (0.0, 0.0, False), (0.12, -0.05, False)])
 def test_infer_takes_the_snapped_path_exactly_at_ties(monkeypatch, c, d, tie):
     calls = []
-    snapped = fuzzy._infer_snapped
+    snap = fuzzy._snap
 
-    def counting(c, d):
-        calls.append((c, d))
-        return snapped(c, d)
+    def counting(degree):
+        calls.append(degree)
+        return snap(degree)
 
-    monkeypatch.setattr(fuzzy, "_infer_snapped", counting)
+    monkeypatch.setattr(fuzzy, "_snap", counting)
     assert fuzzy.infer(c, d) == oracle_infer(c, d)
-    assert calls == ([(c, d)] if tie else [])
+    assert len(calls) == (4 if tie else 0)  # each input's two degrees
 
 
 # -- the clamps, against the min/max forms they replace -------------------------

@@ -8,7 +8,8 @@ from edgebatch import fuzzy
 from edgebatch.errors import DomainError
 from edgebatch.fuzzy import (
     ControllerConfig,
-    _memberships,
+    _bracket,
+    _snap,
     adjust_interval,
     clamp,
     compute_traffic_change,
@@ -20,8 +21,10 @@ NB, NS, ZO, PS, PB = range(5)
 
 
 def fuzzify(x):
-    """The nonzero membership degrees infer reads for x in [-0.2, 0.2]."""
-    return dict(_memberships(x))
+    """The nonzero snapped membership degrees infer reads at a tie, for x in
+    [-0.2, 0.2]."""
+    i, lo, hi = _bracket(x)
+    return {label: w for label, w in ((i, _snap(lo)), (i + 1, _snap(hi))) if w > 0.0}
 
 
 def test_fuzzify_at_center_is_crisp():

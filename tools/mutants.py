@@ -52,6 +52,8 @@ SUMMARY_ORACLE = "tests/test_summary_oracle.py::test_folded_report_matches_the_r
 ENGINE_PROPERTIES = ("tests/test_engine_properties.py::"
                      "test_engine_invariants_hold_over_random_configs")
 TICK_RATE_CELLS = "tests/test_harness.py::test_tick_rate_cells_are_fmt_of_each_value"
+SNAPPED_AT_TIES = ("tests/test_control_oracle.py::"
+                   "test_infer_takes_the_snapped_path_exactly_at_ties")
 MUTANTS = (
     Mutant("summary-half-one-late", "the unconverged steady ticks start one tick late",
            HARNESS,
@@ -196,6 +198,16 @@ MUTANTS = (
            "return i, 1.0 - (x - CENTERS[i]) / HALF_WIDTH, 1.0 - (CENTERS[i + 1] - x) / HALF_WIDTH",
            "return i, 1.0 - (CENTERS[i + 1] - x) / HALF_WIDTH, 1.0 - (x - CENTERS[i]) / HALF_WIDTH",
            ("tests/test_fuzzy.py",)),
+    Mutant("tie-degrees-unsnapped", "infer's tie path takes the unsnapped degrees",
+           "src/edgebatch/fuzzy.py",
+           "round(degree, 12) if",
+           "degree if",
+           (SNAPPED_AT_TIES,)),
+    Mutant("tie-path-dropped", "infer takes the unsnapped mean at a tie too",
+           "src/edgebatch/fuzzy.py",
+           "if TIE_GUARD < t - level < 1.0 - TIE_GUARD:",
+           "if True:",
+           (SNAPPED_AT_TIES,)),
 )
 
 
