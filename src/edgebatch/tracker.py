@@ -8,11 +8,12 @@ one open window.
 
 The tracker keeps only what a fit reads: the rates of the last
 ``train_num`` closed windows. ``close_windows_upto`` returns the closed
-window's ``WindowRow``, with its forecast. With prediction on it fits after
-every window close and keeps no model, only its one-step forecast, which the
-window's row and the control ticks until the next close read. With
-prediction off nothing reads a fit, so none is made: the forecast is None
-until ``train_num`` windows have closed, and the measured rate from then on.
+window's ``WindowRow``, with its forecast. With prediction on, every window
+close takes the one-step forecast of the trailing rates from
+``grey.forecast``, which builds no model; the window's row and the control
+ticks until the next close read it. With prediction off nothing reads a
+fit, so none is made: the forecast is None until ``train_num`` windows
+have closed, and the measured rate from then on.
 """
 
 from __future__ import annotations
@@ -98,8 +99,7 @@ class TrafficTracker:
         if len(self._rates) < self.config.train_num:
             return
         try:
-            model = grey.fit(self._rates)
-            rate = grey.predict(model, model.train_len + 1)
+            rate = grey.forecast(self._rates)
             if not math.isfinite(rate):
                 raise OverflowError(f"forecast {rate!r} is not finite")
         except (FitError, OverflowError) as exc:

@@ -305,8 +305,8 @@ def test_retrain_replaces_cached_forecast():
 
 @pytest.mark.parametrize("forecast", [math.nan, -0.0, -1.0, math.inf, 3.5])
 def test_predict_rate_clamps_like_max(monkeypatch, forecast):
-    # The fit that the fifth window close makes evaluates the forecast.
-    monkeypatch.setattr(grey, "predict", lambda model, t: forecast)
+    # The fifth window close makes the first forecast.
+    monkeypatch.setattr(grey, "forecast", lambda rates: forecast)
     tracker = TrafficTracker(TrackerConfig())
     for k in range(5):
         tracker.report_info(3000)

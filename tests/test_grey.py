@@ -1,7 +1,9 @@
 """Grey-model tests, anchored by an independent least-squares oracle."""
 
 import math
+from collections import deque
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from edgebatch import grey
 from edgebatch.errors import DomainError, FitError
 
-from test_control_oracle import oracle_response
+from test_control_oracle import SERIES, oracle_predict, oracle_response
+from test_control_oracle import oracle_fit as exact_oracle_fit
 
 
 def oracle_fit(series):
@@ -179,3 +182,99 @@ def test_bad_prediction_args():
         grey.predict(model, 0)
     with pytest.raises(DomainError):
         grey.predict(model, -1)
+
+
+# -- the one-step forecast ------------------------------------------------------
+
+
+def outcome_text(fn, series):
+    """repr of fn(series), or the type and message of what it raised."""
+    try:
+        return repr(fn(series))
+    except (DomainError, FitError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def fit_then_predict(series):
+    return grey.predict(grey.fit(series), len(series) + 1)
+
+
+# The model's own checks, which forecast builds no model to make.
+MODEL_CHECKS = {(DomainError, f"{name} must be finite") for name in grey._FINITE_FIELDS}
+
+
+def check_forecast(series):
+    """forecast(series) is predict(fit(series), n + 1) bit for bit, -0.0 and
+    every exception's message included, and the oracle's value when there is
+    one. A series whose fitted model would not be finite may instead give any
+    exception or a forecast that is not finite, never a finite one."""
+    got, expected = outcome_text(grey.forecast, series), outcome_text(fit_then_predict, series)
+    if expected in MODEL_CHECKS:
+        assert isinstance(got, tuple) or not math.isfinite(float(got)), (series, got)
+        return
+    assert got == expected
+    if isinstance(expected, str):
+        alpha, mu, first, n, shift = exact_oracle_fit(series)
+        reference = oracle_predict(SimpleNamespace(alpha=alpha, mu=mu, first_accumulated=first,
+                                                   shift=shift), n + 1)
+        value = float(got)
+        assert value == reference or (math.isnan(value) and math.isnan(reference))
+
+
+FORECAST_CASES = {
+    "shift": [0.0, 2.0, 3.0, 4.0, 5.0],  # a zero shifts the window up by 1
+    "negative-shift": [3.0, -2.0, 2.0, 3.0, 4.0],
+    "constant": [5.0, 5.0, 5.0, 5.0, 5.0],  # alpha = 0 from the normal equations
+    "flat-tail": [1e9, 5.0, 5.0, 5.0, 5.0],  # singular and consistent: alpha = 0
+    "tiny-alpha": [5.0, 5.0, 5.0, 5.0, 5.00000001],  # 0 < |alpha| < EPS_ALPHA
+    "burst": [1000.0, 1000.0, 1000.0, 1000.0, 5000.0],
+    "doubling": [1.0, 2.0, 4.0, 8.0],
+    "singular": [1e9, 5.0, 10.0, 5.0, 5.0],  # FitError
+    "overflow": [0.0] * 399 + [1e5],  # exp(-alpha * 400) is past math.exp's range
+    "huge": [1e300] * 5,  # the sums overflow: alpha is not finite
+    "short": [1.0, 2.0, 3.0],
+    "nan": [1.0, math.nan, 3.0, 4.0],
+    "inf": [1.0, 2.0, math.inf, 4.0],
+    "shift-cancels": [-1e20, 1.0, 2.0, 3.0, 4.0],  # the shifted first value is 0
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORECAST_CASES))
+def test_forecast_is_predict_of_fit_on_every_path(name):
+    check_forecast(FORECAST_CASES[name])
+
+
+def test_the_forecast_cases_take_their_paths():
+    def fitted(name):
+        return grey.fit(FORECAST_CASES[name])
+
+    assert fitted("shift").shift == 1.0 and fitted("negative-shift").shift == 3.0
+    assert fitted("constant").alpha == 0.0 and fitted("flat-tail").alpha == 0.0
+    assert 0.0 < abs(fitted("tiny-alpha").alpha) < grey.EPS_ALPHA
+    assert grey.forecast(FORECAST_CASES["burst"]) == pytest.approx(-6970.3099, abs=1e-4)
+    with pytest.raises(FitError, match="singular"):
+        grey.forecast(FORECAST_CASES["singular"])
+    with pytest.raises(OverflowError):
+        grey.forecast(FORECAST_CASES["overflow"])
+    assert math.isnan(grey.forecast(FORECAST_CASES["huge"]))
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        fitted("huge")
+    for name, message in (("short", "at least"), ("nan", "not finite"), ("inf", "not finite"),
+                          ("shift-cancels", "must be positive")):
+        with pytest.raises(DomainError, match=message):
+            grey.forecast(FORECAST_CASES[name])
+
+
+@given(st.one_of(SERIES, st.lists(st.floats(), max_size=8),
+                 st.lists(st.floats(1e150, 1e308), min_size=4, max_size=8)))
+@settings(max_examples=400, deadline=None)
+def test_forecast_is_predict_of_fit_bit_for_bit(series):
+    check_forecast(series)
+
+
+@pytest.mark.parametrize("name", ["burst", "flat-tail", "singular", "shift"])
+def test_forecast_takes_the_trackers_deque(name):
+    # The tracker passes its deque of rates, which forecast reads as it is.
+    series = FORECAST_CASES[name]
+    rates = deque(series, maxlen=len(series))
+    assert outcome_text(grey.forecast, rates) == outcome_text(fit_then_predict, series)

@@ -689,8 +689,8 @@ def test_prediction_off_fits_nothing(tmp_path, monkeypatch, capsys):
     # from the fifth window (train_num) on forecasts the measured rate: also
     # window 4, whose series GM(1,1) cannot fit.
     fits = []
-    fit = grey.fit
-    monkeypatch.setattr(grey, "fit", lambda rates: fits.append(rates) or fit(rates))
+    forecast = grey.forecast
+    monkeypatch.setattr(grey, "forecast", lambda rates: fits.append(rates) or forecast(rates))
     (tmp_path / "trace.csv").write_text(GREY_TRACE)
     conf = write_conf(tmp_path, GREY_SINGULAR + "controller.prediction = off\n")
     out = tmp_path / "out"

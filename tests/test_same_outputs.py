@@ -8,8 +8,13 @@ sources on both sides give exit 0.
 """
 
 import importlib.util
+import logging
 import shutil
 from pathlib import Path
+
+import pytest
+
+from edgebatch.harness import OUTPUT_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
@@ -60,7 +65,17 @@ def test_the_random_configs_cover_overload_jitter_and_instant_jobs():
     assert any("engine.jitter" in cfg for cfg in configs)
     assert any(f == 0 for f in fixed)
     assert {cfg["trace.kind"] for cfg in configs} == {"constant", "step", "sinusoid", "csv"}
-    assert len(same_outputs.corpus_names()) == 10 + 6 + same_outputs.RANDOM_RUNS
+    assert len(same_outputs.corpus_names()) == 10 + 6 + 2 + same_outputs.RANDOM_RUNS
+
+
+@pytest.mark.parametrize("name, reason", [("grey-singular", "singular"),
+                                          ("grey-overflow", "math range error")])
+def test_the_grey_runs_take_the_trackers_fallbacks(tmp_path, caplog, name, reason):
+    with caplog.at_level(logging.DEBUG, logger="edgebatch.tracker"):
+        digests = same_outputs.run_corpus(ROOT / "src", tmp_path, [name])
+    assert sorted(digests[name]) == sorted(OUTPUT_FILES)
+    assert any(record.name == "edgebatch.tracker" and reason in record.getMessage()
+               for record in caplog.records)
 
 
 def test_the_first_difference_names_a_line_only_one_side_has(tmp_path):

@@ -52,6 +52,7 @@ SUMMARY_ORACLE = "tests/test_summary_oracle.py::test_folded_report_matches_the_r
 ENGINE_PROPERTIES = ("tests/test_engine_properties.py::"
                      "test_engine_invariants_hold_over_random_configs")
 TICK_RATE_CELLS = "tests/test_harness.py::test_tick_rate_cells_are_fmt_of_each_value"
+FORECAST_PATHS = "tests/test_grey.py::test_forecast_is_predict_of_fit_on_every_path"
 SNAPPED_AT_TIES = ("tests/test_control_oracle.py::"
                    "test_infer_takes_the_snapped_path_exactly_at_ties")
 MUTANTS = (
@@ -188,6 +189,31 @@ MUTANTS = (
            "rate, self._open_count = self._open_count * 1000.0 / w, 0",
            "rate = self._open_count * 1000.0 / w",
            ("tests/test_tracker.py",)),
+    Mutant("tracker-fits-a-model", "the tracker builds a GreyModel for each forecast",
+           "src/edgebatch/tracker.py",
+           "rate = grey.forecast(self._rates)",
+           "rate = grey.predict(grey.fit(self._rates), len(self._rates) + 1)",
+           ("tests/test_forecast_counts.py",)),
+    Mutant("forecast-one-step-early", "forecast evaluates the last training step",
+           "src/edgebatch/grey.py",
+           "return _response(alpha, mu, first, shift, n + 1)",
+           "return _response(alpha, mu, first, shift, n)",
+           (FORECAST_PATHS,)),
+    Mutant("response-keeps-shift", "the time response does not undo the shift",
+           "src/edgebatch/grey.py",
+           "    return raw - shift\n",
+           "    return raw\n",
+           (FORECAST_PATHS,)),
+    Mutant("linear-limit-at-zero-only", "0 < |alpha| < EPS_ALPHA takes the exponential form",
+           "src/edgebatch/grey.py",
+           "if -EPS_ALPHA < alpha < EPS_ALPHA:",
+           "if alpha == 0.0:",
+           (FORECAST_PATHS,)),
+    Mutant("flat-tail-mean-of-all", "a flat tail's mu averages n values, not n - 1",
+           "src/edgebatch/grey.py",
+           "return 0.0, sy / m, first, n, shift",
+           "return 0.0, sy / n, first, n, shift",
+           (FORECAST_PATHS,)),
     Mutant("monitor-keeps-count", "an update resets the sample sum but not the count",
            "src/edgebatch/workload.py",
            "            self._sum = self._count = 0\n",

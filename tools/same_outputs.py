@@ -12,6 +12,9 @@ every run. The corpus:
 - the 5 presets, with prediction on and off;
 - the 3 benchmark workloads of `perfbench/workloads.py`, at seeds 7 and 31,
   at full length;
+- the 2 runs of `GREY_RUNS`, which take the tracker's two fallbacks: a
+  window series whose GM(1,1) normal equations are singular (`FitError`),
+  and one whose forecast overflows `math.exp`;
 - `RANDOM_RUNS` seeded random configs drawn from the ranges of
   `tests/test_engine_properties.py`' strategies: both modes, every trace
   kind, jitter on and off, prediction on and off, zero and whole-block
@@ -50,6 +53,29 @@ WORKLOAD_SEEDS = (7, 31)
 RANDOM_RUNS = 300
 RANDOM_SEED = 14
 TIMEOUT_S = 900
+
+# Runs that reach neither preset nor random config: (config, CSV trace text
+# or None), by name. In grey-singular the window rates [1e9, 5, 10, 5, 5]
+# leave the normal equations singular with a tail that is not flat, so the
+# fit on closing window 4 raises FitError. In grey-overflow 399 empty 200 ms
+# windows and then 1e5 records/s forecast past math.exp's range.
+GREY_RUNS: dict[str, tuple[dict[str, str], str | None]] = {
+    "grey-singular": ({
+        "engine.mode": "adaptive", "engine.duration": "180000",
+        "engine.initial_interval": "2000", "controller.min_interval": "400",
+        "controller.max_interval": "6000", "cost.fixed_overhead": "1000",
+        "cost.per_record": "0.25", "cost.per_block": "8", "trace.kind": "csv",
+        "trace.file": "trace.csv", "trace.mode": "count",
+    }, "timestamp_s,value\n0,30000000000\n30,150\n60,300\n90,150\n120,150\n150,150\n"),
+    "grey-overflow": ({
+        "engine.duration": "120000", "engine.initial_interval": "1000",
+        "engine.control_start": "0", "controller.min_interval": "400",
+        "controller.max_interval": "6000", "tracker.resample_interval": "200",
+        "tracker.train_num": "400", "cost.fixed_overhead": "100", "cost.per_record": "0.1",
+        "cost.per_block": "1", "trace.kind": "step", "trace.before": "0",
+        "trace.after": "100000", "trace.switch": "79800",
+    }, None),
+}
 
 
 def random_config(rng: random.Random) -> tuple[dict[str, str], str | None]:
@@ -135,7 +161,7 @@ def corpus_names() -> list[str]:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     names = [f"preset-{name}{suffix}" for name in PRESETS for suffix in ("", "-no-prediction")]
     names += [f"{w['name']}-seed{seed}" for w in declared for seed in WORKLOAD_SEEDS]
-    return names + [f"random-{k}" for k in range(RANDOM_RUNS)]
+    return names + list(GREY_RUNS) + [f"random-{k}" for k in range(RANDOM_RUNS)]
 
 
 def random_configs() -> list[tuple[dict[str, str], str | None]]:
@@ -171,8 +197,8 @@ def run_corpus(src: Path, out: Path, names: list[str]) -> dict[str, dict[str, st
                 preset = name.removeprefix("preset-").removesuffix("-no-prediction")
                 spec = harness.load_preset(
                     preset, disable_prediction=name.endswith("-no-prediction"))
-            elif name.startswith("random-"):
-                cfg, text = randoms[int(name.removeprefix("random-"))]
+            elif name in GREY_RUNS or name.startswith("random-"):
+                cfg, text = GREY_RUNS.get(name) or randoms[int(name.removeprefix("random-"))]
                 base = out / "traces" / name
                 if text is not None:
                     base.mkdir(parents=True)
