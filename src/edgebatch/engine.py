@@ -22,10 +22,10 @@ its own, so no tie is left to break. Before a fire, a window close, a tick
 or the trace end, every block that ends by its time is sealed, so at equal
 timestamps a block always comes first; a completion reads no block.
 
-The rows here, in ``fuzzy`` and in ``tracker``, and ``grey.GreyModel``, are
-slotted dataclasses, not frozen ones: a frozen ``__init__`` sets each field
-through ``object.__setattr__``, which is several times as slow (PR 4).
-Nothing changes one after it is built.
+The rows here, in ``fuzzy`` and in ``tracker``, are slotted dataclasses,
+not frozen ones: a frozen ``__init__`` sets each field through
+``object.__setattr__``, which is several times as slow (PR 4). Nothing
+changes one after it is built.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ The tracker keeps only what a fit reads: the rates of the last
 ``train_num`` closed windows. ``close_windows_upto`` returns the closed
 window's ``WindowRow``, with its forecast. With prediction on, every window
 close takes the one-step forecast of the trailing rates from
-``grey.forecast``, which builds no model; the window's row and the control
-ticks until the next close read it. With prediction off nothing reads a
-fit, so none is made: the forecast is None until ``train_num`` windows
-have closed, and the measured rate from then on.
+``grey.forecast``, one ``grey.fit`` of the rates in place and one
+``grey.predict``; the window's row and the control ticks until the next
+close read it. With prediction off nothing reads a fit, so none is made:
+the forecast is None until ``train_num`` windows have closed, and the
+measured rate from then on.
 """
 
 from __future__ import annotations

@@ -82,21 +82,21 @@ def test_criterion_01_grey_fit_matches_oracle():
     for _ in range(100):
         n = rng.randint(5, 8)
         series = [rng.uniform(0.5, 100.0) for _ in range(n)]
-        model = grey.fit(series)
+        alpha, mu, *_ = grey.fit(series)
         a_ref, b_ref = oracle_fit(series)
         worst = max(worst,
-                    abs(model.alpha - a_ref) / max(1.0, abs(a_ref)),
-                    abs(model.mu - b_ref) / max(1.0, abs(b_ref)))
+                    abs(alpha - a_ref) / max(1.0, abs(a_ref)),
+                    abs(mu - b_ref) / max(1.0, abs(b_ref)))
     assert worst <= 1e-9, worst
 
     worst_resid = 0.0
     for q in (1.02, 1.2, 0.9):
         series = [5.0 * q ** k for k in range(6)]
-        model = grey.fit(series)
+        alpha, mu, *_ = grey.fit(series)
         acc = list(accumulate(series))
         for k in range(1, 6):
             z = (acc[k] + acc[k - 1]) / 2.0
-            residual = series[k] + model.alpha * z - model.mu
+            residual = series[k] + alpha * z - mu
             worst_resid = max(worst_resid, abs(residual) / series[k])
     assert worst_resid <= 1e-9, worst_resid
     print(f"criterion 1: PASS (oracle rel diff <= {worst:.2e}, "
@@ -110,8 +110,7 @@ def test_criterion_02_offline_day_trace_error():
     vals = [v for _, v in traces.load_trace_rows(traces.day_trace_path())]
     errs = []
     for k in range(5, len(vals)):
-        model = grey.fit(vals[k - 5:k])
-        pred = grey.predict(model, model.train_len + 1)
+        pred = grey.predict(grey.fit(vals[k - 5:k]), 6)
         errs.append(abs(pred - vals[k]) / vals[k])
     err = mean(errs)
     assert err <= 0.05, err

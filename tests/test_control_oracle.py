@@ -226,18 +226,16 @@ def oracle_fit(series):
     else:
         alpha = (sz * sy - m * szy) / den
         mu = (sy + alpha * sz) / m
-    for name, v in (("alpha", alpha), ("mu", mu), ("first_accumulated", acc[0]),
-                    ("shift", shift)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite")
     return alpha, mu, acc[0], n, shift
 
 
 def oracle_response(model, t):
-    if abs(model.alpha) < grey.EPS_ALPHA:
-        return model.first_accumulated + model.mu * (t - 1)
-    ratio = model.mu / model.alpha
-    return (model.first_accumulated - ratio) * math.exp(-model.alpha * (t - 1)) + ratio
+    """r(t) of model, a tuple (alpha, mu, first_accumulated, train_len, shift)."""
+    alpha, mu, first, _, _ = model
+    if abs(alpha) < grey.EPS_ALPHA:
+        return first + mu * (t - 1)
+    ratio = mu / alpha
+    return (first - ratio) * math.exp(-alpha * (t - 1)) + ratio
 
 
 def oracle_predict(model, t):
@@ -245,7 +243,7 @@ def oracle_predict(model, t):
         raw = oracle_response(model, 1)
     else:
         raw = oracle_response(model, t) - oracle_response(model, t - 1)
-    return raw - model.shift
+    return raw - model[4]  # the shift
 
 
 def outcome(fn, *args):
@@ -273,11 +271,10 @@ SERIES = st.one_of(
 def test_fit_and_predict_match_oracle(series):
     expected = outcome(oracle_fit, series)
     got = outcome(grey.fit, series)
-    if not isinstance(got, grey.GreyModel):
-        assert got == expected
+    assert repr(got) == repr(expected)  # NaN parameters compare equal
+    if isinstance(got[0], type):  # fit raised
         return
-    assert (got.alpha, got.mu, got.first_accumulated, got.train_len, got.shift) == expected
-    for t in range(1, got.train_len + 4):
+    for t in range(1, len(series) + 4):
         value, reference = grey.predict(got, t), oracle_predict(got, t)
         assert value == reference or (math.isnan(value) and math.isnan(reference))
 

@@ -67,8 +67,8 @@ def test_train_needs_enough_windows():
 def test_train_and_predict_constant_rate():
     tracker = make_tracker()
     closed = close_each(tracker, [3000] * 5)  # 100 records/s
-    model = grey.fit([row.rate_measured for row in closed])
-    assert abs(model.alpha) < grey.EPS_ALPHA
+    alpha, *_ = grey.fit([row.rate_measured for row in closed])
+    assert abs(alpha) < grey.EPS_ALPHA
     assert tracker.predict_rate() == pytest.approx(100.0)
     assert closed[-1].rate_predicted_next == tracker.predict_rate()
 
@@ -78,8 +78,7 @@ def test_prediction_clamped_non_negative():
     # Window rates [1000, 1000, 1000, 1000, 5000]: on this burst GM(1,1)
     # forecasts about -6970 for the next window.
     closed = close_each(tracker, [30_000, 30_000, 30_000, 30_000, 150_000])
-    model = grey.fit([row.rate_measured for row in closed])
-    assert grey.predict(model, model.train_len + 1) < 0.0
+    assert grey.predict(grey.fit([row.rate_measured for row in closed]), 6) < 0.0
     assert tracker.predict_rate() == closed[-1].rate_predicted_next == 0.0
 
 

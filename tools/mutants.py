@@ -189,15 +189,10 @@ MUTANTS = (
            "rate, self._open_count = self._open_count * 1000.0 / w, 0",
            "rate = self._open_count * 1000.0 / w",
            ("tests/test_tracker.py",)),
-    Mutant("tracker-fits-a-model", "the tracker builds a GreyModel for each forecast",
-           "src/edgebatch/tracker.py",
-           "rate = grey.forecast(self._rates)",
-           "rate = grey.predict(grey.fit(self._rates), len(self._rates) + 1)",
-           ("tests/test_forecast_counts.py",)),
     Mutant("forecast-one-step-early", "forecast evaluates the last training step",
            "src/edgebatch/grey.py",
-           "return _response(alpha, mu, first, shift, n + 1)",
-           "return _response(alpha, mu, first, shift, n)",
+           "return predict(fit(series), len(series) + 1)",
+           "return predict(fit(series), len(series))",
            (FORECAST_PATHS,)),
     Mutant("response-keeps-shift", "the time response does not undo the shift",
            "src/edgebatch/grey.py",
