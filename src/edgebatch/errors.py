@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. The CLI exits 2 on a
+``UsageError``, malformed input, and 1 on a ``DomainError``."""
 
 
 class EdgeBatchError(Exception):
@@ -13,14 +14,6 @@ class FitError(EdgeBatchError, ArithmeticError):
     """Model fitting failed (singular normal equations)."""
 
 
-class TraceParseError(EdgeBatchError, ValueError):
-    """A trace file could not be parsed.
-
-    ``row`` is the 1-based line number of the offending input line when known.
-    """
-
-    def __init__(self, message: str, row: int | None = None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
+class UsageError(EdgeBatchError, ValueError):
+    """Malformed config or trace input, or an output file that cannot be
+    opened (exit code 2)."""

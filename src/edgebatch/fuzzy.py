@@ -72,9 +72,6 @@ DEFAULT_RULES: tuple[tuple[int, ...], ...] = (
     (0, 0, 1, 1, 2),
 )
 
-MIN_LEVEL = -2
-MAX_LEVEL = 2
-
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -165,11 +162,10 @@ def infer(c: float, d: float) -> int:
 
 def adjust_interval(current: int, level: int, block_interval: int,
                     config: ControllerConfig) -> int:
-    """Move the interval by level blocks, clamped to the configured range."""
-    if current % block_interval != 0:
-        raise DomainError(f"current interval {current} is not a block multiple")
-    if not MIN_LEVEL <= level <= MAX_LEVEL:
-        raise DomainError(f"level must be in [-2, 2], got {level}")
+    """Move the interval by level blocks, clamped to the configured range.
+    Unchecked: current is a block multiple, since ``EngineConfig`` makes the
+    initial interval and both bounds ones and a clamped step keeps that, and
+    level is in -2..2, the only levels ``infer`` returns."""
     proposed = current + level * block_interval
     # min(max_interval, max(min_interval, proposed)), as comparisons.
     lo, hi = config.min_interval, config.max_interval

@@ -41,7 +41,7 @@ from .engine import (
     JobCostModel,
     MicrobatchEngine,
 )
-from .errors import DomainError, EdgeBatchError, TraceParseError
+from .errors import DomainError, EdgeBatchError, UsageError
 from .fuzzy import ControllerConfig, ControlRow
 from .tracker import TrackerConfig, WindowRow
 from .workload import MonitorConfig
@@ -65,11 +65,6 @@ FMT_CACHE_SIZE = 256  # the row writer's cache of delay strings empties at this 
 # nothing per row, so this bounds the run's time, and its memory through
 # the engine's backlog: at most one queued batch per block.
 MAX_RUN_ROWS = 10_000_000
-
-
-class UsageError(ValueError):
-    """Malformed config or trace input, or an output file that cannot be
-    opened (exit code 2)."""
 
 
 class OutputError(OSError):
@@ -140,14 +135,14 @@ def _choice(values: dict):
 
 def _read(what: str, path: Path, load):
     """load(path) for a trace or config file: a file that cannot be opened or
-    is not UTF-8 text becomes a UsageError that names it, and a trace parse
-    error names it too."""
+    is not UTF-8 text becomes a UsageError that names it, and a UsageError
+    from load, as a bad trace row's, is raised again with the name in front."""
     try:
         return load(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
-    except TraceParseError as exc:
-        raise TraceParseError(f"{what} {path}: {exc}") from exc
+    except UsageError as exc:
+        raise UsageError(f"{what} {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -664,7 +659,7 @@ def main(argv=None) -> int:
             blocks, rows = run_size(spec.engine)
             print(f"{args.config}: ok ({spec.label}, {spec.engine.mode}, duration "
                   f"{spec.engine.duration} ms, {blocks} blocks, at most {rows} rows)")
-    except (UsageError, TraceParseError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OutputError as exc:

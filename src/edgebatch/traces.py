@@ -24,7 +24,7 @@ from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import DomainError, TraceParseError
+from .errors import DomainError, UsageError
 
 HEADER = "timestamp_s,value"
 
@@ -231,7 +231,8 @@ def load_trace_rows(path: str | Path) -> list[tuple[float, float]]:
     """Parse a trace CSV: a 'timestamp_s,value' header, then numeric rows.
 
     Blank lines and '#' comments are skipped. Timestamps must be strictly
-    increasing and values non-negative.
+    increasing and values non-negative. A malformed file raises UsageError,
+    whose message starts ``row N: `` when line N is at fault.
     """
     rows: list[tuple[float, float]] = []
     seen_header = False
@@ -242,27 +243,27 @@ def load_trace_rows(path: str | Path) -> list[tuple[float, float]]:
             continue
         if not seen_header:
             if body.replace(" ", "") != HEADER:
-                raise TraceParseError(f"expected header {HEADER!r}, got {body!r}", row=lineno)
+                raise UsageError(f"row {lineno}: expected header {HEADER!r}, got {body!r}")
             seen_header = True
             continue
         parts = body.split(",")
         if len(parts) != 2:
-            raise TraceParseError(f"expected two fields, got {len(parts)}", row=lineno)
+            raise UsageError(f"row {lineno}: expected two fields, got {len(parts)}")
         try:
             ts, value = float(parts[0]), float(parts[1])
         except ValueError as exc:
-            raise TraceParseError(f"bad number: {exc}", row=lineno) from exc
+            raise UsageError(f"row {lineno}: bad number: {exc}") from exc
         if not (math.isfinite(ts) and math.isfinite(value)):
-            raise TraceParseError("values must be finite", row=lineno)
+            raise UsageError(f"row {lineno}: values must be finite")
         if value < 0:
-            raise TraceParseError(f"negative value {value}", row=lineno)
+            raise UsageError(f"row {lineno}: negative value {value}")
         if rows and ts <= rows[-1][0]:
-            raise TraceParseError(f"timestamp {ts} not increasing", row=lineno)
+            raise UsageError(f"row {lineno}: timestamp {ts} not increasing")
         rows.append((ts, value))
     if not seen_header:
-        raise TraceParseError("empty trace file")
+        raise UsageError("empty trace file")
     if len(rows) < 2:
-        raise TraceParseError("need at least two data rows")
+        raise UsageError("need at least two data rows")
     return rows
 
 

@@ -8,13 +8,13 @@ one open window.
 
 The tracker keeps only what a fit reads: the rates of the last
 ``train_num`` closed windows. ``close_windows_upto`` returns the closed
-window's ``WindowRow``, with its forecast. With prediction on, every window
-close takes the one-step forecast of the trailing rates from
-``grey.forecast``, one ``grey.fit`` of the rates in place and one
-``grey.predict``; the window's row and the control ticks until the next
-close read it. With prediction off nothing reads a fit, so none is made:
-the forecast is None until ``train_num`` windows have closed, and the
-measured rate from then on.
+window's ``WindowRow``, with its forecast, and holds the forecast rule.
+With prediction on, every window close from the ``train_num``-th on takes
+the one-step forecast of the trailing rates from ``grey.forecast``, one
+``grey.fit`` of the rates in place and one ``grey.predict``; the window's
+row and the control ticks until the next close read it. With prediction
+off nothing reads a fit, so none is made: the forecast is None until
+``train_num`` windows have closed, and the measured rate from then on.
 """
 
 from __future__ import annotations
@@ -76,37 +76,28 @@ class TrafficTracker:
         self._open_count += record_count
 
     def close_windows_upto(self, now: int) -> WindowRow:
-        """Close the open window, which must end at now, fitting while
-        prediction is on; returns its row. The window takes the records
-        reported since the last close."""
+        """Close the open window, which must end at now, and return its row,
+        with the records reported since the last close. Its forecast is None
+        until train_num windows have closed, then the measured rate with
+        prediction off. With it on, it is GM(1,1)'s one-step forecast of the
+        last train_num rates, clamped to >= 0, or None where GM(1,1) cannot
+        fit them (``FitError``) or the forecast overflows or is not finite;
+        the controller then runs on the workload alone until a fit succeeds."""
         w = self.config.resample_interval
         rate, self._open_count = self._open_count * 1000.0 / w, 0
         self._rates.append(rate)
-        if self.config.prediction_enabled:
-            self._fit(now)
-            predicted = self._forecast
-        else:
-            predicted = rate if len(self._rates) == self.config.train_num else None
+        predicted = rate if len(self._rates) == self.config.train_num else None
+        if predicted is not None and self.config.prediction_enabled:
+            try:
+                predicted = grey.forecast(self._rates)
+                if not math.isfinite(predicted):
+                    raise OverflowError(f"forecast {predicted!r} is not finite")
+                predicted = predicted if predicted > 0.0 else 0.0  # max(0.0, predicted)
+            except (FitError, OverflowError) as exc:
+                log.debug("no grey model for the windows up to %d ms: %s", now, exc)
+                predicted = None
+            self._forecast = predicted
         return WindowRow(now - w, rate, predicted)
-
-    def _fit(self, now: int) -> None:
-        """Fit GM(1,1) on the last train_num window rates and keep its one-step
-        forecast, clamped to >= 0; keep None while fewer than train_num windows
-        have closed, when GM(1,1) cannot fit them (``FitError``) or when the
-        forecast overflows or is not finite. The controller then runs on the
-        workload alone until a later fit succeeds. now, the closed window's
-        end, names the windows in the debug line."""
-        self._forecast = None
-        if len(self._rates) < self.config.train_num:
-            return
-        try:
-            rate = grey.forecast(self._rates)
-            if not math.isfinite(rate):
-                raise OverflowError(f"forecast {rate!r} is not finite")
-        except (FitError, OverflowError) as exc:
-            log.debug("no grey model for the windows up to %d ms: %s", now, exc)
-            return
-        self._forecast = rate if rate > 0.0 else 0.0  # max(0.0, rate)
 
     def predict_rate(self) -> Optional[float]:
         """Forecast of the mean rate of the window after the training tail,

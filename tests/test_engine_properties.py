@@ -4,7 +4,9 @@ Every run must conserve records (generated = in blocks = in batches), run
 batches in FIFO order, split each batch's delay into non-negative scheduling
 and processing parts whose sum over the interval used is its workload sample,
 write metrics.csv in time order, and in adaptive mode keep every interval a
-block multiple inside [min_interval, max_interval].
+block multiple inside [min_interval, max_interval]. A tick the controller
+runs has a level in -2..2 and C and D in [-0.2, 0.2]; any other tick has
+none of the three.
 
 The engine fills block counts a chunk at a time and reads batch and window
 totals off running sums. Each run is also checked against a receiver that
@@ -360,6 +362,14 @@ def check_invariants(config, trace):
     ids = [row[1] for row in cells if row[1]]
     assert ids == [str(k) for k in range(len(batches))]  # FIFO, as the reference checks
 
+    # adjust_interval checks neither its level nor its interval: infer and
+    # EngineConfig guarantee both, and a tick that only monitors has neither.
+    for t in ticks:
+        if config.mode == ADAPTIVE and t.time_ms >= config.control_start:
+            assert type(t.fuzzy_level) is int and -2 <= t.fuzzy_level <= 2
+            assert -0.2 <= t.traffic_change <= 0.2 and -0.2 <= t.workload_deviation <= 0.2
+        else:
+            assert (t.traffic_change, t.workload_deviation, t.fuzzy_level) == (None, None, None)
     if config.mode == ADAPTIVE:
         ctl = config.controller
         for interval in {b.interval_ms for b in batches} | {t.interval_ms for t in ticks}:

@@ -136,14 +136,6 @@ def test_adjust_interval_steps_and_clamps():
     assert adjust_interval(6000, 1, 200, c) == 6000
 
 
-def test_adjust_interval_rejects_bad_input():
-    c = cfg()
-    with pytest.raises(DomainError):
-        adjust_interval(2100, 1, 200, c)
-    with pytest.raises(DomainError):
-        adjust_interval(2000, 3, 200, c)
-
-
 def test_adjust_interval_always_block_multiple_in_range():
     c = cfg()
     for current in range(400, 6001, 200):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgebatch import traces
-from edgebatch.errors import DomainError, TraceParseError
+from edgebatch.errors import DomainError, UsageError
 
 
 def test_constant_rate_and_integral():
@@ -90,18 +90,18 @@ def test_comments_and_blanks_skipped(tmp_path):
 
 
 def test_parse_errors_carry_row_numbers(tmp_path):
-    with pytest.raises(TraceParseError) as err:
+    with pytest.raises(UsageError) as err:
         traces.from_csv(write_trace(tmp_path, "timestamp_s,value\n0,10\nbogus,20\n"))
-    assert err.value.row == 3
-    with pytest.raises(TraceParseError):
+    assert str(err.value).startswith("row 3: ")
+    with pytest.raises(UsageError):
         traces.from_csv(write_trace(tmp_path, ""))
-    with pytest.raises(TraceParseError):
+    with pytest.raises(UsageError):
         traces.from_csv(write_trace(tmp_path, "timestamp_s,value\n0,10\n"))
-    with pytest.raises(TraceParseError):
+    with pytest.raises(UsageError):
         traces.from_csv(write_trace(tmp_path, "time,count\n0,10\n60,20\n"))
-    with pytest.raises(TraceParseError):
+    with pytest.raises(UsageError):
         traces.from_csv(write_trace(tmp_path, "timestamp_s,value\n0,10\n0,20\n"))
-    with pytest.raises(TraceParseError):
+    with pytest.raises(UsageError):
         traces.from_csv(write_trace(tmp_path, "timestamp_s,value\n0,-10\n60,20\n"))
 
 

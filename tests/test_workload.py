@@ -39,14 +39,6 @@ def test_initial_estimate_is_a_float():
     assert repr(WorkloadMonitor(MonitorConfig(initial_estimate=2)).update_estimate()) == "2.0"
 
 
-def test_rejects_zero_total_delay():
-    mon = WorkloadMonitor(MonitorConfig())
-    for eta in (0.0, -0.5, float("nan")):
-        with pytest.raises(DomainError):
-            mon.on_batch_completed(eta)
-    assert mon.update_estimate() == 1.0  # no sample was buffered
-
-
 def test_config_validation():
     with pytest.raises(DomainError):
         MonitorConfig(smoothing_coefficient=0.0)

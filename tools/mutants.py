@@ -179,6 +179,12 @@ MUTANTS = (
            "jitter * (-1.0 + 2.0 * random_())",
            "jitter * random_()",
            ("tests/test_engine.py::test_jitter_changes_with_seed_but_not_rerun",)),
+    Mutant("engine-samples-zero-delay", "a batch with no delay is a workload sample of 0",
+           ENGINE,
+           "if total > 0:",
+           "if True:",
+           ("tests/test_golden.py::"
+            "test_coinciding_events_match_golden_digests[ties-vanilla-drain]",)),
     Mutant("window-row-at-its-end", "a window row's start is the window's end",
            "src/edgebatch/tracker.py",
            "WindowRow(now - w, rate, predicted)",
